@@ -1,55 +1,94 @@
-//! CI perf-regression gate: re-measure the `BENCH_runtime.json`,
-//! `BENCH_fm.json`, `BENCH_groups.json`, `BENCH_template.json`,
-//! `BENCH_imperfect.json`, `BENCH_scaling.json`, `BENCH_service.json`,
-//! `BENCH_faults.json`, and `BENCH_inspector.json` workloads and fail
-//! when a gated metric drops below the committed
-//! snapshot by more than its tolerance (25% for deterministic count
-//! ratios, 40% for timing-based speedups — see `pdm_bench::perf`).
-//! Per-metric deltas are printed even on green runs so drifts stay
-//! visible before they trip the gate.
+//! CI perf-regression gate: re-measure the workload of every committed
+//! `BENCH_*.json` snapshot (one row of [`SUITES`] each) and fail when a
+//! gated metric drops below the committed snapshot by more than its
+//! tolerance (25% for deterministic count ratios, 40% for timing-based
+//! speedups — see `pdm_bench::perf`). Per-metric deltas are printed even
+//! on green runs so drifts stay visible before they trip the gate.
 //!
 //! ```sh
 //! cargo run --release -p pdm-bench --bin bench_check
 //! ```
 //!
 //! Gated metrics are the machine-portable ratios (`*_speedup`,
-//! `*_reduction`) — both factors of a ratio are measured on the same
-//! host in the same run, so a slower CI runner does not trip the gate,
-//! while a genuine engine or pruning regression does. Absolute
-//! throughput (`*_per_s`) is printed for context and gated only with
-//! `BENCH_CHECK_STRICT=1` (useful on a pinned benchmarking machine).
-//! A gated metric missing from the fresh run also fails — dropping a
-//! benchmark must be an explicit snapshot regeneration
-//! (`bench_runtime` / `bench_fm`), not a silent pass.
+//! `*_reduction`, `*_overhead`, `*_ratio` but not `*_time_ratio`) — both
+//! factors of a ratio are measured on the same host in the same run, so
+//! a slower CI runner does not trip the gate, while a genuine engine or
+//! pruning regression does. Absolute throughput (`*_per_s`) is printed
+//! for context and gated only with `BENCH_CHECK_STRICT=1` (useful on a
+//! pinned benchmarking machine). A gated metric missing from the fresh
+//! run also fails — dropping a benchmark must be an explicit snapshot
+//! regeneration with the suite's bench binary, not a silent pass.
 
 use pdm_bench::{json, perf};
 use std::process::ExitCode;
 
-fn committed_metrics(path: &str) -> Result<Vec<(String, f64)>, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("{path}: {e} (regenerate with the matching bench binary)"))?;
-    Ok(json::parse(&text)
-        .map_err(|e| format!("{path}: {e}"))?
+/// One gated suite: its committed snapshot and the measurement that
+/// re-produces the snapshot's JSON (the same call its `bench_*` binary
+/// writes out).
+struct Suite {
+    snapshot: &'static str,
+    measure: fn() -> String,
+}
+
+const SUITES: &[Suite] = &[
+    Suite {
+        snapshot: "BENCH_runtime.json",
+        measure: || perf::runtime_json(&perf::runtime_cases()),
+    },
+    Suite {
+        snapshot: "BENCH_fm.json",
+        measure: || {
+            let (plans, elims) = perf::fm_cases();
+            perf::fm_json(&plans, &elims)
+        },
+    },
+    Suite {
+        snapshot: "BENCH_template.json",
+        measure: || perf::template_json(&perf::template_cases()),
+    },
+    Suite {
+        snapshot: "BENCH_imperfect.json",
+        measure: || perf::imperfect_json(&perf::imperfect_cases()),
+    },
+    Suite {
+        snapshot: "BENCH_scaling.json",
+        measure: || perf::scaling_json(&perf::scaling_cases()),
+    },
+    Suite {
+        snapshot: "BENCH_service.json",
+        measure: || perf::service_json(&perf::service_cases()),
+    },
+    Suite {
+        snapshot: "BENCH_faults.json",
+        measure: || perf::faults_json(&perf::faults_cases()),
+    },
+    Suite {
+        snapshot: "BENCH_inspector.json",
+        measure: || perf::inspector_json(&perf::inspector_cases(), &perf::inspector_storm()),
+    },
+];
+
+fn metrics(label: &str, text: &str) -> Result<Vec<(String, f64)>, String> {
+    Ok(json::parse(text)
+        .map_err(|e| format!("{label}: {e}"))?
         .metrics())
 }
 
-fn check(
-    label: &str,
-    committed: &[(String, f64)],
-    fresh_json: &str,
-    strict: bool,
-) -> Result<Vec<perf::Regression>, String> {
-    let fresh = json::parse(fresh_json)
-        .map_err(|e| format!("fresh {label} output: {e}"))?
-        .metrics();
-    println!("\n{label}: gated metrics (committed -> fresh, delta)");
-    for (key, c) in committed {
+/// Re-measure one suite and print every gated metric's delta.
+fn check(suite: &Suite, strict: bool) -> Result<Vec<perf::Regression>, String> {
+    let path = suite.snapshot;
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("{path}: {e} (regenerate with the matching bench binary)"))?;
+    let committed = metrics(path, &text)?;
+    println!("bench_check: re-measuring {path}...");
+    let fresh = metrics(&format!("fresh {path} output"), &(suite.measure)())?;
+    println!("\n{path}: gated metrics (committed -> fresh, delta)");
+    for (key, c) in &committed {
         if !perf::is_gated(key, strict) {
             continue;
         }
         let tol = perf::tolerance_for(key) * 100.0;
-        let f = fresh.iter().find(|(k, _)| k == key).map(|(_, v)| *v);
-        match f {
+        match fresh.iter().find(|(k, _)| k == key).map(|(_, v)| *v) {
             // Deltas print on every run — green runs included — so a
             // drift toward the tolerance edge is visible before it trips.
             Some(v) if *c > 0.0 => println!(
@@ -60,121 +99,14 @@ fn check(
             None => println!("  {key:<44} {c:>9.2} -> MISSING"),
         }
     }
-    Ok(perf::regressions(committed, &fresh, strict))
+    Ok(perf::regressions(&committed, &fresh, strict))
 }
 
 fn main() -> ExitCode {
     let strict = std::env::var("BENCH_CHECK_STRICT").is_ok_and(|v| v == "1");
-
-    let committed_runtime = match committed_metrics("BENCH_runtime.json") {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("bench_check: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let committed_fm = match committed_metrics("BENCH_fm.json") {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("bench_check: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let committed_groups = match committed_metrics("BENCH_groups.json") {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("bench_check: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let committed_template = match committed_metrics("BENCH_template.json") {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("bench_check: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let committed_imperfect = match committed_metrics("BENCH_imperfect.json") {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("bench_check: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let committed_scaling = match committed_metrics("BENCH_scaling.json") {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("bench_check: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let committed_service = match committed_metrics("BENCH_service.json") {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("bench_check: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let committed_faults = match committed_metrics("BENCH_faults.json") {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("bench_check: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let committed_inspector = match committed_metrics("BENCH_inspector.json") {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("bench_check: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    println!("bench_check: re-measuring runtime throughput...");
-    let runtime_fresh = perf::runtime_json(&perf::runtime_cases());
-    println!("bench_check: re-measuring FM pruning...");
-    let (plans, elims) = perf::fm_cases();
-    let fm_fresh = perf::fm_json(&plans, &elims);
-    println!("bench_check: re-measuring group enumeration...");
-    let groups_fresh = perf::groups_json(&perf::groups_cases());
-    println!("bench_check: re-measuring template instantiation...");
-    let template_fresh = perf::template_json(&perf::template_cases());
-    println!("bench_check: re-measuring imperfect-nest pipelines...");
-    let imperfect_fresh = perf::imperfect_json(&perf::imperfect_cases());
-    println!("bench_check: re-measuring thread scaling...");
-    let scaling_fresh = perf::scaling_json(&perf::scaling_cases());
-    println!("bench_check: re-measuring the plan-serving storm...");
-    let service_fresh = perf::service_json(&perf::service_cases());
-    println!("bench_check: re-measuring the fault-hardening storms...");
-    let faults_fresh = perf::faults_json(&perf::faults_cases());
-    println!("bench_check: re-measuring the inspector verdicts...");
-    let inspector_fresh = perf::inspector_json(&perf::inspector_cases(), &perf::inspector_storm());
-
     let mut regressions = Vec::new();
-    for (label, committed, fresh) in [
-        ("BENCH_runtime", &committed_runtime, runtime_fresh.as_str()),
-        ("BENCH_fm", &committed_fm, fm_fresh.as_str()),
-        ("BENCH_groups", &committed_groups, groups_fresh.as_str()),
-        (
-            "BENCH_template",
-            &committed_template,
-            template_fresh.as_str(),
-        ),
-        (
-            "BENCH_imperfect",
-            &committed_imperfect,
-            imperfect_fresh.as_str(),
-        ),
-        ("BENCH_scaling", &committed_scaling, scaling_fresh.as_str()),
-        ("BENCH_service", &committed_service, service_fresh.as_str()),
-        ("BENCH_faults", &committed_faults, faults_fresh.as_str()),
-        (
-            "BENCH_inspector",
-            &committed_inspector,
-            inspector_fresh.as_str(),
-        ),
-    ] {
-        match check(label, committed, fresh, strict) {
+    for suite in SUITES {
+        match check(suite, strict) {
             Ok(mut r) => regressions.append(&mut r),
             Err(e) => {
                 eprintln!("bench_check: {e}");
@@ -185,29 +117,24 @@ fn main() -> ExitCode {
 
     if regressions.is_empty() {
         println!("\nbench_check: PASS (no gated metric regressed past tolerance)");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("\nbench_check: FAIL — {} regression(s):", regressions.len());
-        for r in &regressions {
-            match r.fresh {
-                Some(f) => eprintln!(
-                    "  {}: committed {:.2}, fresh {:.2} ({:+.0}%)",
-                    r.key,
-                    r.committed,
-                    f,
-                    (f / r.committed - 1.0) * 100.0
-                ),
-                None => eprintln!(
-                    "  {}: committed {:.2}, missing from fresh run",
-                    r.key, r.committed
-                ),
-            }
-        }
-        eprintln!(
-            "(intentional? regenerate the snapshots with bench_runtime / bench_fm / \
-             bench_groups / bench_template / bench_imperfect / bench_scaling / \
-             bench_service / bench_faults / bench_inspector)"
-        );
-        ExitCode::FAILURE
+        return ExitCode::SUCCESS;
     }
+    eprintln!("\nbench_check: FAIL — {} regression(s):", regressions.len());
+    for r in &regressions {
+        match r.fresh {
+            Some(f) => eprintln!(
+                "  {}: committed {:.2}, fresh {:.2} ({:+.0}%)",
+                r.key,
+                r.committed,
+                f,
+                (f / r.committed - 1.0) * 100.0
+            ),
+            None => eprintln!(
+                "  {}: committed {:.2}, missing from fresh run",
+                r.key, r.committed
+            ),
+        }
+    }
+    eprintln!("(intentional? regenerate the snapshot with its bench_* binary)");
+    ExitCode::FAILURE
 }

@@ -15,9 +15,8 @@
 //!
 //! | bin | role |
 //! |-----|------|
-//! | `bench_runtime` | writes `BENCH_runtime.json` (compiled vs. interpreted throughput) |
+//! | `bench_runtime` | writes `BENCH_runtime.json` (compiled vs. reference-interpreter throughput) |
 //! | `bench_fm` | writes `BENCH_fm.json` (FM pruning: bound rows, peak rows, timings) |
-//! | `bench_groups` | writes `BENCH_groups.json` (streaming vs. materialized group enumeration) |
 //! | `bench_template` | writes `BENCH_template.json` (plan-template instantiate vs. replan) |
 //! | `bench_imperfect` | writes `BENCH_imperfect.json` (imperfect-nest staged pipelines) |
 //! | `bench_scaling` | writes `BENCH_scaling.json` (work-stealing thread scaling, stealing vs. contiguous split) |
@@ -25,10 +24,6 @@
 //! | `bench_faults` | writes `BENCH_faults.json` (fault-hardening overhead + resilience storms) |
 //! | `bench_inspector` | writes `BENCH_inspector.json` (inspector audit cost, verdict-picked executors) |
 //! | `bench_check` | re-measures every snapshot and fails on regression of gated metrics |
-//!
-//! Criterion benches (`cargo bench -p pdm-bench`) measure the quantitative
-//! side: analysis cost, transformation scaling, and the speedup of the
-//! generated schedules under rayon.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -76,9 +71,9 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (v, t0.elapsed().as_secs_f64())
 }
 
-/// Measured speedup of a plan's parallel execution over sequential, with
-/// result equivalence verified. Returns `(seq_seconds, par_seconds,
-/// speedup)`.
+/// Measured speedup of a plan's compiled parallel execution over the
+/// compiled original-order walk, with result equivalence verified.
+/// Returns `(seq_seconds, par_seconds, speedup)`.
 pub fn measure_speedup(nest: &LoopNest, plan: &ParallelPlan, reps: usize) -> (f64, f64, f64) {
     // Warm-up + verification run.
     let rep = pdm_runtime::equivalence::compare(nest, plan, 1).expect("execute");
@@ -89,12 +84,14 @@ pub fn measure_speedup(nest: &LoopNest, plan: &ParallelPlan, reps: usize) -> (f6
     for _ in 0..reps {
         let mut m = Memory::for_nest(nest).expect("alloc");
         m.init_deterministic(1);
-        let (_, t) = time(|| pdm_runtime::run_sequential(nest, &m).expect("seq"));
+        let seq = pdm_runtime::CompiledNest::compile(nest, &m).expect("compile nest");
+        let (_, t) = time(|| seq.run(&m).expect("seq"));
         best_seq = best_seq.min(t);
 
         let mut m = Memory::for_nest(nest).expect("alloc");
         m.init_deterministic(1);
-        let (_, t) = time(|| pdm_runtime::run_parallel(nest, plan, &m).expect("par"));
+        let par = pdm_runtime::CompiledPlan::compile(nest, plan, &m).expect("compile plan");
+        let (_, t) = time(|| par.run_parallel(&m).expect("par"));
         best_par = best_par.min(t);
     }
     (best_seq, best_par, best_seq / best_par)

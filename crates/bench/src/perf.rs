@@ -1,10 +1,9 @@
-//! Shared measurement harness behind `bench_runtime`, `bench_fm`,
-//! `bench_groups`, and the `bench_check` regression gate.
+//! Shared measurement harness behind the `bench_*` snapshot writers and
+//! the `bench_check` regression gate.
 //!
-//! The bench binaries write `BENCH_runtime.json` / `BENCH_fm.json` /
-//! `BENCH_groups.json` snapshots into the repo; `bench_check` re-runs the
-//! same measurement functions and compares the fresh numbers against the
-//! committed files.
+//! Each bench binary writes one `BENCH_*.json` snapshot into the repo;
+//! `bench_check` re-runs the same measurement functions and compares the
+//! fresh numbers against the committed files.
 //!
 //! # What the gate compares
 //!
@@ -14,7 +13,7 @@
 //! **ratio metrics**, which are computed from two measurements on the
 //! *same* machine in the *same* run and therefore transfer across hosts:
 //!
-//! * `*_speedup` — e.g. compiled vs. interpreted iteration throughput;
+//! * `*_speedup` — e.g. compiled vs. reference-interpreter throughput;
 //! * `*_reduction` — constraint-count ratios (fully deterministic).
 //!
 //! A gated metric regresses when `fresh < committed · (1 − tolerance)`.
@@ -35,7 +34,7 @@ use pdm_poly::expr::AffineExpr;
 use pdm_poly::fm::{eliminate_all_stats, ElimStats, Prune};
 use pdm_poly::system::System;
 use pdm_runtime::compile::{CompiledNest, CompiledPlan};
-use pdm_runtime::equivalence::compare_three_way;
+use pdm_runtime::equivalence::compare;
 use pdm_runtime::memory::Memory;
 use pdm_runtime::schedule::{cost_skewed, Schedule};
 use rand::prelude::*;
@@ -61,10 +60,12 @@ fn best<F: FnMut() -> T, T>(reps: usize, mut f: F) -> f64 {
 }
 
 // ---------------------------------------------------------------------
-// Runtime throughput (compiled engine vs. interpreter).
+// Runtime throughput (compiled walker vs. reference interpreter).
 // ---------------------------------------------------------------------
 
-/// One compiled-vs-interpreted throughput case (times in seconds).
+/// One compiled-vs-interpreted throughput case (times in seconds): the
+/// reference interpreter against the compiled walker in original order,
+/// plus the compiled parallel schedule for context.
 pub struct RuntimeCase {
     /// Case label (stable across runs; used as the JSON metric path).
     pub name: &'static str,
@@ -74,8 +75,6 @@ pub struct RuntimeCase {
     pub interp_seq: f64,
     /// Compiled engine, sequential.
     pub compiled_seq: f64,
-    /// Interpreter, parallel schedule.
-    pub interp_par: f64,
     /// Compiled engine, parallel schedule.
     pub compiled_par: f64,
     /// Configured worker threads during the parallel measurements.
@@ -87,11 +86,8 @@ pub struct RuntimeCase {
 
 fn run_runtime_case(name: &'static str, nest: &LoopNest) -> RuntimeCase {
     let plan = pdm_core::parallelize(nest).expect("plan");
-    let rep = compare_three_way(nest, &plan, 1).expect("execute");
-    assert!(
-        rep.all_equal(),
-        "{name}: executors diverged — refusing to time"
-    );
+    let rep = compare(nest, &plan, 1).expect("execute");
+    assert!(rep.equal, "{name}: executors diverged — refusing to time");
     let iterations = rep.iterations;
 
     let mut m = Memory::for_nest(nest).expect("alloc");
@@ -105,9 +101,6 @@ fn run_runtime_case(name: &'static str, nest: &LoopNest) -> RuntimeCase {
     let compiled_seq = best(RUNTIME_REPS, || {
         compiled.run_with_scratch(&m, &mut scratch).unwrap()
     });
-    let interp_par = best(RUNTIME_REPS, || {
-        pdm_runtime::run_parallel(nest, &plan, &m).unwrap()
-    });
     let cplan = CompiledPlan::compile(nest, &plan, &m).expect("compile plan");
     let compiled_par = best(RUNTIME_REPS, || cplan.run_parallel(&m).unwrap());
 
@@ -116,7 +109,6 @@ fn run_runtime_case(name: &'static str, nest: &LoopNest) -> RuntimeCase {
         iterations,
         interp_seq,
         compiled_seq,
-        interp_par,
         compiled_par,
         threads: rayon::current_num_threads(),
         observed_threads: rayon::last_region_threads(),
@@ -144,14 +136,12 @@ pub fn runtime_cases() -> Vec<RuntimeCase> {
     for c in &cases {
         let tp = |secs: f64| c.iterations as f64 / secs;
         println!(
-            "{:<14} seq {:>10.0} -> {:>11.0} iters/s ({:4.1}x)   par {:>10.0} -> {:>11.0} iters/s ({:4.1}x)",
+            "{:<14} seq {:>10.0} -> {:>11.0} iters/s ({:4.1}x)   compiled par {:>11.0} iters/s",
             c.name,
             tp(c.interp_seq),
             tp(c.compiled_seq),
             c.interp_seq / c.compiled_seq,
-            tp(c.interp_par),
             tp(c.compiled_par),
-            c.interp_par / c.compiled_par,
         );
     }
     cases
@@ -174,18 +164,15 @@ pub fn runtime_json(cases: &[RuntimeCase]) -> String {
             "    {{\"name\": \"{}\", \"iterations\": {}, \
              \"threads\": {}, \"observed_threads\": {}, \
              \"interp_seq_iters_per_s\": {:.0}, \"compiled_seq_iters_per_s\": {:.0}, \
-             \"interp_par_iters_per_s\": {:.0}, \"compiled_par_iters_per_s\": {:.0}, \
-             \"seq_speedup\": {:.2}, \"par_speedup\": {:.2}}}{}\n",
+             \"compiled_par_iters_per_s\": {:.0}, \"seq_speedup\": {:.2}}}{}\n",
             c.name,
             c.iterations,
             c.threads,
             c.observed_threads,
             tp(c.interp_seq),
             tp(c.compiled_seq),
-            tp(c.interp_par),
             tp(c.compiled_par),
             c.interp_seq / c.compiled_seq,
-            c.interp_par / c.compiled_par,
             if i + 1 == cases.len() { "" } else { "," },
         ));
     }
@@ -456,189 +443,6 @@ pub fn fm_json(plans: &[FmPlanCase], elims: &[FmElimCase]) -> String {
             c.t_exact * 1e3,
             c.t_unpruned / c.t_fast,
             if i + 1 == elims.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-// ---------------------------------------------------------------------
-// Group enumeration: streaming cursor vs. materialized cross product.
-// ---------------------------------------------------------------------
-
-/// One streaming-vs-materialized group-enumeration case (times in
-/// seconds, peaks in live group structs).
-pub struct GroupsCase {
-    /// Case label (stable across runs; used as the JSON metric path).
-    pub name: &'static str,
-    /// Total independent groups.
-    pub groups: u64,
-    /// Building the full materialized group list once.
-    pub t_materialize: f64,
-    /// Streaming all groups through one cursor once (no materialization).
-    pub t_stream: f64,
-    /// Peak simultaneously-live group structs while materializing.
-    pub peak_materialized: i64,
-    /// Peak live group structs during a streaming compiled
-    /// `run_parallel` (zero: the compiled path builds none).
-    pub peak_stream_compiled: i64,
-    /// Peak live group structs during a streaming interpreted
-    /// `run_parallel` (one transient `GroupSpec` per in-flight range).
-    pub peak_stream_interp: i64,
-    /// Configured worker threads during the streaming runs.
-    pub threads: usize,
-    /// Workers the last streaming region actually used
-    /// ([`rayon::last_region_threads`]).
-    pub observed_threads: usize,
-}
-
-fn run_groups_case(name: &'static str, nest: &LoopNest) -> GroupsCase {
-    use pdm_runtime::schedule::{
-        group_count, peak_live_groups, reset_peak_live_groups, GroupCursor,
-    };
-
-    let plan = pdm_core::parallelize(nest).expect("plan");
-    let num_offsets = plan.partition().map_or(1, |p| p.offsets().len());
-    let z = plan.doall_count();
-    let total = group_count(plan.bounds(), z, num_offsets).expect("count");
-
-    let t_materialize = best(FM_REPS, || {
-        pdm_runtime::exec::groups(&plan).expect("materialize").len()
-    });
-    let t_stream = best(FM_REPS, || {
-        let mut cur = GroupCursor::new(plan.bounds(), z, num_offsets).expect("cursor");
-        let mut n = 0u64;
-        while cur.current().is_some() {
-            n += 1;
-            cur.advance().expect("advance");
-        }
-        n
-    });
-
-    reset_peak_live_groups();
-    let base = pdm_runtime::schedule::live_groups();
-    let gs = pdm_runtime::exec::groups(&plan).expect("materialize");
-    assert_eq!(gs.len() as u64, total);
-    let peak_materialized = peak_live_groups() - base;
-    drop(gs);
-
-    let mem = Memory::for_nest(nest).expect("alloc");
-    let cp = CompiledPlan::compile(nest, &plan, &mem).expect("compile");
-    reset_peak_live_groups();
-    let ran = cp.run_parallel(&mem).expect("compiled run");
-    let peak_stream_compiled = peak_live_groups() - base;
-    reset_peak_live_groups();
-    let ran_i = pdm_runtime::run_parallel(nest, &plan, &mem).expect("interp run");
-    let peak_stream_interp = peak_live_groups() - base;
-    assert_eq!(ran, ran_i, "executors disagreed on iteration count");
-
-    GroupsCase {
-        name,
-        groups: total,
-        t_materialize,
-        t_stream,
-        peak_materialized,
-        peak_stream_compiled,
-        peak_stream_interp,
-        threads: rayon::current_num_threads(),
-        observed_threads: rayon::last_region_threads(),
-    }
-}
-
-/// A depth-4 all-doall nest with `n⁴` groups — the allocation-spike
-/// workload of the acceptance test (`n = 18` gives 104 976 groups).
-pub fn doall4(n: i64) -> LoopNest {
-    parse_loop_with(
-        "for a = 0..N { for b = 0..N { for c = 0..N { for d = 0..N {
-           A[a, b, c, d] = a + 2*b + 3*c + d;
-         } } } }",
-        &[("N", n)],
-    )
-    .expect("doall4 parses")
-}
-
-/// A triangular all-doall nest — exercises the prefix-dependent
-/// cursor-walk counting and seek fallbacks.
-pub fn doall_triangle(n: i64) -> LoopNest {
-    parse_loop_with(
-        "for i = 0..=N { for j = 0..=i { A[i, j] = i + j; } }",
-        &[("N", n)],
-    )
-    .expect("triangle parses")
-}
-
-/// Measure every group-enumeration case, printing one summary line each.
-pub fn groups_cases() -> Vec<GroupsCase> {
-    let cases = vec![
-        run_groups_case("doall4_n18", &doall4(18)),
-        run_groups_case("tri_n120", &doall_triangle(120)),
-        run_groups_case("paper41_n200", &paper41(0, 199)),
-    ];
-    for c in &cases {
-        println!(
-            "{:<14} groups {:>7}  enum {:>11.0} -> {:>11.0} groups/s ({:4.1}x)   peak live {:>7} -> {} (compiled) / {} (interp, {} threads)",
-            c.name,
-            c.groups,
-            c.groups as f64 / c.t_materialize,
-            c.groups as f64 / c.t_stream,
-            c.t_materialize / c.t_stream,
-            c.peak_materialized,
-            c.peak_stream_compiled,
-            c.peak_stream_interp,
-            c.threads,
-        );
-    }
-    cases
-}
-
-/// Serialize group-enumeration cases into the committed
-/// `BENCH_groups.json` shape. Every case records the worker-thread
-/// count its streaming runs actually used.
-pub fn groups_json(cases: &[GroupsCase]) -> String {
-    let mut out = String::from("{\n  \"bench\": \"group_enumeration\",\n");
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    out.push_str(&format!(
-        "  \"machine_threads\": {threads},\n  \"cases\": [\n"
-    ));
-    for (i, c) in cases.iter().enumerate() {
-        // Peak-live reduction is deterministic (the compiled streaming
-        // path constructs zero group structs, so the denominator clamps
-        // to 1 and the ratio equals the group count) — gate it with the
-        // tight count tolerance. The enumeration timing ratio is gated
-        // (`_speedup`, wide timing tolerance) only on cases big enough
-        // for the walk to be measurably long on any host; the key choice
-        // must be a *deterministic* function of the workload (group
-        // count), never of measured time — a measurement-dependent key
-        // would make the committed gated metric vanish on a faster
-        // machine and fail `bench_check` with no real regression.
-        let ratio = c.t_materialize / c.t_stream;
-        let ratio_key = if c.groups >= 10_000 {
-            "enum_speedup"
-        } else {
-            "enum_time_ratio"
-        };
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"groups\": {}, \
-             \"threads\": {}, \"observed_threads\": {}, \
-             \"enum_materialized_per_s\": {:.0}, \"enum_stream_per_s\": {:.0}, \
-             \"{ratio_key}\": {:.3}, \
-             \"peak_live_materialized\": {}, \"peak_live_streaming\": {}, \
-             \"peak_live_interp_stream\": {}, \
-             \"peak_live_reduction\": {:.3}}}{}\n",
-            c.name,
-            c.groups,
-            c.threads,
-            c.observed_threads,
-            c.groups as f64 / c.t_materialize,
-            c.groups as f64 / c.t_stream,
-            ratio,
-            c.peak_materialized,
-            c.peak_stream_compiled,
-            c.peak_stream_interp,
-            c.peak_materialized as f64 / (c.peak_stream_compiled.max(1)) as f64,
-            if i + 1 == cases.len() { "" } else { "," },
         ));
     }
     out.push_str("  ]\n}\n");
@@ -950,15 +754,11 @@ pub const SCALING_REPS: usize = 5;
 pub struct ScalingPoint {
     /// Configured pool width.
     pub threads: usize,
-    /// Workers the interpreted region actually used.
-    pub observed_interp: usize,
     /// Workers the compiled region actually used.
     pub observed_compiled: usize,
     /// Cross-deque steals in the last compiled region
     /// ([`rayon::last_region_steals`]).
     pub steals_compiled: usize,
-    /// Interpreted parallel execution at this width.
-    pub t_interp: f64,
     /// Compiled parallel execution at this width.
     pub t_compiled: f64,
 }
@@ -969,7 +769,7 @@ pub struct ScalingPoint {
 pub struct ScalingCase {
     /// Case label (stable across runs; used as the JSON metric path).
     pub name: &'static str,
-    /// Whether the group space is [`cost_skewed`] (drives the gate key).
+    /// Whether the group space is [`cost_skewed`] (names the duel ratio).
     pub skewed: bool,
     /// Iterations per full execution.
     pub iterations: u64,
@@ -1026,11 +826,8 @@ fn run_scaling_case(name: &'static str, nest: &LoopNest, expect_skewed: bool) ->
         expect_skewed,
         "{name}: workload skew does not match the case design"
     );
-    let rep = compare_three_way(nest, &plan, 1).expect("execute");
-    assert!(
-        rep.all_equal(),
-        "{name}: executors diverged — refusing to time"
-    );
+    let rep = compare(nest, &plan, 1).expect("execute");
+    assert!(rep.equal, "{name}: executors diverged — refusing to time");
     let iterations = rep.iterations;
 
     let mut m = Memory::for_nest(nest).expect("alloc");
@@ -1043,23 +840,17 @@ fn run_scaling_case(name: &'static str, nest: &LoopNest, expect_skewed: bool) ->
             .num_threads(threads)
             .build()
             .expect("pool");
-        let t_interp = best(SCALING_REPS, || {
-            pool.install(|| pdm_runtime::run_parallel(nest, &plan, &m).unwrap())
-        });
-        // `install` runs inline, so the region gauge of the last rep is
-        // still on this thread.
-        let observed_interp = rayon::last_region_threads();
         let t_compiled = best(SCALING_REPS, || {
             pool.install(|| cplan.run_parallel(&m).unwrap())
         });
+        // `install` runs inline, so the region gauge of the last rep is
+        // still on this thread.
         let observed_compiled = rayon::last_region_threads();
         let steals_compiled = rayon::last_region_steals();
         points.push(ScalingPoint {
             threads,
-            observed_interp,
             observed_compiled,
             steals_compiled,
-            t_interp,
             t_compiled,
         });
     }
@@ -1114,13 +905,11 @@ pub fn scaling_cases() -> Vec<ScalingCase> {
     for c in &cases {
         for p in &c.points {
             println!(
-                "{:<14} t={:<2} (observed {}/{}, {} steals)  interp {:>11.0} iters/s   compiled {:>11.0} iters/s",
+                "{:<14} t={:<2} (observed {}, {} steals)  compiled {:>11.0} iters/s",
                 c.name,
                 p.threads,
-                p.observed_interp,
                 p.observed_compiled,
                 p.steals_compiled,
-                c.iterations as f64 / p.t_interp,
                 c.iterations as f64 / p.t_compiled,
             );
         }
@@ -1140,11 +929,11 @@ pub fn scaling_cases() -> Vec<ScalingCase> {
 
 /// Serialize scaling cases into the committed `BENCH_scaling.json`
 /// shape: one entry per (case, pool width) with configured and observed
-/// thread counts, plus one summary entry per case carrying the gated
-/// stealing-vs-contiguous ratio (`skewed_scaling_speedup` /
-/// `balanced_scaling_speedup` — both factors measured on the same host
-/// at the same pool width, so the ratio transfers across machines; on a
-/// single-core host both legs serialize and the ratio sits at ~1).
+/// thread counts, plus one summary entry per case carrying the
+/// stealing-vs-contiguous ratio (`skewed_scaling_time_ratio` /
+/// `balanced_scaling_time_ratio`). The ratios are reported, not gated:
+/// on a host with fewer cores than the widest pool both legs serialize
+/// and the ratio is scheduler noise around 1.
 pub fn scaling_json(cases: &[ScalingCase]) -> String {
     let mut out = String::from("{\n  \"bench\": \"thread_scaling\",\n");
     let machine = std::thread::available_parallelism()
@@ -1157,30 +946,27 @@ pub fn scaling_json(cases: &[ScalingCase]) -> String {
         for p in &c.points {
             out.push_str(&format!(
                 "    {{\"name\": \"{}_t{}\", \"threads\": {}, \
-                 \"observed_interp_threads\": {}, \"observed_compiled_threads\": {}, \
-                 \"observed_compiled_steals\": {}, \
-                 \"interp_iters_per_s\": {:.0}, \"compiled_iters_per_s\": {:.0}}},\n",
+                 \"observed_compiled_threads\": {}, \"observed_compiled_steals\": {}, \
+                 \"compiled_iters_per_s\": {:.0}}},\n",
                 c.name,
                 p.threads,
                 p.threads,
-                p.observed_interp,
                 p.observed_compiled,
                 p.steals_compiled,
-                c.iterations as f64 / p.t_interp,
                 c.iterations as f64 / p.t_compiled,
             ));
         }
-        let gate_key = if c.skewed {
-            "skewed_scaling_speedup"
+        let ratio_key = if c.skewed {
+            "skewed_scaling_time_ratio"
         } else {
-            "balanced_scaling_speedup"
+            "balanced_scaling_time_ratio"
         };
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"iterations\": {}, \"cost_skewed\": {}, \
              \"threads\": {}, \
              \"contiguous_steals\": {}, \"stealing_steals\": {}, \
              \"contiguous_iters_per_s\": {:.0}, \"stealing_iters_per_s\": {:.0}, \
-             \"{gate_key}\": {:.3}}}{}\n",
+             \"{ratio_key}\": {:.3}}}{}\n",
             c.name,
             c.iterations,
             if c.skewed { 1 } else { 0 },
@@ -1754,11 +1540,10 @@ pub const INSPECTOR_CERTIFIED_SRC: &str = "for i1 = 0..=199 { for i2 = 0..=199 {
 
 /// Uniform row shift: at `K = 1` each iteration writes the next row, so
 /// the hull plan's single-iteration groups chain into row stages — the
-/// audit demotes to the refined (staged) executor. The read-only `B`
-/// and `C` operands contribute no conflicts (the chain is `A`'s alone)
-/// but give the body realistic subscript arithmetic, which is what the
-/// compiled stage driver strength-reduces and the interpreted walker
-/// re-evaluates per access.
+/// audit demotes to the refined (staged) executor. The read-only `B`,
+/// `C` and `D` operands contribute no conflicts (the chain is `A`'s
+/// alone) but give the body realistic subscript arithmetic for the
+/// audit to evaluate and the compiled stage driver to strength-reduce.
 pub const INSPECTOR_REFINED_SRC: &str = "for i1 = 0..=149 { for i2 = 0..=149 {
    A[i1 + K, i2] = A[i1, i2] + B[2*i1 + i2, i1] + C[i1 + 2*i2, i2] + D[i1 + i2, 2*i1] + 1;
  } }";
@@ -1793,24 +1578,6 @@ impl InspectorSteadyState {
     }
 }
 
-/// Interpreted vs. compiled execution of the same refined staging
-/// (refined case only), both timed on the same host in the same run.
-pub struct RefinedCompare {
-    /// Seconds per staged run through the interpreted group walker.
-    pub t_interpreted: f64,
-    /// Seconds per staged run through the compiled range-task driver.
-    pub t_compiled: f64,
-}
-
-impl RefinedCompare {
-    /// Interpreted over compiled staged execution — the win of staging
-    /// `CompiledPlan` range tasks instead of interpreting `exec_body`
-    /// group by group.
-    pub fn refined_compiled_speedup(&self) -> f64 {
-        self.t_interpreted / self.t_compiled
-    }
-}
-
 /// One inspector case: a parametric nest planned on its hull, audited
 /// at a concrete valuation, and executed by whatever the verdict picks.
 pub struct InspectorCase {
@@ -1833,8 +1600,6 @@ pub struct InspectorCase {
     pub threads: usize,
     /// Steady-state session comparison (certified case only).
     pub steady: Option<InspectorSteadyState>,
-    /// Interpreted-vs-compiled staged execution (refined case only).
-    pub refined: Option<RefinedCompare>,
 }
 
 impl InspectorCase {
@@ -1883,40 +1648,20 @@ fn run_inspector_case(
     let t_seq = best(RUNTIME_REPS, || {
         pdm_runtime::run_sequential(&nest, &mem).unwrap()
     });
-    // Time the executor the *session* dispatches on this verdict: a
-    // certified audit unlocks the compiled parallel engine, a refined
-    // one the staged interpreter, a rejected one the interpreted
-    // sequential reference (exactly the forced-sequential baseline).
-    let t_verdict = if verdict.kind() == "certified" {
-        let cplan = CompiledPlan::compile(&nest, &plan, &mem).expect("compile plan");
-        best(RUNTIME_REPS, || cplan.run_parallel(&mem).unwrap())
-    } else {
-        best(RUNTIME_REPS, || {
-            run_with_verdict(&nest, &plan, &mem, &verdict).unwrap()
-        })
-    };
-
-    // For a refined verdict, pit the interpreted stage walker against
-    // the compiled range-task driver on the exact same staging — the
-    // ratio is the gated `refined_compiled_speedup`.
-    let refined = match &verdict {
+    // Time the executor the *session* dispatches on this verdict, with
+    // compilation outside the timer: a certified audit unlocks the
+    // compiled parallel engine, a refined one the compiled stage
+    // driver, a rejected one the sequential reference (exactly the
+    // forced-sequential baseline).
+    let sched = pdm_runtime::RuntimeConfig::global().schedule();
+    let cplan = CompiledPlan::compile(&nest, &plan, &mem).expect("compile plan");
+    let t_verdict = best(RUNTIME_REPS, || match &verdict {
+        pdm_runtime::Verdict::Certified => cplan.run_parallel_scheduled(&mem, sched).unwrap(),
         pdm_runtime::Verdict::Refined { stages } => {
-            use pdm_runtime::inspector::{run_refined, run_refined_compiled};
-            let cplan = CompiledPlan::compile(&nest, &plan, &mem).expect("compile refined plan");
-            let sched = pdm_runtime::RuntimeConfig::global().schedule();
-            let t_interpreted = best(RUNTIME_REPS, || {
-                run_refined(&nest, &plan, &mem, stages).unwrap()
-            });
-            let t_compiled = best(RUNTIME_REPS, || {
-                run_refined_compiled(&cplan, &mem, stages, sched).unwrap()
-            });
-            Some(RefinedCompare {
-                t_interpreted,
-                t_compiled,
-            })
+            pdm_runtime::run_refined_compiled(&cplan, &mem, stages, sched).unwrap()
         }
-        _ => None,
-    };
+        pdm_runtime::Verdict::Rejected { .. } => pdm_runtime::run_sequential(&nest, &mem).unwrap(),
+    });
 
     let steady = steady.then(|| {
         use pdm_service::Session;
@@ -1951,7 +1696,6 @@ fn run_inspector_case(
         t_verdict,
         threads: rayon::current_num_threads(),
         steady,
-        refined,
     }
 }
 
@@ -2060,14 +1804,6 @@ pub fn inspector_cases() -> Vec<InspectorCase> {
                 s.audit_overhead(),
             );
         }
-        if let Some(r) = &c.refined {
-            print!(
-                "   stages: interpreted {:.2}ms vs compiled {:.2}ms ({:.2}x)",
-                r.t_interpreted * 1e3,
-                r.t_compiled * 1e3,
-                r.refined_compiled_speedup(),
-            );
-        }
         println!();
     }
     cases
@@ -2078,9 +1814,7 @@ pub fn inspector_cases() -> Vec<InspectorCase> {
 /// certified-parallel, both timed on the same host in the same run),
 /// `inspector_audit_overhead` (verdict-cached inspected over
 /// uninspected session throughput, clamped to 1.0 — steady-state
-/// inspection must stay free), `refined_compiled_speedup` (interpreted
-/// over compiled staged execution of the refined verdict), and
-/// `interval_skip_ratio` (fraction of storm requests answered without
+/// inspection must stay free), and `interval_skip_ratio` (fraction of storm requests answered without
 /// auditing — count-derived, so it gates tight). The audit-vs-replan
 /// timings ride along as context.
 pub fn inspector_json(cases: &[InspectorCase], storm: &IntervalStorm) -> String {
@@ -2116,15 +1850,6 @@ pub fn inspector_json(cases: &[InspectorCase], storm: &IntervalStorm) -> String 
             out.push_str(&format!(
                 ", \"inspector_certified_speedup\": {:.2}",
                 c.certified_speedup()
-            ));
-        }
-        if let Some(r) = &c.refined {
-            out.push_str(&format!(
-                ", \"refined_interpreted_ms\": {:.3}, \"refined_compiled_ms\": {:.3}, \
-                 \"refined_compiled_speedup\": {:.2}",
-                r.t_interpreted * 1e3,
-                r.t_compiled * 1e3,
-                r.refined_compiled_speedup(),
             ));
         }
         if let Some(s) = &c.steady {
@@ -2327,7 +2052,6 @@ mod tests {
         assert_eq!(c.verdict, "certified");
         assert_eq!(c.iterations, 20);
         assert!(c.audit > 0.0 && c.replan > 0.0 && c.t_seq > 0.0 && c.t_verdict > 0.0);
-        assert!(c.refined.is_none(), "certified case has no staged compare");
         let storm = inspector_storm();
         assert_eq!(storm.requests, 32);
         assert_eq!(storm.audits, 1, "storm must audit exactly once");
@@ -2357,8 +2081,8 @@ mod tests {
             .unwrap();
         assert!(*overhead <= 1.0);
 
-        // The demoted verdicts keep their designed shapes — and the
-        // refined case carries the gated staged-execution compare.
+        // The demoted verdicts keep their designed shapes and run
+        // through the compiled stage driver.
         let c = run_inspector_case(
             "r",
             "refined",
@@ -2367,20 +2091,14 @@ mod tests {
             false,
         );
         assert!(c.steady.is_none());
-        let r = c.refined.as_ref().expect("refined compare");
-        assert!(r.t_interpreted > 0.0 && r.t_compiled > 0.0);
+        assert_eq!(c.iterations, 64);
+        assert!(c.t_verdict > 0.0);
         let metrics = crate::json::parse(&inspector_json(&[c], &storm))
             .unwrap()
             .metrics();
         assert!(!metrics
             .iter()
             .any(|(k, _)| k.contains("inspector_certified_speedup")));
-        let key = "cases.r.refined_compiled_speedup";
-        assert!(
-            metrics.iter().any(|(k, v)| k == key && *v > 0.0),
-            "{key} missing: {metrics:?}"
-        );
-        assert!(is_gated(key, false), "{key} must be gated");
     }
 
     #[test]
@@ -2397,21 +2115,6 @@ mod tests {
         assert_eq!(c.depth, 2);
         assert!(c.rows_pruned <= c.rows_unpruned);
         assert_eq!(c.compiled_rows, c.rows_pruned);
-    }
-
-    #[test]
-    fn groups_case_measures_counts_and_peaks() {
-        // Loose assertions only: the live-group gauge is process-wide and
-        // other tests in this binary run groups concurrently.
-        let c = run_groups_case("t", &doall4(5));
-        assert_eq!(c.groups, 5u64.pow(4));
-        assert!(c.t_materialize > 0.0 && c.t_stream > 0.0);
-        assert!(c.peak_materialized >= c.groups as i64);
-        let json = groups_json(&[c]);
-        let metrics = crate::json::parse(&json).unwrap().metrics();
-        assert!(metrics
-            .iter()
-            .any(|(k, v)| k == "cases.t.peak_live_reduction" && *v >= 1.0));
     }
 
     #[test]
@@ -2440,7 +2143,7 @@ mod tests {
     }
 
     #[test]
-    fn scaling_case_measures_and_exposes_gated_metric() {
+    fn scaling_case_measures_and_reports_ungated_ratio() {
         let nest = scaling_skewed(24);
         let c = run_scaling_case("t", &nest, true);
         assert!(c.skewed);
@@ -2452,14 +2155,16 @@ mod tests {
             .iter()
             .find(|p| p.threads == 1)
             .expect("serial point");
-        assert_eq!(p1.observed_interp, 1);
         assert_eq!(p1.observed_compiled, 1);
         assert!(c.t_contiguous > 0.0 && c.t_stealing > 0.0);
         let json = scaling_json(&[c]);
         let metrics = crate::json::parse(&json).unwrap().metrics();
-        let key = "cases.t.skewed_scaling_speedup";
+        let key = "cases.t.skewed_scaling_time_ratio";
         assert!(metrics.iter().any(|(k, v)| k == key && *v > 0.0));
-        assert!(is_gated(key, false), "speedup key must be gated");
+        assert!(
+            !is_gated(key, true),
+            "1-CPU scaling ratios are reported, not gated"
+        );
         // Ladder points carry configured and observed widths.
         assert!(metrics
             .iter()

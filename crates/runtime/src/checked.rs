@@ -2,20 +2,28 @@
 //!
 //! The parallel executor's soundness rests on the analysis' claim that
 //! distinct groups never touch conflicting cells. This module *verifies*
-//! the claim at runtime: every access of every group is logged (array,
-//! flat cell, kind), then cross-group conflicts with at least one write
-//! are reported. Running a deliberately wrong plan through this checker
-//! must — and does, see the tests — detect the race.
+//! the claim at runtime: the compiled walker executes every group with
+//! a logging visitor that records each access the bytecode performs
+//! (array, flat cell from the strength-reduced offsets, kind — guarded-off
+//! statements touch nothing), then cross-group conflicts with at least
+//! one write are reported. Running a deliberately wrong plan through
+//! this checker must — and does, see the tests — detect the race.
+//!
+//! Both checkers run each stage's tasks concurrently on the current
+//! pool, exactly as the unchecked executors do, and scan the logs at the
+//! stage barrier. A wrong plan's racing writes therefore really race
+//! before they are reported: check a plan you do not trust inside a
+//! one-thread pool (`rayon::ThreadPoolBuilder::new().num_threads(1)`),
+//! which runs the same tasks one after another and reports the same
+//! conflicts.
 
-use crate::exec::{offset_table, walk_group, GroupSpec};
+use crate::compile::{CompiledBounds, CompiledPlan};
 use crate::memory::Memory;
-use crate::schedule;
+use crate::schedule::{self, RangeTask};
+use crate::staged::CompiledProgram;
 use crate::{Result, RuntimeError};
 use pdm_core::plan::ParallelPlan;
 use pdm_loopir::nest::LoopNest;
-use pdm_loopir::stmt::AccessKind;
-use pdm_matrix::vec::IVec;
-use rayon::prelude::*;
 use std::collections::HashMap;
 
 /// One logged access.
@@ -29,75 +37,29 @@ pub struct LoggedAccess {
     pub write: bool,
 }
 
-/// Execute and log one group (identified by its doall `prefix` and
-/// offset index `o`): every access of every iteration is recorded, then
-/// the group's iteration count and log are returned. The single
-/// per-group body behind both the range- and task-based loggers.
-fn log_one_group(
-    nest: &LoopNest,
-    plan: &ParallelPlan,
-    offsets: &[IVec],
-    mem: &Memory,
-    prefix: &[i64],
-    o: usize,
-) -> Result<(u64, Vec<LoggedAccess>)> {
-    let g = GroupSpec::new(prefix.to_vec(), offsets[o].clone());
-    let mut log = Vec::new();
-    let mut count = 0u64;
-    walk_group(nest, plan, &g, |idx| {
-        for stmt in nest.body() {
-            if !stmt.guards_hold(idx) {
-                continue;
-            }
-            for (kind, r) in stmt.accesses() {
-                let sub = r.access.eval(&IVec(idx.to_vec()))?;
-                let cell = mem
-                    .flat(r.array, &sub)
-                    .ok_or_else(|| RuntimeError::OutOfBounds {
-                        array: format!("arr{}", r.array.0),
-                        subscript: sub.0.clone(),
-                    })?;
-                log.push(LoggedAccess {
-                    array: r.array.0,
-                    cell,
-                    write: kind == AccessKind::Write,
-                });
-            }
-            let v = crate::exec::eval_expr(&stmt.rhs, mem, idx)?;
-            let sub = r_eval(&stmt.lhs.access, idx);
-            mem.write(stmt.lhs.array, &sub, v)?;
-        }
-        count += 1;
-        Ok(())
-    })?;
-    Ok((count, log))
-}
+/// Per-group access logs of one range task, keyed by global group id.
+type GroupLogs = Vec<(u64, Vec<LoggedAccess>)>;
 
-/// Log every access of the groups in the contiguous range `start..end`,
-/// streaming one [`GroupSpec`] at a time. Each entry carries the group's
-/// global linear index so conflict detection survives range splitting.
-fn log_group_range(
-    nest: &LoopNest,
-    plan: &ParallelPlan,
-    offsets: &[IVec],
+/// Execute one range task through the compiled walker with a logging
+/// visitor. Returns the task's iteration count and one log per group
+/// that ran at least one iteration, in walk order.
+fn log_task(
+    cp: &CompiledPlan,
     mem: &Memory,
-    start: u64,
-    end: u64,
-) -> Result<Vec<(u64, u64, Vec<LoggedAccess>)>> {
-    let mut out = Vec::new();
-    schedule::for_each_group_in_range(
-        plan.bounds(),
-        plan.doall_count(),
-        offsets.len(),
-        start,
-        end,
-        |gid, prefix, o| {
-            let (count, log) = log_one_group(nest, plan, offsets, mem, prefix, o)?;
-            out.push((gid, count, log));
-            Ok(())
-        },
-    )?;
-    Ok(out)
+    task: &RangeTask<'_, CompiledBounds>,
+) -> Result<(u64, GroupLogs)> {
+    let mut logs: GroupLogs = Vec::new();
+    let mut s = cp.new_scratch();
+    let count = cp.walker().walk_task(task, &mut s, |gid, sc| {
+        if logs.last().is_none_or(|(g, _)| *g != gid) {
+            logs.push((gid, Vec::new()));
+        }
+        let log = &mut logs.last_mut().expect("pushed above").1;
+        cp.program().exec_traced(mem, sc, |array, cell, write| {
+            log.push(LoggedAccess { array, cell, write })
+        })
+    })?;
+    Ok((count, logs))
 }
 
 /// Execute the plan in parallel while logging accesses per group; after
@@ -105,38 +67,31 @@ fn log_group_range(
 /// contiguous, steal-aware index ranges
 /// ([`crate::schedule::plan_range_tasks`]) on the work-stealing pool —
 /// the group list is never materialized, only the access logs are.
+/// Run an untrusted plan under a one-thread pool (see the module docs).
 ///
 /// Returns the number of iterations executed, or
 /// [`RuntimeError::RaceDetected`].
 pub fn run_parallel_checked(nest: &LoopNest, plan: &ParallelPlan, mem: &Memory) -> Result<u64> {
-    let offsets = offset_table(plan);
-    let tasks = schedule::plan_range_tasks(
-        plan.bounds(),
-        plan.doall_count(),
-        offsets.len(),
-        &crate::config::RuntimeConfig::global().schedule(),
-        rayon::current_num_threads(),
+    let cp = CompiledPlan::compile(nest, plan, mem)?;
+    let sched = crate::config::RuntimeConfig::global().schedule();
+    let tasks = cp.walker().tasks(&sched, rayon::current_num_threads())?;
+    let mut total = 0u64;
+    let mut logs: GroupLogs = Vec::new();
+    schedule::run_stages(
+        std::slice::from_ref(&tasks),
+        |task| log_task(&cp, mem, task),
+        |_, results| {
+            for (count, task_logs) in results {
+                total += count;
+                logs.extend(task_logs);
+            }
+            Ok(())
+        },
     )?;
-    if tasks.is_empty() {
-        return Ok(0);
-    }
-    let logs: std::result::Result<Vec<Vec<(u64, u64, Vec<LoggedAccess>)>>, RuntimeError> = tasks
-        .par_iter()
-        .map(|task| {
-            let mut out = Vec::new();
-            task.for_each(|gid, prefix, o| {
-                let (count, log) = log_one_group(nest, plan, &offsets, mem, prefix, o)?;
-                out.push((gid, count, log));
-                Ok(())
-            })?;
-            Ok(out)
-        })
-        .collect();
-    let logs: Vec<(u64, u64, Vec<LoggedAccess>)> = logs?.into_iter().flatten().collect();
 
     // Cross-group conflict detection (keyed by global group index).
     let (conflicts, sample) = detect_conflicts(
-        logs.iter().map(|(gid, _, log)| (*gid, log.as_slice())),
+        logs.iter().map(|(gid, log)| (*gid, log.as_slice())),
         |g0, g1, a| {
             format!(
                 "array {} cell {} touched by groups {} and {}",
@@ -147,7 +102,7 @@ pub fn run_parallel_checked(nest: &LoopNest, plan: &ParallelPlan, mem: &Memory) 
     if conflicts > 0 {
         return Err(RuntimeError::RaceDetected { conflicts, sample });
     }
-    Ok(logs.iter().map(|(_, c, _)| c).sum())
+    Ok(total)
 }
 
 /// First-toucher conflict scan over the access logs of one concurrency
@@ -190,68 +145,54 @@ pub(crate) fn detect_conflicts<'a, K: Copy + PartialEq>(
 }
 
 /// Execute a multi-kernel [`pdm_core::program::ProgramPlan`] stage by
-/// stage while logging
-/// every access per **(kernel, group)** unit, then detect conflicts
-/// *within* each stage — two distinct units of the same stage touching
-/// one cell with at least one write is a race (units of one stage run
-/// concurrently; cross-stage conflicts are exactly what the DAG barriers
-/// order, so they are legal).
+/// stage while logging every access per **(kernel, group)** unit, then
+/// detect conflicts *within* each stage at its barrier — two distinct
+/// units of the same stage touching one cell with at least one write is
+/// a race (units of one stage run concurrently; cross-stage conflicts
+/// are exactly what the DAG barriers order, so they are legal).
 ///
 /// Race reports name the kernel index **alongside** the global group id
 /// (`kernel 1 group 3 and kernel 2 group 0 in stage 1`): with
 /// multi-kernel plans a bare group id is ambiguous — every kernel has a
-/// group 0.
+/// group 0. Run an untrusted plan under a one-thread pool (see the
+/// module docs).
 ///
 /// Returns the summed kernel iteration count, or
-/// [`RuntimeError::RaceDetected`].
+/// [`RuntimeError::RaceDetected`] for the first racing stage.
 pub fn run_program_parallel_checked(
     pp: &pdm_core::program::ProgramPlan,
     mem: &Memory,
 ) -> Result<u64> {
+    let program = CompiledProgram::compile(pp, mem)?;
+    let sched = crate::config::RuntimeConfig::global().schedule();
+    let stages = program.stage_tasks(&sched, rayon::current_num_threads())?;
     let mut total = 0u64;
-    for (si, stage) in pp.stages().iter().enumerate() {
-        // Log every (kernel, group) unit of this stage, then scan for
-        // cross-unit conflicts with the shared detector.
-        let mut stage_logs: Vec<((usize, u64), Vec<LoggedAccess>)> = Vec::new();
-        for &k in stage {
-            let kp = &pp.kernels()[k];
-            let offsets = offset_table(&kp.plan);
-            for (gid, count, log) in
-                log_group_range(kp.nest(), &kp.plan, &offsets, mem, 0, u64::MAX)?
-            {
+    schedule::run_stages(
+        &stages,
+        |(k, task)| Ok((*k, log_task(&program.kernels()[*k], mem, task)?)),
+        |si, results| {
+            let mut units: Vec<((usize, u64), Vec<LoggedAccess>)> = Vec::new();
+            for (k, (count, logs)) in results {
                 total += count;
-                stage_logs.push(((k, gid), log));
+                units.extend(logs.into_iter().map(|(gid, log)| ((k, gid), log)));
             }
-        }
-        let (conflicts, sample) = detect_conflicts(
-            stage_logs.iter().map(|(unit, log)| (*unit, log.as_slice())),
-            |(k0, g0), (k1, g1), a| {
-                format!(
-                    "array {} cell {} touched by kernel {k0} group {g0} \
-                     and kernel {k1} group {g1} in stage {si}",
-                    a.array, a.cell
-                )
-            },
-        );
-        if conflicts > 0 {
-            return Err(RuntimeError::RaceDetected { conflicts, sample });
-        }
-    }
+            let (conflicts, sample) = detect_conflicts(
+                units.iter().map(|(unit, log)| (*unit, log.as_slice())),
+                |(k0, g0), (k1, g1), a| {
+                    format!(
+                        "array {} cell {} touched by kernel {k0} group {g0} \
+                         and kernel {k1} group {g1} in stage {si}",
+                        a.array, a.cell
+                    )
+                },
+            );
+            if conflicts > 0 {
+                return Err(RuntimeError::RaceDetected { conflicts, sample });
+            }
+            Ok(())
+        },
+    )?;
     Ok(total)
-}
-
-fn r_eval(access: &pdm_loopir::access::AffineAccess, idx: &[i64]) -> Vec<i64> {
-    let m = access.dims();
-    let n = access.depth();
-    let mut out = Vec::with_capacity(m);
-    for d in 0..m {
-        let mut acc = access.offset[d];
-        for k in 0..n {
-            acc = acc.wrapping_add(access.matrix.get(k, d).wrapping_mul(idx[k]));
-        }
-        out.push(acc);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -259,6 +200,16 @@ mod tests {
     use super::*;
     use pdm_core::parallelize;
     use pdm_loopir::parse::parse_loop;
+
+    /// Wrong plans are checked one task at a time, so their racing
+    /// writes never actually overlap.
+    fn one_thread<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap()
+            .install(f)
+    }
 
     #[test]
     fn correct_plans_pass_the_checker() {
@@ -288,10 +239,48 @@ mod tests {
         let independent = parse_loop("for i = 1..=20 { A[i] = i; }").unwrap();
         let wrong = parallelize(&independent).unwrap();
         let mem = Memory::for_nest(&dependent).unwrap();
-        let err = run_parallel_checked(&dependent, &wrong, &mem);
+        let err = one_thread(|| run_parallel_checked(&dependent, &wrong, &mem));
         assert!(
             matches!(err, Err(RuntimeError::RaceDetected { .. })),
             "expected race, got {err:?}"
+        );
+    }
+
+    #[test]
+    fn guarded_off_statements_touch_nothing() {
+        // The guard-free twin writes A[i] at both j, so its plan runs the
+        // i rows as independent groups. Paired with a chain whose guard
+        // never holds, that plan is sound: the logging visitor and the
+        // audit must both see no access at all. The same chain guarded
+        // on j == 0 links every row to the previous one.
+        let twin = parse_loop("for i = 1..=20 { for j = 0..=1 { A[i, 0] = i; } }").unwrap();
+        let plan = parallelize(&twin).unwrap();
+        assert!(plan.doall_count() >= 1, "twin rows must be independent");
+        let chain = |guard: i64| {
+            parse_loop(&format!(
+                "for i = 1..=20 {{ for j = 0..=1 {{ A[i, 0] = A[i - 1, 0] + 1 when j == {guard}; }} }}"
+            ))
+            .unwrap()
+        };
+
+        let never = chain(5);
+        let mem = Memory::for_nest(&never).unwrap();
+        assert_eq!(run_parallel_checked(&never, &plan, &mem).unwrap(), 40);
+        assert_eq!(
+            crate::inspector::audit(&never, &plan).unwrap(),
+            crate::inspector::Verdict::Certified
+        );
+
+        let holds = chain(0);
+        let mem = Memory::for_nest(&holds).unwrap();
+        let err = one_thread(|| run_parallel_checked(&holds, &plan, &mem));
+        assert!(
+            matches!(err, Err(RuntimeError::RaceDetected { .. })),
+            "expected race, got {err:?}"
+        );
+        assert_ne!(
+            crate::inspector::audit(&holds, &plan).unwrap(),
+            crate::inspector::Verdict::Certified
         );
     }
 
@@ -333,7 +322,7 @@ mod tests {
         let wrong = pdm_core::program::plan_program(normalized).unwrap();
         assert_eq!(wrong.stages().len(), 1);
         let mem = Memory::for_imperfect(&imp).unwrap();
-        match run_program_parallel_checked(&wrong, &mem) {
+        match one_thread(|| run_program_parallel_checked(&wrong, &mem)) {
             Err(RuntimeError::RaceDetected { sample, .. }) => {
                 assert!(
                     sample.contains("kernel 0") && sample.contains("kernel 1"),
@@ -358,7 +347,7 @@ mod tests {
         assert!(wrong.is_fully_parallel());
         let mem = Memory::for_nest(&dependent).unwrap();
         assert!(matches!(
-            run_parallel_checked(&dependent, &wrong, &mem),
+            one_thread(|| run_parallel_checked(&dependent, &wrong, &mem)),
             Err(RuntimeError::RaceDetected { .. })
         ));
     }

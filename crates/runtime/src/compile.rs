@@ -1,11 +1,10 @@
 //! Compile-once execution of loop nests and parallel plans.
 //!
 //! [`crate::exec`] interprets: every iteration re-walks the `Expr` tree,
-//! re-evaluates affine bounds through allocating helpers, recomputes the
-//! `y·T⁻¹` back-substitution with a full dot product, and queries the
-//! partition residue twice per innermost point. This module lowers a
-//! `(LoopNest, ParallelPlan)` pair **once** into a flat program and then
-//! executes it with none of that per-iteration work:
+//! re-evaluates affine bounds through allocating helpers, and recomputes
+//! subscripts from scratch. This module lowers a `(LoopNest,
+//! ParallelPlan)` pair **once** into a flat program and then executes it
+//! with none of that per-iteration work:
 //!
 //! * the body becomes postfix bytecode with linearized accesses
 //!   ([`crate::program`]);
@@ -22,18 +21,29 @@
 //! * the walk itself is an iterative state machine over pre-allocated
 //!   level arrays — no recursion, no per-group allocation.
 //!
+//! # One walker, many visitors
+//!
+//! The group geometry — compiled bounds, `T⁻¹` deltas, lattice steps and
+//! the offset table — lives in a [`Walker`], which needs neither a
+//! [`Program`] nor a [`Memory`]. [`Walker::walk`] is generic over a
+//! per-iteration visitor (monomorphised, never `dyn`): execution runs
+//! the bytecode, the race checker ([`crate::checked`]) logs the flat
+//! cells the bytecode touches, the inspector ([`crate::inspector`])
+//! summarises `(array, subscript)` touches from the original indices,
+//! and test oracles record the points they see.
+//!
 //! Scheduling: [`CompiledPlan::run_parallel`] splits the group *index
 //! space* (doall-prefix values × partition offsets) into contiguous
 //! ranges with steal-aware sizing
 //! ([`crate::schedule::plan_range_tasks`] — finer chunks when per-group
-//! cost is skewed), one work-stealing rayon task per range; each task
-//! arrives with a pre-positioned streaming
+//! cost is skewed) and hands them to the crate's one stage driver; each
+//! task arrives with a pre-positioned streaming
 //! [`crate::schedule::GroupCursor`] and walks forward reusing one
-//! [`crate::program::Scratch`] — the group list is never materialized.
+//! [`PlanScratch`] — the group list is never materialized.
 
 use crate::memory::Memory;
 use crate::program::{Program, Scratch};
-use crate::schedule::{self, PrefixBounds, Schedule};
+use crate::schedule::{self, PrefixBounds, RangeTask, Schedule};
 use crate::{Result, RuntimeError};
 use pdm_core::partition::Partitioning;
 use pdm_core::plan::ParallelPlan;
@@ -41,7 +51,6 @@ use pdm_loopir::nest::LoopNest;
 use pdm_matrix::num::{ceil_div, floor_div};
 use pdm_matrix::MatrixError;
 use pdm_poly::bounds::{BoundExpr, LoopBounds};
-use rayon::prelude::*;
 
 fn overflow() -> RuntimeError {
     RuntimeError::Matrix(MatrixError::Overflow)
@@ -177,7 +186,8 @@ impl PrefixBounds for CompiledBounds {
 }
 
 /// Reusable walk state: transformed point, lattice coordinates, level
-/// uppers, and the program's [`Scratch`].
+/// uppers, and the visited [`Scratch`] (original indices, flat offsets,
+/// operand stack).
 #[derive(Debug, Clone)]
 pub struct PlanScratch {
     y: Vec<i64>,
@@ -186,22 +196,30 @@ pub struct PlanScratch {
     inner: Scratch,
 }
 
-/// The shared compiled engine: walks a (possibly transformed) iteration
-/// space executing the bytecode body with strength-reduced addressing.
+/// The compiled group walker: the geometry of a (possibly transformed)
+/// iteration space, independent of any body or memory.
+///
+/// It walks one group — a doall-prefix value plus a Theorem-2 offset —
+/// in transformed lexicographic order, keeping the original indices
+/// (and, once [`Program`] accesses are attached, every access's flat
+/// offset) up to date by strength reduction, and hands each iteration
+/// to a visitor. Build one with [`Walker::for_plan`] to walk a plan
+/// without a [`Memory`] (the inspector does); [`CompiledPlan`] and
+/// [`CompiledNest`] carry one with their program's accesses attached.
 #[derive(Debug, Clone)]
-struct Engine {
-    program: Program,
+pub struct Walker {
     /// Walk-space dimension (== nest depth).
     n: usize,
     /// Leading walk levels fixed per group (doall prefix; 0 when the
-    /// engine drives the original nest).
+    /// walker drives the original nest).
     z: usize,
     bounds: CompiledBounds,
     /// `dorig[ℓ][i]`: change of original index `i` per unit step of walk
     /// level `ℓ` (a row of `T⁻¹`; identity for the original nest).
     dorig: Vec<Vec<i64>>,
     /// `dflat[ℓ][a]`: change of access `a`'s flat offset per unit step of
-    /// walk level `ℓ` (composition of the access strides with `dorig`).
+    /// walk level `ℓ` (composition of the access strides with `dorig`;
+    /// empty rows when no program is attached).
     dflat: Vec<Vec<i64>>,
     /// Per trailing level `kk = ℓ − z`: the lattice step `H[kk][kk]`
     /// (all 1 when unpartitioned).
@@ -210,18 +228,112 @@ struct Engine {
     /// the once-per-entry residue computation.
     hcols: Vec<Vec<i64>>,
     partitioned: bool,
+    /// The Theorem-2 offset table (a single empty offset when the plan
+    /// is unpartitioned).
+    offsets: Vec<Vec<i64>>,
 }
 
-impl Engine {
-    fn new_scratch(&self) -> PlanScratch {
-        let mut inner = self.program.new_scratch();
-        self.program.reset_flats(&mut inner); // idx = 0 → flats = base
+impl Walker {
+    /// The geometry of `plan`'s groups, with no access table attached:
+    /// visitors see original indices only ([`Scratch::idx`]).
+    pub fn for_plan(plan: &ParallelPlan) -> Walker {
+        Walker::plan_with(plan, None)
+    }
+
+    /// `plan`'s geometry, with `program`'s accesses attached when given.
+    fn plan_with(plan: &ParallelPlan, program: Option<&Program>) -> Walker {
+        let n = plan.depth();
+        let z = plan.doall_count();
+        let tinv = plan.inverse().mat();
+        let dorig: Vec<Vec<i64>> = (0..n)
+            .map(|l| (0..n).map(|i| tinv.get(l, i)).collect())
+            .collect();
+        let dflat = flat_deltas(program, &dorig);
+        let (steps, hcols, offsets) = match plan.partition() {
+            Some(p) => {
+                debug_assert_eq!(p.dim(), n - z);
+                let hcols = (0..n - z)
+                    .map(|kk| (0..kk).map(|pp| p.basis().get(pp, kk)).collect())
+                    .collect();
+                let offsets = p.offsets().into_iter().map(|o| o.0).collect();
+                (p.steps().to_vec(), hcols, offsets)
+            }
+            None => (vec![1; n - z], vec![Vec::new(); n - z], vec![Vec::new()]),
+        };
+        Walker {
+            n,
+            z,
+            bounds: CompiledBounds::compile(plan.bounds()),
+            dorig,
+            dflat,
+            steps,
+            hcols,
+            partitioned: plan.partition().is_some(),
+            offsets,
+        }
+    }
+
+    /// The original nest in lexicographic order, `program`'s accesses
+    /// attached: identity transform, no doall prefix, one group.
+    fn for_nest(nest: &LoopNest, program: &Program) -> Result<Walker> {
+        let n = nest.depth();
+        let bounds = LoopBounds::from_system(&nest.iteration_system()?)?;
+        let dorig: Vec<Vec<i64>> = (0..n)
+            .map(|l| (0..n).map(|i| i64::from(l == i)).collect())
+            .collect();
+        Ok(Walker {
+            n,
+            z: 0,
+            bounds: CompiledBounds::compile(&bounds),
+            dflat: flat_deltas(Some(program), &dorig),
+            dorig,
+            steps: vec![1; n],
+            hcols: vec![Vec::new(); n],
+            partitioned: false,
+            offsets: vec![Vec::new()],
+        })
+    }
+
+    /// Number of flat offsets the walk maintains (the attached program's
+    /// access count, 0 for a bare geometry).
+    fn flat_count(&self) -> usize {
+        self.dflat.first().map_or(0, Vec::len)
+    }
+
+    /// The Theorem-2 offset table (a single empty offset when the plan is
+    /// unpartitioned).
+    pub fn offsets(&self) -> &[Vec<i64>] {
+        &self.offsets
+    }
+
+    /// Split the group space into steal-aware range tasks for `threads`
+    /// workers ([`crate::schedule::plan_range_tasks`]).
+    pub(crate) fn tasks(
+        &self,
+        sched: &Schedule,
+        threads: usize,
+    ) -> Result<Vec<RangeTask<'_, CompiledBounds>>> {
+        schedule::plan_range_tasks(&self.bounds, self.z, self.offsets.len(), sched, threads)
+    }
+
+    /// One range task over groups `start..end`, positioned by a seek.
+    pub fn range(&self, start: u64, end: u64) -> Result<RangeTask<'_, CompiledBounds>> {
+        RangeTask::new(&self.bounds, self.z, self.offsets.len(), start, end)
+    }
+
+    /// Walk state around `inner`, positioned at the origin.
+    fn scratch_with(&self, inner: Scratch) -> PlanScratch {
         PlanScratch {
             y: vec![0; self.n],
             q: vec![0; self.n - self.z],
             hi: vec![0; self.n],
             inner,
         }
+    }
+
+    /// Walk state for a bare geometry: original indices only.
+    pub fn new_scratch(&self) -> PlanScratch {
+        self.scratch_with(Scratch::indices_only(self.n))
     }
 
     /// Advance walk level `ℓ` by `delta`, updating the transformed point,
@@ -240,15 +352,6 @@ impl Engine {
         }
     }
 
-    /// Position the walk at `prefix` (levels `< z`) and zero elsewhere.
-    fn seek_group_start(&self, s: &mut PlanScratch, prefix: &[i64]) {
-        debug_assert_eq!(prefix.len(), self.z);
-        for k in 0..self.n {
-            let target = if k < self.z { prefix[k] } else { 0 };
-            self.shift(s, k, target - s.y[k]);
-        }
-    }
-
     /// Residue of trailing level `kk` given the offset vector and the
     /// outer lattice coordinates — evaluated once per level entry.
     #[inline]
@@ -260,30 +363,40 @@ impl Engine {
         i64::try_from(r).map_err(|_| overflow())
     }
 
-    /// Walk every iteration of one group (fixed prefix + offset),
-    /// executing the body. Returns the iteration count.
-    fn run_group(
+    /// Walk every iteration of the group `(prefix, offsets[o])` in
+    /// transformed lexicographic order, calling `visit` once per
+    /// iteration with the up-to-date [`Scratch`]. Returns the iteration
+    /// count.
+    pub fn walk<V>(
         &self,
-        mem: &Memory,
-        offset: &[i64],
         prefix: &[i64],
+        o: usize,
         s: &mut PlanScratch,
-    ) -> Result<u64> {
-        // A scratch from a different engine would silently corrupt the
-        // strength-reduced offsets; reject it before touching memory.
-        if s.y.len() != self.n || s.inner.flats.len() != self.program.accesses().len() {
+        mut visit: V,
+    ) -> Result<u64>
+    where
+        V: FnMut(&mut Scratch) -> Result<()>,
+    {
+        // A scratch from a different walker would silently corrupt the
+        // strength-reduced offsets; reject it before visiting anything.
+        if s.y.len() != self.n || s.inner.flats.len() != self.flat_count() {
             return Err(RuntimeError::Core(
-                "scratch was allocated for a different compiled program".into(),
+                "scratch was allocated for a different compiled walker".into(),
             ));
         }
-        self.seek_group_start(s, prefix);
         let (n, z) = (self.n, self.z);
-        let mut count = 0u64;
+        debug_assert_eq!(prefix.len(), z);
+        for k in 0..n {
+            let target = if k < z { prefix[k] } else { 0 };
+            self.shift(s, k, target - s.y[k]);
+        }
         if z == n {
             // Fully parallel: the group is a single iteration.
-            self.program.exec(mem, &mut s.inner)?;
+            visit(&mut s.inner)?;
             return Ok(1);
         }
+        let offset = &self.offsets[o];
+        let mut count = 0u64;
         let mut level = z;
         let mut entering = true;
         loop {
@@ -306,9 +419,9 @@ impl Engine {
                         level += 1;
                         continue;
                     }
-                    // Innermost: run the whole row.
+                    // Innermost: visit the whole row.
                     loop {
-                        self.program.exec(mem, &mut s.inner)?;
+                        visit(&mut s.inner)?;
                         count += 1;
                         if (s.y[level] as i128 + step as i128) > hi as i128 {
                             break;
@@ -335,50 +448,35 @@ impl Engine {
             }
         }
     }
+
+    /// Walk every group of `task`, calling `visit(group_id, scratch)`
+    /// once per iteration. Returns the iteration count.
+    pub fn walk_task<V>(
+        &self,
+        task: &RangeTask<'_, CompiledBounds>,
+        s: &mut PlanScratch,
+        mut visit: V,
+    ) -> Result<u64>
+    where
+        V: FnMut(u64, &mut Scratch) -> Result<()>,
+    {
+        let mut total = 0u64;
+        task.for_each(|gid, prefix, o| {
+            total += self.walk(prefix, o, s, |sc| visit(gid, sc))?;
+            Ok(())
+        })?;
+        Ok(total)
+    }
 }
 
-fn engine_for_plan(nest: &LoopNest, plan: &ParallelPlan, mem: &Memory) -> Result<Engine> {
-    let n = plan.depth();
-    let z = plan.doall_count();
-    let program = Program::compile(nest, mem)?;
-    let bounds = CompiledBounds::compile(plan.bounds());
-    let tinv = plan.inverse().mat();
-    let dorig: Vec<Vec<i64>> = (0..n)
-        .map(|l| (0..n).map(|i| tinv.get(l, i)).collect())
-        .collect();
-    let dflat = compose_deltas(&program, &dorig);
-    let (steps, hcols, partitioned) = match plan.partition() {
-        Some(p) => {
-            let rho = n - z;
-            debug_assert_eq!(p.dim(), rho);
-            let hcols = (0..rho)
-                .map(|kk| (0..kk).map(|pp| p.basis().get(pp, kk)).collect())
-                .collect();
-            (p.steps().to_vec(), hcols, true)
-        }
-        None => (vec![1; n - z], vec![Vec::new(); n - z], false),
-    };
-    Ok(Engine {
-        program,
-        n,
-        z,
-        bounds,
-        dorig,
-        dflat,
-        steps,
-        hcols,
-        partitioned,
-    })
-}
-
-/// `dflat[ℓ][a] = Σ_i coeff_a[i] · dorig[ℓ][i]` — each access's flat
-/// stride along each walk level.
-fn compose_deltas(program: &Program, dorig: &[Vec<i64>]) -> Vec<Vec<i64>> {
+/// `dflat[ℓ][a] = Σ_i coeff_a[i] · dorig[ℓ][i]`: each access's flat
+/// stride along each walk level (empty rows with no program attached).
+fn flat_deltas(program: Option<&Program>, dorig: &[Vec<i64>]) -> Vec<Vec<i64>> {
+    let accesses = program.map_or(&[][..], Program::accesses);
     dorig
         .iter()
         .map(|row| {
-            program
-                .accesses()
+            accesses
                 .iter()
                 .map(|acc| {
                     let mut d = 0i64;
@@ -392,100 +490,43 @@ fn compose_deltas(program: &Program, dorig: &[Vec<i64>]) -> Vec<Vec<i64>> {
         .collect()
 }
 
-/// A nest compiled for **original-order sequential** execution: the same
-/// engine as [`CompiledPlan`] with the identity transform and no groups.
+/// A nest compiled for **original-order sequential** execution: the
+/// same walker as [`CompiledPlan`] with the identity transform and one
+/// group.
 #[derive(Debug, Clone)]
 pub struct CompiledNest {
-    eng: Engine,
+    program: Program,
+    walker: Walker,
 }
 
 impl CompiledNest {
     /// Lower the nest against `mem`'s array geometry.
     pub fn compile(nest: &LoopNest, mem: &Memory) -> Result<CompiledNest> {
-        let n = nest.depth();
-        let sys = nest.iteration_system()?;
-        let bounds = LoopBounds::from_system(&sys)?;
         let program = Program::compile(nest, mem)?;
-        let dorig: Vec<Vec<i64>> = (0..n)
-            .map(|l| (0..n).map(|i| i64::from(l == i)).collect())
-            .collect();
-        let dflat = compose_deltas(&program, &dorig);
-        Ok(CompiledNest {
-            eng: Engine {
-                program,
-                n,
-                z: 0,
-                bounds: CompiledBounds::compile(&bounds),
-                dorig,
-                dflat,
-                steps: vec![1; n],
-                hcols: vec![Vec::new(); n],
-                partitioned: false,
-            },
-        })
+        let walker = Walker::for_nest(nest, &program)?;
+        Ok(CompiledNest { program, walker })
     }
 
     /// Allocate reusable walk state.
     pub fn new_scratch(&self) -> PlanScratch {
-        self.eng.new_scratch()
+        self.walker.scratch_with(self.program.new_scratch())
     }
 
     /// Bound rows the compiled walker evaluates across all levels.
     pub fn bound_rows(&self) -> usize {
-        self.eng.bounds.rows()
+        self.walker.bounds.rows()
     }
 
     /// Execute the nest in original lexicographic order. Returns the
     /// iteration count.
     pub fn run(&self, mem: &Memory) -> Result<u64> {
-        let mut s = self.eng.new_scratch();
+        let mut s = self.new_scratch();
         self.run_with_scratch(mem, &mut s)
     }
 
     /// [`CompiledNest::run`] reusing caller-provided state.
     pub fn run_with_scratch(&self, mem: &Memory, s: &mut PlanScratch) -> Result<u64> {
-        self.eng.run_group(mem, &[], &[], s)
-    }
-}
-
-/// One independent compiled group: a doall-prefix value combination plus
-/// the index of a partition offset in the plan's offset table.
-///
-/// Construction is instrumented (see [`crate::schedule::live_groups`]).
-/// The streaming executor never builds these — it feeds the engine
-/// walker straight from a cursor — so they appear only when callers
-/// materialize via [`CompiledPlan::groups`] or drive
-/// [`CompiledPlan::run_group`] directly. `#[non_exhaustive]` forces
-/// downstream construction through [`CompiledGroup::new`] so literal
-/// construction cannot bypass the gauge.
-#[derive(Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct CompiledGroup {
-    /// Values of the leading doall coordinates.
-    pub prefix: Vec<i64>,
-    /// Index into [`CompiledPlan::offsets`].
-    pub offset: u32,
-}
-
-impl CompiledGroup {
-    /// Build a compiled group (instrumented constructor — all
-    /// construction must pass through here so the live-group gauge stays
-    /// exact).
-    pub fn new(prefix: Vec<i64>, offset: u32) -> CompiledGroup {
-        schedule::group_created();
-        CompiledGroup { prefix, offset }
-    }
-}
-
-impl Clone for CompiledGroup {
-    fn clone(&self) -> Self {
-        CompiledGroup::new(self.prefix.clone(), self.offset)
-    }
-}
-
-impl Drop for CompiledGroup {
-    fn drop(&mut self) {
-        schedule::group_dropped();
+        self.walker.walk(&[], 0, s, |sc| self.program.exec(mem, sc))
     }
 }
 
@@ -493,126 +534,56 @@ impl Drop for CompiledGroup {
 /// ready for chunked parallel execution.
 #[derive(Debug, Clone)]
 pub struct CompiledPlan {
-    eng: Engine,
-    offsets: Vec<Vec<i64>>,
+    program: Program,
+    walker: Walker,
 }
 
 impl CompiledPlan {
     /// Lower the pair against `mem`'s array geometry. The plan must have
     /// been derived from the same nest.
     pub fn compile(nest: &LoopNest, plan: &ParallelPlan, mem: &Memory) -> Result<CompiledPlan> {
-        let eng = engine_for_plan(nest, plan, mem)?;
-        let offsets = match plan.partition() {
-            Some(p) => p.offsets().into_iter().map(|o| o.0).collect(),
-            None => vec![Vec::new()],
-        };
-        Ok(CompiledPlan { eng, offsets })
+        let program = Program::compile(nest, mem)?;
+        let walker = Walker::plan_with(plan, Some(&program));
+        Ok(CompiledPlan { program, walker })
     }
 
-    /// The Theorem-2 offset table (a single empty offset when the plan is
-    /// unpartitioned).
-    pub fn offsets(&self) -> &[Vec<i64>] {
-        &self.offsets
+    /// The compiled body.
+    pub(crate) fn program(&self) -> &Program {
+        &self.program
+    }
+
+    /// The group walker, with this program's accesses attached.
+    pub(crate) fn walker(&self) -> &Walker {
+        &self.walker
     }
 
     /// Bound rows the compiled walker evaluates across all levels.
     pub fn bound_rows(&self) -> usize {
-        self.eng.bounds.rows()
+        self.walker.bounds.rows()
     }
 
     /// Exact number of independent groups (prefix values × offsets),
     /// computed without materializing them ([`crate::schedule::group_count`]).
     pub fn group_count(&self) -> Result<u64> {
-        schedule::group_count(&self.eng.bounds, self.eng.z, self.offsets.len())
-    }
-
-    /// Enumerate the independent groups **materialized as a `Vec`**.
-    ///
-    /// Compatibility shim for tests, debugging, and group-table
-    /// inspection only — it recreates the `O(#groups)` allocation spike
-    /// the streaming scheduler avoids. Production paths use
-    /// [`CompiledPlan::run_parallel`] (range-scheduled cursors) or
-    /// [`CompiledPlan::group_count`]; see [`crate::schedule`] for when
-    /// materializing is still the right tool.
-    pub fn groups(&self) -> Result<Vec<CompiledGroup>> {
-        let mut out = Vec::new();
-        schedule::for_each_group_in_range(
-            &self.eng.bounds,
-            self.eng.z,
-            self.offsets.len(),
-            0,
-            u64::MAX,
-            |_, prefix, o| {
-                out.push(CompiledGroup::new(prefix.to_vec(), o as u32));
-                Ok(())
-            },
-        )?;
-        Ok(out)
+        let w = &self.walker;
+        schedule::group_count(&w.bounds, w.z, w.offsets.len())
     }
 
     /// Allocate reusable walk state.
     pub fn new_scratch(&self) -> PlanScratch {
-        self.eng.new_scratch()
+        self.walker.scratch_with(self.program.new_scratch())
     }
 
-    /// Execute one group, reusing `s`. Returns its iteration count.
-    pub fn run_group(&self, g: &CompiledGroup, mem: &Memory, s: &mut PlanScratch) -> Result<u64> {
-        self.eng
-            .run_group(mem, &self.offsets[g.offset as usize], &g.prefix, s)
-    }
-
-    /// Walk the contiguous group range `start..end` with one streaming
-    /// cursor, reusing `s` across every group — no group structs are
-    /// constructed. Both the parallel tasks and the single-thread
-    /// fallback route through here (and, `pub(crate)`, the staged
-    /// multi-kernel executor), so the cursor code has one driver.
-    pub(crate) fn run_range(
-        &self,
-        mem: &Memory,
-        start: u64,
-        end: u64,
-        s: &mut PlanScratch,
-    ) -> Result<u64> {
-        let mut total = 0u64;
-        schedule::for_each_group_in_range(
-            &self.eng.bounds,
-            self.eng.z,
-            self.offsets.len(),
-            start,
-            end,
-            |_, prefix, o| {
-                total += self.eng.run_group(mem, &self.offsets[o], prefix, s)?;
-                Ok(())
-            },
-        )?;
-        Ok(total)
-    }
-
-    /// The compiled bounds (staged executors size their steal-aware
-    /// per-kernel schedules through these).
-    pub(crate) fn bounds(&self) -> &CompiledBounds {
-        &self.eng.bounds
-    }
-
-    /// Number of leading doall levels.
-    pub(crate) fn doall(&self) -> usize {
-        self.eng.z
-    }
-
-    /// Execute one pre-planned range task (its cursor is already
-    /// positioned at the range start), reusing `s` across every group.
+    /// Execute every group of one range task with a fresh scratch.
+    /// Returns the iteration count.
     pub(crate) fn run_task(
         &self,
         mem: &Memory,
-        task: &schedule::RangeTask<'_, CompiledBounds>,
-        s: &mut PlanScratch,
+        task: &RangeTask<'_, CompiledBounds>,
     ) -> Result<u64> {
-        let mut total = 0u64;
-        task.for_each(|_, prefix, o| {
-            total += self.eng.run_group(mem, &self.offsets[o], prefix, s)?;
-            Ok(())
-        })?;
-        Ok(total)
+        let mut s = self.new_scratch();
+        self.walker
+            .walk_task(task, &mut s, |_, sc| self.program.exec(mem, sc))
     }
 
     /// Execute all groups **in parallel** with streaming range
@@ -629,52 +600,27 @@ impl CompiledPlan {
         self.run_parallel_scheduled(mem, crate::config::RuntimeConfig::global().schedule())
     }
 
-    /// [`CompiledPlan::run_parallel`] with an explicit [`Schedule`].
+    /// [`CompiledPlan::run_parallel`] with an explicit [`Schedule`]: one
+    /// stage of range tasks through `schedule::run_stages`.
     pub fn run_parallel_scheduled(&self, mem: &Memory, sched: Schedule) -> Result<u64> {
-        let tasks = schedule::plan_range_tasks(
-            &self.eng.bounds,
-            self.eng.z,
-            self.offsets.len(),
-            &sched,
-            rayon::current_num_threads(),
+        let tasks = self.walker.tasks(&sched, rayon::current_num_threads())?;
+        let mut total = 0u64;
+        schedule::run_stages(
+            std::slice::from_ref(&tasks),
+            |task| self.run_task(mem, task),
+            |_, counts| {
+                total += counts.iter().sum::<u64>();
+                Ok(())
+            },
         )?;
-        if tasks.is_empty() {
-            return Ok(0);
-        }
-        let counts: std::result::Result<Vec<u64>, RuntimeError> = tasks
-            .par_iter()
-            .map(|task| {
-                let mut s = self.eng.new_scratch();
-                self.run_task(mem, task, &mut s)
-            })
-            .collect();
-        Ok(counts?.into_iter().sum())
-    }
-
-    /// [`CompiledPlan::run_parallel`] on a dedicated pool with `threads`
-    /// workers (thread-scaling measurements).
-    pub fn run_parallel_with_threads(&self, mem: &Memory, threads: usize) -> Result<u64> {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .map_err(|e| RuntimeError::Core(format!("rayon pool: {e}")))?;
-        pool.install(|| self.run_parallel(mem))
-    }
-
-    /// Execute the transformed schedule sequentially, group after group
-    /// (determinism baseline) — streamed through the same range runner as
-    /// the parallel path, walking to exhaustion in one pass (counting
-    /// first would enumerate a prefix-dependent space twice).
-    pub fn run_transformed_sequential(&self, mem: &Memory) -> Result<u64> {
-        let mut s = self.eng.new_scratch();
-        self.run_range(mem, 0, u64::MAX, &mut s)
+        Ok(total)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{run_parallel, run_sequential};
+    use crate::exec::run_sequential;
     use pdm_core::parallelize;
     use pdm_loopir::parse::{parse_loop, parse_loop_with};
 
@@ -746,51 +692,54 @@ mod tests {
     }
 
     #[test]
-    fn compiled_groups_match_interpreter_groups() {
-        let nest = parse_loop(
+    fn group_walks_cover_every_iteration_exactly_once() {
+        for src in [
             "for i1 = 0..=9 { for i2 = 0..=9 {
                A[5*i1 + i2, 7*i1 + 2*i2] = A[i1 + i2 + 4, i1 + 2*i2 + 6] + 1;
              } }",
-        )
-        .unwrap();
-        let plan = parallelize(&nest).unwrap();
-        let mem = Memory::for_nest(&nest).unwrap();
-        let cp = CompiledPlan::compile(&nest, &plan, &mem).unwrap();
-        assert_eq!(
-            cp.groups().unwrap().len(),
-            crate::exec::groups(&plan).unwrap().len()
-        );
-    }
-
-    #[test]
-    fn group_walks_visit_identical_point_sets() {
-        let nest = parse_loop(
             "for i1 = 0..=9 { for i2 = 0..=9 {
                A[i1, 3*i2 + 2] = B[i1, i2] + 1;
                B[3*i1 + 2, i1 + i2 + 1] = A[i1, i2] + 2;
              } }",
-        )
-        .unwrap();
-        let plan = parallelize(&nest).unwrap();
-        let mem = Memory::for_nest(&nest).unwrap();
-        let cp = CompiledPlan::compile(&nest, &plan, &mem).unwrap();
-        // Walk all compiled groups recording original points via scratch.
-        let mut seen = std::collections::HashSet::new();
-        let mut total = 0u64;
-        let mut s = cp.new_scratch();
-        for g in cp.groups().unwrap() {
-            total += cp.run_group(&g, &mem, &mut s).unwrap();
-        }
-        // Re-walk with the interpreter for the ground-truth set.
-        for g in crate::exec::groups(&plan).unwrap() {
-            crate::exec::walk_group(&nest, &plan, &g, |idx| {
-                seen.insert(idx.to_vec());
+            "for i = 0..=99 { A[i] = i * 2; }",
+        ] {
+            let nest = parse_loop(src).unwrap();
+            let plan = parallelize(&nest).unwrap();
+            let walker = Walker::for_plan(&plan);
+            // A bare geometry walk (no Memory) records original points.
+            // Membership is checked against `ParallelPlan::group_of`
+            // (T, then forward substitution for the offset), which
+            // shares no code with the walker's residue and T⁻¹ deltas.
+            let mut seen = Vec::new();
+            let mut s = walker.new_scratch();
+            let task = walker.range(0, u64::MAX).unwrap();
+            let mut total = 0u64;
+            let mut groups = 0u64;
+            task.for_each(|_, prefix, o| {
+                groups += 1;
+                total += walker.walk(prefix, o, &mut s, |sc| {
+                    let point = pdm_matrix::vec::IVec(sc.idx.clone());
+                    let (p, off) = plan.group_of(&point).unwrap();
+                    assert_eq!(p.as_slice(), prefix, "{src}: {point:?} prefix");
+                    assert_eq!(off.as_slice(), &walker.offsets()[o][..], "{src}: {point:?}");
+                    seen.push(sc.idx.clone());
+                    Ok(())
+                })?;
                 Ok(())
             })
             .unwrap();
+            assert_eq!(groups, crate::exec::group_count(&plan).unwrap());
+            let expect: std::collections::HashSet<Vec<i64>> = nest
+                .iterations()
+                .unwrap()
+                .into_iter()
+                .map(|v| v.0)
+                .collect();
+            let got: std::collections::HashSet<Vec<i64>> = seen.iter().cloned().collect();
+            assert_eq!(seen.len(), expect.len(), "duplicates in group walk");
+            assert_eq!(total as usize, seen.len());
+            assert_eq!(got, expect);
         }
-        assert_eq!(total as usize, seen.len());
-        assert_eq!(total as usize, nest.iterations().unwrap().len());
     }
 
     #[test]
@@ -802,10 +751,15 @@ mod tests {
         let plan_a = parallelize(&nest_a).unwrap();
         let cp_a = CompiledPlan::compile(&nest_a, &plan_a, &mem_a).unwrap();
         let cn_b = CompiledNest::compile(&nest_b, &mem_b).unwrap();
-        let mut foreign = cn_b.new_scratch();
-        let g = &cp_a.groups().unwrap()[0];
+        let mut foreign = cp_a.new_scratch();
         assert!(matches!(
-            cp_a.run_group(g, &mem_a, &mut foreign),
+            cn_b.run_with_scratch(&mem_b, &mut foreign),
+            Err(RuntimeError::Core(_))
+        ));
+        // A bare geometry scratch carries no flat offsets either.
+        let mut bare = cp_a.walker().new_scratch();
+        assert!(matches!(
+            cn_b.run_with_scratch(&mem_b, &mut bare),
             Err(RuntimeError::Core(_))
         ));
     }
@@ -826,27 +780,11 @@ mod tests {
         m2.init_deterministic(1);
         run_sequential(&nest, &m1).unwrap();
         let cp = CompiledPlan::compile(&nest, &plan, &m2).unwrap();
-        cp.run_parallel_with_threads(&m2, 2).unwrap();
-        assert_eq!(m1.snapshot(), m2.snapshot());
-    }
-
-    #[test]
-    fn transformed_sequential_compiled_matches() {
-        let nest = parse_loop(
-            "for i1 = 0..=9 { for i2 = 0..=9 {
-               A[i1, 3*i2 + 2] = B[i1, i2] + 1;
-               B[3*i1 + 2, i1 + i2 + 1] = A[i1, i2] + 2;
-             } }",
-        )
-        .unwrap();
-        let plan = parallelize(&nest).unwrap();
-        let mut m1 = Memory::for_nest(&nest).unwrap();
-        let mut m2 = Memory::for_nest(&nest).unwrap();
-        m1.init_deterministic(5);
-        m2.init_deterministic(5);
-        run_parallel(&nest, &plan, &m1).unwrap();
-        let cp = CompiledPlan::compile(&nest, &plan, &m2).unwrap();
-        cp.run_transformed_sequential(&m2).unwrap();
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .unwrap();
+        pool.install(|| cp.run_parallel(&m2)).unwrap();
         assert_eq!(m1.snapshot(), m2.snapshot());
     }
 }

@@ -3,13 +3,13 @@
 //! The strongest end-to-end statement the library can make about a
 //! generated schedule: running it on rayon produces bit-identical array
 //! contents to the original sequential loop, from identical initial data.
-//! [`compare`] checks the interpreter pair; [`compare_three_way`] adds
-//! the compiled engine, pinning all three executors — sequential
-//! interpreter (reference semantics), interpreted-parallel, and
-//! compiled-parallel — to one result.
+//! [`compare`] pins the compiled walker — in original order
+//! ([`CompiledNest`]) and under the parallel plan ([`CompiledPlan`]) — to
+//! the reference interpreter ([`run_sequential`]); [`compare_program`]
+//! does the same for staged multi-kernel programs.
 
-use crate::compile::CompiledPlan;
-use crate::exec::{run_parallel, run_sequential};
+use crate::compile::{CompiledNest, CompiledPlan};
+use crate::exec::run_sequential;
 use crate::memory::Memory;
 use crate::Result;
 use pdm_core::plan::ParallelPlan;
@@ -18,28 +18,37 @@ use pdm_loopir::nest::LoopNest;
 /// Outcome of an equivalence run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EquivalenceReport {
-    /// Iterations executed (identical for both runs by construction).
+    /// Iterations executed by the sequential reference.
     pub iterations: u64,
     /// Number of independent parallel groups the plan produced.
     pub groups: usize,
-    /// Did the final memories match?
+    /// Did both compiled runs reproduce the reference memory and
+    /// iteration count?
     pub equal: bool,
 }
 
-/// Run `nest` sequentially and via `plan` on rayon, from identical
-/// deterministic initial memory, and compare the results.
+/// Run `nest` through the sequential reference interpreter, the compiled
+/// walker in original order, and the compiled walker under `plan` on
+/// rayon, from identical deterministic initial memory, and compare both
+/// compiled results against the reference.
 pub fn compare(nest: &LoopNest, plan: &ParallelPlan, seed: u64) -> Result<EquivalenceReport> {
-    let mut m_seq = Memory::for_nest(nest)?;
+    let mut m_ref = Memory::for_nest(nest)?;
+    let mut m_nest = Memory::for_nest(nest)?;
     let mut m_par = Memory::for_nest(nest)?;
-    m_seq.init_deterministic(seed);
+    m_ref.init_deterministic(seed);
+    m_nest.init_deterministic(seed);
     m_par.init_deterministic(seed);
-    let c1 = run_sequential(nest, &m_seq)?;
-    let c2 = run_parallel(nest, plan, &m_par)?;
-    debug_assert_eq!(c1, c2, "iteration counts diverged");
+    let c_ref = run_sequential(nest, &m_ref)?;
+    let c_nest = CompiledNest::compile(nest, &m_nest)?.run(&m_nest)?;
+    let c_par = CompiledPlan::compile(nest, plan, &m_par)?.run_parallel(&m_par)?;
+    let reference = m_ref.snapshot();
     Ok(EquivalenceReport {
-        iterations: c1,
+        iterations: c_ref,
         groups: crate::exec::group_count(plan)? as usize,
-        equal: m_seq.snapshot() == m_par.snapshot(),
+        equal: c_ref == c_nest
+            && c_ref == c_par
+            && reference == m_nest.snapshot()
+            && reference == m_par.snapshot(),
     })
 }
 
@@ -49,58 +58,9 @@ pub fn assert_plan_equivalent(nest: &LoopNest, seed: u64) {
     let rep = compare(nest, &plan, seed).expect("execute");
     assert!(
         rep.equal,
-        "parallel execution diverged from sequential ({} iterations, {} groups)",
+        "compiled execution diverged from sequential ({} iterations, {} groups)",
         rep.iterations, rep.groups
     );
-}
-
-/// Outcome of a three-way equivalence run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ThreeWayReport {
-    /// Iterations executed by the sequential reference.
-    pub iterations: u64,
-    /// Independent parallel groups in the plan.
-    pub groups: usize,
-    /// Interpreted-parallel matched the sequential reference.
-    pub interp_equal: bool,
-    /// Compiled-parallel matched the sequential reference.
-    pub compiled_equal: bool,
-}
-
-impl ThreeWayReport {
-    /// All executors agreed.
-    pub fn all_equal(&self) -> bool {
-        self.interp_equal && self.compiled_equal
-    }
-}
-
-/// Run the sequential interpreter, the parallel interpreter, and the
-/// compiled parallel engine from identical deterministic initial memory,
-/// and compare all results against the sequential reference.
-pub fn compare_three_way(
-    nest: &LoopNest,
-    plan: &ParallelPlan,
-    seed: u64,
-) -> Result<ThreeWayReport> {
-    let mut m_seq = Memory::for_nest(nest)?;
-    let mut m_par = Memory::for_nest(nest)?;
-    let mut m_comp = Memory::for_nest(nest)?;
-    m_seq.init_deterministic(seed);
-    m_par.init_deterministic(seed);
-    m_comp.init_deterministic(seed);
-    let c1 = run_sequential(nest, &m_seq)?;
-    let c2 = run_parallel(nest, plan, &m_par)?;
-    let compiled = CompiledPlan::compile(nest, plan, &m_comp)?;
-    let c3 = compiled.run_parallel(&m_comp)?;
-    debug_assert_eq!(c1, c2, "interpreted iteration counts diverged");
-    debug_assert_eq!(c1, c3, "compiled iteration count diverged");
-    let reference = m_seq.snapshot();
-    Ok(ThreeWayReport {
-        iterations: c1,
-        groups: crate::exec::group_count(plan)? as usize,
-        interp_equal: reference == m_par.snapshot() && c1 == c2,
-        compiled_equal: reference == m_comp.snapshot() && c1 == c3,
-    })
 }
 
 /// Outcome of a program (imperfect-nest) equivalence run: every
@@ -116,8 +76,6 @@ pub struct ProgramReport {
     pub kernels: usize,
     /// Fissioned-sequential (kernels in order) matched the reference.
     pub fission_seq_equal: bool,
-    /// Staged interpreted-parallel matched the reference.
-    pub interp_par_equal: bool,
     /// Staged compiled-parallel matched the reference.
     pub compiled_par_equal: bool,
 }
@@ -125,14 +83,14 @@ pub struct ProgramReport {
 impl ProgramReport {
     /// All executors agreed with the reference.
     pub fn all_equal(&self) -> bool {
-        self.fission_seq_equal && self.interp_par_equal && self.compiled_par_equal
+        self.fission_seq_equal && self.compiled_par_equal
     }
 }
 
 /// Run the imperfect reference interpreter, the fissioned-sequential
-/// baseline, the staged interpreted-parallel executor, and the staged
-/// compiled-parallel engine from identical deterministic initial memory,
-/// and compare every result against the reference.
+/// baseline, and the staged compiled-parallel engine from identical
+/// deterministic initial memory, and compare every result against the
+/// reference.
 pub fn compare_program(
     imp: &pdm_loopir::imperfect::ImperfectNest,
     pp: &pdm_core::program::ProgramPlan,
@@ -140,26 +98,20 @@ pub fn compare_program(
 ) -> Result<ProgramReport> {
     let mut m_ref = Memory::for_imperfect(imp)?;
     let mut m_seq = Memory::for_imperfect(imp)?;
-    let mut m_par = Memory::for_imperfect(imp)?;
     let mut m_comp = Memory::for_imperfect(imp)?;
     m_ref.init_deterministic(seed);
     m_seq.init_deterministic(seed);
-    m_par.init_deterministic(seed);
     m_comp.init_deterministic(seed);
     let reference_stmts = crate::staged::run_imperfect_sequential(imp, &m_ref)?;
     let c_seq = crate::staged::run_program_sequential(pp, &m_seq)?;
-    let c_par = crate::staged::run_program_parallel(pp, &m_par)?;
     let compiled = crate::staged::CompiledProgram::compile(pp, &m_comp)?;
     let c_comp = compiled.run_parallel(&m_comp)?;
-    debug_assert_eq!(c_seq, c_par, "program iteration counts diverged");
-    debug_assert_eq!(c_seq, c_comp, "compiled program iteration count diverged");
     let reference = m_ref.snapshot();
     Ok(ProgramReport {
         reference_stmts,
         kernel_iterations: c_seq,
         kernels: pp.kernel_count(),
         fission_seq_equal: reference == m_seq.snapshot(),
-        interp_par_equal: reference == m_par.snapshot() && c_seq == c_par,
         compiled_par_equal: reference == m_comp.snapshot() && c_seq == c_comp,
     })
 }
@@ -172,21 +124,6 @@ pub fn assert_program_equivalent(imp: &pdm_loopir::imperfect::ImperfectNest, see
     assert!(
         rep.all_equal(),
         "program executors diverged from the imperfect reference: {rep:?}"
-    );
-}
-
-/// Convenience assertion: analyze, plan, and require all three executors
-/// to agree bit-for-bit.
-pub fn assert_three_way_equivalent(nest: &LoopNest, seed: u64) {
-    let plan = pdm_core::parallelize(nest).expect("parallelize");
-    let rep = compare_three_way(nest, &plan, seed).expect("execute");
-    assert!(
-        rep.all_equal(),
-        "executors diverged (interp_equal: {}, compiled_equal: {}; {} iterations, {} groups)",
-        rep.interp_equal,
-        rep.compiled_equal,
-        rep.iterations,
-        rep.groups
     );
 }
 

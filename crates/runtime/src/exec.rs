@@ -1,31 +1,30 @@
-//! Sequential and parallel **interpretation** of loop nests — the
-//! reference semantics.
+//! Sequential **interpretation** of loop nests — the reference
+//! semantics.
 //!
 //! This module favors obviousness over speed: it re-walks the `Expr`
-//! tree and re-evaluates bounds at every iteration point. The compiled
-//! engine ([`crate::compile`]) is the fast path; its contract is
-//! bit-identical `Memory` contents to this interpreter, which the
-//! three-way harness in [`crate::equivalence`] enforces.
+//! tree and re-evaluates bounds at every iteration point, in original
+//! lexicographic order. Every other executor — the compiled walker in
+//! [`crate::compile`], sequential or parallel — is held to bit-identical
+//! `Memory` contents against [`run_sequential`], which the harness in
+//! [`crate::equivalence`] enforces.
 //!
 //! ## Wrapping vs. checked arithmetic
 //!
 //! *Body* arithmetic (subscript evaluation in `eval_access`, value
 //! computation in `eval_expr`) is **wrapping**: the executor's job is
-//! to witness ordering, and wrapping keeps sequential, parallel, and
-//! compiled runs bit-identical even on adversarial inputs. *Analysis*
+//! to witness ordering, and wrapping keeps the reference and compiled
+//! runs bit-identical even on adversarial inputs. *Analysis*
 //! arithmetic (`pdm_matrix::num`, bounds evaluation, residues) is
 //! **checked**: a silent wrap there would produce an incorrect but
 //! plausible-looking transformation, so it must fail loudly instead.
 
 use crate::memory::Memory;
 use crate::schedule;
-use crate::{Result, RuntimeError};
+use crate::Result;
 use pdm_core::plan::ParallelPlan;
 use pdm_loopir::expr::Expr;
 use pdm_loopir::nest::LoopNest;
-use pdm_matrix::vec::IVec;
 use pdm_poly::bounds::LoopBounds;
-use rayon::prelude::*;
 
 /// Execute the nest in original sequential (lexicographic) order.
 /// Returns the number of iterations executed.
@@ -130,54 +129,6 @@ pub fn eval_expr(e: &Expr, mem: &Memory, idx: &[i64]) -> Result<i64> {
     })
 }
 
-/// One independent parallel group: a fixed doall prefix plus a partition
-/// offset.
-///
-/// Construction is instrumented (see [`crate::schedule::live_groups`]):
-/// the streaming schedulers keep at most one `GroupSpec` alive per worker
-/// range, and the gauge is how tests and `bench_groups` verify that.
-/// `#[non_exhaustive]` forces downstream construction through
-/// [`GroupSpec::new`] so literal construction cannot bypass the gauge
-/// (a `Drop` without the matching creation would drive it negative).
-#[derive(Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct GroupSpec {
-    /// Values of the leading doall coordinates (length = doall prefix).
-    pub prefix: Vec<i64>,
-    /// Theorem-2 partition offset (empty when no partitioning).
-    pub offset: IVec,
-}
-
-impl GroupSpec {
-    /// Build a group spec (instrumented constructor — all construction
-    /// must pass through here so the live-group gauge stays exact).
-    pub fn new(prefix: Vec<i64>, offset: IVec) -> GroupSpec {
-        schedule::group_created();
-        GroupSpec { prefix, offset }
-    }
-}
-
-impl Clone for GroupSpec {
-    fn clone(&self) -> Self {
-        GroupSpec::new(self.prefix.clone(), self.offset.clone())
-    }
-}
-
-impl Drop for GroupSpec {
-    fn drop(&mut self) {
-        schedule::group_dropped();
-    }
-}
-
-/// The plan's Theorem-2 offset table — a single empty offset when the
-/// plan is unpartitioned, so group arithmetic never special-cases.
-pub(crate) fn offset_table(plan: &ParallelPlan) -> Vec<IVec> {
-    match plan.partition() {
-        Some(part) => part.offsets(),
-        None => vec![IVec::zeros(0)],
-    }
-}
-
 /// Exact number of independent groups (doall-prefix values × partition
 /// offsets), computed arithmetically where bounds are prefix-independent
 /// and by a cursor walk otherwise — never by materializing the groups
@@ -189,224 +140,6 @@ pub fn group_count(plan: &ParallelPlan) -> Result<u64> {
         plan.doall_count(),
         plan.partition_count() as usize,
     )
-}
-
-/// Enumerate the plan's independent groups **materialized as a `Vec`**.
-///
-/// Compatibility shim for tests, debugging, and group-table inspection
-/// only: it holds every group live at once, exactly the `O(#groups)`
-/// allocation spike the streaming schedulers exist to avoid. Production
-/// paths use [`crate::schedule::GroupCursor`] ranges; see the
-/// [`crate::schedule`] module docs for when materializing is still the
-/// right tool.
-pub fn groups(plan: &ParallelPlan) -> Result<Vec<GroupSpec>> {
-    let offsets = offset_table(plan);
-    let mut out = Vec::new();
-    schedule::for_each_group_in_range(
-        plan.bounds(),
-        plan.doall_count(),
-        offsets.len(),
-        0,
-        u64::MAX,
-        |_, prefix, o| {
-            out.push(GroupSpec::new(prefix.to_vec(), offsets[o].clone()));
-            Ok(())
-        },
-    )?;
-    Ok(out)
-}
-
-/// Walk every iteration of one group in transformed lexicographic order,
-/// invoking `body(original_iteration_indices)`.
-pub fn walk_group<F: FnMut(&[i64]) -> Result<()>>(
-    nest: &LoopNest,
-    plan: &ParallelPlan,
-    group: &GroupSpec,
-    mut body: F,
-) -> Result<()> {
-    let n = plan.depth();
-    let z = plan.doall_count();
-    let mut y = vec![0i64; n];
-    y[..z].copy_from_slice(&group.prefix);
-    let mut q = vec![0i64; n - z];
-    let tinv = plan.inverse().mat();
-    let mut orig = vec![0i64; n];
-    let depth_done = nest.depth(); // == n
-    debug_assert_eq!(depth_done, n);
-
-    fn rec<F: FnMut(&[i64]) -> Result<()>>(
-        plan: &ParallelPlan,
-        group: &GroupSpec,
-        y: &mut Vec<i64>,
-        q: &mut Vec<i64>,
-        level: usize,
-        tinv: &pdm_matrix::mat::IMat,
-        orig: &mut Vec<i64>,
-        body: &mut F,
-    ) -> Result<()> {
-        let n = plan.depth();
-        let z = plan.doall_count();
-        let (lo, hi) = plan.bounds().range(level, &y[..level])?;
-        // The residue of this level depends only on the offset and the
-        // *outer* lattice coordinates, so it is computed once on level
-        // entry; `q[kk]` then advances by 1 per `step` instead of being
-        // re-derived from the residue at every point.
-        let (start, step, q_start) = match plan.partition() {
-            Some(p) => {
-                let kk = level - z;
-                let r = p.residue(&group.offset, &q[..kk], kk)?;
-                let s = p.steps()[kk];
-                let v = pdm_core::partition::Partitioning::first_at_least(lo, r, s)?;
-                (v, s, p.q_of(v, r, kk)?)
-            }
-            None => (lo, 1, 0),
-        };
-        let mut v = start;
-        let mut qk = q_start;
-        while v <= hi {
-            y[level] = v;
-            if plan.partition().is_some() {
-                q[level - z] = qk;
-            }
-            if level + 1 == n {
-                // Back-substitute i = y · T⁻¹ without allocation.
-                for i in 0..n {
-                    let mut acc: i64 = 0;
-                    for (k, &yk) in y.iter().enumerate() {
-                        acc = acc.wrapping_add(yk.wrapping_mul(tinv.get(k, i)));
-                    }
-                    orig[i] = acc;
-                }
-                body(orig)?;
-            } else {
-                rec(plan, group, y, q, level + 1, tinv, orig, body)?;
-            }
-            v += step;
-            qk += 1;
-        }
-        Ok(())
-    }
-
-    if z == n {
-        // Fully parallel nest: the "group" is a single iteration.
-        for i in 0..n {
-            let mut acc: i64 = 0;
-            for (k, &yk) in y.iter().enumerate() {
-                acc = acc.wrapping_add(yk.wrapping_mul(tinv.get(k, i)));
-            }
-            orig[i] = acc;
-        }
-        return body(&orig);
-    }
-    rec(plan, group, &mut y, &mut q, z, tinv, &mut orig, &mut body)
-}
-
-/// Walk the contiguous group range `start..end` with one cursor, holding
-/// at most one [`GroupSpec`] alive at a time. Returns the iterations
-/// executed. (`pub(crate)`: the staged multi-kernel executor drives
-/// per-kernel ranges through the same runner.)
-pub(crate) fn run_group_range(
-    nest: &LoopNest,
-    plan: &ParallelPlan,
-    offsets: &[IVec],
-    mem: &Memory,
-    start: u64,
-    end: u64,
-) -> Result<u64> {
-    let mut count = 0u64;
-    schedule::for_each_group_in_range(
-        plan.bounds(),
-        plan.doall_count(),
-        offsets.len(),
-        start,
-        end,
-        |_, prefix, o| {
-            let g = GroupSpec::new(prefix.to_vec(), offsets[o].clone());
-            walk_group(nest, plan, &g, |idx| {
-                exec_body(nest, mem, idx)?;
-                count += 1;
-                Ok(())
-            })
-        },
-    )?;
-    Ok(count)
-}
-
-/// Run one pre-positioned range task: walk its groups with the carried
-/// cursor, holding at most one [`GroupSpec`] alive at a time.
-fn run_group_task(
-    nest: &LoopNest,
-    plan: &ParallelPlan,
-    offsets: &[IVec],
-    mem: &Memory,
-    task: &schedule::RangeTask<'_, LoopBounds>,
-) -> Result<u64> {
-    let mut count = 0u64;
-    task.for_each(|_, prefix, o| {
-        let g = GroupSpec::new(prefix.to_vec(), offsets[o].clone());
-        walk_group(nest, plan, &g, |idx| {
-            exec_body(nest, mem, idx)?;
-            count += 1;
-            Ok(())
-        })
-    })?;
-    Ok(count)
-}
-
-/// Execute the plan **in parallel**: the group index space is split into
-/// contiguous ranges with steal-aware sizing
-/// ([`crate::schedule::plan_range_tasks`] — finer chunks when per-group
-/// cost is skewed so idle workers have something to steal), one
-/// work-stealing rayon task per range; each task arrives with a
-/// pre-positioned streaming [`crate::schedule::GroupCursor`] — no group
-/// materialization. Returns the number of iterations executed.
-pub fn run_parallel(nest: &LoopNest, plan: &ParallelPlan, mem: &Memory) -> Result<u64> {
-    let offsets = offset_table(plan);
-    let sched = crate::config::RuntimeConfig::global().schedule();
-    let tasks = schedule::plan_range_tasks(
-        plan.bounds(),
-        plan.doall_count(),
-        offsets.len(),
-        &sched,
-        rayon::current_num_threads(),
-    )?;
-    if tasks.is_empty() {
-        return Ok(0);
-    }
-    let counts: std::result::Result<Vec<u64>, RuntimeError> = tasks
-        .par_iter()
-        .map(|task| run_group_task(nest, plan, &offsets, mem, task))
-        .collect();
-    Ok(counts?.into_iter().sum())
-}
-
-/// [`run_parallel`] on a dedicated rayon pool with `threads` workers —
-/// for thread-scaling measurements.
-pub fn run_parallel_with_threads(
-    nest: &LoopNest,
-    plan: &ParallelPlan,
-    mem: &Memory,
-    threads: usize,
-) -> Result<u64> {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .map_err(|e| RuntimeError::Core(format!("rayon pool: {e}")))?;
-    pool.install(|| run_parallel(nest, plan, mem))
-}
-
-/// Execute the transformed schedule sequentially (groups one after the
-/// other). Useful as a determinism baseline and to time transformation
-/// overhead without parallelism.
-pub fn run_transformed_sequential(
-    nest: &LoopNest,
-    plan: &ParallelPlan,
-    mem: &Memory,
-) -> Result<u64> {
-    // Walk to exhaustion in one pass — counting first would enumerate a
-    // prefix-dependent space twice.
-    let offsets = offset_table(plan);
-    run_group_range(nest, plan, &offsets, mem, 0, u64::MAX)
 }
 
 #[cfg(test)]
@@ -429,7 +162,7 @@ mod tests {
     }
 
     #[test]
-    fn groups_counts() {
+    fn group_count_is_prefix_extent_times_partitions() {
         let nest = parse_loop(
             "for i1 = 0..=9 { for i2 = 0..=9 {
                A[5*i1 + i2, 7*i1 + 2*i2] = A[i1 + i2 + 4, i1 + 2*i2 + 6] + 1;
@@ -437,90 +170,8 @@ mod tests {
         )
         .unwrap();
         let plan = parallelize(&nest).unwrap();
-        let gs = groups(&plan).unwrap();
         // doall y1 has some range R; 2 partitions -> |R| * 2 groups.
         let (lo, hi) = plan.bounds().range(0, &[]).unwrap();
-        assert_eq!(gs.len() as i64, (hi - lo + 1) * 2);
-        // The arithmetic count must agree with the materialized shim.
-        assert_eq!(group_count(&plan).unwrap(), gs.len() as u64);
-    }
-
-    #[test]
-    fn parallel_covers_every_iteration_exactly_once() {
-        let nest = parse_loop(
-            "for i1 = 0..=9 { for i2 = 0..=9 {
-               A[5*i1 + i2, 7*i1 + 2*i2] = A[i1 + i2 + 4, i1 + 2*i2 + 6] + 1;
-             } }",
-        )
-        .unwrap();
-        let plan = parallelize(&nest).unwrap();
-        // Collect all iterations via the group walker.
-        let mut seen = Vec::new();
-        for g in groups(&plan).unwrap() {
-            walk_group(&nest, &plan, &g, |idx| {
-                seen.push(idx.to_vec());
-                Ok(())
-            })
-            .unwrap();
-        }
-        let expect: std::collections::HashSet<Vec<i64>> = nest
-            .iterations()
-            .unwrap()
-            .into_iter()
-            .map(|v| v.0)
-            .collect();
-        let got: std::collections::HashSet<Vec<i64>> = seen.iter().cloned().collect();
-        assert_eq!(seen.len(), expect.len(), "duplicates in group walk");
-        assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn parallel_equals_sequential_on_paper_41() {
-        let nest = parse_loop(
-            "for i1 = 0..=9 { for i2 = 0..=9 {
-               A[5*i1 + i2, 7*i1 + 2*i2] = A[i1 + i2 + 4, i1 + 2*i2 + 6] + 1;
-             } }",
-        )
-        .unwrap();
-        let plan = parallelize(&nest).unwrap();
-        let mut m1 = Memory::for_nest(&nest).unwrap();
-        let mut m2 = Memory::for_nest(&nest).unwrap();
-        m1.init_deterministic(42);
-        m2.init_deterministic(42);
-        let c1 = run_sequential(&nest, &m1).unwrap();
-        let c2 = run_parallel(&nest, &plan, &m2).unwrap();
-        assert_eq!(c1, c2);
-        assert_eq!(m1.snapshot(), m2.snapshot());
-    }
-
-    #[test]
-    fn fully_parallel_loop_runs() {
-        let nest = parse_loop("for i = 0..=99 { A[i] = i * 2; }").unwrap();
-        let plan = parallelize(&nest).unwrap();
-        let mem = Memory::for_nest(&nest).unwrap();
-        let c = run_parallel(&nest, &plan, &mem).unwrap();
-        assert_eq!(c, 100);
-        for i in 0..=99 {
-            assert_eq!(mem.read(ArrayId(0), &[i]).unwrap(), 2 * i);
-        }
-    }
-
-    #[test]
-    fn transformed_sequential_matches() {
-        let nest = parse_loop(
-            "for i1 = 0..=9 { for i2 = 0..=9 {
-               A[i1, 3*i2 + 2] = B[i1, i2] + 1;
-               B[3*i1 + 2, i1 + i2 + 1] = A[i1, i2] + 2;
-             } }",
-        )
-        .unwrap();
-        let plan = parallelize(&nest).unwrap();
-        let mut m1 = Memory::for_nest(&nest).unwrap();
-        let mut m2 = Memory::for_nest(&nest).unwrap();
-        m1.init_deterministic(5);
-        m2.init_deterministic(5);
-        run_sequential(&nest, &m1).unwrap();
-        run_transformed_sequential(&nest, &plan, &m2).unwrap();
-        assert_eq!(m1.snapshot(), m2.snapshot());
+        assert_eq!(group_count(&plan).unwrap() as i64, (hi - lo + 1) * 2);
     }
 }

@@ -12,7 +12,11 @@
 //!
 //! [`audit`] walks the concrete access lattice of the substituted nest
 //! under the planned partitioning — every group, every iteration, every
-//! access, **without executing the body** — and returns a [`Verdict`]:
+//! access, **without executing the body** — and returns a [`Verdict`].
+//! The walk is the compiled group walker ([`crate::compile::Walker`])
+//! on the plan's bare geometry, so it needs no [`Memory`]; its visitor
+//! evaluates each executed statement's `(array, subscript)` touches from
+//! the original indices.
 //!
 //! * [`Verdict::Certified`] — no two groups touch a common cell with a
 //!   write, and within every group the touch order of every written
@@ -23,8 +27,7 @@
 //!   the other's in original order. The conflict graph is a DAG and
 //!   its longest-path layering yields **stages**;
 //!   [`run_refined_compiled`] runs stages sequentially with the
-//!   groups of one stage in parallel as compiled range tasks
-//!   ([`run_refined`] is the interpreted fallback). Both reach groups
+//!   groups of one stage in parallel as compiled range tasks, reached
 //!   through seeked range cursors — no group table materialization.
 //! * [`Verdict::Rejected`] — intra-group touch order disagrees with
 //!   program order, conflicting touch ranges overlap, or the direction
@@ -54,17 +57,14 @@
 //! and every in-interval valuation skips the audit entirely.
 
 use crate::checked::{detect_conflicts, LoggedAccess};
-use crate::compile::CompiledPlan;
-use crate::exec::{exec_body, offset_table, walk_group, GroupSpec};
+use crate::compile::{CompiledBounds, CompiledPlan, Walker};
 use crate::memory::Memory;
-use crate::schedule::{self, Schedule};
-use crate::{Result, RuntimeError};
+use crate::schedule::{self, RangeTask, Schedule};
+use crate::Result;
 use pdm_core::plan::ParallelPlan;
 use pdm_loopir::nest::LoopNest;
 use pdm_loopir::stmt::AccessKind;
 use pdm_matrix::vec::IVec;
-use pdm_poly::bounds::LoopBounds;
-use rayon::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 
 /// The inspector's decision for one `(shape, valuation)` pair.
@@ -74,7 +74,7 @@ pub enum Verdict {
     Certified,
     /// The plan's groups conflict, but acyclically: run `stages`
     /// sequentially (each inner `Vec` holds global group indices that
-    /// may run concurrently) via [`run_refined`].
+    /// may run concurrently) via [`run_refined_compiled`].
     Refined {
         /// Longest-path layers of the group-dependence DAG, in
         /// execution order. Every group index appears exactly once.
@@ -128,9 +128,8 @@ struct AuditLocal {
 /// one range, so `touches` entries never need cross-task merging.
 fn audit_range(
     nest: &LoopNest,
-    plan: &ParallelPlan,
-    offsets: &[IVec],
-    task: &schedule::RangeTask<'_, LoopBounds>,
+    walker: &Walker,
+    task: &RangeTask<'_, CompiledBounds>,
 ) -> Result<AuditLocal> {
     let mut intern: HashMap<(usize, Vec<i64>), usize> = HashMap::new();
     let mut local = AuditLocal {
@@ -139,10 +138,11 @@ fn audit_range(
         groups: Vec::new(),
         disorder: None,
     };
+    let mut s = walker.new_scratch();
     task.for_each(|gid, prefix, o| {
         local.groups.push(gid);
-        let g = GroupSpec::new(prefix.to_vec(), offsets[o].clone());
-        walk_group(nest, plan, &g, |idx| {
+        walker.walk(prefix, o, &mut s, |sc| {
+            let idx = sc.idx.as_slice();
             for stmt in nest.body() {
                 if !stmt.guards_hold(idx) {
                     continue;
@@ -202,7 +202,8 @@ fn audit_range(
                 }
             }
             Ok(())
-        })
+        })?;
+        Ok(())
     })?;
     Ok(local)
 }
@@ -222,19 +223,18 @@ fn audit_range(
 /// verdict are identical to a sequential walk regardless of thread
 /// schedule.
 pub fn audit(nest: &LoopNest, plan: &ParallelPlan) -> Result<Verdict> {
-    let offsets = offset_table(plan);
+    let walker = Walker::for_plan(plan);
     let sched = crate::config::RuntimeConfig::global().schedule();
-    let tasks = schedule::plan_range_tasks(
-        plan.bounds(),
-        plan.doall_count(),
-        offsets.len(),
-        &sched,
-        rayon::current_num_threads().max(1),
+    let tasks = walker.tasks(&sched, rayon::current_num_threads().max(1))?;
+    let mut locals = Vec::new();
+    schedule::run_stages(
+        std::slice::from_ref(&tasks),
+        |task| audit_range(nest, &walker, task),
+        |_, results| {
+            locals = results;
+            Ok(())
+        },
     )?;
-    let locals: std::result::Result<Vec<AuditLocal>, RuntimeError> = tasks
-        .par_iter()
-        .map(|task| audit_range(nest, plan, &offsets, task))
-        .collect();
 
     // Merge in task order: walking each task's keys in first-touch
     // order reproduces the sequential intern numbering exactly.
@@ -242,7 +242,7 @@ pub fn audit(nest: &LoopNest, plan: &ParallelPlan) -> Result<Verdict> {
     let mut touches: HashMap<(usize, u64), Touches> = HashMap::new();
     let mut all_groups: Vec<u64> = Vec::new();
     let mut disorder: Option<String> = None;
-    for local in locals? {
+    for local in locals {
         let remap: Vec<usize> = local
             .keys
             .into_iter()
@@ -392,59 +392,11 @@ fn stage_chunk_target(sched: &Schedule) -> usize {
     rayon::current_num_threads().max(1) * sched.chunks_per_thread.max(1)
 }
 
-/// Execute a [`Verdict::Refined`] staging through the interpreter:
-/// stages run one after the other, the groups of one stage
-/// concurrently on the rayon pool. Groups are reached with seeked
-/// range cursors — no group table is materialized, so peak live
-/// groups stays bounded by threads × chunks. Returns the number of
-/// iterations executed.
-///
-/// Prefer [`run_refined_compiled`] when a [`CompiledPlan`] for the
-/// nest exists; this interpreted walker is the fallback for bodies
-/// the compiler cannot stage.
-pub fn run_refined(
-    nest: &LoopNest,
-    plan: &ParallelPlan,
-    mem: &Memory,
-    stages: &[Vec<u64>],
-) -> Result<u64> {
-    let offsets = offset_table(plan);
-    let z = plan.doall_count();
-    let target = stage_chunk_target(&crate::config::RuntimeConfig::global().schedule());
-    let mut total = 0u64;
-    for stage in stages {
-        let counts: std::result::Result<Vec<u64>, RuntimeError> = stage_chunks(stage, target)
-            .par_iter()
-            .map(|&(start, end)| {
-                let mut count = 0u64;
-                schedule::for_each_group_in_range(
-                    plan.bounds(),
-                    z,
-                    offsets.len(),
-                    start,
-                    end,
-                    |_gid, prefix, o| {
-                        let g = GroupSpec::new(prefix.to_vec(), offsets[o].clone());
-                        walk_group(nest, plan, &g, |idx| {
-                            exec_body(nest, mem, idx)?;
-                            count += 1;
-                            Ok(())
-                        })
-                    },
-                )?;
-                Ok(count)
-            })
-            .collect();
-        total += counts?.into_iter().sum::<u64>();
-    }
-    Ok(total)
-}
-
 /// Execute a [`Verdict::Refined`] staging through a [`CompiledPlan`]:
-/// each stage's contiguous group runs become compiled range tasks
-/// (one scratch per chunk, the streaming `run_range` driver — the
-/// same machinery `run_parallel_scheduled` uses), with a barrier
-/// between stages. Returns the iterations executed.
+/// each stage's contiguous group runs become compiled range tasks (one
+/// scratch per chunk, positioned by a seek inside the task), run by the
+/// stage driver with a barrier between stages. Returns the iterations
+/// executed.
 pub fn run_refined_compiled(
     plan: &CompiledPlan,
     mem: &Memory,
@@ -452,42 +404,42 @@ pub fn run_refined_compiled(
     sched: Schedule,
 ) -> Result<u64> {
     let target = stage_chunk_target(&sched);
+    let chunks: Vec<Vec<(u64, u64)>> = stages
+        .iter()
+        .map(|stage| stage_chunks(stage, target))
+        .collect();
     let mut total = 0u64;
-    for stage in stages {
-        let counts: std::result::Result<Vec<u64>, RuntimeError> = stage_chunks(stage, target)
-            .par_iter()
-            .map(|&(start, end)| {
-                let mut scratch = plan.new_scratch();
-                plan.run_range(mem, start, end, &mut scratch)
-            })
-            .collect();
-        total += counts?.into_iter().sum::<u64>();
-    }
+    schedule::run_stages(
+        &chunks,
+        |&(start, end)| plan.run_task(mem, &plan.walker().range(start, end)?),
+        |_, counts| {
+            total += counts.iter().sum::<u64>();
+            Ok(())
+        },
+    )?;
     Ok(total)
 }
 
-/// Dispatch execution on a verdict: certified → the parallel
-/// interpreter, refined → the compiled staged executor (falling back
-/// to interpreted [`run_refined`] if the body defeats the compiler),
-/// rejected → the sequential reference order. Returns the iterations
-/// executed.
+/// Dispatch execution on a verdict: certified → the compiled parallel
+/// engine, refined → the compiled staged executor, rejected → the
+/// sequential reference order. Returns the iterations executed.
 pub fn run_with_verdict(
     nest: &LoopNest,
     plan: &ParallelPlan,
     mem: &Memory,
     verdict: &Verdict,
 ) -> Result<u64> {
+    let schedule = crate::config::RuntimeConfig::global().schedule();
     match verdict {
-        Verdict::Certified => crate::exec::run_parallel(nest, plan, mem),
-        Verdict::Refined { stages } => match CompiledPlan::compile(nest, plan, mem) {
-            Ok(cp) => run_refined_compiled(
-                &cp,
-                mem,
-                stages,
-                crate::config::RuntimeConfig::global().schedule(),
-            ),
-            Err(_) => run_refined(nest, plan, mem, stages),
-        },
+        Verdict::Certified => {
+            CompiledPlan::compile(nest, plan, mem)?.run_parallel_scheduled(mem, schedule)
+        }
+        Verdict::Refined { stages } => run_refined_compiled(
+            &CompiledPlan::compile(nest, plan, mem)?,
+            mem,
+            stages,
+            schedule,
+        ),
         Verdict::Rejected { .. } => crate::exec::run_sequential(nest, mem),
     }
 }
@@ -600,9 +552,9 @@ mod tests {
     }
 
     #[test]
-    fn refined_compiled_matches_interpreted_and_sequential() {
-        // Row-shift refinement: both refined executors must agree with
-        // each other and with the sequential reference, bit for bit.
+    fn refined_compiled_matches_sequential() {
+        // Row-shift refinement: the staged compiled executor must agree
+        // with the sequential reference, bit for bit.
         let src = "for i1 = 0..=7 { for i2 = 0..=7 { A[i1 + K, i2] = A[i1, i2] + 1; } }";
         let (nest, plan, v) = audit_at(src, &["K"], &[("K", 1)]);
         let stages = match &v {
@@ -611,11 +563,6 @@ mod tests {
         };
         let m_ref = Memory::for_nest(&nest).unwrap();
         crate::exec::run_sequential(&nest, &m_ref).unwrap();
-
-        let m_interp = Memory::for_nest(&nest).unwrap();
-        let n_interp = run_refined(&nest, &plan, &m_interp, &stages).unwrap();
-        assert_eq!(n_interp, 64);
-        assert_eq!(m_interp.snapshot(), m_ref.snapshot());
 
         let cp = CompiledPlan::compile(&nest, &plan, &m_ref).unwrap();
         let m_comp = Memory::for_nest(&nest).unwrap();

@@ -1,14 +1,18 @@
 //! # pdm-runtime — executing loop nests: compile → schedule → execute
 //!
-//! The runtime realizes the schedules produced by `pdm-core` through two
-//! executors with one contract — bit-identical `Memory` contents:
+//! The runtime realizes the schedules produced by `pdm-core` through one
+//! compiled walker, held to one contract — bit-identical `Memory`
+//! contents against the reference interpreter:
 //!
-//! **Reference interpreter** ([`exec`]). Walks the nest recursively,
-//! re-evaluating expression trees and bounds at every point. Slow on
-//! purpose: it is the executable *semantics*, kept obvious so the fast
-//! path has something trustworthy to be checked against.
+//! **Reference interpreters** ([`exec::run_sequential`],
+//! [`staged::run_imperfect_sequential`],
+//! [`staged::run_program_sequential`]). Walk the nest recursively in
+//! original order, re-evaluating expression trees and bounds at every
+//! point. Slow on purpose: they are the executable *semantics*, kept
+//! obvious so the fast path has something trustworthy to be checked
+//! against.
 //!
-//! **Compiled engine** ([`compile`] + [`program`]). The perf-critical
+//! **Compiled walker** ([`compile`] + [`program`]). The perf-critical
 //! pipeline, lowering a `(LoopNest, ParallelPlan)` pair once and then
 //! executing allocation-free:
 //!
@@ -22,26 +26,29 @@
 //!    ([`schedule::group_count`]) and split into contiguous ranges with
 //!    steal-aware sizing ([`schedule::plan_range_tasks`] — finer chunks
 //!    when per-group cost is skewed, so the work-stealing pool's idle
-//!    threads always find something to take), one rayon task per range;
-//!    each task arrives with a pre-positioned streaming
-//!    [`schedule::GroupCursor`] with `O(depth)` state and one reused
-//!    scratch — the group list is never materialized
-//!    ([`compile::CompiledPlan::run_parallel`]).
-//! 3. *Execute* — an iterative (non-recursive) walker advances the
-//!    transformed point level by level; the `y·T⁻¹` back-substitution
-//!    and every access's flat offset update by precomputed per-level
-//!    deltas (strength reduction), and partition residues are computed
-//!    once per level entry with lattice coordinates advancing by 1.
+//!    threads always find something to take); each range task arrives
+//!    with a pre-positioned streaming [`schedule::GroupCursor`] with
+//!    `O(depth)` state and one reused scratch — the group list is never
+//!    materialized.
+//! 3. *Execute* — an iterative (non-recursive) walker
+//!    ([`compile::Walker`]) advances the transformed point level by
+//!    level; the `y·T⁻¹` back-substitution and every access's flat
+//!    offset update by precomputed per-level deltas (strength
+//!    reduction), and partition residues are computed once per level
+//!    entry with lattice coordinates advancing by 1. The walker is
+//!    generic over a per-iteration visitor: executing bytecode, logging
+//!    touched cells ([`checked`]), and summarising touches for the
+//!    inspector ([`inspector`]) are all visitors of the same walk.
 //!
-//! **Staged program executor** ([`staged`]). Imperfect nests normalize
-//! into multi-kernel [`pdm_core::program::ProgramPlan`]s; the staged
-//! executors run them — interpreted or compiled — with kernels of one
-//! DAG stage sharing a single rayon region (their streaming group
-//! ranges flattened into one task list) and barriers **only** at stage
-//! boundaries. [`staged::run_imperfect_sequential`] is the matching
-//! reference semantics, and
-//! [`checked::run_program_parallel_checked`] validates stage-level
-//! independence with kernel-indexed race reports.
+//! **One stage driver** ([`schedule`]). Every parallel run is a list of
+//! stages, each a list of independent `(kernel, group-range)` tasks,
+//! with a barrier between stages: a plain plan is one stage
+//! ([`compile::CompiledPlan::run_parallel`]), an imperfect nest
+//! normalized into a multi-kernel [`pdm_core::program::ProgramPlan`] has
+//! one stage per DAG layer ([`staged::CompiledProgram`]), and a refined
+//! inspector verdict has one per conflict layer
+//! ([`inspector::run_refined_compiled`]). The race checker and the audit
+//! go through the same driver.
 //!
 //! Supporting modules:
 //!
@@ -49,8 +56,7 @@
 //!   arithmetic group counting, `k`-th-group seeking, cursor-clone
 //!   range planning, steal-aware range splitting
 //!   (`PDM_CHUNKS_PER_THREAD` / `PDM_STEAL_CHUNKS_PER_THREAD`), and the
-//!   live-group instrumentation the allocation-spike regression test
-//!   reads;
+//!   stage driver;
 //! * [`template`] — parametric serving: lower a `pdm-core`
 //!   `PlanTemplate` at a size to a ready-to-run
 //!   [`template::CompiledInstance`] (no re-analysis, no FM), with an LRU
@@ -64,7 +70,8 @@
 //!   knob parsed once per process instead of per executor call;
 //! * [`memory`] — integer array storage sized from the nest's access
 //!   footprint (conservative interval arithmetic over the iteration
-//!   polyhedron), with a `Sync` shared view for `doall` execution;
+//!   polyhedron, checked against overflow), with a `Sync` shared view
+//!   for `doall` execution;
 //! * [`checked`] — a group-conflict race checker: every access is logged
 //!   per group and cross-group conflicts (≥ 1 write) are reported;
 //! * [`inspector`] — inspector/executor speculation for nests whose
@@ -73,9 +80,9 @@
 //!   walks the concrete access lattice to certify the parallel plan,
 //!   refine it into stages, or reject it back to sequential order, with
 //!   verdicts cached in [`sharded::VerdictCache`];
-//! * [`equivalence`] — the soundness harness: two-way (sequential vs.
-//!   interpreted-parallel) and three-way (… vs. compiled-parallel)
-//!   output comparison, used all over the test suite and benches.
+//! * [`equivalence`] — the soundness harness: the reference against the
+//!   compiled walker in original order and under the parallel plan, and
+//!   the program analogue, used all over the test suite and benches.
 //!
 //! The parallel executors' memory accesses are unsynchronized by design:
 //! the dependence analysis *proves* cross-group independence, and that
@@ -97,16 +104,14 @@ pub mod sharded;
 pub mod staged;
 pub mod template;
 
-pub use compile::{CompiledNest, CompiledPlan};
+pub use compile::{CompiledNest, CompiledPlan, Walker};
 pub use config::RuntimeConfig;
-pub use exec::{run_parallel, run_sequential, run_transformed_sequential};
-pub use inspector::{audit, run_refined, run_with_verdict, Verdict};
+pub use exec::run_sequential;
+pub use inspector::{audit, run_refined_compiled, run_with_verdict, Verdict};
 pub use memory::Memory;
 pub use schedule::{GroupCursor, Schedule};
 pub use sharded::{CacheStats, ShardedPlanCache};
-pub use staged::{
-    run_imperfect_sequential, run_program_parallel, run_program_sequential, CompiledProgram,
-};
+pub use staged::{run_imperfect_sequential, run_program_sequential, CompiledProgram};
 pub use template::{CompiledInstance, InstantiateCompiled, PlanCache};
 
 /// Errors from execution.

@@ -27,10 +27,21 @@ pub struct ArrayStorage {
 }
 
 impl ArrayStorage {
-    fn len_of(dims: &[(i64, i64)]) -> usize {
-        dims.iter()
-            .map(|&(lo, hi)| (hi - lo + 1).max(0) as usize)
-            .product()
+    /// Cell count of the box, or `Overflow` when it cannot be stored: a
+    /// width or product past `usize`, or more bytes than a `Vec` holds.
+    fn len_of(dims: &[(i64, i64)]) -> Result<usize> {
+        let overflow = || RuntimeError::Matrix(pdm_matrix::MatrixError::Overflow);
+        let mut len = 1usize;
+        for &(lo, hi) in dims {
+            let width =
+                usize::try_from((hi as i128 - lo as i128 + 1).max(0)).map_err(|_| overflow())?;
+            len = len.checked_mul(width).ok_or_else(overflow)?;
+        }
+        let bytes = len.checked_mul(std::mem::size_of::<UnsafeCell<i64>>());
+        match bytes {
+            Some(b) if b <= isize::MAX as usize => Ok(len),
+            _ => Err(overflow()),
+        }
     }
 
     /// Flatten a subscript; `None` when out of the box.
@@ -110,7 +121,7 @@ impl Memory {
             if !touched {
                 dims = vec![(0, -1); decl.dims]; // empty box
             }
-            let len = ArrayStorage::len_of(&dims);
+            let len = ArrayStorage::len_of(&dims)?;
             let data = (0..len).map(|_| UnsafeCell::new(0)).collect();
             arrays.push(ArrayStorage {
                 name: decl.name.clone(),
@@ -271,6 +282,16 @@ mod tests {
         let r = index_ranges(&nest).unwrap();
         assert_eq!(r[0], (0, 6));
         assert_eq!(r[1], (0, 6)); // conservative: j's global range
+    }
+
+    #[test]
+    fn oversized_box_is_an_overflow_error() {
+        // 4 × 1.5e10 × 1.5e10 cells: the product overflows usize.
+        let nest = parse_loop("for i = 0..=3 { A[i, 5000000000*i, 5000000000*i] = 1; }").unwrap();
+        assert!(matches!(
+            Memory::for_nest(&nest),
+            Err(RuntimeError::Matrix(pdm_matrix::MatrixError::Overflow))
+        ));
     }
 
     #[test]

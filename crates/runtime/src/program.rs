@@ -138,6 +138,18 @@ pub struct Scratch {
     pub flats: Vec<i64>,
 }
 
+impl Scratch {
+    /// State for a walk with no program attached: original indices
+    /// only, no flat offsets, no operand stack.
+    pub(crate) fn indices_only(depth: usize) -> Scratch {
+        Scratch {
+            stack: Vec::new(),
+            idx: vec![0; depth],
+            flats: Vec::new(),
+        }
+    }
+}
+
 /// A compiled loop body: postfix ops plus the linearized access table.
 ///
 /// A `Program` is tied to the array geometry of the [`Memory`] it was
@@ -217,13 +229,17 @@ impl Program {
         self.depth
     }
 
-    /// Allocate the reusable evaluation state for this program.
+    /// Allocate the reusable evaluation state for this program,
+    /// positioned at the origin (`idx = 0`, every flat offset at its
+    /// access's base).
     pub fn new_scratch(&self) -> Scratch {
-        Scratch {
+        let mut scratch = Scratch {
             stack: vec![0; self.max_stack.max(1)],
             idx: vec![0; self.depth],
             flats: vec![0; self.accesses.len()],
-        }
+        };
+        self.reset_flats(&mut scratch);
+        scratch
     }
 
     /// Recompute every flat offset from `scratch.idx` (used when a driver
@@ -242,6 +258,17 @@ impl Program {
     /// `scratch.idx` / `scratch.flats`.
     #[inline]
     pub fn exec(&self, mem: &Memory, scratch: &mut Scratch) -> Result<()> {
+        self.exec_traced(mem, scratch, |_, _, _| {})
+    }
+
+    /// [`Program::exec`], reporting every access it performs as
+    /// `touch(array, flat_cell, is_write)` in execution order. Statements
+    /// whose guards fail are skipped whole, so they touch nothing.
+    #[inline]
+    pub fn exec_traced<T>(&self, mem: &Memory, scratch: &mut Scratch, mut touch: T) -> Result<()>
+    where
+        T: FnMut(usize, usize, bool),
+    {
         let stack = &mut scratch.stack;
         let mut sp = 0usize;
         let mut pc = 0usize;
@@ -271,13 +298,11 @@ impl Program {
                     sp += 1;
                 }
                 Op::Load(a) => {
-                    let acc = &self.accesses[a as usize];
-                    let f = scratch.flats[a as usize];
-                    let v = usize::try_from(f)
-                        .ok()
-                        .and_then(|f| mem.read_flat(acc.array as usize, f));
-                    match v {
-                        Some(v) => {
+                    let array = self.accesses[a as usize].array as usize;
+                    let cell = usize::try_from(scratch.flats[a as usize]).ok();
+                    match cell.and_then(|f| Some((f, mem.read_flat(array, f)?))) {
+                        Some((f, v)) => {
+                            touch(array, f, false);
                             stack[sp] = v;
                             sp += 1;
                         }
@@ -301,13 +326,11 @@ impl Program {
                 }
                 Op::Store(a) => {
                     sp -= 1;
-                    let acc = &self.accesses[a as usize];
-                    let f = scratch.flats[a as usize];
-                    let ok = usize::try_from(f)
-                        .ok()
-                        .and_then(|f| mem.write_flat(acc.array as usize, f, stack[sp]));
-                    if ok.is_none() {
-                        return Err(self.oob(a, mem, &scratch.idx));
+                    let array = self.accesses[a as usize].array as usize;
+                    let cell = usize::try_from(scratch.flats[a as usize]).ok();
+                    match cell.and_then(|f| mem.write_flat(array, f, stack[sp]).map(|()| f)) {
+                        Some(f) => touch(array, f, true),
+                        None => return Err(self.oob(a, mem, &scratch.idx)),
                     }
                 }
             }

@@ -20,8 +20,8 @@
 //! re-enter at their (freshly evaluated) lower bounds — prefixes whose
 //! inner ranges are empty are skipped exactly as the materialized
 //! enumeration skipped them. The sequence of `(prefix, offset)` pairs is
-//! **identical** — same order, same multiset — to the rows of the
-//! deprecated materializing `groups()` helpers.
+//! **identical** — same order, same multiset — to the materialized cross
+//! product of prefix values and offsets.
 //!
 //! # Seek semantics
 //!
@@ -73,27 +73,19 @@
 //! group state stays `O(threads × chunks_per_thread)` (or the steal
 //! variant on skewed spaces) instead of `O(#groups)`.
 //!
-//! # When materializing is still appropriate
+//! # Stages
 //!
-//! The `groups()` shims ([`crate::exec::groups`],
-//! [`crate::compile::CompiledPlan::groups`]) survive as thin
-//! `cursor → Vec` collectors for tests, debugging, and group-table
-//! inspection (e.g. printing a plan's groups). Production execution paths
-//! never call them; new code should reach for a cursor or
-//! [`Schedule::ranges`] instead.
-//!
-//! # Instrumentation
-//!
-//! [`GroupSpec`](crate::exec::GroupSpec) and
-//! [`CompiledGroup`](crate::compile::CompiledGroup) have instrumented
-//! constructors feeding the [`live_groups`] / [`peak_live_groups`]
-//! gauges, which the `bench_groups` snapshot and the allocation-spike
-//! regression test read.
+//! `run_stages` is the crate's one parallel driver: a list of stages,
+//! each a list of independent tasks (a kernel's group range), run on the
+//! work-stealing pool with a barrier between stages. Plain plans are one
+//! stage; staged multi-kernel programs and refined inspector verdicts
+//! are several. No executor materializes its group list — each task
+//! walks its range with one cursor.
 
 use crate::{Result, RuntimeError};
 use pdm_matrix::MatrixError;
 use pdm_poly::bounds::LoopBounds;
-use std::sync::atomic::{AtomicI64, Ordering};
+use rayon::prelude::*;
 
 fn overflow() -> RuntimeError {
     RuntimeError::Matrix(MatrixError::Overflow)
@@ -465,51 +457,6 @@ impl<'a, B: PrefixBounds> GroupCursor<'a, B> {
     }
 }
 
-/// Drive `f(position, prefix, offset_index)` over every group in the
-/// contiguous range `start..end` with one streaming cursor — the shared
-/// skeleton of every range scheduler (interpreted, compiled, checked)
-/// and of the materializing `groups()` shims (which pass
-/// `end = u64::MAX` to walk to exhaustion). The prefix slice is only
-/// valid for the duration of each call.
-pub fn for_each_group_in_range<B, F>(
-    bounds: &B,
-    z: usize,
-    num_offsets: usize,
-    start: u64,
-    end: u64,
-    mut f: F,
-) -> Result<()>
-where
-    B: PrefixBounds,
-    F: FnMut(u64, &[i64], usize) -> Result<()>,
-{
-    let mut cur = GroupCursor::new(bounds, z, num_offsets)?;
-    if start > 0 && !cur.seek(start)? {
-        return Ok(());
-    }
-    drive_cursor(&mut cur, end, &mut f)
-}
-
-/// Walk `cur` up to (exclusive) linear index `end`, calling
-/// `f(position, prefix, offset_index)` per group.
-fn drive_cursor<B, F>(cur: &mut GroupCursor<'_, B>, end: u64, f: &mut F) -> Result<()>
-where
-    B: PrefixBounds,
-    F: FnMut(u64, &[i64], usize) -> Result<()>,
-{
-    while cur.position() < end {
-        let pos = cur.position();
-        match cur.current() {
-            Some((prefix, o)) => f(pos, prefix, o)?,
-            None => break,
-        }
-        if !cur.advance()? {
-            break;
-        }
-    }
-    Ok(())
-}
-
 /// One schedulable unit of a group space: a contiguous linear range with
 /// a [`GroupCursor`] already positioned at its start. Tasks are
 /// [`Clone`] (an `O(depth)` copy), so a parallel region can execute a
@@ -531,7 +478,24 @@ impl<'a, B: PrefixBounds> Clone for RangeTask<'a, B> {
     }
 }
 
-impl<B: PrefixBounds> RangeTask<'_, B> {
+impl<'a, B: PrefixBounds> RangeTask<'a, B> {
+    /// A task over groups `start..end`, its cursor positioned by one
+    /// [`GroupCursor::seek`] (an `end` past the space just stops at its
+    /// last group).
+    pub(crate) fn new(
+        bounds: &'a B,
+        z: usize,
+        num_offsets: usize,
+        start: u64,
+        end: u64,
+    ) -> Result<Self> {
+        let mut cursor = GroupCursor::new(bounds, z, num_offsets)?;
+        if start > 0 {
+            cursor.seek(start)?;
+        }
+        Ok(RangeTask { cursor, end })
+    }
+
     /// First linear index of the range.
     pub fn start(&self) -> u64 {
         self.cursor.position()
@@ -550,8 +514,44 @@ impl<B: PrefixBounds> RangeTask<'_, B> {
         F: FnMut(u64, &[i64], usize) -> Result<()>,
     {
         let mut cur = self.cursor.clone();
-        drive_cursor(&mut cur, self.end, &mut f)
+        while cur.position() < self.end {
+            let pos = cur.position();
+            match cur.current() {
+                Some((prefix, o)) => f(pos, prefix, o)?,
+                None => break,
+            }
+            if !cur.advance()? {
+                break;
+            }
+        }
+        Ok(())
     }
+}
+
+/// Run `stages` in order with a barrier between consecutive stages:
+/// the tasks of one stage run concurrently on the rayon pool through
+/// `work`, and `barrier(stage_index, results)` receives that stage's
+/// results in task order before the next stage starts (an `Err` from
+/// either stops the run). The crate's single parallel driver — plain
+/// plans, staged programs, refined verdicts, race-checked runs and the
+/// inspector's audit all go through here. Empty stages open no pool
+/// region.
+pub(crate) fn run_stages<T, R, W, F>(stages: &[Vec<T>], work: W, mut barrier: F) -> Result<()>
+where
+    T: Sync,
+    R: Send,
+    W: Fn(&T) -> Result<R> + Sync,
+    F: FnMut(usize, Vec<R>) -> Result<()>,
+{
+    for (si, stage) in stages.iter().enumerate() {
+        let results = if stage.is_empty() {
+            Vec::new()
+        } else {
+            stage.par_iter().map(&work).collect::<Result<Vec<R>>>()?
+        };
+        barrier(si, results)?;
+    }
+    Ok(())
 }
 
 /// Per-group cost varies across the group space exactly when some
@@ -751,47 +751,6 @@ impl Schedule {
         }
         out
     }
-}
-
-// ---------------------------------------------------------------------
-// Live-group instrumentation.
-// ---------------------------------------------------------------------
-
-static LIVE_GROUPS: AtomicI64 = AtomicI64::new(0);
-static PEAK_LIVE_GROUPS: AtomicI64 = AtomicI64::new(0);
-
-/// Record a group-struct construction (called by the instrumented
-/// constructors of [`crate::exec::GroupSpec`] and
-/// [`crate::compile::CompiledGroup`]).
-#[inline]
-pub(crate) fn group_created() {
-    let live = LIVE_GROUPS.fetch_add(1, Ordering::Relaxed) + 1;
-    PEAK_LIVE_GROUPS.fetch_max(live, Ordering::Relaxed);
-}
-
-/// Record a group-struct drop.
-#[inline]
-pub(crate) fn group_dropped() {
-    LIVE_GROUPS.fetch_sub(1, Ordering::Relaxed);
-}
-
-/// Currently-live instrumented group structs (process-wide gauge).
-pub fn live_groups() -> i64 {
-    LIVE_GROUPS.load(Ordering::Relaxed)
-}
-
-/// High-water mark of [`live_groups`] since the last
-/// [`reset_peak_live_groups`] — the allocation-spike metric `bench_groups`
-/// snapshots and the regression test bounds.
-pub fn peak_live_groups() -> i64 {
-    PEAK_LIVE_GROUPS.load(Ordering::Relaxed)
-}
-
-/// Reset the peak gauge to the current live count. Process-wide: callers
-/// that need an isolated reading (tests, benches) must not race other
-/// group-creating work.
-pub fn reset_peak_live_groups() {
-    PEAK_LIVE_GROUPS.store(LIVE_GROUPS.load(Ordering::Relaxed), Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -1075,18 +1034,5 @@ mod tests {
                 "tasks must cover 0..{total} exactly once, in order"
             );
         }
-    }
-
-    #[test]
-    fn live_group_gauges_track_construction() {
-        reset_peak_live_groups();
-        let base = live_groups();
-        let g1 = crate::exec::GroupSpec::new(vec![1], pdm_matrix::vec::IVec::zeros(0));
-        let g2 = g1.clone();
-        assert_eq!(live_groups(), base + 2);
-        assert!(peak_live_groups() >= base + 2);
-        drop(g1);
-        drop(g2);
-        assert_eq!(live_groups(), base);
     }
 }

@@ -700,7 +700,7 @@ impl VerdictCache {
     /// like the valuation) is answered with `verdict` without an
     /// audit. Duplicate boxes (e.g. from two concurrent first
     /// requests) are deduplicated; beyond
-    /// [`MAX_INTERVALS_PER_SHAPE`] the oldest interval is dropped and
+    /// `MAX_INTERVALS_PER_SHAPE` (32) the oldest interval is dropped and
     /// counted as an eviction.
     pub fn insert_interval(&self, hash: u64, bounds: &[(i64, i64)], verdict: Verdict) {
         let (lo, hi): (Vec<i64>, Vec<i64>) = bounds.iter().copied().unzip();

@@ -11,16 +11,14 @@
 //!   (the imperfect analogue of [`crate::exec::run_sequential`]).
 //! * [`run_program_sequential`] — the fissioned baseline: kernels in
 //!   source order, each interpreted in original lexicographic order.
-//! * [`run_program_parallel`] — interpreted parallel: kernels grouped by
-//!   DAG **stage**; within a stage, every kernel's streaming group
-//!   ranges (steal-aware [`crate::schedule::Schedule::ranges_for`] — skewed kernels split
-//!   finer so idle workers can steal) are flattened into one task list
-//!   and run in a single work-stealing rayon region, so independent
-//!   kernels' groups interleave freely across workers. A barrier exists
-//!   **only between stages** — i.e. only where a DAG edge forces one.
-//! * [`CompiledProgram`] — the same staging driven by per-kernel
-//!   compiled engines ([`CompiledPlan`]), reusing the strength-reduced
-//!   walkers and one scratch per task.
+//! * [`CompiledProgram`] — staged parallel execution: kernels grouped by
+//!   DAG **stage**; within a stage, every kernel's steal-aware group
+//!   ranges ([`crate::schedule::plan_range_tasks`] — skewed kernels
+//!   split finer so idle workers can steal) form one task list for the
+//!   crate's stage driver (`schedule::run_stages`), so
+//!   independent kernels' groups interleave freely across workers. A
+//!   barrier exists **only between stages** — i.e. only where a DAG
+//!   edge forces one.
 //!
 //! All kernels share one [`Memory`] sized by [`Memory::for_imperfect`]
 //! (array ids are stable across kernels by construction). The
@@ -29,14 +27,13 @@
 //! harness and validated at runtime by
 //! [`crate::checked::run_program_parallel_checked`].
 
-use crate::compile::CompiledPlan;
+use crate::compile::{CompiledBounds, CompiledPlan};
 use crate::exec;
 use crate::memory::Memory;
-use crate::schedule;
-use crate::{Result, RuntimeError};
+use crate::schedule::{self, RangeTask, Schedule};
+use crate::Result;
 use pdm_core::program::ProgramPlan;
 use pdm_loopir::imperfect::ImperfectNest;
-use rayon::prelude::*;
 
 /// Execute the imperfect nest in its original, fully interleaved source
 /// order: at every iteration of level `k`, run `pre[k]`, then the inner
@@ -98,58 +95,6 @@ pub fn run_program_sequential(pp: &ProgramPlan, mem: &Memory) -> Result<u64> {
     Ok(total)
 }
 
-/// The flattened task list of one stage: `(kernel, start, end)` group
-/// ranges of every kernel in the stage, with each kernel's steal-aware
-/// range split supplied by the caller (the interpreted and compiled
-/// executors size ranges through different bound representations — both
-/// via [`crate::schedule::Schedule::ranges_for`] — but must split identically).
-fn stage_tasks(
-    stage: &[usize],
-    mut ranges_of: impl FnMut(usize) -> Result<Vec<(u64, u64)>>,
-) -> Result<Vec<(usize, u64, u64)>> {
-    let mut tasks = Vec::new();
-    for &k in stage {
-        for (start, end) in ranges_of(k)? {
-            tasks.push((k, start, end));
-        }
-    }
-    Ok(tasks)
-}
-
-/// Execute a program plan **in parallel, interpreted**: stage by stage,
-/// with every kernel of a stage contributing its streaming group ranges
-/// to one shared rayon region — no barrier between independent kernels,
-/// one barrier per DAG stage boundary. Returns the summed kernel
-/// iteration count.
-pub fn run_program_parallel(pp: &ProgramPlan, mem: &Memory) -> Result<u64> {
-    let sched = crate::config::RuntimeConfig::global().schedule();
-    let threads = rayon::current_num_threads();
-    // One offset table per kernel, shared by reference across its tasks.
-    let offsets: Vec<_> = pp
-        .kernels()
-        .iter()
-        .map(|kp| exec::offset_table(&kp.plan))
-        .collect();
-    let mut total = 0u64;
-    for stage in pp.stages() {
-        let tasks = stage_tasks(stage, |k| {
-            let kp = &pp.kernels()[k];
-            let z = kp.plan.doall_count();
-            let total = schedule::group_count(kp.plan.bounds(), z, offsets[k].len())?;
-            Ok(sched.ranges_for(kp.plan.bounds(), z, total, threads))
-        })?;
-        let counts: std::result::Result<Vec<u64>, RuntimeError> = tasks
-            .par_iter()
-            .map(|&(k, start, end)| {
-                let kp = &pp.kernels()[k];
-                exec::run_group_range(kp.nest(), &kp.plan, &offsets[k], mem, start, end)
-            })
-            .collect();
-        total += counts?.into_iter().sum::<u64>();
-    }
-    Ok(total)
-}
-
 /// A program plan lowered to per-kernel compiled engines, ready for
 /// staged parallel execution.
 pub struct CompiledProgram {
@@ -178,39 +123,48 @@ impl CompiledProgram {
         self.kernels.len()
     }
 
+    /// The lowered kernels, in plan order.
+    pub(crate) fn kernels(&self) -> &[CompiledPlan] {
+        &self.kernels
+    }
+
+    /// Per stage, the flattened `(kernel, range task)` list of every
+    /// kernel in the stage, each kernel split by its own steal-aware
+    /// schedule.
+    pub(crate) fn stage_tasks(
+        &self,
+        sched: &Schedule,
+        threads: usize,
+    ) -> Result<Vec<Vec<(usize, RangeTask<'_, CompiledBounds>)>>> {
+        self.stages
+            .iter()
+            .map(|stage| {
+                let mut tasks = Vec::new();
+                for &k in stage {
+                    let kernel_tasks = self.kernels[k].walker().tasks(sched, threads)?;
+                    tasks.extend(kernel_tasks.into_iter().map(|t| (k, t)));
+                }
+                Ok(tasks)
+            })
+            .collect()
+    }
+
     /// Execute the whole program with staged compiled parallelism:
     /// within a stage, every kernel's group ranges share one rayon
     /// region (one compiled scratch per task); barriers exist only at
     /// stage boundaries. Returns the summed kernel iteration count.
     pub fn run_parallel(&self, mem: &Memory) -> Result<u64> {
         let sched = crate::config::RuntimeConfig::global().schedule();
-        let threads = rayon::current_num_threads();
+        let stages = self.stage_tasks(&sched, rayon::current_num_threads())?;
         let mut total = 0u64;
-        for stage in &self.stages {
-            let tasks = stage_tasks(stage, |k| {
-                let kp = &self.kernels[k];
-                let total = kp.group_count()?;
-                Ok(sched.ranges_for(kp.bounds(), kp.doall(), total, threads))
-            })?;
-            let counts: std::result::Result<Vec<u64>, RuntimeError> = tasks
-                .par_iter()
-                .map(|&(k, start, end)| {
-                    let mut scratch = self.kernels[k].new_scratch();
-                    self.kernels[k].run_range(mem, start, end, &mut scratch)
-                })
-                .collect();
-            total += counts?.into_iter().sum::<u64>();
-        }
-        Ok(total)
-    }
-
-    /// Execute kernels one after the other through their transformed
-    /// (grouped) schedules — the compiled determinism baseline.
-    pub fn run_transformed_sequential(&self, mem: &Memory) -> Result<u64> {
-        let mut total = 0u64;
-        for k in &self.kernels {
-            total += k.run_transformed_sequential(mem)?;
-        }
+        schedule::run_stages(
+            &stages,
+            |(k, task)| self.kernels[*k].run_task(mem, task),
+            |_, counts| {
+                total += counts.iter().sum::<u64>();
+                Ok(())
+            },
+        )?;
         Ok(total)
     }
 }
@@ -221,32 +175,27 @@ mod tests {
     use pdm_core::program::parallelize_program;
     use pdm_loopir::parse::parse_imperfect;
 
-    fn four_way(src: &str, seed: u64) {
+    fn three_way(src: &str, seed: u64) {
         let imp = parse_imperfect(src).unwrap();
         let pp = parallelize_program(&imp).unwrap();
         let mut m_ref = Memory::for_imperfect(&imp).unwrap();
         let mut m_seq = Memory::for_imperfect(&imp).unwrap();
-        let mut m_par = Memory::for_imperfect(&imp).unwrap();
         let mut m_comp = Memory::for_imperfect(&imp).unwrap();
         m_ref.init_deterministic(seed);
         m_seq.init_deterministic(seed);
-        m_par.init_deterministic(seed);
         m_comp.init_deterministic(seed);
         run_imperfect_sequential(&imp, &m_ref).unwrap();
         let c_seq = run_program_sequential(&pp, &m_seq).unwrap();
-        let c_par = run_program_parallel(&pp, &m_par).unwrap();
         let compiled = CompiledProgram::compile(&pp, &m_comp).unwrap();
         let c_comp = compiled.run_parallel(&m_comp).unwrap();
-        assert_eq!(c_seq, c_par, "kernel iteration counts diverged");
         assert_eq!(c_seq, c_comp, "compiled iteration count diverged");
         assert_eq!(m_ref.snapshot(), m_seq.snapshot(), "fissioned-sequential");
-        assert_eq!(m_ref.snapshot(), m_par.snapshot(), "interpreted-parallel");
         assert_eq!(m_ref.snapshot(), m_comp.snapshot(), "compiled-parallel");
     }
 
     #[test]
     fn initialization_prologue_program() {
-        four_way(
+        three_way(
             "for i = 0..=8 {
                B[i, 0] = i;
                for j = 1..=8 { A[i, j] = A[i, j - 1] + B[i, 0]; }
@@ -257,7 +206,7 @@ mod tests {
 
     #[test]
     fn sunk_cycle_program() {
-        four_way(
+        three_way(
             "for i = 1..=6 {
                A[i, 0] = A[i - 1, 6] + 1;
                for j = 1..=6 { A[i, j] = A[i, j - 1] + 1; }
@@ -268,7 +217,7 @@ mod tests {
 
     #[test]
     fn epilogue_and_triangular_program() {
-        four_way(
+        three_way(
             "for i = 0..=6 {
                B[i, 0] = i;
                for j = 0..=i { A[i, j] = A[i, j] + B[i, 0]; }
@@ -280,7 +229,7 @@ mod tests {
 
     #[test]
     fn depth3_imperfect_program() {
-        four_way(
+        three_way(
             "for i = 0..=4 {
                B[i, 0, 0] = i;
                for j = 0..=4 {

@@ -16,9 +16,8 @@ use pdm_loopir::generator::{random_inspector_nest, GenConfig};
 use pdm_loopir::nest::LoopNest;
 use pdm_loopir::stmt::AccessKind;
 use pdm_matrix::vec::IVec;
-use pdm_runtime::exec::{groups, walk_group};
 use pdm_runtime::inspector::{audit, run_with_verdict};
-use pdm_runtime::{Memory, Verdict};
+use pdm_runtime::{Memory, Verdict, Walker};
 use std::collections::HashMap;
 
 fn base_seed() -> u64 {
@@ -34,9 +33,13 @@ fn base_seed() -> u64 {
 /// other toucher — the exact condition the certifier decides.)
 fn oracle_has_cross_group_conflict(nest: &LoopNest, plan: &ParallelPlan) -> bool {
     // cell -> (first touching group, seen a second group, seen a write)
-    let mut seen: HashMap<(usize, Vec<i64>), (usize, bool, bool)> = HashMap::new();
-    for (gid, g) in groups(plan).unwrap().iter().enumerate() {
-        walk_group(nest, plan, g, |idx| {
+    let mut seen: HashMap<(usize, Vec<i64>), (u64, bool, bool)> = HashMap::new();
+    let walker = Walker::for_plan(plan);
+    let mut s = walker.new_scratch();
+    let all = walker.range(0, u64::MAX).unwrap();
+    walker
+        .walk_task(&all, &mut s, |gid, sc| {
+            let idx = sc.idx.as_slice();
             for stmt in nest.body() {
                 if !stmt.guards_hold(idx) {
                     continue;
@@ -53,7 +56,6 @@ fn oracle_has_cross_group_conflict(nest: &LoopNest, plan: &ParallelPlan) -> bool
             Ok(())
         })
         .unwrap();
-    }
     seen.values().any(|&(_, multi, wrote)| multi && wrote)
 }
 

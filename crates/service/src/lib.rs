@@ -126,8 +126,8 @@
 //! * **Timeouts** — clients never hang: reads time out
 //!   (`PDM_CLIENT_READ_TIMEOUT_MS`, default 10 000, overridable per
 //!   client via [`ClientBuilder`]), and both sides abandon peers that
-//!   stall mid-frame. Sessions fall back to checked sequential
-//!   execution when a parallel run fails
+//!   stall mid-frame. Sessions fall back to the sequential reference
+//!   interpreter when a parallel run fails
 //!   (`pdm_fallback_runs_total` / `pdm_fallback_successes_total`).
 //! * **Fault injection** — the [`faults`] module plants probes on the
 //!   serving path (leader panics, handler panics, torn frames, delayed

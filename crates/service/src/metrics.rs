@@ -203,7 +203,7 @@ impl ServiceMetrics {
 /// Render the full metrics page: cache counters (aggregate and
 /// per-shard), verdict-cache counters (point/interval tiers and LRU
 /// evictions), per-operation request counts and latency histograms,
-/// and the runtime's live group gauges.
+/// and the hardening counters.
 pub fn render_metrics(
     metrics: &ServiceMetrics,
     cache: &ShardedPlanCache,
@@ -381,20 +381,6 @@ pub fn render_metrics(
         metrics.active_connections.load(Ordering::Relaxed),
     );
 
-    // The runtime's live gauges: transient group structures alive right
-    // now / at peak since the last reset (see pdm-runtime::schedule).
-    push_gauge(
-        &mut out,
-        "pdm_live_groups",
-        "group structures currently alive",
-        pdm_runtime::schedule::live_groups().max(0) as u64,
-    );
-    push_gauge(
-        &mut out,
-        "pdm_peak_live_groups",
-        "peak live group structures",
-        pdm_runtime::schedule::peak_live_groups().max(0) as u64,
-    );
     out
 }
 

@@ -87,7 +87,6 @@ pub struct SessionBuilder {
     threads: Option<usize>,
     config: Option<RuntimeConfig>,
     faults: Option<Faults>,
-    sequential_fallback: bool,
 }
 
 impl Default for SessionBuilder {
@@ -99,7 +98,6 @@ impl Default for SessionBuilder {
             threads: None,
             config: None,
             faults: None,
-            sequential_fallback: true,
         }
     }
 }
@@ -147,13 +145,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Whether a failed parallel execution degrades to the sequential
-    /// *checked* path before the error is surfaced (default: on).
-    pub fn sequential_fallback(mut self, on: bool) -> Self {
-        self.sequential_fallback = on;
-        self
-    }
-
     /// Build the session.
     pub fn build(self) -> Session {
         let config = self
@@ -176,7 +167,6 @@ impl SessionBuilder {
             config,
             metrics: Arc::new(ServiceMetrics::new()),
             faults: Arc::new(self.faults.unwrap_or_else(Faults::from_env)),
-            sequential_fallback: self.sequential_fallback,
         }
     }
 }
@@ -219,7 +209,6 @@ pub struct Session {
     config: RuntimeConfig,
     metrics: Arc<ServiceMetrics>,
     faults: Arc<Faults>,
-    sequential_fallback: bool,
 }
 
 impl Default for Session {
@@ -376,8 +365,7 @@ impl Session {
     /// after the inspector audit, after execute) — an expired budget
     /// abandons the request with [`PdmError::DeadlineExceeded`] at the
     /// next boundary. A failed parallel execution degrades to the
-    /// sequential *checked* path (race-audited, one thread) when the
-    /// session allows it, counted in `fallback_runs` /
+    /// sequential reference interpreter, counted in `fallback_runs` /
     /// `fallback_successes`.
     ///
     /// Templates planned **speculatively** (parametric subscripts —
@@ -431,41 +419,9 @@ impl Session {
                 pdm_runtime::run_sequential(&instance.nest, &instance.memory)?
             }
             // Uninspected or certified: the compiled parallel engine.
-            None | Some(Verdict::Certified) => match self.execute(&instance) {
-                Ok(n) => n,
-                Err(primary) => {
-                    if !self.sequential_fallback {
-                        return Err(primary);
-                    }
-                    // Graceful degradation: re-seed and re-run on the
-                    // audited sequential path. If even that fails, the
-                    // primary error is the truth worth surfacing.
-                    self.metrics.fallback_runs.fetch_add(1, Ordering::Relaxed);
-                    Deadline::check(deadline)?;
-                    instance.memory.init_deterministic(seed);
-                    // One thread (sequential) + the race-auditing checked
-                    // executor: the slowest, most-validated path we have.
-                    let sequential = rayon::ThreadPoolBuilder::new()
-                        .num_threads(1)
-                        .build()
-                        .expect("the vendored pool builder is infallible");
-                    match sequential.install(|| {
-                        pdm_runtime::checked::run_parallel_checked(
-                            &instance.nest,
-                            &instance.plan,
-                            &instance.memory,
-                        )
-                    }) {
-                        Ok(n) => {
-                            self.metrics
-                                .fallback_successes
-                                .fetch_add(1, Ordering::Relaxed);
-                            n
-                        }
-                        Err(_) => return Err(primary),
-                    }
-                }
-            },
+            None | Some(Verdict::Certified) => {
+                self.execute_or_degrade(&mut instance, seed, deadline)?
+            }
         };
         Deadline::check(deadline)?;
         let checksum = checksum(&instance.memory);
@@ -555,6 +511,35 @@ impl Session {
             None => run(),
         }?;
         Ok(iterations)
+    }
+
+    /// [`Session::execute`] with graceful degradation: when the compiled
+    /// parallel run fails, re-seed the memory and re-run the instance on
+    /// the sequential reference interpreter
+    /// ([`pdm_runtime::run_sequential`]), which shares no code with the
+    /// compiled walker, so a deterministic failure of the compiled path
+    /// (a group-count or residue overflow, an out-of-bounds flat offset)
+    /// does not recur. If the reference fails too, the primary error is
+    /// the truth worth surfacing.
+    fn execute_or_degrade(
+        &self,
+        instance: &mut CompiledInstance,
+        seed: u64,
+        deadline: Option<Deadline>,
+    ) -> Result<u64, PdmError> {
+        let primary = match self.execute(instance) {
+            Ok(n) => return Ok(n),
+            Err(e) => e,
+        };
+        self.metrics.fallback_runs.fetch_add(1, Ordering::Relaxed);
+        Deadline::check(deadline)?;
+        instance.memory.init_deterministic(seed);
+        let n =
+            pdm_runtime::run_sequential(&instance.nest, &instance.memory).map_err(|_| primary)?;
+        self.metrics
+            .fallback_successes
+            .fetch_add(1, Ordering::Relaxed);
+        Ok(n)
     }
 
     // --- introspection ----------------------------------------------
@@ -799,6 +784,44 @@ mod tests {
         session.run(&shape, &[("K", 1)], 1).unwrap();
         assert_eq!(m.inspector_audit.count(), 2);
         assert_eq!(session.verdicts().len(), 1);
+    }
+
+    #[test]
+    fn failed_execution_degrades_to_the_reference_interpreter() {
+        let session = Session::builder().threads(2).build();
+        let shape = session.parse_symbolic(SYM, &["N"]).unwrap();
+        let template = session.plan(&shape).unwrap();
+        let expected = session.run(&shape, &[("N", 8)], 5).unwrap();
+
+        // Swap in a program lowered against the N = 16 memory: its flat
+        // offsets overrun the N = 8 arrays, so the compiled run fails
+        // deterministically and would fail again if retried.
+        let big = session
+            .instantiate_template(&template, &[("N", 16)])
+            .unwrap();
+        let mut inst = session
+            .instantiate_template(&template, &[("N", 8)])
+            .unwrap();
+        inst.compiled = big.compiled;
+        assert!(matches!(
+            session.execute(&inst),
+            Err(PdmError::Runtime(RuntimeError::OutOfBounds { .. }))
+        ));
+        let n = session.execute_or_degrade(&mut inst, 5, None).unwrap();
+        assert_eq!(n, expected.iterations);
+        assert_eq!(checksum(&inst.memory), expected.checksum);
+        let m = session.metrics();
+        assert_eq!(m.fallback_runs.load(Ordering::Relaxed), 1);
+        assert_eq!(m.fallback_successes.load(Ordering::Relaxed), 1);
+
+        // When the reference fails as well, the primary error surfaces.
+        inst.nest = big.nest;
+        assert!(matches!(
+            session.execute_or_degrade(&mut inst, 5, None),
+            Err(PdmError::Runtime(RuntimeError::OutOfBounds { .. }))
+        ));
+        assert_eq!(m.fallback_runs.load(Ordering::Relaxed), 2);
+        assert_eq!(m.fallback_successes.load(Ordering::Relaxed), 1);
     }
 
     #[test]

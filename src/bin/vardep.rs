@@ -163,12 +163,10 @@ fn cmd_plan(session: &Session, nest: &LoopNest) -> Result<(), AnyError> {
 fn cmd_run(session: &Session, nest: &LoopNest) -> Result<(), AnyError> {
     let plan = session.parallelize(nest)?;
     // Allocate, initialize, and compile up front so every timer below
-    // covers execution only — the three speedups stay comparable.
+    // covers execution only — the speedup stays comparable.
     let mut m_seq = Memory::for_nest(nest)?;
-    let mut m_par = Memory::for_nest(nest)?;
     let mut m_cmp = Memory::for_nest(nest)?;
     m_seq.init_deterministic(0);
-    m_par.init_deterministic(0);
     m_cmp.init_deterministic(0);
     let compiled = vardep_loops::runtime::CompiledPlan::compile(nest, &plan, &m_cmp)?;
 
@@ -177,16 +175,10 @@ fn cmd_run(session: &Session, nest: &LoopNest) -> Result<(), AnyError> {
     let t_seq = t0.elapsed();
 
     let t1 = std::time::Instant::now();
-    run_parallel(nest, &plan, &m_par)?;
-    let t_par = t1.elapsed();
-
-    let t2 = std::time::Instant::now();
     compiled.run_parallel(&m_cmp)?;
-    let t_cmp = t2.elapsed();
+    let t_cmp = t1.elapsed();
 
-    let reference = m_seq.snapshot();
-    let equal = reference == m_par.snapshot();
-    let compiled_equal = reference == m_cmp.snapshot();
+    let equal = m_seq.snapshot() == m_cmp.snapshot();
     println!(
         "{iters} iterations | doall {} | partitions {} | groups {}",
         plan.doall_count(),
@@ -194,18 +186,12 @@ fn cmd_run(session: &Session, nest: &LoopNest) -> Result<(), AnyError> {
         vardep_loops::runtime::exec::group_count(&plan)?
     );
     println!(
-        "interp seq {:.3} ms | interp par {:.3} ms (x{:.2}) | compiled par {:.3} ms (x{:.2}) | identical: {}",
+        "interp seq {:.3} ms | compiled par {:.3} ms (x{:.2}) | identical: {equal}",
         t_seq.as_secs_f64() * 1e3,
-        t_par.as_secs_f64() * 1e3,
-        t_seq.as_secs_f64() / t_par.as_secs_f64().max(1e-12),
         t_cmp.as_secs_f64() * 1e3,
         t_seq.as_secs_f64() / t_cmp.as_secs_f64().max(1e-12),
-        equal && compiled_equal,
     );
     if !equal {
-        return Err("parallel result diverged".into());
-    }
-    if !compiled_equal {
         return Err("compiled result diverged".into());
     }
     Ok(())

@@ -90,8 +90,7 @@
 //!
 //! * **certified** — the hull plan is exact here; run fully parallel;
 //! * **refined** — cross-group conflicts admit a stage order; run the
-//!   hull groups in audited stages through the compiled range driver
-//!   (interpreted stage walker as fallback);
+//!   hull groups in audited stages through the compiled stage driver;
 //! * **rejected** — no stage order exists; fall back to the sequential
 //!   reference. Never wrong, at worst not parallel.
 //!
@@ -124,8 +123,8 @@
 //! hit/miss/eviction counters, and audit latency. The verdict cache
 //! itself is bounded (LRU per shard, `PDM_VERDICT_CAPACITY`).
 //! `BENCH_inspector.json` gates the certified speedup, the
-//! steady-state audit overhead, the compiled-over-interpreted refined
-//! stage speedup, and the in-interval storm's audit-skip ratio.
+//! steady-state audit overhead, and the in-interval storm's audit-skip
+//! ratio.
 //!
 //! ## Imperfect nests: the LU example
 //!
@@ -175,8 +174,9 @@
 //! Crate map: [`matrix`] (exact integer linear algebra), [`poly`]
 //! (Fourier–Motzkin), [`loopir`] (nest IR + DSL, perfect and
 //! imperfect), [`core`] (the paper's analysis and transformations),
-//! [`runtime`] (work-stealing execution, sharded plan + verdict caches,
-//! the speculative inspector, staged multi-kernel programs),
+//! [`runtime`] (the compiled walker and its stage driver on a
+//! work-stealing pool, sharded plan + verdict caches, the speculative
+//! inspector, staged multi-kernel programs),
 //! [`service`] (the `Session` facade, TCP plan
 //! server, wire protocol, metrics), [`isdg`] (ground-truth dependence
 //! graphs), [`baselines`] (the related-work methods of Table 1).
@@ -199,10 +199,9 @@ pub use pdm_service::{
 ///
 /// [`Session`] is the primary entry point; the lower-level types stay
 /// re-exported for code that inspects plans, memory, or the IR
-/// directly. The single-shot pipeline free functions that used to live
-/// here (`parse_loop`, `analyze`, `parallelize`, `plan_template`, ...)
-/// are deprecated shims at the crate root now — each one re-parses,
-/// re-analyzes, and re-plans on every call, which a session avoids.
+/// directly. The single-shot pipeline stages live in their crates
+/// ([`core::parallelize`], [`loopir::parse`], ...); a session caches
+/// what they recompute on every call.
 pub mod prelude {
     pub use crate::{PdmError, PlanServer, RunOutcome, ServiceClient, Session, SessionBuilder};
     pub use pdm_core::codegen::{render_plan, render_program_plan};
@@ -215,83 +214,9 @@ pub mod prelude {
     pub use pdm_loopir::nest::LoopNest;
     pub use pdm_loopir::normalize::{sink_fully, to_perfect_kernels, unsink};
     pub use pdm_matrix::{IMat, IVec, Lattice, Unimodular};
-    pub use pdm_runtime::exec::{run_parallel, run_sequential};
+    pub use pdm_runtime::exec::run_sequential;
     pub use pdm_runtime::memory::Memory;
     pub use pdm_runtime::staged::{run_imperfect_sequential, CompiledProgram};
     pub use pdm_runtime::template::{InstantiateCompiled, PlanCache};
     pub use pdm_runtime::{audit, run_with_verdict, RuntimeConfig, ShardedPlanCache, Verdict};
-}
-
-// ---------------------------------------------------------------------
-// Deprecated single-shot shims.
-//
-// The pre-Session API: free functions that run one pipeline stage per
-// call, with per-crate error types and no caching. Each is a thin
-// delegation kept for source compatibility; new code should hold a
-// `Session`, which shares parsed schedules, pools templates per shape,
-// and unifies errors under `PdmError`.
-// ---------------------------------------------------------------------
-
-/// Parse a concrete loop nest from DSL source.
-#[deprecated(note = "use `Session::parse` — a session caches downstream planning per shape")]
-pub fn parse_loop(src: &str) -> Result<loopir::nest::LoopNest, loopir::IrError> {
-    loopir::parse::parse_loop(src)
-}
-
-/// Parse with named values substituted.
-#[deprecated(note = "use `Session::parse_with`")]
-pub fn parse_loop_with(
-    src: &str,
-    params: &[(&str, i64)],
-) -> Result<loopir::nest::LoopNest, loopir::IrError> {
-    loopir::parse::parse_loop_with(src, params)
-}
-
-/// Parse keeping `params` symbolic.
-#[deprecated(note = "use `Session::parse_symbolic`")]
-pub fn parse_loop_symbolic(
-    src: &str,
-    params: &[&str],
-) -> Result<loopir::nest::LoopNest, loopir::IrError> {
-    loopir::parse::parse_loop_symbolic(src, params)
-}
-
-/// Parse an imperfect nest (statements between loop levels).
-#[deprecated(note = "use `Session::parse_imperfect`")]
-pub fn parse_imperfect(src: &str) -> Result<loopir::imperfect::ImperfectNest, loopir::IrError> {
-    loopir::parse::parse_imperfect(src)
-}
-
-/// Derive the pseudo-distance-matrix analysis of a nest.
-#[deprecated(note = "use `Session::analyze`")]
-pub fn analyze(nest: &loopir::nest::LoopNest) -> Result<core::pdm::PdmAnalysis, core::CoreError> {
-    core::analyze(nest)
-}
-
-/// Plan a concrete nest from scratch (no caching).
-#[deprecated(
-    note = "use `Session::parallelize` — the session plans each shape once and caches the template"
-)]
-pub fn parallelize(
-    nest: &loopir::nest::LoopNest,
-) -> Result<core::plan::ParallelPlan, core::CoreError> {
-    core::parallelize(nest)
-}
-
-/// Plan an imperfect nest into a staged multi-kernel program.
-#[deprecated(note = "use `Session::plan_program`")]
-pub fn parallelize_program(
-    imp: &loopir::imperfect::ImperfectNest,
-) -> Result<core::program::ProgramPlan, core::CoreError> {
-    core::parallelize_program(imp)
-}
-
-/// Plan a symbolic shape into a reusable template (no caching).
-#[deprecated(
-    note = "use `Session::plan` — the session deduplicates planning through its sharded cache"
-)]
-pub fn plan_template(
-    nest: &loopir::nest::LoopNest,
-) -> Result<core::template::PlanTemplate, core::CoreError> {
-    core::plan_template(nest)
 }

@@ -1,8 +1,9 @@
-//! Differential tests: interpreter vs. compiled engine.
+//! Differential tests: reference interpreter vs. compiled walker.
 //!
-//! Every nest is executed four ways — sequential interpreter (reference),
-//! interpreted-parallel, compiled-sequential, compiled-parallel — and all
-//! must produce identical `Memory` contents and iteration counts. Inputs
+//! Every nest is executed three ways — sequential interpreter
+//! (reference), compiled in original order, compiled under the parallel
+//! plan — and all must produce identical `Memory` contents and iteration
+//! counts. Inputs
 //! are the paper's examples plus > 100 generator-produced random nests
 //! spanning depths 1–3, multi-statement bodies, and plans with and
 //! without doall prefixes and Theorem-2 partitions. A thread-matrix leg
@@ -14,29 +15,10 @@ use proptest::prelude::*;
 use vardep_loops::core::parallelize;
 use vardep_loops::loopir::generator::{random_nest, GenConfig};
 use vardep_loops::loopir::parse::parse_loop;
-use vardep_loops::prelude::*;
-use vardep_loops::runtime::equivalence::{assert_three_way_equivalent, compare_three_way};
-use vardep_loops::runtime::{CompiledNest, Memory};
-
-/// Reference count + compiled-sequential differential for one nest.
-fn check_compiled_sequential(nest: &LoopNest, seed: u64) {
-    let mut m_ref = Memory::for_nest(nest).expect("alloc");
-    let mut m_cmp = Memory::for_nest(nest).expect("alloc");
-    m_ref.init_deterministic(seed);
-    m_cmp.init_deterministic(seed);
-    let c_ref = run_sequential(nest, &m_ref).expect("interpret");
-    let compiled = CompiledNest::compile(nest, &m_cmp).expect("compile");
-    let c_cmp = compiled.run(&m_cmp).expect("execute");
-    assert_eq!(c_ref, c_cmp, "iteration counts diverged");
-    assert_eq!(
-        m_ref.snapshot(),
-        m_cmp.snapshot(),
-        "compiled sequential memory diverged"
-    );
-}
+use vardep_loops::runtime::equivalence::{assert_plan_equivalent, compare};
 
 #[test]
-fn paper_examples_three_way() {
+fn paper_examples_equivalent() {
     for src in [
         "for i1 = 0..=9 { for i2 = 0..=9 {
            A[5*i1 + i2, 7*i1 + 2*i2] = A[i1 + i2 + 4, i1 + 2*i2 + 6] + 1;
@@ -47,14 +29,13 @@ fn paper_examples_three_way() {
          } }",
     ] {
         let nest = parse_loop(src).unwrap();
-        assert_three_way_equivalent(&nest, 1);
-        assert_three_way_equivalent(&nest, 99);
-        check_compiled_sequential(&nest, 7);
+        assert_plan_equivalent(&nest, 1);
+        assert_plan_equivalent(&nest, 99);
     }
 }
 
 #[test]
-fn stencil_and_workloads_three_way() {
+fn stencil_and_workloads_equivalent() {
     for src in [
         "for i = 1..=40 { A[i] = A[i - 1] + 1; }",
         "for i = 0..=40 { A[i] = i * 3; }",
@@ -67,13 +48,12 @@ fn stencil_and_workloads_three_way() {
          } } }",
     ] {
         let nest = parse_loop(src).unwrap();
-        assert_three_way_equivalent(&nest, 13);
-        check_compiled_sequential(&nest, 13);
+        assert_plan_equivalent(&nest, 13);
     }
 }
 
 #[test]
-fn random_nests_three_way_over_100_cases() {
+fn random_nests_equivalent_over_100_cases() {
     let mut partitioned = 0usize;
     let mut with_doall = 0usize;
     let mut cases = 0usize;
@@ -93,15 +73,9 @@ fn random_nests_three_way_over_100_cases() {
         if plan.doall_count() > 0 {
             with_doall += 1;
         }
-        let rep = compare_three_way(&nest, &plan, seed ^ 0xA5)
+        let rep = compare(&nest, &plan, seed ^ 0xA5)
             .unwrap_or_else(|e| panic!("seed {seed}: execute: {e}"));
-        assert!(
-            rep.all_equal(),
-            "seed {seed}: divergence (interp {}, compiled {})",
-            rep.interp_equal,
-            rep.compiled_equal
-        );
-        check_compiled_sequential(&nest, seed ^ 0x5A);
+        assert!(rep.equal, "seed {seed}: divergence");
         cases += 1;
     }
     assert!(cases >= 100, "need >= 100 random cases, got {cases}");
@@ -135,7 +109,7 @@ fn thread_matrix_on_paper_and_skewed_nests() {
                 .num_threads(threads)
                 .build()
                 .unwrap();
-            pool.install(|| assert_three_way_equivalent(&nest, 21));
+            pool.install(|| assert_plan_equivalent(&nest, 21));
         }
     }
 }
@@ -147,7 +121,7 @@ proptest! {
     /// `PDM_PROPTEST_SEED` pins the whole matrix): every pool width
     /// must agree with the sequential reference bit for bit.
     #[test]
-    fn thread_matrix_three_way_random(seed in 0u64..1_000_000) {
+    fn thread_matrix_equivalent_random(seed in 0u64..1_000_000) {
         let cfg = GenConfig {
             depth: 1 + (seed as usize % 3),
             extent: 5 + (seed as i64 % 4),
@@ -163,13 +137,9 @@ proptest! {
                 .build()
                 .unwrap();
             let rep = pool
-                .install(|| compare_three_way(&nest, &plan, seed ^ 0xC3))
+                .install(|| compare(&nest, &plan, seed ^ 0xC3))
                 .unwrap();
-            prop_assert!(
-                rep.all_equal(),
-                "threads={} divergence (interp {}, compiled {})",
-                threads, rep.interp_equal, rep.compiled_equal
-            );
+            prop_assert!(rep.equal, "threads={} divergence", threads);
         }
     }
 }

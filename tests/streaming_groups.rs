@@ -14,6 +14,8 @@
 //! hand-picked positions; the explicit tests at the bottom pin the edge
 //! cases — triangular (prefix-dependent) bounds at `k = 0`,
 //! `k = group_count − 1`, one past the end, and empty iteration spaces.
+//! The last test drives a ≥ 10⁵-group space through every parallel
+//! executor and checks each against its sequential interpreter.
 
 use proptest::prelude::*;
 use vardep_loops::core::parallelize;
@@ -22,6 +24,7 @@ use vardep_loops::loopir::parse::parse_loop_with;
 use vardep_loops::prelude::*;
 use vardep_loops::runtime::exec;
 use vardep_loops::runtime::schedule::{group_count, plan_range_tasks, GroupCursor, Schedule};
+use vardep_loops::runtime::CompiledPlan;
 
 /// The pre-streaming enumeration, kept as an independent oracle: build
 /// every prefix level by level, then cross with the offset table.
@@ -95,12 +98,6 @@ proptest! {
         }
         // And the arithmetic/walk count must agree without enumerating.
         prop_assert_eq!(exec::group_count(&plan).unwrap(), oracle.len() as u64);
-        // The library shim stays faithful to the oracle too.
-        let shim = exec::groups(&plan).unwrap();
-        prop_assert_eq!(shim.len(), oracle.len());
-        for (g, (p, _)) in shim.iter().zip(&oracle) {
-            prop_assert_eq!(&g.prefix, p);
-        }
     }
 
     /// `seek(k)` lands exactly where `k` advances from the start land.
@@ -281,8 +278,140 @@ fn empty_iteration_space_nests() {
             assert!(!cur.seek(k).unwrap(), "{src} N={n} seek({k})");
             assert!(cur.is_exhausted());
         }
-        // And the executors agree there is nothing to do.
+        // And the executor agrees there is nothing to do.
         let mem = Memory::for_nest(&nest).unwrap();
-        assert_eq!(run_parallel(&nest, &plan, &mem).unwrap(), 0);
+        let compiled = CompiledPlan::compile(&nest, &plan, &mem).unwrap();
+        assert_eq!(compiled.run_parallel(&mem).unwrap(), 0);
     }
+}
+
+/// Every surviving parallel executor streams a ≥ 10⁵-group space through
+/// the one stage driver and lands bit-identical to its sequential
+/// interpreter: plain compiled and race-checked runs of a depth-4
+/// all-doall nest, compiled and checked staged runs of a multi-kernel
+/// program across a barrier, and the refined stage list of a row-shift
+/// nest.
+#[test]
+fn every_executor_streams_a_large_group_space() {
+    use vardep_loops::core::{parallelize_program, plan_template};
+    use vardep_loops::loopir::parse::{parse_imperfect, parse_loop, parse_loop_symbolic};
+    use vardep_loops::runtime::{checked, inspector, CompiledProgram, RuntimeConfig, Verdict};
+
+    // 18^4 = 104 976 groups, every level doall.
+    let nest = parse_loop(
+        "for a = 0..=17 { for b = 0..=17 { for c = 0..=17 { for d = 0..=17 {
+           A[a, b, c, d] = a + 2*b + 3*c + d;
+         } } } }",
+    )
+    .unwrap();
+    let plan = parallelize(&nest).unwrap();
+    assert_eq!(plan.doall_count(), 4, "nest must be fully parallel");
+    let total = exec::group_count(&plan).unwrap();
+    assert_eq!(total, 18u64.pow(4));
+
+    let fresh = || {
+        let mut m = Memory::for_nest(&nest).unwrap();
+        m.init_deterministic(7);
+        m
+    };
+    let reference = fresh();
+    run_sequential(&nest, &reference).unwrap();
+
+    let mem = fresh();
+    let cp = CompiledPlan::compile(&nest, &plan, &mem).unwrap();
+    assert_eq!(cp.run_parallel(&mem).unwrap(), total);
+    assert_eq!(
+        mem.snapshot(),
+        reference.snapshot(),
+        "compiled parallel diverged"
+    );
+
+    let mem = fresh();
+    assert_eq!(
+        checked::run_parallel_checked(&nest, &plan, &mem).unwrap(),
+        total
+    );
+    assert_eq!(
+        mem.snapshot(),
+        reference.snapshot(),
+        "checked parallel diverged"
+    );
+
+    // A multi-kernel program: every stage drains before the next starts.
+    let imp = parse_imperfect(
+        "for a = 0..=17 {
+           B[a, 0, 0, 0] = a;
+           for b = 0..=17 { for c = 0..=17 { for d = 0..=17 {
+             A[a, b, c, d] = B[a, 0, 0, 0] + 2*b + 3*c + d;
+           } } }
+         }",
+    )
+    .unwrap();
+    let pp = parallelize_program(&imp).unwrap();
+    assert!(pp.kernel_count() >= 2, "program must be multi-kernel");
+    assert!(pp.barrier_count() >= 1, "program must cross a barrier");
+    let pfresh = || {
+        let mut m = Memory::for_imperfect(&imp).unwrap();
+        m.init_deterministic(11);
+        m
+    };
+    let preference = pfresh();
+    vardep_loops::runtime::run_program_sequential(&pp, &preference).unwrap();
+
+    let pmem = pfresh();
+    CompiledProgram::compile(&pp, &pmem)
+        .unwrap()
+        .run_parallel(&pmem)
+        .unwrap();
+    assert_eq!(
+        pmem.snapshot(),
+        preference.snapshot(),
+        "compiled staged diverged"
+    );
+
+    let pmem = pfresh();
+    checked::run_program_parallel_checked(&pp, &pmem).unwrap();
+    assert_eq!(
+        pmem.snapshot(),
+        preference.snapshot(),
+        "checked staged diverged"
+    );
+
+    // A parametric row-shift nest audits to Refined (18 stages × 18
+    // groups); the compiled stage driver runs the stage list.
+    let template = plan_template(
+        &parse_loop_symbolic(
+            "for i1 = 0..=17 { for i2 = 0..=17 {
+               A[i1 + K, i2] = A[i1, i2] + 1;
+             } }",
+            &["K"],
+        )
+        .unwrap(),
+    )
+    .unwrap();
+    let vals = [("K", 1i64)];
+    let rplan = template.instantiate(&vals).unwrap();
+    let rnest = template.instantiate_nest(&vals).unwrap();
+    let stages = match inspector::audit(&rnest, &rplan).unwrap() {
+        Verdict::Refined { stages } => stages,
+        other => panic!("row-shift nest must refine, got {other:?}"),
+    };
+    let rfresh = || {
+        let mut m = Memory::for_nest(&rnest).unwrap();
+        m.init_deterministic(3);
+        m
+    };
+    let rreference = rfresh();
+    run_sequential(&rnest, &rreference).unwrap();
+    let rmem = rfresh();
+    let rcp = CompiledPlan::compile(&rnest, &rplan, &rmem).unwrap();
+    let count =
+        inspector::run_refined_compiled(&rcp, &rmem, &stages, RuntimeConfig::global().schedule())
+            .unwrap();
+    assert_eq!(count, 18 * 18);
+    assert_eq!(
+        rmem.snapshot(),
+        rreference.snapshot(),
+        "refined run diverged"
+    );
 }

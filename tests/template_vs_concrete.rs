@@ -15,11 +15,11 @@
 //!
 //! on everything observable: the lowered nest, the plan structure
 //! (transform, doall prefix, partition offsets), the **group sequence**
-//! (the materializing shim, order included), the **bound rows** as
-//! evaluated — `(lo, hi)` at every level for every feasible prefix,
-//! which is the full runtime-observable content of the rows — and the
-//! **execution results**, pinned through the three-way equivalence
-//! harness (sequential interpreter vs. interpreted-parallel vs.
+//! (as the compiled walker enumerates it, order included), the **bound
+//! rows** as evaluated — `(lo, hi)` at every level for every feasible
+//! prefix, which is the full runtime-observable content of the rows —
+//! and the **execution results**, pinned through the equivalence
+//! harness (sequential interpreter vs. compiled original order vs.
 //! compiled-parallel, bit-identical memory).
 //!
 //! Valuations deliberately include sizes that empty the iteration space
@@ -39,8 +39,9 @@ use vardep_loops::loopir::parse::parse_loop_with;
 use vardep_loops::loopir::pretty;
 use vardep_loops::poly::bounds::LoopBounds;
 use vardep_loops::prelude::*;
-use vardep_loops::runtime::equivalence::compare_three_way;
+use vardep_loops::runtime::equivalence::compare;
 use vardep_loops::runtime::exec;
+use vardep_loops::runtime::Walker;
 
 fn shape_for_seed(seed: u64) -> (LoopNest, Vec<&'static str>) {
     let params: Vec<&'static str> = if seed.is_multiple_of(3) {
@@ -157,6 +158,27 @@ fn assert_ranges_equivalent(a: &LoopBounds, b: &LoopBounds, k: usize, prefix: &m
     }
 }
 
+/// The plan's group schedule as `(prefix, offset)` pairs in walk order;
+/// `nonempty_only` keeps just the groups that run at least one
+/// iteration.
+fn group_sequence(plan: &ParallelPlan, nonempty_only: bool) -> Vec<(Vec<i64>, Vec<i64>)> {
+    let walker = Walker::for_plan(plan);
+    let mut s = walker.new_scratch();
+    let mut out = Vec::new();
+    walker
+        .range(0, u64::MAX)
+        .and_then(|all| {
+            all.for_each(|_, prefix, o| {
+                if !nonempty_only || walker.walk(prefix, o, &mut s, |_| Ok(()))? > 0 {
+                    out.push((prefix.to_vec(), walker.offsets()[o].clone()));
+                }
+                Ok(())
+            })
+        })
+        .expect("walk");
+    out
+}
+
 fn check_one(seed: u64, round: u64) {
     let (shape, params) = shape_for_seed(seed);
     let vals = valuation(seed, round, &params);
@@ -205,27 +227,12 @@ fn check_one(seed: u64, round: u64) {
     // sequences diverge (possible only through the dark-shadow tolerance
     // above), every unmatched group must carry zero iterations — the
     // non-empty work schedule is always identical.
-    let gi = exec::groups(&inst_plan).expect("template groups");
-    let gc = exec::groups(&conc_plan).expect("concrete groups");
-    let key = |g: &exec::GroupSpec| (g.prefix.clone(), g.offset.clone());
-    if gi.len() != gc.len() || gi.iter().zip(&gc).any(|(a, b)| key(a) != key(b)) {
-        let nonempty = |nest: &LoopNest, plan: &ParallelPlan, gs: &[exec::GroupSpec]| {
-            gs.iter()
-                .filter(|g| {
-                    let mut c = 0u64;
-                    exec::walk_group(nest, plan, g, |_| {
-                        c += 1;
-                        Ok(())
-                    })
-                    .expect("walk");
-                    c > 0
-                })
-                .map(key)
-                .collect::<Vec<_>>()
-        };
+    let gi = group_sequence(&inst_plan, false);
+    let gc = group_sequence(&conc_plan, false);
+    if gi != gc {
         assert_eq!(
-            nonempty(&inst_nest, &inst_plan, &gi),
-            nonempty(&conc_nest, &conc_plan, &gc),
+            group_sequence(&inst_plan, true),
+            group_sequence(&conc_plan, true),
             "non-empty group schedules diverged"
         );
     } else {
@@ -236,14 +243,14 @@ fn check_one(seed: u64, round: u64) {
         );
     }
 
-    // Execution results: all three executors agree on the instantiated
-    // plan, and the concrete plan reaches the same sequential reference
-    // on the identical nest/seed — so the two paths' memories are
-    // bit-identical transitively.
-    let rep = compare_three_way(&inst_nest, &inst_plan, seed ^ round).expect("template exec");
-    assert!(rep.all_equal(), "template executors diverged: {rep:?}");
-    let rep = compare_three_way(&conc_nest, &conc_plan, seed ^ round).expect("concrete exec");
-    assert!(rep.all_equal(), "concrete executors diverged: {rep:?}");
+    // Execution results: the compiled executors agree with the reference
+    // on the instantiated plan, and the concrete plan reaches the same
+    // sequential reference on the identical nest/seed — so the two
+    // paths' memories are bit-identical transitively.
+    let rep = compare(&inst_nest, &inst_plan, seed ^ round).expect("template exec");
+    assert!(rep.equal, "template executors diverged: {rep:?}");
+    let rep = compare(&conc_nest, &conc_plan, seed ^ round).expect("concrete exec");
+    assert!(rep.equal, "concrete executors diverged: {rep:?}");
 }
 
 proptest! {
@@ -274,7 +281,7 @@ fn one_template_many_sizes() {
             conc_plan.bounds().enumerate().unwrap(),
             "N={n}"
         );
-        let rep = compare_three_way(&inst_nest, &inst_plan, 7).unwrap();
-        assert!(rep.all_equal(), "N={n}: {rep:?}");
+        let rep = compare(&inst_nest, &inst_plan, 7).unwrap();
+        assert!(rep.equal, "N={n}: {rep:?}");
     }
 }
