@@ -9,30 +9,13 @@
 //! | `fig4` | Figure 4 — ISDG of the §4.2 loop |
 //! | `fig5` | Figure 5 — §4.2 split into det = 4 independent partitions |
 //! | `table1` | Table 1 — the method-comparison matrix, *measured* |
-//! | `experiments` | every row of EXPERIMENTS.md in one run |
+//! | `experiments` | every paper claim (FIG2–FIG5, TAB1, speedups) checked in one run |
 //!
-//! Performance snapshots and the CI regression gate:
-//!
-//! | bin | role |
-//! |-----|------|
-//! | `bench_runtime` | writes `BENCH_runtime.json` (compiled vs. reference-interpreter throughput) |
-//! | `bench_fm` | writes `BENCH_fm.json` (FM pruning: bound rows, peak rows, timings) |
-//! | `bench_template` | writes `BENCH_template.json` (plan-template instantiate vs. replan) |
-//! | `bench_imperfect` | writes `BENCH_imperfect.json` (imperfect-nest staged pipelines) |
-//! | `bench_scaling` | writes `BENCH_scaling.json` (work-stealing thread scaling, stealing vs. contiguous split) |
-//! | `bench_service` | writes `BENCH_service.json` (plan-serving storm: zipf-mixed requests over TCP) |
-//! | `bench_faults` | writes `BENCH_faults.json` (fault-hardening overhead + resilience storms) |
-//! | `bench_inspector` | writes `BENCH_inspector.json` (inspector audit cost, verdict-picked executors) |
-//! | `bench_check` | re-measures every snapshot and fails on regression of gated metrics |
+//! Performance is measured by the serving benchmark (`servebench/`, its
+//! own package): end-to-end traffic mixes plus a per-layer ledger.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-
-// The dependency-free JSON parser/serializer lives in pdm-service now
-// (it frames the wire protocol there); re-exported so existing
-// `pdm_bench::json` callers keep working.
-pub use pdm_service::json;
-pub mod perf;
 
 use pdm_core::plan::ParallelPlan;
 use pdm_loopir::nest::LoopNest;

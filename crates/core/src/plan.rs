@@ -108,8 +108,8 @@ pub fn plan_from_analysis(nest: &LoopNest, analysis: PdmAnalysis) -> Result<Para
 
 /// The iteration polyhedron rewritten into transformed coordinates:
 /// with `y = i·T` and `i = y·T⁻¹`, substitute each original index by the
-/// matching column of `T⁻¹`. Shared by [`plan_from_analysis`] and the
-/// `bench_fm` harness so both always measure the planner's real input.
+/// matching column of `T⁻¹` — the planner's input to bound generation
+/// in [`plan_from_analysis`].
 pub fn transformed_system(
     nest: &LoopNest,
     inverse: &Unimodular,
@@ -186,12 +186,6 @@ impl ParallelPlan {
     /// rows — see the module docs).
     pub fn bounds(&self) -> &LoopBounds {
         &self.bounds
-    }
-
-    /// Total bound rows across all levels — the planning-quality metric
-    /// tracked by `bench_fm` (smaller is better at equal semantics).
-    pub fn bound_rows(&self) -> usize {
-        self.bounds.total_rows()
     }
 
     /// Loop depth.
@@ -273,6 +267,32 @@ mod tests {
         let plan = parallelize(&paper42()).unwrap();
         assert_eq!(plan.doall_count(), 0);
         assert_eq!(plan.partition_count(), 4);
+    }
+
+    #[test]
+    fn pruned_bound_rows_on_paper_shapes_are_pinned() {
+        // Exact per-level pruning leaves only irredundant rows; these
+        // totals are what the compiled walker evaluates per level entry.
+        let rows = |src: &str, n: i64| {
+            let nest = pdm_loopir::parse::parse_loop_with(src, &[("N", n)]).unwrap();
+            parallelize(&nest).unwrap().bounds().total_rows()
+        };
+        let p41 = "for i1 = 0..N { for i2 = 0..N {
+               A[5*i1 + i2, 7*i1 + 2*i2] = A[i1 + i2 + 4, i1 + 2*i2 + 6] + 1;
+             } }";
+        let p42 = "for i1 = 0..N { for i2 = 0..N {
+               A[i1, 3*i2 + 2] = B[i1, i2] + 1;
+               B[3*i1 + 2, i1 + i2 + 1] = A[i1, i2] + 2;
+             } }";
+        let stencil = "for i = 1..N { for j = 1..N { A[i, j] = A[i - 1, j] + A[i, j - 1]; } }";
+        let stencil4 = "for i = 1..N { for j = 1..N { for k = 1..N { for l = 1..N {
+               A[i, j, k, l] = A[i - 1, j, k, l] + A[i, j - 1, k, l]
+                             + A[i, j, k - 1, l] + A[i, j, k, l - 1];
+             } } } }";
+        assert_eq!(rows(p41, 200), 6);
+        assert_eq!(rows(p42, 200), 4);
+        assert_eq!(rows(stencil, 200), 4);
+        assert_eq!(rows(stencil4, 8), 8);
     }
 
     #[test]

@@ -180,12 +180,12 @@ impl LoopBounds {
 
     /// [`LoopBounds::from_system`] with an explicit pruning level.
     /// [`Prune::None`] reproduces the historical unpruned behaviour —
-    /// kept as the measurement baseline for `bench_fm`. [`Prune::Fast`]
-    /// and [`Prune::Exact`] thread **one** eliminator through every
-    /// level, so Kohler histories persist across the per-level steps and
-    /// eagerly drop implied combinations even where exact pruning is
-    /// capped out; [`Prune::Exact`] additionally prunes each level's
-    /// system exactly before its rows are read off.
+    /// kept as the baseline the pruned levels are measured against.
+    /// [`Prune::Fast`] and [`Prune::Exact`] thread **one** eliminator
+    /// through every level, so Kohler histories persist across the
+    /// per-level steps and eagerly drop implied combinations even where
+    /// exact pruning is capped out; [`Prune::Exact`] additionally prunes
+    /// each level's system exactly before its rows are read off.
     pub fn from_system_pruned(sys: &System, prune: Prune) -> Result<LoopBounds> {
         Self::from_system_parametric_pruned(sys, sys.dim(), prune)
     }

@@ -300,8 +300,9 @@ pub fn eliminate_all(sys: &System, vars: &[usize]) -> Result<System> {
 }
 
 /// [`eliminate_all`] with an explicit [`Prune`] level, also returning
-/// row-count statistics — the instrumented entry point used by the
-/// `bench_fm` harness to measure pruning effectiveness.
+/// row-count statistics — the instrumented entry point that measures
+/// pruning effectiveness (the peak rows are pinned by
+/// `tests/fm_peak_rows.rs`).
 pub fn eliminate_all_stats(
     sys: &System,
     vars: &[usize],

@@ -89,9 +89,7 @@ impl CBound {
 ///
 /// Upstream bound generation prunes redundant constraints exactly
 /// (`pdm_poly::bounds`), so the rows lowered here are irredundant — every
-/// `max`/`min` candidate evaluated per level entry is necessary. The
-/// [`CompiledBounds::rows`] count is therefore also the per-level
-/// dot-product work, the quantity the `bench_fm` gate tracks.
+/// `max`/`min` candidate evaluated per level entry is necessary.
 #[derive(Debug, Clone)]
 pub struct CompiledBounds {
     levels: Vec<(Vec<CBound>, Vec<CBound>)>,
@@ -110,11 +108,6 @@ impl CompiledBounds {
             })
             .collect();
         CompiledBounds { levels }
-    }
-
-    /// Total bound rows across all levels (lowers + uppers).
-    pub fn rows(&self) -> usize {
-        self.levels.iter().map(|(l, u)| l.len() + u.len()).sum()
     }
 
     /// Number of compiled levels.
@@ -512,11 +505,6 @@ impl CompiledNest {
         self.walker.scratch_with(self.program.new_scratch())
     }
 
-    /// Bound rows the compiled walker evaluates across all levels.
-    pub fn bound_rows(&self) -> usize {
-        self.walker.bounds.rows()
-    }
-
     /// Execute the nest in original lexicographic order. Returns the
     /// iteration count.
     pub fn run(&self, mem: &Memory) -> Result<u64> {
@@ -557,11 +545,6 @@ impl CompiledPlan {
         &self.walker
     }
 
-    /// Bound rows the compiled walker evaluates across all levels.
-    pub fn bound_rows(&self) -> usize {
-        self.walker.bounds.rows()
-    }
-
     /// Exact number of independent groups (prefix values × offsets),
     /// computed without materializing them ([`crate::schedule::group_count`]).
     pub fn group_count(&self) -> Result<u64> {
@@ -588,7 +571,7 @@ impl CompiledPlan {
 
     /// Execute all groups **in parallel** with streaming range
     /// scheduling and the environment-configured [`Schedule`]
-    /// (`PDM_CHUNKS_PER_THREAD` / `PDM_STEAL_CHUNKS_PER_THREAD`): the
+    /// (`PDM_CHUNKS_PER_THREAD`): the
     /// group index space is split into contiguous ranges — finer when
     /// per-group cost is skewed ([`crate::schedule::cost_skewed`]), so
     /// the work-stealing executor always finds chunks to steal — with a

@@ -1,21 +1,18 @@
 //! Process-wide runtime configuration: every `PDM_*` environment knob,
 //! read **once** and cached.
 //!
-//! Before this module, each executor entry point called
-//! [`Schedule::from_env`] per run — thousands of `std::env::var` calls
-//! per second under serving load, and no single place documenting what
-//! the process was actually configured with. [`RuntimeConfig`]
-//! consolidates the knobs:
+//! Reading the environment per run would cost thousands of
+//! `std::env::var` calls per second under serving load and leave no
+//! single place documenting what the process was actually configured
+//! with. [`RuntimeConfig`] consolidates the knobs:
 //!
 //! | variable | field | default | consumer |
 //! |----------|-------|---------|----------|
 //! | `PDM_CHUNKS_PER_THREAD` | [`chunks_per_thread`](RuntimeConfig::chunks_per_thread) | 4 | range splitter (balanced group spaces) |
-//! | `PDM_STEAL_CHUNKS_PER_THREAD` | [`steal_chunks_per_thread`](RuntimeConfig::steal_chunks_per_thread) | 16 | range splitter (cost-skewed spaces) |
 //! | `PDM_PROPTEST_SEED` | [`proptest_seed`](RuntimeConfig::proptest_seed) | unset | vendored proptest seed mixing (tests only) |
 //! | `PDM_MAX_CONNECTIONS` | [`max_connections`](RuntimeConfig::max_connections) | 64 | `pdm-service` load-shedding gate (connections above the cap get an in-band `overloaded` response) |
 //! | `PDM_CLIENT_READ_TIMEOUT_MS` | [`client_read_timeout_ms`](RuntimeConfig::client_read_timeout_ms) | 10000 | `pdm-service` `ServiceClient` default read deadline (builder-overridable) |
 //! | `PDM_FAULTS` | [`faults`](RuntimeConfig::faults) | unset | `pdm-service` fault-injection probe spec (`probe:prob[:limit],...`) |
-//! | `PDM_VERDICT_CAPACITY` | [`verdict_capacity`](RuntimeConfig::verdict_capacity) | 256 | per-shard point-entry bound of the inspector's `VerdictCache` (LRU beyond it) |
 //!
 //! [`RuntimeConfig::global`] is the cached process-wide instance: the
 //! environment is read on first use and never again, so per-request
@@ -39,17 +36,13 @@ use std::sync::OnceLock;
 /// [`RuntimeConfig::from_env_values`] with injected raw strings in
 /// tests), or read the process-wide cached instance via
 /// [`RuntimeConfig::global`]. Invalid or non-positive values fall back
-/// to the documented defaults, matching [`Schedule::from_env_value`].
+/// to the documented defaults.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuntimeConfig {
     /// Contiguous group ranges per worker on balanced group spaces
     /// (`PDM_CHUNKS_PER_THREAD`, default
     /// [`crate::schedule::DEFAULT_CHUNKS_PER_THREAD`]).
     pub chunks_per_thread: usize,
-    /// Finer split applied on cost-skewed group spaces so idle workers
-    /// always find chunks to steal (`PDM_STEAL_CHUNKS_PER_THREAD`,
-    /// default [`crate::schedule::DEFAULT_STEAL_CHUNKS_PER_THREAD`]).
-    pub steal_chunks_per_thread: usize,
     /// Effective proptest seed perturbation (`PDM_PROPTEST_SEED`):
     /// `None` when unset, otherwise the integer value or the FNV-1a
     /// hash of the raw string — the same rule the vendored proptest
@@ -75,12 +68,6 @@ pub struct RuntimeConfig {
     /// seeded from [`proptest_seed`](RuntimeConfig::proptest_seed) so a
     /// probabilistic CI leg replays exactly.
     pub faults: Option<String>,
-    /// Per-shard point-entry capacity of
-    /// [`crate::sharded::VerdictCache`] (`PDM_VERDICT_CAPACITY`,
-    /// default [`crate::sharded::DEFAULT_VERDICT_CAPACITY`]). Least
-    /// recently used `(shape, valuation)` verdicts are evicted beyond
-    /// this bound; certified intervals are capped separately.
-    pub verdict_capacity: usize,
 }
 
 /// Default [`RuntimeConfig::max_connections`].
@@ -92,12 +79,10 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             chunks_per_thread: crate::schedule::DEFAULT_CHUNKS_PER_THREAD,
-            steal_chunks_per_thread: crate::schedule::DEFAULT_STEAL_CHUNKS_PER_THREAD,
             proptest_seed: None,
             max_connections: DEFAULT_MAX_CONNECTIONS,
             client_read_timeout_ms: DEFAULT_CLIENT_READ_TIMEOUT_MS,
             faults: None,
-            verdict_capacity: crate::sharded::DEFAULT_VERDICT_CAPACITY,
         }
     }
 }
@@ -107,12 +92,10 @@ impl RuntimeConfig {
     pub fn from_env() -> RuntimeConfig {
         Self::from_env_values(
             std::env::var("PDM_CHUNKS_PER_THREAD").ok().as_deref(),
-            std::env::var("PDM_STEAL_CHUNKS_PER_THREAD").ok().as_deref(),
             std::env::var("PDM_PROPTEST_SEED").ok().as_deref(),
             std::env::var("PDM_MAX_CONNECTIONS").ok().as_deref(),
             std::env::var("PDM_CLIENT_READ_TIMEOUT_MS").ok().as_deref(),
             std::env::var("PDM_FAULTS").ok().as_deref(),
-            std::env::var("PDM_VERDICT_CAPACITY").ok().as_deref(),
         )
     }
 
@@ -120,17 +103,16 @@ impl RuntimeConfig {
     /// injected — deterministic regardless of the ambient environment.
     pub fn from_env_values(
         raw_chunks: Option<&str>,
-        raw_steal: Option<&str>,
         raw_seed: Option<&str>,
         raw_max_conns: Option<&str>,
         raw_client_timeout: Option<&str>,
         raw_faults: Option<&str>,
-        raw_verdict_capacity: Option<&str>,
     ) -> RuntimeConfig {
-        let sched = Schedule::from_env_value(raw_chunks, raw_steal);
         RuntimeConfig {
-            chunks_per_thread: sched.chunks_per_thread,
-            steal_chunks_per_thread: sched.steal_chunks_per_thread,
+            chunks_per_thread: raw_chunks
+                .and_then(|v| v.trim().parse::<usize>().ok())
+                .filter(|&n| n > 0)
+                .unwrap_or(crate::schedule::DEFAULT_CHUNKS_PER_THREAD),
             proptest_seed: raw_seed
                 .map(|v| v.trim().parse::<u64>().unwrap_or_else(|_| fnv1a(v.trim()))),
             max_connections: raw_max_conns
@@ -144,10 +126,6 @@ impl RuntimeConfig {
             faults: raw_faults
                 .map(|v| v.trim().to_string())
                 .filter(|v| !v.is_empty()),
-            verdict_capacity: raw_verdict_capacity
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or(crate::sharded::DEFAULT_VERDICT_CAPACITY),
         }
     }
 
@@ -162,7 +140,6 @@ impl RuntimeConfig {
     pub fn schedule(&self) -> Schedule {
         Schedule {
             chunks_per_thread: self.chunks_per_thread,
-            steal_chunks_per_thread: self.steal_chunks_per_thread,
         }
     }
 }
@@ -181,67 +158,53 @@ fn fnv1a(s: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{DEFAULT_CHUNKS_PER_THREAD, DEFAULT_STEAL_CHUNKS_PER_THREAD};
+    use crate::schedule::DEFAULT_CHUNKS_PER_THREAD;
 
     #[test]
     fn defaults_match_schedule_defaults() {
-        let c = RuntimeConfig::from_env_values(None, None, None, None, None, None, None);
+        let c = RuntimeConfig::from_env_values(None, None, None, None, None);
         assert_eq!(c, RuntimeConfig::default());
         assert_eq!(c.chunks_per_thread, DEFAULT_CHUNKS_PER_THREAD);
-        assert_eq!(c.steal_chunks_per_thread, DEFAULT_STEAL_CHUNKS_PER_THREAD);
         assert_eq!(c.proptest_seed, None);
         assert_eq!(c.max_connections, DEFAULT_MAX_CONNECTIONS);
         assert_eq!(c.client_read_timeout_ms, DEFAULT_CLIENT_READ_TIMEOUT_MS);
         assert_eq!(c.faults, None);
-        assert_eq!(c.schedule(), Schedule::from_env_value(None, None));
+        assert_eq!(c.schedule(), Schedule::default());
     }
 
     #[test]
     fn parses_and_falls_back_like_schedule() {
         let c = RuntimeConfig::from_env_values(
             Some(" 2 "),
-            Some("32"),
             Some("7"),
             Some("128"),
             Some("2500"),
             Some("server.handler:0.5"),
-            Some("8"),
         );
         assert_eq!(c.chunks_per_thread, 2);
-        assert_eq!(c.steal_chunks_per_thread, 32);
         assert_eq!(c.proptest_seed, Some(7));
         assert_eq!(c.max_connections, 128);
         assert_eq!(c.client_read_timeout_ms, 2500);
         assert_eq!(c.faults.as_deref(), Some("server.handler:0.5"));
-        assert_eq!(c.verdict_capacity, 8);
 
-        let c = RuntimeConfig::from_env_values(
-            Some("0"),
-            Some("nope"),
-            None,
-            Some("0"),
-            Some("-3"),
-            Some("   "),
-            Some("0"),
-        );
+        let c = RuntimeConfig::from_env_values(Some("0"), None, Some("0"), Some("-3"), Some("   "));
         assert_eq!(c.chunks_per_thread, DEFAULT_CHUNKS_PER_THREAD);
-        assert_eq!(c.steal_chunks_per_thread, DEFAULT_STEAL_CHUNKS_PER_THREAD);
         assert_eq!(c.max_connections, DEFAULT_MAX_CONNECTIONS);
         assert_eq!(c.client_read_timeout_ms, DEFAULT_CLIENT_READ_TIMEOUT_MS);
         assert_eq!(c.faults, None, "a blank spec disarms every probe");
-        assert_eq!(
-            c.verdict_capacity,
-            crate::sharded::DEFAULT_VERDICT_CAPACITY,
-            "a zero capacity falls back instead of disabling the cache"
-        );
+
+        let c = RuntimeConfig::from_env_values(Some("8"), None, None, None, None);
+        assert_eq!(c.chunks_per_thread, 8);
+        let c = RuntimeConfig::from_env_values(Some("many"), None, None, None, None);
+        assert_eq!(c.chunks_per_thread, DEFAULT_CHUNKS_PER_THREAD);
     }
 
     #[test]
     fn seed_strings_hash_like_proptest() {
         // Mirrors vendor/proptest's rule: non-integer seeds hash FNV-1a.
-        let c = RuntimeConfig::from_env_values(None, None, Some("tuesday"), None, None, None, None);
+        let c = RuntimeConfig::from_env_values(None, Some("tuesday"), None, None, None);
         assert_eq!(c.proptest_seed, Some(fnv1a("tuesday")));
-        let c = RuntimeConfig::from_env_values(None, None, Some(" 42 "), None, None, None, None);
+        let c = RuntimeConfig::from_env_values(None, Some(" 42 "), None, None, None);
         assert_eq!(c.proptest_seed, Some(42));
     }
 

@@ -212,9 +212,9 @@ fn audit_range(
 /// speculative `plan`: walk every group's iterations in plan order,
 /// log every access (guards respected, body **not** executed), and
 /// classify the result. See the [module docs](self) for the decision
-/// rules. Cost is one extra pass over the iteration space — compare
-/// `replan_ms` vs `audit_ms` in `BENCH_inspector.json` for why this
-/// beats re-planning per valuation — and the walk fans out over the
+/// rules. Cost is one extra pass over the iteration space (servebench's
+/// `inspect_mixed` ledger times it as `inspector.audit_us`), and the
+/// walk fans out over the
 /// same steal-aware group ranges the executors use, so first-contact
 /// audits scale with cores.
 ///

@@ -55,8 +55,7 @@
 //! * [`schedule`] — the streaming group enumerator: prefix cursors,
 //!   arithmetic group counting, `k`-th-group seeking, cursor-clone
 //!   range planning, steal-aware range splitting
-//!   (`PDM_CHUNKS_PER_THREAD` / `PDM_STEAL_CHUNKS_PER_THREAD`), and the
-//!   stage driver;
+//!   (`PDM_CHUNKS_PER_THREAD`), and the stage driver;
 //! * [`template`] — parametric serving: lower a `pdm-core`
 //!   `PlanTemplate` at a size to a ready-to-run
 //!   [`template::CompiledInstance`] (no re-analysis, no FM), with an LRU
@@ -131,6 +130,14 @@ pub enum RuntimeError {
         /// Offending subscript.
         subscript: Vec<i64>,
     },
+    /// The allocator refused an array's cells (the sizes make the
+    /// memory larger than the machine can provide).
+    AllocationFailed {
+        /// Array name.
+        array: String,
+        /// Cells requested.
+        cells: usize,
+    },
     /// The race checker found cross-group conflicts.
     RaceDetected {
         /// Number of conflicting cells.
@@ -154,6 +161,9 @@ impl std::fmt::Display for RuntimeError {
             RuntimeError::Core(m) => write!(f, "core error: {m}"),
             RuntimeError::OutOfBounds { array, subscript } => {
                 write!(f, "access out of bounds: {array}{subscript:?}")
+            }
+            RuntimeError::AllocationFailed { array, cells } => {
+                write!(f, "cannot allocate {cells} cells for array {array}")
             }
             RuntimeError::RaceDetected { conflicts, sample } => {
                 write!(f, "race detected on {conflicts} cells, e.g. {sample}")

@@ -87,6 +87,8 @@ unsafe impl Sync for Memory {}
 
 impl Memory {
     /// Allocate arrays sized for every access of the nest, zero-filled.
+    /// An array the allocator refuses is a
+    /// [`RuntimeError::AllocationFailed`].
     pub fn for_nest(nest: &LoopNest) -> Result<Memory> {
         let ranges = index_ranges(nest)?;
         let mut arrays = Vec::new();
@@ -122,7 +124,15 @@ impl Memory {
                 dims = vec![(0, -1); decl.dims]; // empty box
             }
             let len = ArrayStorage::len_of(&dims)?;
-            let data = (0..len).map(|_| UnsafeCell::new(0)).collect();
+            // Fallible: a size the allocator refuses must come back as
+            // an error, not abort the process (and a server with it).
+            let mut data = Vec::new();
+            data.try_reserve_exact(len)
+                .map_err(|_| RuntimeError::AllocationFailed {
+                    array: decl.name.clone(),
+                    cells: len,
+                })?;
+            data.extend((0..len).map(|_| UnsafeCell::new(0)));
             arrays.push(ArrayStorage {
                 name: decl.name.clone(),
                 dims,

@@ -54,24 +54,22 @@
 //!
 //! # Scheduling
 //!
-//! [`Schedule::ranges`] splits `0..group_count` into contiguous
+//! [`Schedule::ranges_for`] splits `0..group_count` into contiguous
 //! sub-ranges, several per worker so the work-stealing executor always
 //! has spare chunks to steal: `threads × chunks_per_thread` target
 //! chunks (default [`DEFAULT_CHUNKS_PER_THREAD`] = 4). Chunk sizing is
-//! **steal-aware** ([`Schedule::ranges_for`]): when the group space is
-//! cost-skewed — some trailing (sequential) level's bounds read a doall
-//! prefix variable, so per-group cost varies across the space
-//! ([`cost_skewed`]) — the split targets `threads ×
-//! steal_chunks_per_thread` finer chunks (default
-//! [`DEFAULT_STEAL_CHUNKS_PER_THREAD`] = 16) so workers stuck behind fat
-//! groups leave plenty for idle threads to steal. Rectangular nests keep
-//! the coarse split. Override with the `PDM_CHUNKS_PER_THREAD` and
-//! `PDM_STEAL_CHUNKS_PER_THREAD` environment variables (any positive
-//! integer; larger values smooth imbalanced group costs at the price of
-//! more per-range cursor positioning). Each range is walked by one task
-//! with one cursor and one reused scratch, so peak simultaneously-live
-//! group state stays `O(threads × chunks_per_thread)` (or the steal
-//! variant on skewed spaces) instead of `O(#groups)`.
+//! **steal-aware**: when the group space is cost-skewed — some trailing
+//! (sequential) level's bounds read a doall prefix variable, so
+//! per-group cost varies across the space ([`cost_skewed`]) — the split
+//! targets `threads × STEAL_CHUNKS_PER_THREAD` (16) finer chunks so
+//! workers stuck behind fat groups leave plenty for idle threads to
+//! steal. Rectangular nests keep the coarse split. Override the coarse
+//! factor with the `PDM_CHUNKS_PER_THREAD` environment variable (any
+//! positive integer; larger values smooth imbalanced group costs at the
+//! price of more per-range cursor positioning). Each range is walked by
+//! one task with one cursor and one reused scratch, so peak
+//! simultaneously-live group state stays `O(threads × chunks_per_thread)`
+//! (or the steal variant on skewed spaces) instead of `O(#groups)`.
 //!
 //! # Stages
 //!
@@ -638,7 +636,7 @@ pub fn prefix_count<B: PrefixBounds>(bounds: &B, z: usize) -> Result<u64> {
 
 /// Total group count: [`prefix_count`] × `num_offsets`. This is the
 /// length of the sequence a [`GroupCursor`] yields and the exclusive
-/// upper bound of the index space [`Schedule::ranges`] splits.
+/// upper bound of the index space [`Schedule::ranges_for`] splits.
 pub fn group_count<B: PrefixBounds>(bounds: &B, z: usize, num_offsets: usize) -> Result<u64> {
     prefix_count(bounds, z)?
         .checked_mul(num_offsets as u64)
@@ -649,78 +647,44 @@ pub fn group_count<B: PrefixBounds>(bounds: &B, z: usize, num_offsets: usize) ->
 /// worker, the factor the pre-streaming chunked scheduler used.
 pub const DEFAULT_CHUNKS_PER_THREAD: usize = 4;
 
-/// Default [`Schedule::steal_chunks_per_thread`]: 16 ranges per worker
-/// on cost-skewed group spaces, fine enough that a worker stuck behind
-/// the fat end of a triangular nest leaves most of its share stealable.
-pub const DEFAULT_STEAL_CHUNKS_PER_THREAD: usize = 16;
+/// Ranges per worker on [`cost_skewed`] group spaces: fine enough that
+/// a worker stuck behind the fat end of a triangular nest leaves most
+/// of its share stealable.
+pub const STEAL_CHUNKS_PER_THREAD: usize = 16;
 
-/// Range-splitting knobs for the streaming schedulers.
+/// Range-splitting knob for the streaming schedulers.
 ///
 /// `chunks_per_thread` controls how many contiguous group ranges each
 /// worker receives on *uniform-cost* (rectangular) group spaces;
-/// `steal_chunks_per_thread` applies instead when the space is
+/// [`STEAL_CHUNKS_PER_THREAD`] applies instead when the space is
 /// [`cost_skewed`], splitting finer so the work-stealing executor's
 /// idle threads always find a chunk to take. More chunks smooth
 /// imbalanced group costs at the price of extra per-range cursor
-/// positioning. Defaults are [`DEFAULT_CHUNKS_PER_THREAD`] and
-/// [`DEFAULT_STEAL_CHUNKS_PER_THREAD`]; [`Schedule::from_env`] lets the
-/// `PDM_CHUNKS_PER_THREAD` and `PDM_STEAL_CHUNKS_PER_THREAD`
-/// environment variables override them.
+/// positioning. The default is [`DEFAULT_CHUNKS_PER_THREAD`]; the
+/// `PDM_CHUNKS_PER_THREAD` environment variable overrides it, read once
+/// per process by [`crate::config::RuntimeConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Schedule {
     /// Target contiguous group ranges per worker thread (≥ 1) on
     /// uniform-cost group spaces.
     pub chunks_per_thread: usize,
-    /// Target ranges per worker thread on [`cost_skewed`] group spaces
-    /// (effective value never drops below `chunks_per_thread`).
-    pub steal_chunks_per_thread: usize,
 }
 
 impl Default for Schedule {
     fn default() -> Self {
         Schedule {
             chunks_per_thread: DEFAULT_CHUNKS_PER_THREAD,
-            steal_chunks_per_thread: DEFAULT_STEAL_CHUNKS_PER_THREAD,
         }
     }
 }
 
 impl Schedule {
-    /// The schedule configured by the environment:
-    /// `PDM_CHUNKS_PER_THREAD` and `PDM_STEAL_CHUNKS_PER_THREAD`
-    /// (positive integers) when set and parseable, defaults otherwise.
-    pub fn from_env() -> Schedule {
-        Self::from_env_value(
-            std::env::var("PDM_CHUNKS_PER_THREAD").ok().as_deref(),
-            std::env::var("PDM_STEAL_CHUNKS_PER_THREAD").ok().as_deref(),
-        )
-    }
-
-    /// [`Schedule::from_env`] with the raw variable values injected —
-    /// testable without mutating process environment.
-    pub fn from_env_value(raw_chunks: Option<&str>, raw_steal: Option<&str>) -> Schedule {
-        let parse = |raw: Option<&str>, default: usize| {
-            raw.and_then(|s| s.trim().parse::<usize>().ok())
-                .filter(|&c| c > 0)
-                .unwrap_or(default)
-        };
-        Schedule {
-            chunks_per_thread: parse(raw_chunks, DEFAULT_CHUNKS_PER_THREAD),
-            steal_chunks_per_thread: parse(raw_steal, DEFAULT_STEAL_CHUNKS_PER_THREAD),
-        }
-    }
-
-    /// Split `0..total` into contiguous `(start, end)` sub-ranges,
-    /// targeting `threads × chunks_per_thread` chunks. Ranges cover the
-    /// space exactly once, in order; `total == 0` yields no ranges.
-    pub fn ranges(&self, total: u64, threads: usize) -> Vec<(u64, u64)> {
-        Self::split(total, threads, self.chunks_per_thread)
-    }
-
-    /// Steal-aware [`Schedule::ranges`]: on a [`cost_skewed`] group
-    /// space the split targets `threads × steal_chunks_per_thread`
-    /// chunks so stealing has something to take; uniform spaces keep
-    /// the coarse `chunks_per_thread` split.
+    /// Split `0..total` into contiguous `(start, end)` sub-ranges that
+    /// cover the space exactly once, in order (`total == 0` yields no
+    /// ranges). Uniform spaces target `threads × chunks_per_thread`
+    /// chunks; on a [`cost_skewed`] group space the split targets
+    /// `threads × STEAL_CHUNKS_PER_THREAD` (never fewer than the coarse
+    /// split) so stealing has something to take.
     pub fn ranges_for<B: PrefixBounds>(
         &self,
         bounds: &B,
@@ -729,7 +693,7 @@ impl Schedule {
         threads: usize,
     ) -> Vec<(u64, u64)> {
         let chunks = if cost_skewed(bounds, z) {
-            self.steal_chunks_per_thread.max(self.chunks_per_thread)
+            STEAL_CHUNKS_PER_THREAD.max(self.chunks_per_thread)
         } else {
             self.chunks_per_thread
         };
@@ -873,8 +837,9 @@ mod tests {
     #[test]
     fn schedule_ranges_partition_exactly() {
         let s = Schedule::default();
+        let b = box_bounds(&[(0, 9), (0, 9)]);
         for (total, threads) in [(0u64, 4usize), (1, 4), (7, 2), (1000, 3), (16, 16)] {
-            let ranges = s.ranges(total, threads);
+            let ranges = s.ranges_for(&b, 1, total, threads);
             let mut expect = 0u64;
             for &(a, b) in &ranges {
                 assert_eq!(a, expect, "ranges must be contiguous");
@@ -886,38 +851,6 @@ mod tests {
                 assert!(ranges.len() as u64 <= (threads * s.chunks_per_thread) as u64 + 1);
             }
         }
-    }
-
-    #[test]
-    fn schedule_env_parsing() {
-        assert_eq!(
-            Schedule::from_env_value(None, None).chunks_per_thread,
-            DEFAULT_CHUNKS_PER_THREAD
-        );
-        assert_eq!(
-            Schedule::from_env_value(None, None).steal_chunks_per_thread,
-            DEFAULT_STEAL_CHUNKS_PER_THREAD
-        );
-        assert_eq!(
-            Schedule::from_env_value(Some("8"), None).chunks_per_thread,
-            8
-        );
-        assert_eq!(
-            Schedule::from_env_value(Some(" 2 "), Some("32")),
-            Schedule {
-                chunks_per_thread: 2,
-                steal_chunks_per_thread: 32
-            }
-        );
-        // Garbage and zero fall back to the defaults, independently.
-        assert_eq!(
-            Schedule::from_env_value(Some("0"), Some("nope")),
-            Schedule::default()
-        );
-        assert_eq!(
-            Schedule::from_env_value(Some("many"), None).chunks_per_thread,
-            DEFAULT_CHUNKS_PER_THREAD
-        );
     }
 
     /// Bounds of `0 ≤ x_0 ≤ n` with trailing `0 ≤ x_1 ≤ x_0`: treated
@@ -962,18 +895,17 @@ mod tests {
         let sched = Schedule::default();
         let threads = 4;
         let total = 4096u64;
-        // Skewed: the split targets steal_chunks_per_thread per worker.
+        // Skewed: the split targets STEAL_CHUNKS_PER_THREAD per worker.
         let tri = skewed_tail_bounds(7);
         let fine = sched.ranges_for(&tri, 1, total, threads);
         assert_eq!(
             fine.len(),
-            threads * DEFAULT_STEAL_CHUNKS_PER_THREAD,
+            threads * STEAL_CHUNKS_PER_THREAD,
             "skewed spaces must split into steal-sized chunks"
         );
         // Rectangular: the coarse split is unchanged.
         let b = box_bounds(&[(0, 9), (0, 9)]);
         let coarse = sched.ranges_for(&b, 1, total, threads);
-        assert_eq!(coarse, sched.ranges(total, threads));
         assert_eq!(coarse.len(), threads * DEFAULT_CHUNKS_PER_THREAD);
         // Both splits still partition the space exactly.
         for ranges in [&fine, &coarse] {

@@ -451,9 +451,8 @@ fn lock_cache(shard: &Shard) -> std::sync::MutexGuard<'_, PlanCache> {
     }
 }
 
-/// Default per-shard point-entry capacity. Override globally with
-/// `PDM_VERDICT_CAPACITY` ([`crate::config::RuntimeConfig`]) or per
-/// cache with [`VerdictCache::with_capacity`].
+/// Default per-shard point-entry capacity. Override per cache with
+/// [`VerdictCache::with_capacity`].
 pub const DEFAULT_VERDICT_CAPACITY: usize = 256;
 
 /// Interval entries retained per shape; beyond this the oldest
@@ -716,22 +715,6 @@ impl VerdictCache {
         }
     }
 
-    /// The verdict for a pair — cached, or computed by `audit` and
-    /// cached as a point entry (errors are returned uncached, so a
-    /// transient failure does not pin a wrong verdict). The `audit`
-    /// closure runs outside every cache lock.
-    pub fn get_or_audit<F>(&self, hash: u64, valuation: &[i64], audit: F) -> Result<Verdict>
-    where
-        F: FnOnce() -> Result<Verdict>,
-    {
-        if let Some(v) = self.get(hash, valuation) {
-            return Ok(v);
-        }
-        let v = audit()?;
-        self.insert(hash, valuation.to_vec(), v.clone());
-        Ok(v)
-    }
-
     /// Point verdicts currently cached (intervals are counted
     /// separately — see [`VerdictCache::stats`]).
     pub fn len(&self) -> usize {
@@ -741,15 +724,6 @@ impl VerdictCache {
     /// Is the cache empty of point entries?
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// `(point hits, misses)` counter snapshot — the legacy shape;
-    /// interval hits are separate in [`VerdictCache::stats`].
-    pub fn hit_stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
     }
 
     /// Full counter and occupancy snapshot.
@@ -1008,26 +982,17 @@ mod tests {
         assert_eq!(vc.get(7, &[1, 2]), Some(Verdict::Certified));
         // Distinct valuations of one shape are distinct entries.
         assert_eq!(vc.get(7, &[1, 3]), None);
-        let mut audits = 0;
-        let v = vc
-            .get_or_audit(7, &[1, 3], || {
-                audits += 1;
-                Ok(Verdict::Rejected {
-                    reason: "test".into(),
-                })
-            })
-            .unwrap();
-        assert_eq!(v.kind(), "rejected");
-        assert_eq!(audits, 1);
-        // Second call hits without re-auditing.
-        vc.get_or_audit(7, &[1, 3], || {
-            panic!("must not re-audit a cached valuation")
-        })
-        .unwrap();
+        vc.insert(
+            7,
+            vec![1, 3],
+            Verdict::Rejected {
+                reason: "test".into(),
+            },
+        );
+        assert_eq!(vc.get(7, &[1, 3]).map(|v| v.kind()), Some("rejected"));
         assert_eq!(vc.len(), 2);
-        let (hits, misses) = vc.hit_stats();
-        assert_eq!(hits, 2);
-        assert_eq!(misses, 3);
+        let s = vc.stats();
+        assert_eq!((s.hits, s.interval_hits, s.misses), (2, 0, 2));
     }
 
     #[test]
@@ -1081,9 +1046,6 @@ mod tests {
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 1);
         assert_eq!(s.entries, 1);
-        // get_or_audit never audits inside a certified interval.
-        vc.get_or_audit(9, &[500], || panic!("in-interval audit"))
-            .unwrap();
     }
 
     #[test]
@@ -1091,9 +1053,9 @@ mod tests {
         use crate::inspector::Verdict;
         use std::sync::atomic::AtomicU64;
         // Tiny capacity so the storm constantly evicts, plus auditors
-        // that panic or error mid-flight: every probe must still land
-        // in exactly one counter bucket, the bound must hold, and the
-        // cache must stay usable (no poisoned shard).
+        // that panic or error between a missed probe and its insert:
+        // every probe must still land in exactly one counter bucket,
+        // the bound must hold, and the cache must stay usable.
         let vc = std::sync::Arc::new(VerdictCache::with_capacity(2, 4));
         vc.insert_interval(1, &[(1_000, i64::MAX)], Verdict::Certified);
         let threads = 8usize;
@@ -1114,16 +1076,18 @@ mod tests {
                         let hash = if r % 3 == 0 { 1 } else { 2 };
                         let val = if r % 5 == 0 { k + 1_000 } else { k };
                         probes.fetch_add(1, Ordering::Relaxed);
-                        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            vc.get_or_audit(hash, &[val], || match r % 4 {
-                                0 => panic!("injected auditor panic"),
-                                1 => Err(RuntimeError::Core("injected".into())),
-                                _ => Ok(Verdict::Certified),
-                            })
-                        }));
-                        if let Ok(Ok(v)) = out {
+                        if let Some(v) = vc.get(hash, &[val]) {
                             assert_eq!(v, Verdict::Certified);
+                            continue;
                         }
+                        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            match r % 4 {
+                                0 => panic!("injected auditor panic"),
+                                // An audit error caches nothing.
+                                1 => {}
+                                _ => vc.insert(hash, vec![val], Verdict::Certified),
+                            }
+                        }));
                     }
                 });
             }

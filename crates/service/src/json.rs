@@ -1,18 +1,12 @@
-//! A minimal JSON reader/writer — wire framing for the service and the
-//! reader behind the committed `BENCH_*.json` snapshots.
+//! A minimal JSON reader/writer — wire framing for the service.
 //!
-//! The workspace vendors no serde; the wire protocol and the regression
-//! gate only need small documents with flat numeric/string fields, so a
-//! small recursive-descent parser plus a direct serializer suffice. The
+//! The workspace vendors no serde; the wire protocol only needs small
+//! documents with flat numeric/string fields, so a small
+//! recursive-descent parser plus a direct serializer suffice. The
 //! parser accepts standard JSON (objects, arrays, strings with the
 //! common escapes, numbers, booleans, null) and rejects everything else
 //! with a position-tagged error; [`render`] emits compact standard JSON
 //! that [`parse`] round-trips.
-//!
-//! (This module lived in `pdm-bench` first; it moved here so the
-//! service crate — which the bench crate drives — can use it for
-//! framing without a dependency cycle. `pdm_bench::json` re-exports
-//! it.)
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,44 +47,6 @@ impl Json {
         match self.get(key) {
             Some(Json::Num(n)) => Some(*n),
             _ => None,
-        }
-    }
-
-    /// Flatten every numeric leaf into `(path, value)` pairs. Object
-    /// members extend the path with their key; array elements use the
-    /// element's `"name"` field when it has one (the bench case shape),
-    /// else the index. Example: `cases.paper41_n200.seq_speedup`.
-    pub fn metrics(&self) -> Vec<(String, f64)> {
-        let mut out = Vec::new();
-        self.walk(String::new(), &mut out);
-        out
-    }
-
-    fn walk(&self, path: String, out: &mut Vec<(String, f64)>) {
-        let join = |p: &str, seg: &str| {
-            if p.is_empty() {
-                seg.to_string()
-            } else {
-                format!("{p}.{seg}")
-            }
-        };
-        match self {
-            Json::Num(n) => out.push((path, *n)),
-            Json::Obj(fields) => {
-                for (k, v) in fields {
-                    v.walk(join(&path, k), out);
-                }
-            }
-            Json::Arr(items) => {
-                for (i, item) in items.iter().enumerate() {
-                    let seg = match item.get("name") {
-                        Some(Json::Str(s)) => s.clone(),
-                        _ => i.to_string(),
-                    };
-                    item.walk(join(&path, &seg), out);
-                }
-            }
-            _ => {}
         }
     }
 }
@@ -319,34 +275,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn roundtrip_bench_shape() {
-        let text = r#"{
-          "bench": "compiled_vs_interp",
-          "threads": 8,
-          "cases": [
-            {"name": "a", "seq_speedup": 4.25, "ok": true},
-            {"name": "b", "seq_speedup": 1.5, "extra": null}
-          ]
-        }"#;
-        let v = parse(text).unwrap();
-        let m = v.metrics();
-        assert!(m.contains(&("threads".to_string(), 8.0)));
-        assert!(m.contains(&("cases.a.seq_speedup".to_string(), 4.25)));
-        assert!(m.contains(&("cases.b.seq_speedup".to_string(), 1.5)));
-    }
-
-    #[test]
-    fn arrays_without_names_use_indices() {
-        let v = parse(r#"{"xs": [1, 2.5, -3e2]}"#).unwrap();
-        let m = v.metrics();
-        assert_eq!(
-            m,
-            vec![
-                ("xs.0".to_string(), 1.0),
-                ("xs.1".to_string(), 2.5),
-                ("xs.2".to_string(), -300.0)
-            ]
-        );
+    fn parses_nested_arrays_and_objects() {
+        let v =
+            parse(r#"{"cases": [{"name": "a", "ok": true}, null], "xs": [1, 2.5, -3e2]}"#).unwrap();
+        let nums = [1.0, 2.5, -300.0].map(Json::Num).to_vec();
+        assert_eq!(v.get("xs"), Some(&Json::Arr(nums)));
+        let case = Json::Obj(vec![
+            ("name".into(), Json::Str("a".into())),
+            ("ok".into(), Json::Bool(true)),
+        ]);
+        assert_eq!(v.get("cases"), Some(&Json::Arr(vec![case, Json::Null])));
     }
 
     #[test]

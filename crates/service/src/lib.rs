@@ -134,17 +134,15 @@
 //!   reads, dropped sockets), armed via `PDM_FAULTS`
 //!   (`"probe:probability[:limit],…"`, seeded by `PDM_PROPTEST_SEED`)
 //!   or per-session through [`SessionBuilder::faults`]. Disarmed
-//!   probes cost one relaxed atomic load; the `BENCH_faults.json` gate
-//!   holds the armed-at-zero overhead under 5%.
+//!   probes cost one relaxed atomic load.
 //!
 //! ## Inspection and the verdict cache
 //!
 //! Parametric-subscript shapes are audited per valuation and the
 //! verdict cached in a bounded, sharded
 //! [`VerdictCache`](pdm_runtime::sharded::VerdictCache) (LRU per
-//! shard; capacity via `PDM_VERDICT_CAPACITY` or
-//! [`SessionBuilder::verdict_capacity`]). When the audited access
-//! geometry admits it, the session also derives a **stability
+//! shard; capacity via [`SessionBuilder::verdict_capacity`]). When the
+//! audited access geometry admits it, the session also derives a **stability
 //! interval** — a box of valuations on which the verdict provably
 //! holds — and caches it ahead of the point entries, so in-interval
 //! valuations skip the audit entirely. The `/metrics` page exposes
@@ -154,8 +152,7 @@
 //! with the `pdm_verdict_cache_{entries,intervals}` gauges.
 //!
 //! This crate also owns the dependency-free [`json`] module (parser +
-//! serializer) used for both wire frames and bench snapshots —
-//! `pdm_bench::json` re-exports it.
+//! serializer) that frames the wire protocol.
 
 pub mod error;
 pub mod faults;

@@ -31,7 +31,9 @@ use pdm_core::template::{plan_template, PlanTemplate};
 use pdm_loopir::imperfect::ImperfectNest;
 use pdm_loopir::nest::LoopNest;
 use pdm_runtime::inspector::{self, Verdict};
-use pdm_runtime::sharded::{CacheStats, ShardedPlanCache, VerdictCache, VerdictSource};
+use pdm_runtime::sharded::{
+    CacheStats, ShardedPlanCache, VerdictCache, VerdictSource, DEFAULT_VERDICT_CAPACITY,
+};
 use pdm_runtime::template::{instantiate_compiled, CompiledInstance};
 use pdm_runtime::{RuntimeConfig, RuntimeError, Schedule};
 use std::sync::atomic::Ordering;
@@ -83,7 +85,7 @@ pub const DEFAULT_CAPACITY_PER_SHARD: usize = 64;
 pub struct SessionBuilder {
     shards: usize,
     capacity_per_shard: usize,
-    verdict_capacity: Option<usize>,
+    verdict_capacity: usize,
     threads: Option<usize>,
     config: Option<RuntimeConfig>,
     faults: Option<Faults>,
@@ -94,7 +96,7 @@ impl Default for SessionBuilder {
         SessionBuilder {
             shards: DEFAULT_SHARDS,
             capacity_per_shard: DEFAULT_CAPACITY_PER_SHARD,
-            verdict_capacity: None,
+            verdict_capacity: DEFAULT_VERDICT_CAPACITY,
             threads: None,
             config: None,
             faults: None,
@@ -112,12 +114,11 @@ impl SessionBuilder {
     }
 
     /// Per-shard point-entry bound of the inspector's
-    /// [`VerdictCache`] (default: the session config's
-    /// `verdict_capacity`, i.e. `PDM_VERDICT_CAPACITY` or 256).
+    /// [`VerdictCache`] (default [`DEFAULT_VERDICT_CAPACITY`], 256).
     /// Least-recently-used `(shape, valuation)` verdicts are evicted
     /// beyond it; certified intervals are capped separately.
     pub fn verdict_capacity(mut self, capacity_per_shard: usize) -> Self {
-        self.verdict_capacity = Some(capacity_per_shard);
+        self.verdict_capacity = capacity_per_shard;
         self
     }
 
@@ -155,7 +156,7 @@ impl SessionBuilder {
             cache: Arc::new(ShardedPlanCache::new(self.shards, self.capacity_per_shard)),
             verdicts: Arc::new(VerdictCache::with_capacity(
                 self.shards,
-                self.verdict_capacity.unwrap_or(config.verdict_capacity),
+                self.verdict_capacity,
             )),
             pool: self.threads.map(|n| {
                 rayon::ThreadPoolBuilder::new()
@@ -745,8 +746,8 @@ mod tests {
         session.run(&shape, &[("K", 1)], 1).unwrap();
         // Two distinct valuations audited once each; the other two
         // K = 0 runs were verdict-cache hits.
-        let (hits, misses) = session.verdicts().hit_stats();
-        assert_eq!((hits, misses), (2, 2));
+        let s = session.verdicts().stats();
+        assert_eq!((s.hits, s.misses), (2, 2));
         assert_eq!(session.verdicts().len(), 2);
         // Counters tally served runs, not distinct valuations.
         let m = session.metrics();

@@ -111,9 +111,10 @@
 //! assert_ne!(outcome.verdict.as_ref().unwrap().kind(), "certified");
 //!
 //! // One audit per valuation; later runs hit the verdict cache.
-//! assert_eq!(session.verdicts().hit_stats(), (0, 2));
+//! let counts = || (session.verdicts().stats().hits, session.verdicts().stats().misses);
+//! assert_eq!(counts(), (0, 2));
 //! session.run(&shape, &[("K", 0)], 2).unwrap();
-//! assert_eq!(session.verdicts().hit_stats(), (1, 2));
+//! assert_eq!(counts(), (1, 2));
 //! ```
 //!
 //! Over the wire, `run` responses carry the `verdict` and whether it
@@ -121,10 +122,11 @@
 //! page counts `pdm_inspector_{certified,refined,rejected}_total`,
 //! `pdm_inspector_interval_hits_total`, the verdict cache's
 //! hit/miss/eviction counters, and audit latency. The verdict cache
-//! itself is bounded (LRU per shard, `PDM_VERDICT_CAPACITY`).
-//! `BENCH_inspector.json` gates the certified speedup, the
-//! steady-state audit overhead, and the in-interval storm's audit-skip
-//! ratio.
+//! itself is bounded (LRU per shard,
+//! [`SessionBuilder::verdict_capacity`](pdm_service::session::SessionBuilder::verdict_capacity)).
+//! The serving benchmark (`servebench`, `--workload inspect_mixed
+//! --trace 1`) times the audit and the verdict-picked executors per
+//! layer.
 //!
 //! ## Imperfect nests: the LU example
 //!

@@ -99,9 +99,24 @@ fn wire_edge_cases_never_kill_the_server() {
         drop(s);
     }
 
-    // Through all of it: zero panics, and a fresh connection plans and
-    // runs normally.
+    // Case 5: a run whose size needs more memory than any address
+    // space maps (10^17 cells, 8·10^17 bytes > 2^57), yet stays under
+    // the `isize::MAX`-byte limit, so the allocator itself refuses it
+    // whatever the host's overcommit mode. A typed in-band runtime
+    // error, and the same connection keeps serving.
     let mut client = patient_client(addr);
+    let body = client
+        .call(r#"{"op":"run","source":"for i = 1..N { A[i] = A[i - 1] + 1; }","params":["N"],"values":{"N":1e17}}"#)
+        .unwrap();
+    assert_eq!(body.get_str("kind"), Some("runtime"), "{body:?}");
+    assert!(
+        body.get_str("error")
+            .is_some_and(|e| e.contains("cannot allocate")),
+        "{body:?}"
+    );
+
+    // Through all of it: zero panics, and the connection plans and
+    // runs normally.
     let body = client.call(&run_request(60_000)).unwrap();
     assert_eq!(body.get("ok"), Some(&json::Json::Bool(true)), "{body:?}");
     assert_eq!(body.get_num("iterations"), Some(64.0));

@@ -149,7 +149,7 @@ proptest! {
         let num_offsets = plan.partition().map_or(1, |p| p.offsets().len());
         let z = plan.doall_count();
         let all = cursor_sequence(&plan);
-        let sched = Schedule::from_env_value(None, None);
+        let sched = Schedule::default();
         let tasks = plan_range_tasks(plan.bounds(), z, num_offsets, &sched, threads).unwrap();
 
         let mut walked: Vec<(u64, Vec<i64>, usize)> = Vec::new();
