@@ -527,13 +527,16 @@ impl<'a, B: PrefixBounds> RangeTask<'a, B> {
 }
 
 /// Run `stages` in order with a barrier between consecutive stages:
-/// the tasks of one stage run concurrently on the rayon pool through
-/// `work`, and `barrier(stage_index, results)` receives that stage's
-/// results in task order before the next stage starts (an `Err` from
-/// either stops the run). The crate's single parallel driver — plain
-/// plans, staged programs, refined verdicts, race-checked runs and the
-/// inspector's audit all go through here. Empty stages open no pool
-/// region.
+/// the tasks of one stage run through `work` in one pool region, and
+/// `barrier(stage_index, results)` receives that stage's results in
+/// task order before the next stage starts (an `Err` from either stops
+/// the run). The crate's single parallel driver — plain plans, staged
+/// programs, refined verdicts, race-checked runs and the inspector's
+/// audit all go through here. Regions are work-first: the calling
+/// thread runs the stage's tasks itself and helper threads join only
+/// once the stage outlives [`rayon::SPAWN_AFTER`], so a stage cheaper
+/// than a thread spawn never starts one while a long stage still goes
+/// wide. Empty stages open no pool region.
 pub(crate) fn run_stages<T, R, W, F>(stages: &[Vec<T>], work: W, mut barrier: F) -> Result<()>
 where
     T: Sync,

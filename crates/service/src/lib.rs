@@ -56,7 +56,7 @@
 //! |----|----------------|-----------------|
 //! | `plan` | `source` + `params`, or `shape_hash` | `shape_hash`, `depth`, `doall`, `partitions`, `params` |
 //! | `instantiate` | shape + `values` (`{"N": 64}`) | plan fields + `groups` |
-//! | `run` | shape + `values`, optional `seed` | plan fields + `iterations`, `checksum`, `observed_threads`, `observed_steals`, and — for inspected (parametric-subscript) shapes — `verdict` plus `interval_hit` (true when the verdict came from a certified stability interval instead of an audit) |
+//! | `run` | shape + `values`, optional `seed` | plan fields + `iterations`, `checksum`, `observed_threads` (the most threads any pool region of this request ran on: 1 when it opened none or every region finished on the handler thread, which a region shorter than [`rayon::SPAWN_AFTER`] does), `observed_steals` (blocks helper threads took, summed over the request's regions), and — for inspected (parametric-subscript) shapes — `verdict` plus `interval_hit` (true when the verdict came from a certified stability interval instead of an audit) |
 //! | `stats` | — | `cache` (counters), `shards` (per-shard), `requests_total`, `template_acquire_mean_us` |
 //! | `metrics` | — | `text`: the Prometheus-style exposition page |
 //! | `shutdown` | — | confirms, then the server drains and exits |

@@ -400,20 +400,14 @@ impl Session {
             // stages — run the compiled engine's range tasks stage by
             // stage (a barrier between stages, the groups of one stage
             // concurrent).
-            Some(Verdict::Refined { stages }) => {
-                let run = || {
-                    inspector::run_refined_compiled(
-                        &instance.compiled,
-                        &instance.memory,
-                        stages,
-                        self.schedule,
-                    )
-                };
-                match &self.pool {
-                    Some(pool) => pool.install(run),
-                    None => run(),
-                }?
-            }
+            Some(Verdict::Refined { stages }) => self.on_pool(|| {
+                inspector::run_refined_compiled(
+                    &instance.compiled,
+                    &instance.memory,
+                    stages,
+                    self.schedule,
+                )
+            })?,
             // Rejected: this valuation's dependences defeat the hull
             // plan entirely — sequential reference order.
             Some(Verdict::Rejected { .. }) => {
@@ -477,7 +471,7 @@ impl Session {
             }
             None => {
                 let t0 = Instant::now();
-                let result = inspector::audit(&instance.nest, &instance.plan);
+                let result = self.on_pool(|| inspector::audit(&instance.nest, &instance.plan));
                 self.metrics.inspector_audit.record(t0.elapsed());
                 let v = result?;
                 // Certify a whole valuation interval when the geometry
@@ -502,16 +496,20 @@ impl Session {
     /// Execute an already-prepared instance on the session's pool with
     /// the session's schedule (memory as-is — initialize it first).
     pub fn execute(&self, instance: &CompiledInstance) -> Result<u64, PdmError> {
-        let run = || {
+        Ok(self.on_pool(|| {
             instance
                 .compiled
                 .run_parallel_scheduled(&instance.memory, self.schedule)
-        };
-        let iterations = match &self.pool {
-            Some(pool) => pool.install(run),
-            None => run(),
-        }?;
-        Ok(iterations)
+        })?)
+    }
+
+    /// Run `f` with the session's thread count governing its parallel
+    /// regions (the machine default when the session set none).
+    fn on_pool<R>(&self, f: impl FnOnce() -> R) -> R {
+        match &self.pool {
+            Some(pool) => pool.install(f),
+            None => f(),
+        }
     }
 
     /// [`Session::execute`] with graceful degradation: when the compiled
@@ -588,13 +586,15 @@ impl Session {
     }
 }
 
-/// Wrapping sum over every array cell — the run checksum.
+/// Wrapping sum over every array cell — the run checksum, read in place
+/// (no copy of the arrays).
 fn checksum(memory: &pdm_runtime::Memory) -> i64 {
     memory
-        .snapshot()
+        .arrays()
         .iter()
-        .flat_map(|arr| arr.iter())
-        .fold(0i64, |acc, &v| acc.wrapping_add(v))
+        .enumerate()
+        .flat_map(|(a, arr)| (0..arr.len()).filter_map(move |i| memory.read_flat(a, i)))
+        .fold(0i64, i64::wrapping_add)
 }
 
 #[cfg(test)]
@@ -785,6 +785,56 @@ mod tests {
         session.run(&shape, &[("K", 1)], 1).unwrap();
         assert_eq!(m.inspector_audit.count(), 2);
         assert_eq!(session.verdicts().len(), 1);
+    }
+
+    #[test]
+    fn audits_run_at_the_session_thread_count() {
+        // A fresh 32×32 audit walks for milliseconds, far past
+        // rayon::SPAWN_AFTER, so its region goes as wide as the pool it
+        // runs under. The call opens from a 4-wide context: an audit that
+        // ignored the session's own width would run 4 wide there.
+        let wide = rayon::ThreadPoolBuilder::new()
+            .num_threads(4)
+            .build()
+            .unwrap();
+        for threads in [1, 2] {
+            let session = Session::builder().threads(threads).build();
+            let shape = session
+                .parse_symbolic(
+                    "for i1 = 0..=31 { for i2 = 0..=31 {
+                        A[5*i1 + i2 + K, 7*i1 + 2*i2] = A[i1 + i2 + 4, i1 + 2*i2 + 6] + 1;
+                    } }",
+                    &["K"],
+                )
+                .unwrap();
+            let template = session.plan(&shape).unwrap();
+            let instance = session
+                .instantiate_template(&template, &[("K", 1)])
+                .unwrap();
+            let (audited, tally) = wide.install(|| {
+                rayon::tally_regions(|| session.audit_instance(&template, &[("K", 1)], &instance))
+            });
+            audited.unwrap();
+            assert_eq!(session.metrics().inspector_audit.count(), 1);
+            assert_eq!(tally.regions, 1, "the audit is one region");
+            assert_eq!(tally.threads, threads, "session width {threads}");
+        }
+    }
+
+    #[test]
+    fn checksum_folds_the_cells_in_place() {
+        let session = Session::builder().threads(1).build();
+        let shape = session.parse_symbolic(SYM, &["N"]).unwrap();
+        let out = session.run(&shape, &[("N", 16)], 7).unwrap();
+        let copied = out
+            .instance
+            .memory
+            .snapshot()
+            .iter()
+            .flat_map(|a| a.iter())
+            .fold(0i64, |acc, &v| acc.wrapping_add(v));
+        assert_eq!(out.checksum, copied);
+        assert_ne!(copied, 0, "a seeded memory sums to something");
     }
 
     #[test]

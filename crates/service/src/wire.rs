@@ -425,7 +425,11 @@ fn op_run(session: &Session, req: &Json, deadline: Option<Deadline>) -> Result<F
             )))
         }
     };
-    let outcome = session.run_template_within(&template, &refs, seed, deadline)?;
+    // Gauge every pool region this request opens (audit, stages), not
+    // whatever region this handler thread ran last.
+    let (outcome, regions) =
+        rayon::tally_regions(|| session.run_template_within(&template, &refs, seed, deadline));
+    let outcome = outcome?;
     let mut fields = template_fields(&template);
     fields.push(("iterations".into(), Json::Num(outcome.iterations as f64)));
     fields.push(("checksum".into(), Json::Num(outcome.checksum as f64)));
@@ -437,14 +441,13 @@ fn op_run(session: &Session, req: &Json, deadline: Option<Deadline>) -> Result<F
         fields.push(("verdict".into(), Json::Str(verdict.kind().into())));
         fields.push(("interval_hit".into(), Json::Bool(outcome.interval_hit)));
     }
+    // Widest region and summed steals; a run that opened no region ran
+    // on one thread and moved nothing.
     fields.push((
         "observed_threads".into(),
-        Json::Num(rayon::last_region_threads() as f64),
+        Json::Num(regions.threads.max(1) as f64),
     ));
-    fields.push((
-        "observed_steals".into(),
-        Json::Num(rayon::last_region_steals() as f64),
-    ));
+    fields.push(("observed_steals".into(), Json::Num(regions.steals as f64)));
     Ok(fields)
 }
 
@@ -684,6 +687,39 @@ mod tests {
         let body = crate::json::parse(&resp.body).unwrap();
         assert!(body.get_str("verdict").is_none());
         assert!(body.get("interval_hit").is_none());
+    }
+
+    #[test]
+    fn observed_threads_cover_only_this_requests_regions() {
+        let session = Session::builder().cache_capacity(2, 8).threads(2).build();
+        let run = |source: &str, k: i64| {
+            let resp = dispatch(
+                &session,
+                &format!(
+                    r#"{{"op":"run","source":"{source}","params":["K"],"values":{{"K":{k}}}}}"#
+                ),
+            );
+            assert!(resp.ok, "{}", resp.body);
+            crate::json::parse(&resp.body).unwrap()
+        };
+        // At K = 0 every cell is read and written by one iteration only,
+        // so the plan certifies; the fresh audit of its 8192 iterations
+        // runs far longer than rayon::SPAWN_AFTER, so the request goes
+        // 2 wide.
+        let wide = "for i1 = 0..=255 { for i2 = 0..=31 { A[i1 + K, i2] = A[i1, i2] + 1; } }";
+        let body = run(wide, 0);
+        assert_eq!(body.get_str("verdict"), Some("certified"));
+        assert_eq!(body.get_num("observed_threads"), Some(2.0));
+        // The hull splits this loop into even/odd chains; K = 1 makes
+        // each chain write what the other reads, so the fresh audit
+        // rejects it. The second request is a cached verdict and a
+        // sequential run: it opens no region at all and must not
+        // report the previous request's width.
+        let chain = "for i = 2..=21 { A[i + K] = A[i - 2] + 1; }";
+        assert_eq!(run(chain, 1).get_str("verdict"), Some("rejected"));
+        let again = run(chain, 1);
+        assert_eq!(again.get_num("observed_threads"), Some(1.0));
+        assert_eq!(again.get_num("observed_steals"), Some(0.0));
     }
 
     #[test]
