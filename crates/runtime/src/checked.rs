@@ -4,10 +4,12 @@
 //! distinct groups never touch conflicting cells. This module *verifies*
 //! the claim at runtime: the compiled walker executes every group with
 //! a logging visitor that records each access the bytecode performs
-//! (array, flat cell from the strength-reduced offsets, kind — guarded-off
-//! statements touch nothing), then cross-group conflicts with at least
-//! one write are reported. Running a deliberately wrong plan through
-//! this checker must — and does, see the tests — detect the race.
+//! (the dense global cell id — the array's base plus the flat cell from
+//! the strength-reduced offsets — and the kind; guarded-off statements
+//! touch nothing), then cross-group conflicts with at least one write
+//! are reported, naming the array and its flat cell. Running a
+//! deliberately wrong plan through this checker must — and does, see
+//! the tests — detect the race.
 //!
 //! Both checkers run each stage's tasks concurrently on the current
 //! pool, exactly as the unchecked executors do, and scan the logs at the
@@ -18,20 +20,18 @@
 //! conflicts.
 
 use crate::compile::{CompiledBounds, CompiledPlan};
-use crate::memory::Memory;
+use crate::memory::{self, CellIds, Memory};
 use crate::schedule::{self, RangeTask};
 use crate::staged::CompiledProgram;
 use crate::{Result, RuntimeError};
 use pdm_core::plan::ParallelPlan;
 use pdm_loopir::nest::LoopNest;
-use std::collections::HashMap;
 
 /// One logged access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoggedAccess {
-    /// Array index.
-    pub array: usize,
-    /// Flattened cell index.
+    /// Dense global cell id: the array's base plus the flat cell index
+    /// (see [`crate::memory`]'s cell ids).
     pub cell: usize,
     /// Was it a write?
     pub write: bool,
@@ -46,6 +46,7 @@ type GroupLogs = Vec<(u64, Vec<LoggedAccess>)>;
 fn log_task(
     cp: &CompiledPlan,
     mem: &Memory,
+    ids: &CellIds,
     task: &RangeTask<'_, CompiledBounds>,
 ) -> Result<(u64, GroupLogs)> {
     let mut logs: GroupLogs = Vec::new();
@@ -55,8 +56,11 @@ fn log_task(
             logs.push((gid, Vec::new()));
         }
         let log = &mut logs.last_mut().expect("pushed above").1;
-        cp.program().exec_traced(mem, sc, |array, cell, write| {
-            log.push(LoggedAccess { array, cell, write })
+        cp.program().exec_traced(mem, sc, |array, flat, write| {
+            log.push(LoggedAccess {
+                cell: ids.id(array, flat),
+                write,
+            })
         })
     })?;
     Ok((count, logs))
@@ -73,13 +77,14 @@ fn log_task(
 /// [`RuntimeError::RaceDetected`].
 pub fn run_parallel_checked(nest: &LoopNest, plan: &ParallelPlan, mem: &Memory) -> Result<u64> {
     let cp = CompiledPlan::compile(nest, plan, mem)?;
+    let ids = CellIds::of(mem)?;
     let sched = crate::config::RuntimeConfig::global().schedule();
     let tasks = cp.walker().tasks(&sched, rayon::current_num_threads())?;
     let mut total = 0u64;
     let mut logs: GroupLogs = Vec::new();
     schedule::run_stages(
         std::slice::from_ref(&tasks),
-        |task| log_task(&cp, mem, task),
+        |task| log_task(&cp, mem, &ids, task),
         |_, results| {
             for (count, task_logs) in results {
                 total += count;
@@ -90,58 +95,73 @@ pub fn run_parallel_checked(nest: &LoopNest, plan: &ParallelPlan, mem: &Memory) 
     )?;
 
     // Cross-group conflict detection (keyed by global group index).
-    let (conflicts, sample) = detect_conflicts(
-        logs.iter().map(|(gid, log)| (*gid, log.as_slice())),
-        |g0, g1, a| {
-            format!(
-                "array {} cell {} touched by groups {} and {}",
-                a.array, a.cell, g0, g1
-            )
-        },
-    );
+    let (conflicts, sample) = detect_conflicts(ids.total(), unit_logs(&logs), |g0, g1, cell| {
+        let (array, flat) = ids.locate(cell);
+        format!("array {array} cell {flat} touched by groups {g0} and {g1}")
+    })?;
     if conflicts > 0 {
         return Err(RuntimeError::RaceDetected { conflicts, sample });
     }
     Ok(total)
 }
 
+/// Each unit's log as the `(cell, write)` pairs [`detect_conflicts`]
+/// scans.
+fn unit_logs<K: Copy>(
+    logs: &[(K, Vec<LoggedAccess>)],
+) -> impl Iterator<Item = (K, impl Iterator<Item = (usize, bool)> + '_)> {
+    logs.iter()
+        .map(|(unit, log)| (*unit, log.iter().map(|a| (a.cell, a.write))))
+}
+
 /// First-toucher conflict scan over the access logs of one concurrency
-/// domain: two distinct `unit`s touching a common `(array, cell)` with
-/// at least one write conflict. The single implementation behind both
-/// checkers — [`run_parallel_checked`] keys units by global group id,
-/// [`run_program_parallel_checked`] by `(kernel, group)` — so the
-/// subtle first-owner/wrote-flag merge rule lives in exactly one place.
-/// It is also the **certifier** of the speculative inspector
-/// ([`crate::inspector::audit`]), which feeds it synthesized per-group
-/// logs instead of execution traces. Returns the conflict count and a
-/// sample description (empty when clean).
-pub(crate) fn detect_conflicts<'a, K: Copy + PartialEq>(
-    logs: impl IntoIterator<Item = (K, &'a [LoggedAccess])>,
-    describe: impl Fn(K, K, &LoggedAccess) -> String,
-) -> (usize, String) {
-    let mut owner: HashMap<(usize, usize), (K, bool)> = HashMap::new();
+/// domain: two distinct `unit`s touching a common cell with at least one
+/// write conflict. Cells are dense global ids below `cells` (the array's
+/// base plus its flat index), so the owner of each cell lives in one
+/// zeroed table indexed by id — no hashing. The single implementation
+/// behind both checkers — [`run_parallel_checked`] keys units by global
+/// group id, [`run_program_parallel_checked`] by `(kernel, group)` — so
+/// the subtle first-owner/wrote-flag merge rule lives in exactly one
+/// place. It is also the **certifier** of the speculative inspector
+/// ([`crate::inspector::audit`]), which feeds it one `(cell, wrote)`
+/// summary per touched cell and group instead of execution traces.
+/// `describe(first_owner, unit, cell)` words the first conflict. Returns
+/// the conflict count and that sample (empty when clean).
+pub(crate) fn detect_conflicts<K, L>(
+    cells: usize,
+    logs: impl IntoIterator<Item = (K, L)>,
+    describe: impl Fn(K, K, usize) -> String,
+) -> Result<(usize, String)>
+where
+    K: Copy + PartialEq,
+    L: IntoIterator<Item = (usize, bool)>,
+{
+    // owner[cell]: 0 while untouched, else (unit ordinal + 1) << 1 | wrote.
+    let mut owner: Vec<u64> = memory::zeroed(cells, "conflict owner table")?;
+    let mut units: Vec<K> = Vec::new();
     let mut conflicts = 0usize;
     let mut sample = String::new();
     for (unit, log) in logs {
-        for a in log {
-            match owner.get_mut(&(a.array, a.cell)) {
-                None => {
-                    owner.insert((a.array, a.cell), (unit, a.write));
+        units.push(unit);
+        let me = (units.len() as u64) << 1;
+        for (cell, write) in log {
+            let o = owner[cell];
+            if o == 0 {
+                owner[cell] = me | u64::from(write);
+                continue;
+            }
+            let (first, wrote) = (units[(o >> 1) as usize - 1], o & 1 == 1);
+            if first != unit && (write || wrote) {
+                conflicts += 1;
+                if sample.is_empty() {
+                    sample = describe(first, unit, cell);
                 }
-                Some((u0, wrote)) => {
-                    if *u0 != unit && (a.write || *wrote) {
-                        conflicts += 1;
-                        if sample.is_empty() {
-                            sample = describe(*u0, unit, a);
-                        }
-                    } else {
-                        *wrote |= a.write;
-                    }
-                }
+            } else {
+                owner[cell] = o | u64::from(write);
             }
         }
     }
-    (conflicts, sample)
+    Ok((conflicts, sample))
 }
 
 /// Execute a multi-kernel [`pdm_core::program::ProgramPlan`] stage by
@@ -164,12 +184,13 @@ pub fn run_program_parallel_checked(
     mem: &Memory,
 ) -> Result<u64> {
     let program = CompiledProgram::compile(pp, mem)?;
+    let ids = CellIds::of(mem)?;
     let sched = crate::config::RuntimeConfig::global().schedule();
     let stages = program.stage_tasks(&sched, rayon::current_num_threads())?;
     let mut total = 0u64;
     schedule::run_stages(
         &stages,
-        |(k, task)| Ok((*k, log_task(&program.kernels()[*k], mem, task)?)),
+        |(k, task)| Ok((*k, log_task(&program.kernels()[*k], mem, &ids, task)?)),
         |si, results| {
             let mut units: Vec<((usize, u64), Vec<LoggedAccess>)> = Vec::new();
             for (k, (count, logs)) in results {
@@ -177,15 +198,16 @@ pub fn run_program_parallel_checked(
                 units.extend(logs.into_iter().map(|(gid, log)| ((k, gid), log)));
             }
             let (conflicts, sample) = detect_conflicts(
-                units.iter().map(|(unit, log)| (*unit, log.as_slice())),
-                |(k0, g0), (k1, g1), a| {
+                ids.total(),
+                unit_logs(&units),
+                |(k0, g0), (k1, g1), cell| {
+                    let (array, flat) = ids.locate(cell);
                     format!(
-                        "array {} cell {} touched by kernel {k0} group {g0} \
-                         and kernel {k1} group {g1} in stage {si}",
-                        a.array, a.cell
+                        "array {array} cell {flat} touched by kernel {k0} group {g0} \
+                         and kernel {k1} group {g1} in stage {si}"
                     )
                 },
-            );
+            )?;
             if conflicts > 0 {
                 return Err(RuntimeError::RaceDetected { conflicts, sample });
             }

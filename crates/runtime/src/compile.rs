@@ -29,8 +29,8 @@
 //! per-iteration visitor (monomorphised, never `dyn`): execution runs
 //! the bytecode, the race checker ([`crate::checked`]) logs the flat
 //! cells the bytecode touches, the inspector ([`crate::inspector`])
-//! summarises `(array, subscript)` touches from the original indices,
-//! and test oracles record the points they see.
+//! summarises the same flat cells per group without a [`Memory`], and
+//! test oracles record the points they see.
 //!
 //! Scheduling: [`CompiledPlan::run_parallel`] splits the group *index
 //! space* (doall-prefix values × partition offsets) into contiguous
@@ -531,6 +531,21 @@ impl CompiledPlan {
     /// been derived from the same nest.
     pub fn compile(nest: &LoopNest, plan: &ParallelPlan, mem: &Memory) -> Result<CompiledPlan> {
         let program = Program::compile(nest, mem)?;
+        let walker = Walker::plan_with(plan, Some(&program));
+        Ok(CompiledPlan { program, walker })
+    }
+
+    /// [`CompiledPlan::compile`] against the array boxes of
+    /// [`crate::memory::array_boxes`] instead of an allocated
+    /// [`Memory`]: the same program and walker, for visitors that never
+    /// touch cells (the inspector's audit).
+    pub(crate) fn for_boxes(
+        nest: &LoopNest,
+        plan: &ParallelPlan,
+        boxes: &[Vec<(i64, i64)>],
+        lens: &[usize],
+    ) -> Result<CompiledPlan> {
+        let program = Program::lower(nest, |a| (boxes[a].as_slice(), lens[a]))?;
         let walker = Walker::plan_with(plan, Some(&program));
         Ok(CompiledPlan { program, walker })
     }

@@ -14,9 +14,25 @@
 //! under the planned partitioning — every group, every iteration, every
 //! access, **without executing the body** — and returns a [`Verdict`].
 //! The walk is the compiled group walker ([`crate::compile::Walker`])
-//! on the plan's bare geometry, so it needs no [`Memory`]; its visitor
-//! evaluates each executed statement's `(array, subscript)` touches from
-//! the original indices.
+//! with the nest's linearized accesses attached, lowered once per audit
+//! against the array boxes ([`crate::memory::array_boxes`]) — no
+//! [`Memory`] is allocated. Its visitor reads each executed access's
+//! strength-reduced flat offset, exactly the cell the executor would
+//! touch:
+//!
+//! * a cell is a dense global id, the array's base plus its flat offset
+//!   (row-major order is a bijection on the box, so the id names one
+//!   `(array, subscript)` exactly);
+//! * original lexicographic order is one scalar rank over the nest's
+//!   index box (`Σ (i_k − lo_k)·W_k`), so a `(cell, group)` summary is
+//!   a few plain integers;
+//! * a per-task slot map holds the summaries of the group being walked
+//!   only, so audit scratch grows with one group's touches, never with
+//!   the footprint.
+//!
+//! The merge is hash-free: certification indexes a dense owner table by
+//! cell id, refinement buckets touches by cell with a counting sort,
+//! and the layering runs over dense group positions.
 //!
 //! * [`Verdict::Certified`] — no two groups touch a common cell with a
 //!   write, and within every group the touch order of every written
@@ -35,8 +51,9 @@
 //!   [`crate::exec::run_sequential`].
 //!
 //! The cross-group certifier is [`crate::checked`]'s conflict detector
-//! (`detect_conflicts`), fed synthesized per-group access summaries —
-//! the same first-owner/wrote-flag merge rule the race checker trusts.
+//! (`detect_conflicts`), fed one `(cell, wrote)` summary per touched
+//! cell of each group — the same first-owner/wrote-flag merge rule the
+//! race checker trusts.
 //!
 //! Soundness: cross-group conflict freedom alone is **not** enough. The
 //! hull plan also fixes a *within-group* walk order (transformed lex
@@ -56,16 +73,13 @@
 //! `pdm-core`), the cache stores the interval ahead of point entries
 //! and every in-interval valuation skips the audit entirely.
 
-use crate::checked::{detect_conflicts, LoggedAccess};
-use crate::compile::{CompiledBounds, CompiledPlan, Walker};
-use crate::memory::Memory;
+use crate::checked::detect_conflicts;
+use crate::compile::{CompiledBounds, CompiledPlan};
+use crate::memory::{self, array_boxes, box_len, index_ranges, CellIds, Memory};
 use crate::schedule::{self, RangeTask, Schedule};
-use crate::Result;
+use crate::{Result, RuntimeError};
 use pdm_core::plan::ParallelPlan;
 use pdm_loopir::nest::LoopNest;
-use pdm_loopir::stmt::AccessKind;
-use pdm_matrix::vec::IVec;
-use std::collections::{BTreeMap, HashMap};
 
 /// The inspector's decision for one `(shape, valuation)` pair.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,109 +113,204 @@ impl Verdict {
     }
 }
 
-/// Per-`(cell, group)` touch summary, updated in walk order.
-struct Touches {
-    wrote: bool,
-    /// Original-lex minimum over all touches.
-    min: Vec<i64>,
-    /// Original-lex maximum over all touches (doubles as the running
-    /// "latest touch so far" during the walk — its final value is the
-    /// same either way).
-    max: Vec<i64>,
-    /// Original-lex maximum over writes walked so far.
-    max_write: Option<Vec<i64>>,
+/// Original lexicographic order as one scalar: `rank(i) = Σ (i_k − lo_k)
+/// · W_k` over the nest's index box, `W_k` the product of the inner
+/// widths. Row-major numbering of the box is monotone in lex order, so
+/// comparing ranks compares iterations.
+struct LexRank {
+    lo: Vec<i64>,
+    weights: Vec<i64>,
 }
 
-/// One range task's worth of audit state, merged at the barrier.
-/// Cell ids are task-local (first-touch order within the range);
-/// `keys[local_id]` is the `(array, subscripts)` key, so the merge can
-/// remap local ids onto a global intern table deterministically.
+impl LexRank {
+    /// Weights for the box `ranges`; `Overflow` when the box has more
+    /// points than an `i64` numbers, so no rank ever wraps.
+    fn new(ranges: &[(i64, i64)]) -> Result<LexRank> {
+        let overflow = || RuntimeError::Matrix(pdm_matrix::MatrixError::Overflow);
+        let mut weights = vec![0i64; ranges.len()];
+        let mut w = 1i64;
+        for (k, &(lo, hi)) in ranges.iter().enumerate().rev() {
+            weights[k] = w;
+            let width =
+                i64::try_from((hi as i128 - lo as i128 + 1).max(0)).map_err(|_| overflow())?;
+            w = w.checked_mul(width).ok_or_else(overflow)?;
+        }
+        Ok(LexRank {
+            lo: ranges.iter().map(|r| r.0).collect(),
+            weights,
+        })
+    }
+
+    /// Rank of a point of the box (each term, and the sum, lies in
+    /// `[0, points)`, so the wrapping operations are exact).
+    #[inline]
+    fn rank(&self, idx: &[i64]) -> i64 {
+        let mut r = 0i64;
+        for ((i, lo), w) in idx.iter().zip(&self.lo).zip(&self.weights) {
+            r = r.wrapping_add(i.wrapping_sub(*lo).wrapping_mul(*w));
+        }
+        r
+    }
+}
+
+/// Per-`(cell, group)` touch summary, updated in walk order; positions
+/// in original order are [`LexRank`] ranks.
+#[derive(Debug, Clone, Copy)]
+struct Touches {
+    /// Dense global cell id ([`CellIds`]).
+    cell: usize,
+    /// Position of the group in walk order (task-local until the merge
+    /// rebases it).
+    group: usize,
+    wrote: bool,
+    /// Minimum rank over all touches.
+    min: i64,
+    /// Maximum rank over all touches (doubles as the running "latest
+    /// touch so far" during the walk — its final value is the same
+    /// either way).
+    max: i64,
+    /// Maximum rank over writes walked so far; −1 before the first.
+    max_write: i64,
+}
+
+/// Cell → touch-slot map for the group being walked: linear probing over
+/// a power-of-two table whose entries carry the generation of the group
+/// that wrote them, so starting the next group is one increment. Its size
+/// follows the largest group's touch count, never the array footprint.
+struct SlotMap {
+    /// `(cell, generation, slot)`; an entry of another generation is
+    /// empty.
+    table: Vec<(usize, u32, usize)>,
+    generation: u32,
+    len: usize,
+}
+
+impl SlotMap {
+    fn new() -> SlotMap {
+        SlotMap {
+            table: vec![(0, 0, 0); 16],
+            generation: 1,
+            len: 0,
+        }
+    }
+
+    /// Forget every entry: the walk moves on to the next group.
+    fn clear(&mut self) {
+        self.len = 0;
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.table.fill((0, 0, 0));
+            self.generation = 1;
+        }
+    }
+
+    /// Fibonacci hashing: the top bits of `cell · 2⁶⁴/φ`.
+    #[inline]
+    fn home(&self, cell: usize) -> usize {
+        let h = (cell as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (h >> (64 - self.table.len().trailing_zeros())) as usize
+    }
+
+    /// The slot of `cell`, or `None` after recording `slot` as its slot.
+    #[inline]
+    fn get_or_insert(&mut self, cell: usize, slot: usize) -> Option<usize> {
+        if (self.len + 1) * 2 > self.table.len() {
+            let live: Vec<(usize, u32, usize)> = self
+                .table
+                .iter()
+                .copied()
+                .filter(|e| e.1 == self.generation)
+                .collect();
+            self.table = vec![(0, 0, 0); self.table.len() * 2];
+            self.len = 0;
+            for (c, _, s) in live {
+                self.get_or_insert(c, s);
+            }
+        }
+        let mask = self.table.len() - 1;
+        let mut p = self.home(cell);
+        loop {
+            let (c, g, s) = self.table[p];
+            if g != self.generation {
+                self.table[p] = (cell, self.generation, slot);
+                self.len += 1;
+                return None;
+            }
+            if c == cell {
+                return Some(s);
+            }
+            p = (p + 1) & mask;
+        }
+    }
+}
+
+/// One range task's worth of audit state, merged at the barrier: the
+/// touch summaries (each group's contiguous, groups in walk order), the
+/// groups walked, and the first intra-group order violation.
 struct AuditLocal {
-    keys: Vec<(usize, Vec<i64>)>,
-    touches: HashMap<(usize, u64), Touches>,
+    touches: Vec<Touches>,
     groups: Vec<u64>,
     disorder: Option<String>,
 }
 
 /// Walk one contiguous group range and summarize its touches. The
 /// intra-group order check is complete here: a group lies wholly within
-/// one range, so `touches` entries never need cross-task merging.
+/// one range, so a `(cell, group)` summary never needs cross-task
+/// merging.
 fn audit_range(
     nest: &LoopNest,
-    walker: &Walker,
+    cp: &CompiledPlan,
+    ids: &CellIds,
+    lex: &LexRank,
     task: &RangeTask<'_, CompiledBounds>,
 ) -> Result<AuditLocal> {
-    let mut intern: HashMap<(usize, Vec<i64>), usize> = HashMap::new();
+    let (walker, program) = (cp.walker(), cp.program());
     let mut local = AuditLocal {
-        keys: Vec::new(),
-        touches: HashMap::new(),
+        touches: Vec::new(),
         groups: Vec::new(),
         disorder: None,
     };
-    let mut s = walker.new_scratch();
+    let mut slots = SlotMap::new();
+    let mut s = cp.new_scratch();
     task.for_each(|gid, prefix, o| {
+        let group = local.groups.len();
         local.groups.push(gid);
+        slots.clear();
         walker.walk(prefix, o, &mut s, |sc| {
-            let idx = sc.idx.as_slice();
-            for stmt in nest.body() {
-                if !stmt.guards_hold(idx) {
-                    continue;
+            let rank = lex.rank(&sc.idx);
+            program.for_each_access(nest, sc, |array, flat, write| {
+                let cell = ids.id(array, flat);
+                let Some(i) = slots.get_or_insert(cell, local.touches.len()) else {
+                    local.touches.push(Touches {
+                        cell,
+                        group,
+                        wrote: write,
+                        min: rank,
+                        max: rank,
+                        max_write: if write { rank } else { -1 },
+                    });
+                    return;
+                };
+                let t = &mut local.touches[i];
+                // Pairwise order check against everything already
+                // walked in this group: a write must be lex-after every
+                // prior touch, a read lex-after every prior write.
+                let bad = rank < if write { t.max } else { t.max_write };
+                if bad && local.disorder.is_none() {
+                    local.disorder = Some(format!(
+                        "group {gid} walks cell {flat} of array {} against program \
+                         order at iteration {:?}",
+                        nest.arrays()[array].name,
+                        sc.idx
+                    ));
                 }
-                for (kind, r) in stmt.accesses() {
-                    let sub = r.access.eval(&IVec(idx.to_vec()))?;
-                    let next = local.keys.len();
-                    let cell = match intern.entry((r.array.0, sub.0)) {
-                        std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            local.keys.push(e.key().clone());
-                            *e.insert(next)
-                        }
-                    };
-                    let write = kind == AccessKind::Write;
-                    match local.touches.get_mut(&(cell, gid)) {
-                        None => {
-                            local.touches.insert(
-                                (cell, gid),
-                                Touches {
-                                    wrote: write,
-                                    min: idx.to_vec(),
-                                    max: idx.to_vec(),
-                                    max_write: write.then(|| idx.to_vec()),
-                                },
-                            );
-                        }
-                        Some(t) => {
-                            // Pairwise order check against everything
-                            // already walked in this group: a write
-                            // must be lex-after every prior touch, a
-                            // read lex-after every prior write.
-                            let bad = if write {
-                                idx < t.max.as_slice()
-                            } else {
-                                t.max_write.as_deref().is_some_and(|w| idx < w)
-                            };
-                            if bad && local.disorder.is_none() {
-                                local.disorder = Some(format!(
-                                    "group {gid} walks cell {cell} (array {}) against \
-                                     program order at iteration {idx:?}",
-                                    r.array.0
-                                ));
-                            }
-                            t.wrote |= write;
-                            if idx < t.min.as_slice() {
-                                t.min = idx.to_vec();
-                            }
-                            if idx > t.max.as_slice() {
-                                t.max = idx.to_vec();
-                            }
-                            if write && t.max_write.as_deref().is_none_or(|w| idx > w) {
-                                t.max_write = Some(idx.to_vec());
-                            }
-                        }
-                    }
+                t.wrote |= write;
+                t.min = t.min.min(rank);
+                t.max = t.max.max(rank);
+                if write {
+                    t.max_write = t.max_write.max(rank);
                 }
-            }
-            Ok(())
+            })
         })?;
         Ok(())
     })?;
@@ -210,53 +319,57 @@ fn audit_range(
 
 /// Audit the concrete nest (parameters already substituted) against the
 /// speculative `plan`: walk every group's iterations in plan order,
-/// log every access (guards respected, body **not** executed), and
-/// classify the result. See the [module docs](self) for the decision
-/// rules. Cost is one extra pass over the iteration space (servebench's
-/// `inspect_mixed` ledger times it as `inspector.audit_us`), and the
-/// walk fans out over the
-/// same steal-aware group ranges the executors use, so first-contact
-/// audits scale with cores.
+/// summarize every access (guards respected, body **not** executed),
+/// and classify the result. See the [module docs](self) for the
+/// decision rules. Cost is one extra pass over the iteration space
+/// (servebench's `inspect_mixed` ledger times it as
+/// `inspector.audit_us`), and the walk fans out over the same
+/// steal-aware group ranges the executors use, so first-contact audits
+/// scale with cores.
 ///
-/// Determinism: tasks cover disjoint ascending ranges and are merged
-/// in task order, so the global intern table, the group order, and the
-/// verdict are identical to a sequential walk regardless of thread
-/// schedule.
+/// Determinism: tasks cover disjoint ascending ranges and are merged in
+/// task order, and every later pass runs over dense cell ids and group
+/// positions in ascending order, so the verdict — rejection reason
+/// included — is identical to a sequential walk regardless of thread
+/// schedule or pool width.
 pub fn audit(nest: &LoopNest, plan: &ParallelPlan) -> Result<Verdict> {
-    let walker = Walker::for_plan(plan);
+    // Lower once against the array boxes: no cells are allocated.
+    let ranges = index_ranges(nest)?;
+    let lex = LexRank::new(&ranges)?;
+    let boxes = array_boxes(nest, &ranges)?;
+    let lens = boxes
+        .iter()
+        .map(|b| box_len(b))
+        .collect::<Result<Vec<usize>>>()?;
+    let ids = CellIds::new(lens.iter().copied())?;
+    let cp = CompiledPlan::for_boxes(nest, plan, &boxes, &lens)?;
     let sched = crate::config::RuntimeConfig::global().schedule();
-    let tasks = walker.tasks(&sched, rayon::current_num_threads().max(1))?;
+    let tasks = cp
+        .walker()
+        .tasks(&sched, rayon::current_num_threads().max(1))?;
     let mut locals = Vec::new();
     schedule::run_stages(
         std::slice::from_ref(&tasks),
-        |task| audit_range(nest, &walker, task),
+        |task| audit_range(nest, &cp, &ids, &lex, task),
         |_, results| {
             locals = results;
             Ok(())
         },
     )?;
 
-    // Merge in task order: walking each task's keys in first-touch
-    // order reproduces the sequential intern numbering exactly.
-    let mut intern: HashMap<(usize, Vec<i64>), usize> = HashMap::new();
-    let mut touches: HashMap<(usize, u64), Touches> = HashMap::new();
-    let mut all_groups: Vec<u64> = Vec::new();
+    // Merge in task order, rebasing each task's group positions: the
+    // concatenation is the sequential walk's summary.
+    let mut touches: Vec<Touches> =
+        Vec::with_capacity(locals.iter().map(|l| l.touches.len()).sum());
+    let mut groups: Vec<u64> = Vec::new();
     let mut disorder: Option<String> = None;
     for local in locals {
-        let remap: Vec<usize> = local
-            .keys
-            .into_iter()
-            .map(|key| {
-                let next = intern.len();
-                *intern.entry(key).or_insert(next)
-            })
-            .collect();
-        // Plain inserts: a group lives in exactly one range task, so
-        // (cell, gid) keys are disjoint across tasks.
-        for ((cell, gid), t) in local.touches {
-            touches.insert((remap[cell], gid), t);
-        }
-        all_groups.extend(local.groups);
+        let base = groups.len();
+        touches.extend(local.touches.into_iter().map(|t| Touches {
+            group: base + t.group,
+            ..t
+        }));
+        groups.extend(local.groups);
         if disorder.is_none() {
             disorder = local.disorder;
         }
@@ -268,90 +381,106 @@ pub fn audit(nest: &LoopNest, plan: &ParallelPlan) -> Result<Verdict> {
     }
 
     // Certify cross-group independence with the race checker's scan,
-    // over synthesized one-entry-per-(cell, group) logs.
-    let mut per_group: BTreeMap<u64, Vec<LoggedAccess>> = BTreeMap::new();
-    for ((cell, gid), t) in &touches {
-        per_group.entry(*gid).or_default().push(LoggedAccess {
-            array: 0,
-            cell: *cell,
-            write: t.wrote,
-        });
-    }
+    // one `(cell, wrote)` entry per touched cell of each group.
     let (conflicts, _) = detect_conflicts(
-        per_group.iter().map(|(gid, log)| (*gid, log.as_slice())),
-        |g0, g1, a| format!("cell {} touched by groups {g0} and {g1}", a.cell),
-    );
+        ids.total(),
+        touches
+            .chunk_by(|a, b| a.group == b.group)
+            .map(|run| (run[0].group, run.iter().map(|t| (t.cell, t.wrote)))),
+        |_, _, _| String::new(),
+    )?;
     if conflicts == 0 {
         return Ok(Verdict::Certified);
     }
+    refine(nest, &ids, &touches, &groups)
+}
 
-    // Refinement: direct each conflict, reject overlaps, layer the DAG.
-    let mut by_cell: HashMap<usize, Vec<(u64, &Touches)>> = HashMap::new();
-    for ((cell, gid), t) in &touches {
-        by_cell.entry(*cell).or_default().push((*gid, t));
+/// Refinement of a conflicting audit: direct each conflict, reject
+/// overlaps, and layer the group DAG by longest path.
+fn refine(nest: &LoopNest, ids: &CellIds, touches: &[Touches], groups: &[u64]) -> Result<Verdict> {
+    // Counting sort by cell, stable, so each cell's bucket lists its
+    // touches in ascending group position.
+    let mut next: Vec<usize> = memory::zeroed(ids.total(), "audit cell buckets")?;
+    for t in touches {
+        next[t.cell] += 1;
     }
-    let mut edges: std::collections::HashSet<(u64, u64)> = std::collections::HashSet::new();
-    for (cell, list) in &by_cell {
-        for (i, (ga, ta)) in list.iter().enumerate() {
-            for (gb, tb) in &list[i + 1..] {
+    let mut end = 0usize;
+    for n in &mut next {
+        end += *n;
+        *n = end;
+    }
+    let mut by_cell = vec![0usize; touches.len()];
+    for (i, t) in touches.iter().enumerate().rev() {
+        next[t.cell] -= 1;
+        by_cell[next[t.cell]] = i;
+    }
+
+    // Direct every conflicting pair. The first interleave in ascending
+    // (cell, lower group, higher group) order names the rejection.
+    let mut edges: Vec<(usize, usize)> = Vec::new();
+    for bucket in by_cell.chunk_by(|&a, &b| touches[a].cell == touches[b].cell) {
+        for (i, ta) in bucket.iter().map(|&a| &touches[a]).enumerate() {
+            for tb in bucket[i + 1..].iter().map(|&b| &touches[b]) {
                 if !ta.wrote && !tb.wrote {
                     continue;
                 }
                 if ta.max < tb.min {
-                    edges.insert((*ga, *gb));
+                    edges.push((ta.group, tb.group));
                 } else if tb.max < ta.min {
-                    edges.insert((*gb, *ga));
+                    edges.push((tb.group, ta.group));
                 } else {
+                    let (array, flat) = ids.locate(ta.cell);
                     return Ok(Verdict::Rejected {
                         reason: format!(
-                            "groups {ga} and {gb} interleave conflicting touches of cell {cell}"
+                            "groups {} and {} interleave conflicting touches of cell {flat} \
+                             of array {}",
+                            groups[ta.group],
+                            groups[tb.group],
+                            nest.arrays()[array].name
                         ),
                     });
                 }
             }
         }
     }
+    edges.sort_unstable();
+    edges.dedup();
 
-    // Kahn longest-path layering over all groups (isolated groups land
-    // in stage 0). A cycle means contradictory directions → reject.
-    let mut indeg: HashMap<u64, usize> = all_groups.iter().map(|&g| (g, 0)).collect();
-    let mut succ: HashMap<u64, Vec<u64>> = HashMap::new();
+    // Kahn longest-path layering over dense group positions (isolated
+    // groups land in stage 0; `edges` sorted by source is the successor
+    // table). A cycle means contradictory directions → reject.
+    let n = groups.len();
+    let mut indeg = vec![0usize; n];
+    let mut first = vec![0usize; n + 1];
     for &(a, b) in &edges {
-        *indeg.get_mut(&b).expect("edge endpoint is a group") += 1;
-        succ.entry(a).or_default().push(b);
+        indeg[b] += 1;
+        first[a + 1] += 1;
     }
-    let mut layer: HashMap<u64, usize> = HashMap::new();
-    let mut queue: Vec<u64> = all_groups
-        .iter()
-        .copied()
-        .filter(|g| indeg[g] == 0)
-        .collect();
-    for &g in &queue {
-        layer.insert(g, 0);
+    for g in 0..n {
+        first[g + 1] += first[g];
     }
+    let mut layer = vec![0usize; n];
+    let mut queue: Vec<usize> = (0..n).filter(|&g| indeg[g] == 0).collect();
     let mut done = 0usize;
     while let Some(g) = queue.pop() {
         done += 1;
-        let lg = layer[&g];
-        for &s in succ.get(&g).map(Vec::as_slice).unwrap_or(&[]) {
-            let e = layer.entry(s).or_insert(0);
-            *e = (*e).max(lg + 1);
-            let d = indeg.get_mut(&s).expect("edge endpoint is a group");
-            *d -= 1;
-            if *d == 0 {
+        for &(_, s) in &edges[first[g]..first[g + 1]] {
+            layer[s] = layer[s].max(layer[g] + 1);
+            indeg[s] -= 1;
+            if indeg[s] == 0 {
                 queue.push(s);
             }
         }
     }
-    if done != all_groups.len() {
+    if done != n {
         return Ok(Verdict::Rejected {
             reason: "group-dependence graph has a cycle".into(),
         });
     }
-    let depth = layer.values().copied().max().unwrap_or(0) + 1;
+    let depth = layer.iter().copied().max().unwrap_or(0) + 1;
     let mut stages: Vec<Vec<u64>> = vec![Vec::new(); depth];
-    for &g in &all_groups {
-        stages[layer[&g]].push(g);
+    for (&g, &l) in groups.iter().zip(&layer) {
+        stages[l].push(g);
     }
     for s in &mut stages {
         s.sort_unstable();
@@ -593,25 +722,59 @@ mod tests {
     #[test]
     fn audit_verdict_is_identical_across_pool_sizes() {
         // The parallel walk's task-order merge must reproduce the
-        // single-threaded audit exactly — intern ids and stages
-        // included.
-        let src = "for i1 = 0..=5 { for i2 = 0..=5 { A[i1 + K, i2] = A[i1, i2] + 1; } }";
-        let shape = parse_loop_symbolic(src, &["K"]).unwrap();
-        let t = plan_template(&shape).unwrap();
-        let plan = t.instantiate(&[("K", 1)]).unwrap();
-        let nest = t.instantiate_nest(&[("K", 1)]).unwrap();
-        let one = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap();
-        let four = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap();
-        let v1 = one.install(|| audit(&nest, &plan)).unwrap();
-        let v4 = four.install(|| audit(&nest, &plan)).unwrap();
-        assert_eq!(v1, v4);
-        assert!(matches!(v1, Verdict::Refined { .. }), "{v1:?}");
+        // single-threaded audit exactly, stages and rejection reasons
+        // included, on repeated calls and at every pool width. The
+        // generated nest rejects on interleaved conflicts between two
+        // groups; the reason must name the first such pair in
+        // ascending (cell, lower group, higher group) order.
+        let row_shift = {
+            let src = "for i1 = 0..=5 { for i2 = 0..=5 { A[i1 + K, i2] = A[i1, i2] + 1; } }";
+            let shape = parse_loop_symbolic(src, &["K"]).unwrap();
+            (plan_template(&shape).unwrap(), 1)
+        };
+        let interleaved = {
+            let cfg = pdm_loopir::generator::GenConfig {
+                depth: 2,
+                extent: 4,
+                coeff: 2,
+                offset: 3,
+                stmts: 2,
+                arrays: 2,
+            };
+            let shape =
+                pdm_loopir::generator::random_inspector_nest(981_969, &cfg, &["K"]).unwrap();
+            (plan_template(&shape).unwrap(), -1)
+        };
+        let pools: Vec<rayon::ThreadPool> = [1, 2, 4]
+            .map(|n| {
+                rayon::ThreadPoolBuilder::new()
+                    .num_threads(n)
+                    .build()
+                    .unwrap()
+            })
+            .into();
+        let mut verdicts = Vec::new();
+        for (t, k) in [row_shift, interleaved] {
+            let plan = t.instantiate(&[("K", k)]).unwrap();
+            let nest = t.instantiate_nest(&[("K", k)]).unwrap();
+            let first = audit(&nest, &plan).unwrap();
+            for pool in &pools {
+                for _ in 0..3 {
+                    assert_eq!(pool.install(|| audit(&nest, &plan)).unwrap(), first);
+                }
+            }
+            verdicts.push(first);
+        }
+        assert!(
+            matches!(verdicts[0], Verdict::Refined { .. }),
+            "{verdicts:?}"
+        );
+        match &verdicts[1] {
+            Verdict::Rejected { reason } => {
+                assert!(reason.contains("interleave"), "{reason}")
+            }
+            other => panic!("expected an interleave rejection, got {other:?}"),
+        }
     }
 
     #[test]

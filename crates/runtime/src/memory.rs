@@ -27,23 +27,6 @@ pub struct ArrayStorage {
 }
 
 impl ArrayStorage {
-    /// Cell count of the box, or `Overflow` when it cannot be stored: a
-    /// width or product past `usize`, or more bytes than a `Vec` holds.
-    fn len_of(dims: &[(i64, i64)]) -> Result<usize> {
-        let overflow = || RuntimeError::Matrix(pdm_matrix::MatrixError::Overflow);
-        let mut len = 1usize;
-        for &(lo, hi) in dims {
-            let width =
-                usize::try_from((hi as i128 - lo as i128 + 1).max(0)).map_err(|_| overflow())?;
-            len = len.checked_mul(width).ok_or_else(overflow)?;
-        }
-        let bytes = len.checked_mul(std::mem::size_of::<UnsafeCell<i64>>());
-        match bytes {
-            Some(b) if b <= isize::MAX as usize => Ok(len),
-            _ => Err(overflow()),
-        }
-    }
-
     /// Flatten a subscript; `None` when out of the box.
     #[inline]
     pub fn flat_index(&self, sub: &[i64]) -> Option<usize> {
@@ -90,40 +73,10 @@ impl Memory {
     /// An array the allocator refuses is a
     /// [`RuntimeError::AllocationFailed`].
     pub fn for_nest(nest: &LoopNest) -> Result<Memory> {
-        let ranges = index_ranges(nest)?;
-        let mut arrays = Vec::new();
-        for (aid, decl) in nest.arrays().iter().enumerate() {
-            let mut dims = vec![(i64::MAX, i64::MIN); decl.dims];
-            let mut touched = false;
-            for (_, _, r) in nest.accesses() {
-                if r.array != ArrayId(aid) {
-                    continue;
-                }
-                touched = true;
-                for d in 0..decl.dims {
-                    // Interval arithmetic: coeff * [lo, hi] summed + offset.
-                    let mut lo = r.access.offset[d] as i128;
-                    let mut hi = lo;
-                    for k in 0..nest.depth() {
-                        let c = r.access.matrix.get(k, d) as i128;
-                        let (rl, rh) = ranges[k];
-                        let a = c * rl as i128;
-                        let b = c * rh as i128;
-                        lo += a.min(b);
-                        hi += a.max(b);
-                    }
-                    let lo = i64::try_from(lo)
-                        .map_err(|_| RuntimeError::Matrix(pdm_matrix::MatrixError::Overflow))?;
-                    let hi = i64::try_from(hi)
-                        .map_err(|_| RuntimeError::Matrix(pdm_matrix::MatrixError::Overflow))?;
-                    dims[d].0 = dims[d].0.min(lo);
-                    dims[d].1 = dims[d].1.max(hi);
-                }
-            }
-            if !touched {
-                dims = vec![(0, -1); decl.dims]; // empty box
-            }
-            let len = ArrayStorage::len_of(&dims)?;
+        let boxes = array_boxes(nest, &index_ranges(nest)?)?;
+        let mut arrays = Vec::with_capacity(boxes.len());
+        for (decl, dims) in nest.arrays().iter().zip(boxes) {
+            let len = box_len(&dims)?;
             // Fallible: a size the allocator refuses must come back as
             // an error, not abort the process (and a server with it).
             let mut data = Vec::new();
@@ -240,6 +193,121 @@ impl Memory {
 /// stability of this crate.)
 pub fn index_ranges(nest: &LoopNest) -> Result<Vec<(i64, i64)>> {
     Ok(nest.index_ranges()?)
+}
+
+/// The row-major box of every array of `nest`, in array order:
+/// inclusive `(lo, hi)` per dimension, from interval arithmetic
+/// (`coeff · [lo, hi]` summed, plus the offset) of every access over
+/// the loop variables' global `ranges` ([`index_ranges`]). An array no
+/// access touches gets an empty box. This is the geometry
+/// [`Memory::for_nest`] allocates and the compiled lowering
+/// ([`crate::program`]) linearizes against; the inspector lowers
+/// against it without allocating any cells.
+pub fn array_boxes(nest: &LoopNest, ranges: &[(i64, i64)]) -> Result<Vec<Vec<(i64, i64)>>> {
+    let overflow = || RuntimeError::Matrix(pdm_matrix::MatrixError::Overflow);
+    let mut boxes: Vec<Option<Vec<(i64, i64)>>> = vec![None; nest.arrays().len()];
+    for (_, _, r) in nest.accesses() {
+        let dims = r.access.dims();
+        let b = boxes[r.array.0].get_or_insert_with(|| vec![(i64::MAX, i64::MIN); dims]);
+        for (d, side) in b.iter_mut().enumerate() {
+            let mut lo = r.access.offset[d] as i128;
+            let mut hi = lo;
+            for (k, &(rl, rh)) in ranges.iter().enumerate() {
+                let c = r.access.matrix.get(k, d) as i128;
+                let (a, b) = (c * rl as i128, c * rh as i128);
+                lo += a.min(b);
+                hi += a.max(b);
+            }
+            side.0 = side.0.min(i64::try_from(lo).map_err(|_| overflow())?);
+            side.1 = side.1.max(i64::try_from(hi).map_err(|_| overflow())?);
+        }
+    }
+    Ok(nest
+        .arrays()
+        .iter()
+        .zip(boxes)
+        .map(|(decl, b)| b.unwrap_or_else(|| vec![(0, -1); decl.dims]))
+        .collect())
+}
+
+/// Cell count of a box, or `Overflow` when it cannot be stored: a width
+/// or product past `usize`, or more bytes than a `Vec` holds.
+pub fn box_len(dims: &[(i64, i64)]) -> Result<usize> {
+    let overflow = || RuntimeError::Matrix(pdm_matrix::MatrixError::Overflow);
+    let mut len = 1usize;
+    for &(lo, hi) in dims {
+        let width =
+            usize::try_from((hi as i128 - lo as i128 + 1).max(0)).map_err(|_| overflow())?;
+        len = len.checked_mul(width).ok_or_else(overflow)?;
+    }
+    match len.checked_mul(std::mem::size_of::<UnsafeCell<i64>>()) {
+        Some(b) if b <= isize::MAX as usize => Ok(len),
+        _ => Err(overflow()),
+    }
+}
+
+/// A zeroed table of `len` entries — a dense per-cell index — allocated
+/// fallibly: a table the allocator refuses is a
+/// [`RuntimeError::AllocationFailed`] naming `what`, never an abort.
+pub(crate) fn zeroed<T: Copy + Default>(len: usize, what: &str) -> Result<Vec<T>> {
+    let mut table = Vec::new();
+    table
+        .try_reserve_exact(len)
+        .map_err(|_| RuntimeError::AllocationFailed {
+            array: what.to_string(),
+            cells: len,
+        })?;
+    table.resize(len, T::default());
+    Ok(table)
+}
+
+/// Dense global cell ids over a set of arrays: flat cell `f` of array
+/// `a` is `base[a] + f`. Row-major flattening is a bijection on each
+/// box, so an id names exactly one `(array, subscript)` — the key of
+/// the race checkers' and the inspector's dense owner tables.
+#[derive(Debug, Clone)]
+pub(crate) struct CellIds {
+    /// `base[a]` per array, then the total cell count.
+    base: Vec<usize>,
+}
+
+impl CellIds {
+    /// Ids for arrays of the given cell counts; `Overflow` when the
+    /// total passes `usize`.
+    pub(crate) fn new(lens: impl IntoIterator<Item = usize>) -> Result<CellIds> {
+        let mut base = vec![0usize];
+        for len in lens {
+            let total = base[base.len() - 1];
+            base.push(
+                total
+                    .checked_add(len)
+                    .ok_or(RuntimeError::Matrix(pdm_matrix::MatrixError::Overflow))?,
+            );
+        }
+        Ok(CellIds { base })
+    }
+
+    /// Ids for the arrays of `mem`.
+    pub(crate) fn of(mem: &Memory) -> Result<CellIds> {
+        CellIds::new(mem.arrays().iter().map(ArrayStorage::len))
+    }
+
+    /// Total cells (one past the largest id).
+    pub(crate) fn total(&self) -> usize {
+        self.base[self.base.len() - 1]
+    }
+
+    /// Global id of flat cell `flat` of array `array`.
+    #[inline]
+    pub(crate) fn id(&self, array: usize, flat: usize) -> usize {
+        self.base[array] + flat
+    }
+
+    /// `(array, flat)` of a global id (cold: reports only).
+    pub(crate) fn locate(&self, id: usize) -> (usize, usize) {
+        let array = self.base.partition_point(|&b| b <= id) - 1;
+        (array, id - self.base[array])
+    }
 }
 
 #[cfg(test)]

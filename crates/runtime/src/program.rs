@@ -169,23 +169,34 @@ pub struct Program {
 impl Program {
     /// Lower the nest's body against `mem`'s array geometry.
     pub fn compile(nest: &LoopNest, mem: &Memory) -> Result<Program> {
+        Program::lower(nest, |a| {
+            let storage = &mem.arrays()[a];
+            (storage.dims.as_slice(), storage.len())
+        })
+    }
+
+    /// Lower the nest's body against an array geometry given per array
+    /// as `(box, cell count)` — a [`Memory`]'s, or the boxes
+    /// [`crate::memory::array_boxes`] computes without allocating.
+    pub(crate) fn lower<'a>(
+        nest: &LoopNest,
+        geometry: impl Fn(usize) -> (&'a [(i64, i64)], usize),
+    ) -> Result<Program> {
         let depth = nest.depth();
         let mut ops = Vec::new();
         let mut accesses = Vec::new();
         let mut guards = Vec::new();
+        let mut push_access = |access: &AffineAccess, array: usize| -> Result<u32> {
+            let (dims, len) = geometry(array);
+            accesses.push(LinAccess::lower(access, array, dims, len, depth)?);
+            Ok((accesses.len() - 1) as u32)
+        };
         for stmt in nest.body() {
             // Compile the statement body first so each guard knows how
             // many ops it must skip on failure.
             let mut stmt_ops = Vec::new();
-            emit_expr(&stmt.rhs, nest, mem, depth, &mut stmt_ops, &mut accesses)?;
-            let id = push_access(
-                &stmt.lhs.access,
-                stmt.lhs.array.0,
-                nest,
-                mem,
-                depth,
-                &mut accesses,
-            )?;
+            emit_expr(&stmt.rhs, &mut stmt_ops, &mut push_access)?;
+            let id = push_access(&stmt.lhs.access, stmt.lhs.array.0)?;
             stmt_ops.push(Op::Store(id));
             // Guard checks: each failure skips the remaining guards and
             // the statement ops (the stack is empty between statements).
@@ -277,15 +288,7 @@ impl Program {
             pc += 1;
             match *op {
                 Op::GuardEq { level, g, skip } => {
-                    // Exact i128 evaluation, bit-identical to
-                    // `IndexGuard::holds` (guard arithmetic must not
-                    // wrap — a wrapped value could alias a real index).
-                    let (coeffs, constant) = &self.guards[g as usize];
-                    let mut v = *constant as i128;
-                    for (c, i) in coeffs.iter().zip(&scratch.idx) {
-                        v += *c as i128 * *i as i128;
-                    }
-                    if v != scratch.idx[level as usize] as i128 {
+                    if !self.guard_holds(level, g, &scratch.idx) {
                         pc += skip as usize;
                     }
                 }
@@ -306,7 +309,7 @@ impl Program {
                             stack[sp] = v;
                             sp += 1;
                         }
-                        None => return Err(self.oob(a, mem, &scratch.idx)),
+                        None => return Err(self.oob(a, &mem.arrays()[array].name, &scratch.idx)),
                     }
                 }
                 Op::Add => {
@@ -330,12 +333,68 @@ impl Program {
                     let cell = usize::try_from(scratch.flats[a as usize]).ok();
                     match cell.and_then(|f| mem.write_flat(array, f, stack[sp]).map(|()| f)) {
                         Some(f) => touch(array, f, true),
-                        None => return Err(self.oob(a, mem, &scratch.idx)),
+                        None => return Err(self.oob(a, &mem.arrays()[array].name, &scratch.idx)),
                     }
                 }
             }
         }
         debug_assert_eq!(sp, 0, "program left operands on the stack");
+        Ok(())
+    }
+
+    /// Does guard `g` on loop `level` hold at `idx`? Exact i128
+    /// evaluation, bit-identical to `IndexGuard::holds` (guard
+    /// arithmetic must not wrap — a wrapped value could alias a real
+    /// index).
+    #[inline]
+    fn guard_holds(&self, level: u32, g: u32, idx: &[i64]) -> bool {
+        let (coeffs, constant) = &self.guards[g as usize];
+        let mut v = *constant as i128;
+        for (c, i) in coeffs.iter().zip(idx) {
+            v += *c as i128 * *i as i128;
+        }
+        v == idx[level as usize] as i128
+    }
+
+    /// The accesses [`Program::exec_traced`] would perform at `scratch`'s
+    /// point, as `touch(array, flat_cell, is_write)` in execution order,
+    /// without a [`Memory`] and without evaluating the body: statements
+    /// whose guards fail are skipped whole, and a flat offset outside
+    /// its array's box is an `OutOfBounds` naming the array of `nest`.
+    #[inline]
+    pub(crate) fn for_each_access<T>(
+        &self,
+        nest: &LoopNest,
+        scratch: &Scratch,
+        mut touch: T,
+    ) -> Result<()>
+    where
+        T: FnMut(usize, usize, bool),
+    {
+        let mut pc = 0usize;
+        while pc < self.ops.len() {
+            let op = self.ops[pc];
+            pc += 1;
+            let (a, write) = match op {
+                Op::GuardEq { level, g, skip } => {
+                    if !self.guard_holds(level, g, &scratch.idx) {
+                        pc += skip as usize;
+                    }
+                    continue;
+                }
+                Op::Load(a) => (a, false),
+                Op::Store(a) => (a, true),
+                _ => continue,
+            };
+            let acc = &self.accesses[a as usize];
+            match usize::try_from(scratch.flats[a as usize]) {
+                Ok(f) if f < acc.len => touch(acc.array as usize, f, write),
+                _ => {
+                    let name = &nest.arrays()[acc.array as usize].name;
+                    return Err(self.oob(a, name, &scratch.idx));
+                }
+            }
+        }
         Ok(())
     }
 
@@ -346,7 +405,7 @@ impl Program {
 
     /// Cold path: reconstruct the subscript of a failed access.
     #[cold]
-    fn oob(&self, a: u32, mem: &Memory, idx: &[i64]) -> RuntimeError {
+    fn oob(&self, a: u32, array: &str, idx: &[i64]) -> RuntimeError {
         let acc = &self.accesses[a as usize];
         let sub = acc
             .origin
@@ -354,59 +413,41 @@ impl Program {
             .map(|s| s.0)
             .unwrap_or_default();
         RuntimeError::OutOfBounds {
-            array: mem.arrays()[acc.array as usize].name.clone(),
+            array: array.to_string(),
             subscript: sub,
         }
     }
 }
 
-fn push_access(
-    access: &AffineAccess,
-    array: usize,
-    nest: &LoopNest,
-    mem: &Memory,
-    depth: usize,
-    accesses: &mut Vec<LinAccess>,
-) -> Result<u32> {
-    debug_assert!(array < nest.arrays().len());
-    let storage = &mem.arrays()[array];
-    let lin = LinAccess::lower(access, array, &storage.dims, storage.len(), depth)?;
-    accesses.push(lin);
-    Ok((accesses.len() - 1) as u32)
-}
-
 fn emit_expr(
     e: &Expr,
-    nest: &LoopNest,
-    mem: &Memory,
-    depth: usize,
     ops: &mut Vec<Op>,
-    accesses: &mut Vec<LinAccess>,
+    push_access: &mut impl FnMut(&AffineAccess, usize) -> Result<u32>,
 ) -> Result<()> {
     match e {
         Expr::Const(c) => ops.push(Op::Const(*c)),
         Expr::Index(k) => ops.push(Op::Index(*k as u32)),
         Expr::Read(r) => {
-            let id = push_access(&r.access, r.array.0, nest, mem, depth, accesses)?;
+            let id = push_access(&r.access, r.array.0)?;
             ops.push(Op::Load(id));
         }
         Expr::Add(a, b) => {
-            emit_expr(a, nest, mem, depth, ops, accesses)?;
-            emit_expr(b, nest, mem, depth, ops, accesses)?;
+            emit_expr(a, ops, push_access)?;
+            emit_expr(b, ops, push_access)?;
             ops.push(Op::Add);
         }
         Expr::Sub(a, b) => {
-            emit_expr(a, nest, mem, depth, ops, accesses)?;
-            emit_expr(b, nest, mem, depth, ops, accesses)?;
+            emit_expr(a, ops, push_access)?;
+            emit_expr(b, ops, push_access)?;
             ops.push(Op::Sub);
         }
         Expr::Mul(a, b) => {
-            emit_expr(a, nest, mem, depth, ops, accesses)?;
-            emit_expr(b, nest, mem, depth, ops, accesses)?;
+            emit_expr(a, ops, push_access)?;
+            emit_expr(b, ops, push_access)?;
             ops.push(Op::Mul);
         }
         Expr::Neg(a) => {
-            emit_expr(a, nest, mem, depth, ops, accesses)?;
+            emit_expr(a, ops, push_access)?;
             ops.push(Op::Neg);
         }
     }

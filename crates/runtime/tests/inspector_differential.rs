@@ -1,8 +1,10 @@
 //! Differential harness for the speculative inspector: on randomly
 //! generated parametric-subscript nests, the [`audit`] verdict is
-//! checked against a brute-force cross-group conflict oracle, and the
-//! verdict-picked executor is checked bit-for-bit against the
-//! sequential reference semantics.
+//! checked against a brute-force cross-group conflict oracle and
+//! against a brute-force reference audit (the decision rules over
+//! `(array, subscript)` keys and index vectors), and the verdict-picked
+//! executor is checked bit-for-bit against the sequential reference
+//! semantics.
 //!
 //! The generator is deterministic; set `PDM_PROPTEST_SEED` to pin the
 //! base seed (CI pins `1`). Every assertion names the failing seed so a
@@ -17,8 +19,8 @@ use pdm_loopir::nest::LoopNest;
 use pdm_loopir::stmt::AccessKind;
 use pdm_matrix::vec::IVec;
 use pdm_runtime::inspector::{audit, run_with_verdict};
-use pdm_runtime::{Memory, Verdict, Walker};
-use std::collections::HashMap;
+use pdm_runtime::{Memory, RuntimeError, Verdict, Walker};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 fn base_seed() -> u64 {
     std::env::var("PDM_PROPTEST_SEED")
@@ -57,6 +59,132 @@ fn oracle_has_cross_group_conflict(nest: &LoopNest, plan: &ParallelPlan) -> bool
         })
         .unwrap();
     seen.values().any(|&(_, multi, wrote)| multi && wrote)
+}
+
+/// One `(cell, group)` summary of the reference audit: original index
+/// vectors, compared lexicographically.
+struct RefTouches {
+    wrote: bool,
+    min: Vec<i64>,
+    max: Vec<i64>,
+    max_write: Option<Vec<i64>>,
+}
+
+/// Brute-force reference audit with the inspector's decision rules and
+/// none of its machinery: one sequential walk, every access evaluated
+/// from the original indices into an `(array, subscript)` key, index
+/// vectors for the order checks, ordered maps for every merge.
+/// Rejection reasons are not worded like [`audit`]'s; compare
+/// [`verdict_shape`]s.
+fn reference_audit(nest: &LoopNest, plan: &ParallelPlan) -> Verdict {
+    type Cell = (usize, Vec<i64>);
+    let mut touches: BTreeMap<(Cell, u64), RefTouches> = BTreeMap::new();
+    let mut groups: Vec<u64> = Vec::new();
+    let mut disorder = false;
+    let walker = Walker::for_plan(plan);
+    let mut s = walker.new_scratch();
+    let all = walker.range(0, u64::MAX).unwrap();
+    all.for_each(|gid, prefix, o| {
+        groups.push(gid);
+        walker.walk(prefix, o, &mut s, |sc| {
+            let idx = sc.idx.as_slice();
+            for stmt in nest.body() {
+                if !stmt.guards_hold(idx) {
+                    continue;
+                }
+                for (kind, r) in stmt.accesses() {
+                    let sub = r.access.eval(&IVec(idx.to_vec()))?;
+                    let write = kind == AccessKind::Write;
+                    let t =
+                        touches
+                            .entry(((r.array.0, sub.0), gid))
+                            .or_insert_with(|| RefTouches {
+                                wrote: false,
+                                min: idx.to_vec(),
+                                max: idx.to_vec(),
+                                max_write: None,
+                            });
+                    // A write must follow every earlier touch, a read
+                    // every earlier write, in original order.
+                    disorder |= if write {
+                        idx < t.max.as_slice()
+                    } else {
+                        t.max_write.as_deref().is_some_and(|w| idx < w)
+                    };
+                    t.wrote |= write;
+                    t.min = t.min.clone().min(idx.to_vec());
+                    t.max = t.max.clone().max(idx.to_vec());
+                    if write && t.max_write.as_deref().is_none_or(|w| idx > w) {
+                        t.max_write = Some(idx.to_vec());
+                    }
+                }
+            }
+            Ok(())
+        })?;
+        Ok(())
+    })
+    .unwrap();
+    if disorder {
+        return Verdict::Rejected {
+            reason: "intra-group disorder".into(),
+        };
+    }
+    let mut by_cell: BTreeMap<&Cell, Vec<(u64, &RefTouches)>> = BTreeMap::new();
+    for ((cell, gid), t) in &touches {
+        by_cell.entry(cell).or_default().push((*gid, t));
+    }
+    // Certification: no cell shared by two groups with a write.
+    if !by_cell
+        .values()
+        .any(|list| list.len() >= 2 && list.iter().any(|(_, t)| t.wrote))
+    {
+        return Verdict::Certified;
+    }
+    let mut edges: BTreeSet<(u64, u64)> = BTreeSet::new();
+    for list in by_cell.values() {
+        for (i, (ga, ta)) in list.iter().enumerate() {
+            for (gb, tb) in &list[i + 1..] {
+                if !ta.wrote && !tb.wrote {
+                    continue;
+                }
+                if ta.max < tb.min {
+                    edges.insert((*ga, *gb));
+                } else if tb.max < ta.min {
+                    edges.insert((*gb, *ga));
+                } else {
+                    return Verdict::Rejected {
+                        reason: "interleaved conflict".into(),
+                    };
+                }
+            }
+        }
+    }
+    // Longest path by repeated relaxation: |groups| rounds settle any
+    // DAG; a change in one more round means a cycle.
+    let mut layer: BTreeMap<u64, usize> = groups.iter().map(|&g| (g, 0)).collect();
+    for round in 0..=groups.len() {
+        let mut changed = false;
+        for &(a, b) in &edges {
+            if layer[&b] < layer[&a] + 1 {
+                layer.insert(b, layer[&a] + 1);
+                changed = true;
+            }
+        }
+        if !changed {
+            break;
+        }
+        if round == groups.len() {
+            return Verdict::Rejected {
+                reason: "cycle".into(),
+            };
+        }
+    }
+    let depth = layer.values().copied().max().unwrap_or(0) + 1;
+    let mut stages = vec![Vec::new(); depth];
+    for (g, l) in layer {
+        stages[l].push(g);
+    }
+    Verdict::Refined { stages }
 }
 
 fn seeded(nest: &LoopNest, seed: u64) -> Memory {
@@ -160,10 +288,11 @@ fn verdicts_agree_with_the_brute_force_oracle() {
     );
 }
 
-/// The facts the audit verdict is compared on across an interval:
-/// the kind, plus the exact staging for refinements. (Rejection
-/// *reasons* are intentionally excluded — they name the first
-/// violation found, which depends on hash-map iteration order.)
+/// The facts the audit verdict is compared on across an interval and
+/// against the reference: the kind, plus the exact staging for
+/// refinements. (Rejection *reasons* are excluded: they name the first
+/// violation found, which differs between valuations of one interval
+/// and is worded differently by the reference.)
 fn verdict_shape(v: &Verdict) -> (String, Option<Vec<Vec<u64>>>) {
     match v {
         Verdict::Refined { stages } => (v.kind().into(), Some(stages.clone())),
@@ -255,4 +384,134 @@ fn certified_intervals_match_the_per_point_audit() {
     // boxes with probe-able interiors.
     assert!(boxes_checked >= 5, "only {boxes_checked} boxes certified");
     assert!(points_checked >= 10, "only {points_checked} in-box audits");
+}
+
+/// The generator configurations of the verdict-equality differential:
+/// the 1-D and 2-D shapes of the oracle tests, a wider 1-D shape, and a
+/// single-array 2-D shape with unit subscripts (the densest source of
+/// refinements and rejections).
+const REFERENCE_CFGS: [GenConfig; 4] = [
+    GenConfig {
+        depth: 1,
+        extent: 7,
+        coeff: 1,
+        offset: 2,
+        stmts: 1,
+        arrays: 1,
+    },
+    GenConfig {
+        depth: 2,
+        extent: 4,
+        coeff: 2,
+        offset: 3,
+        stmts: 2,
+        arrays: 2,
+    },
+    GenConfig {
+        depth: 1,
+        extent: 15,
+        coeff: 2,
+        offset: 4,
+        stmts: 2,
+        arrays: 1,
+    },
+    GenConfig {
+        depth: 2,
+        extent: 4,
+        coeff: 1,
+        offset: 1,
+        stmts: 1,
+        arrays: 1,
+    },
+];
+
+/// Verdict-equality differential: on every generator configuration and
+/// `K ∈ −3..=5`, [`audit`] decides exactly what the brute-force
+/// reference decides — the kind, and for refinements the exact stages.
+#[test]
+fn verdicts_equal_the_reference_audit() {
+    let base = base_seed();
+    let mut kinds: BTreeMap<String, usize> = BTreeMap::new();
+    for case in 0..160u64 {
+        let cfg = &REFERENCE_CFGS[(case % REFERENCE_CFGS.len() as u64) as usize];
+        let seed = base.wrapping_add(2_000).wrapping_add(case);
+        let Ok(shape) = random_inspector_nest(seed, cfg, &["K"]) else {
+            continue;
+        };
+        let Ok(template) = plan_template(&shape) else {
+            continue;
+        };
+        for k in -3i64..=5 {
+            let vals = [("K", k)];
+            let Ok(plan) = template.instantiate(&vals) else {
+                continue;
+            };
+            let nest = template.instantiate_nest(&vals).unwrap();
+            let got = verdict_shape(&audit(&nest, &plan).unwrap());
+            let want = verdict_shape(&reference_audit(&nest, &plan));
+            assert_eq!(got, want, "seed {seed} cfg {cfg:?} K={k}");
+            *kinds.entry(got.0).or_default() += 1;
+        }
+    }
+    // Vacuity guard: the demoted verdicts must be exercised too.
+    for kind in ["certified", "refined", "rejected"] {
+        assert!(
+            kinds.get(kind) >= Some(&10),
+            "verdict kinds seen: {kinds:?}"
+        );
+    }
+}
+
+/// Plan the hull of `src`, substitute `K = k`, and return the concrete
+/// nest and plan.
+fn instance(src: &str, k: i64) -> (LoopNest, ParallelPlan) {
+    let shape = pdm_loopir::parse::parse_loop_symbolic(src, &["K"]).unwrap();
+    let t = plan_template(&shape).unwrap();
+    let vals = [("K", k)];
+    (
+        t.instantiate_nest(&vals).unwrap(),
+        t.instantiate(&vals).unwrap(),
+    )
+}
+
+#[test]
+fn edge_shapes_audit_like_the_reference() {
+    // Index boxes starting below zero (ranks and cell ids are offsets
+    // from the box corners, never raw indices), and a guard that leaves
+    // only column 0 carrying the shifted chain (failed-guard statements
+    // touch nothing).
+    for src in [
+        "for i = -6..=5 { A[i + K] = A[i] + 1; }",
+        "for i1 = -4..=3 { for i2 = -3..=2 { A[i1 + K, i2] = A[i1, i2] + B[-i1, i2]; } }",
+        "for i1 = 0..=5 { for i2 = 0..=3 {
+            A[i1 + K, i2] = A[i1, i2] + 1 when i2 == 0;
+            B[i1, i2] = B[i1, i2] + 1;
+        } }",
+    ] {
+        let mut kinds = BTreeSet::new();
+        for k in -3i64..=5 {
+            let (nest, plan) = instance(src, k);
+            let v = audit(&nest, &plan).unwrap();
+            assert_eq!(
+                verdict_shape(&v),
+                verdict_shape(&reference_audit(&nest, &plan)),
+                "{src} K={k}"
+            );
+            kinds.insert(v.kind());
+        }
+        assert!(kinds.len() >= 2, "{src}: only {kinds:?}");
+    }
+}
+
+#[test]
+fn index_box_past_i64_ranks_is_a_typed_overflow() {
+    // 10⁵ values per level over four levels: 10²⁰ points have no i64
+    // rank, while the arrays stay small.
+    let src = "for i1 = 0..=99999 { for i2 = 0..=99999 { for i3 = 0..=99999 {
+        for i4 = 0..=99999 { A[i1 + K] = A[i1] + 1; } } } }";
+    let (nest, plan) = instance(src, 1);
+    assert!(matches!(
+        audit(&nest, &plan),
+        Err(RuntimeError::Matrix(pdm_matrix::MatrixError::Overflow))
+    ));
 }
