@@ -19,7 +19,7 @@
 //! which runs the same tasks one after another and reports the same
 //! conflicts.
 
-use crate::compile::{CompiledBounds, CompiledPlan};
+use crate::compile::{CompiledBounds, CompiledPlan, TaskState};
 use crate::memory::{self, CellIds, Memory};
 use crate::schedule::{self, RangeTask};
 use crate::staged::CompiledProgram;
@@ -41,17 +41,18 @@ pub struct LoggedAccess {
 type GroupLogs = Vec<(u64, Vec<LoggedAccess>)>;
 
 /// Execute one range task through the compiled walker with a logging
-/// visitor. Returns the task's iteration count and one log per group
-/// that ran at least one iteration, in walk order.
-fn log_task(
-    cp: &CompiledPlan,
+/// visitor and a worker's reused `state`. Returns the task's iteration
+/// count and one log per group that ran at least one iteration, in walk
+/// order.
+fn log_task<'a>(
+    cp: &'a CompiledPlan,
     mem: &Memory,
     ids: &CellIds,
-    task: &RangeTask<'_, CompiledBounds>,
+    task: &RangeTask<'a, CompiledBounds>,
+    state: &mut TaskState<'a>,
 ) -> Result<(u64, GroupLogs)> {
     let mut logs: GroupLogs = Vec::new();
-    let mut s = cp.new_scratch();
-    let count = cp.walker().walk_task(task, &mut s, |gid, sc| {
+    let count = cp.walker().walk_task(task, state, |gid, sc| {
         if logs.last().is_none_or(|(g, _)| *g != gid) {
             logs.push((gid, Vec::new()));
         }
@@ -84,7 +85,8 @@ pub fn run_parallel_checked(nest: &LoopNest, plan: &ParallelPlan, mem: &Memory) 
     let mut logs: GroupLogs = Vec::new();
     schedule::run_stages(
         std::slice::from_ref(&tasks),
-        |task| log_task(&cp, mem, &ids, task),
+        || cp.new_task_state(),
+        |state, task| log_task(&cp, mem, &ids, task, state),
         |_, results| {
             for (count, task_logs) in results {
                 total += count;
@@ -190,7 +192,14 @@ pub fn run_program_parallel_checked(
     let mut total = 0u64;
     schedule::run_stages(
         &stages,
-        |(k, task)| Ok((*k, log_task(&program.kernels()[*k], mem, &ids, task)?)),
+        || program.new_task_states(),
+        |states, (k, task)| {
+            let state = program.task_state(states, *k);
+            Ok((
+                *k,
+                log_task(&program.kernels()[*k], mem, &ids, task, state)?,
+            ))
+        },
         |si, results| {
             let mut units: Vec<((usize, u64), Vec<LoggedAccess>)> = Vec::new();
             for (k, (count, logs)) in results {

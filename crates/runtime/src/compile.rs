@@ -36,14 +36,15 @@
 //! space* (doall-prefix values × partition offsets) into contiguous
 //! ranges with steal-aware sizing
 //! ([`crate::schedule::plan_range_tasks`] — finer chunks when per-group
-//! cost is skewed) and hands them to the crate's one stage driver; each
-//! task arrives with a pre-positioned streaming
-//! [`crate::schedule::GroupCursor`] and walks forward reusing one
-//! [`PlanScratch`] — the group list is never materialized.
+//! cost is skewed) and hands them to the crate's one stage driver. Each
+//! worker keeps one [`TaskState`] — a streaming
+//! [`crate::schedule::GroupCursor`] and a [`PlanScratch`] — and every
+//! range it claims positions that cursor in place and walks forward:
+//! the group list is never materialized, and a range allocates nothing.
 
 use crate::memory::Memory;
 use crate::program::{Program, Scratch};
-use crate::schedule::{self, PrefixBounds, RangeTask, Schedule};
+use crate::schedule::{self, GroupCursor, PrefixBounds, RangeTask, Schedule};
 use crate::{Result, RuntimeError};
 use pdm_core::partition::Partitioning;
 use pdm_core::plan::ParallelPlan;
@@ -189,6 +190,17 @@ pub struct PlanScratch {
     inner: Scratch,
 }
 
+/// One worker's reusable state for the range tasks of one walker: the
+/// group cursor each task positions in place and the walk scratch.
+/// The stage driver builds one per thread of a region
+/// ([`CompiledPlan::new_task_state`]), so a task allocates nothing
+/// before its first iteration.
+#[derive(Debug)]
+pub struct TaskState<'a> {
+    pub(crate) cursor: GroupCursor<'a, CompiledBounds>,
+    pub(crate) scratch: PlanScratch,
+}
+
 /// The compiled group walker: the geometry of a (possibly transformed)
 /// iteration space, independent of any body or memory.
 ///
@@ -309,9 +321,24 @@ impl Walker {
         schedule::plan_range_tasks(&self.bounds, self.z, self.offsets.len(), sched, threads)
     }
 
-    /// One range task over groups `start..end`, positioned by a seek.
-    pub fn range(&self, start: u64, end: u64) -> Result<RangeTask<'_, CompiledBounds>> {
-        RangeTask::new(&self.bounds, self.z, self.offsets.len(), start, end)
+    /// One range task over groups `start..end`, positioned by a seek
+    /// when it runs.
+    pub fn range(&self, start: u64, end: u64) -> RangeTask<'_, CompiledBounds> {
+        RangeTask::new(&self.bounds, start, end)
+    }
+
+    /// A cursor over this walker's group space for running
+    /// [`RangeTask`]s ([`RangeTask::for_each`] positions it).
+    pub fn cursor(&self) -> GroupCursor<'_, CompiledBounds> {
+        GroupCursor::unpositioned(&self.bounds, self.z, self.offsets.len())
+    }
+
+    /// Task state around `inner`: a cursor and walk state.
+    fn task_state(&self, inner: Scratch) -> TaskState<'_> {
+        TaskState {
+            cursor: self.cursor(),
+            scratch: self.scratch_with(inner),
+        }
     }
 
     /// Walk state around `inner`, positioned at the origin.
@@ -327,6 +354,12 @@ impl Walker {
     /// Walk state for a bare geometry: original indices only.
     pub fn new_scratch(&self) -> PlanScratch {
         self.scratch_with(Scratch::indices_only(self.n))
+    }
+
+    /// Range-task state for a bare geometry: a cursor and
+    /// [`Walker::new_scratch`].
+    pub fn new_task_state(&self) -> TaskState<'_> {
+        self.task_state(Scratch::indices_only(self.n))
     }
 
     /// Advance walk level `ℓ` by `delta`, updating the transformed point,
@@ -442,20 +475,22 @@ impl Walker {
         }
     }
 
-    /// Walk every group of `task`, calling `visit(group_id, scratch)`
-    /// once per iteration. Returns the iteration count.
-    pub fn walk_task<V>(
-        &self,
-        task: &RangeTask<'_, CompiledBounds>,
-        s: &mut PlanScratch,
+    /// Walk every group of `task` with a worker's reused `state`,
+    /// calling `visit(group_id, scratch)` once per iteration. Returns
+    /// the iteration count.
+    pub fn walk_task<'a, V>(
+        &'a self,
+        task: &RangeTask<'a, CompiledBounds>,
+        state: &mut TaskState<'a>,
         mut visit: V,
     ) -> Result<u64>
     where
         V: FnMut(u64, &mut Scratch) -> Result<()>,
     {
+        let TaskState { cursor, scratch } = state;
         let mut total = 0u64;
-        task.for_each(|gid, prefix, o| {
-            total += self.walk(prefix, o, s, |sc| visit(gid, sc))?;
+        task.for_each(cursor, |gid, prefix, o| {
+            total += self.walk(prefix, o, scratch, |sc| visit(gid, sc))?;
             Ok(())
         })?;
         Ok(total)
@@ -572,16 +607,33 @@ impl CompiledPlan {
         self.walker.scratch_with(self.program.new_scratch())
     }
 
-    /// Execute every group of one range task with a fresh scratch.
-    /// Returns the iteration count.
-    pub(crate) fn run_task(
-        &self,
+    /// Allocate one worker's reusable range-task state.
+    pub fn new_task_state(&self) -> TaskState<'_> {
+        self.walker.task_state(self.program.new_scratch())
+    }
+
+    /// Execute every group of one range task with a worker's reused
+    /// state. Returns the iteration count.
+    pub(crate) fn run_task<'a>(
+        &'a self,
         mem: &Memory,
-        task: &RangeTask<'_, CompiledBounds>,
+        task: &RangeTask<'a, CompiledBounds>,
+        state: &mut TaskState<'a>,
     ) -> Result<u64> {
-        let mut s = self.new_scratch();
         self.walker
-            .walk_task(task, &mut s, |_, sc| self.program.exec(mem, sc))
+            .walk_task(task, state, |_, sc| self.program.exec(mem, sc))
+    }
+
+    /// Execute the plan's nest in **original lexicographic order** on
+    /// this plan's lowered program: the [`CompiledNest`] walk, without
+    /// lowering the body again. `nest` must be the nest the plan was
+    /// compiled from. The executor for valuations whose dependences the
+    /// plan cannot honour (a rejected inspector verdict). Returns the
+    /// iteration count.
+    pub fn run_original_order(&self, nest: &LoopNest, mem: &Memory) -> Result<u64> {
+        let walker = Walker::for_nest(nest, &self.program)?;
+        let mut s = walker.scratch_with(self.program.new_scratch());
+        walker.walk(&[], 0, &mut s, |sc| self.program.exec(mem, sc))
     }
 
     /// Execute all groups **in parallel** with streaming range
@@ -605,7 +657,8 @@ impl CompiledPlan {
         let mut total = 0u64;
         schedule::run_stages(
             std::slice::from_ref(&tasks),
-            |task| self.run_task(mem, task),
+            || self.new_task_state(),
+            |state, task| self.run_task(mem, task, state),
             |_, counts| {
                 total += counts.iter().sum::<u64>();
                 Ok(())
@@ -710,10 +763,10 @@ mod tests {
             // shares no code with the walker's residue and T⁻¹ deltas.
             let mut seen = Vec::new();
             let mut s = walker.new_scratch();
-            let task = walker.range(0, u64::MAX).unwrap();
+            let task = walker.range(0, u64::MAX);
             let mut total = 0u64;
             let mut groups = 0u64;
-            task.for_each(|_, prefix, o| {
+            task.for_each(&mut walker.cursor(), |_, prefix, o| {
                 groups += 1;
                 total += walker.walk(prefix, o, &mut s, |sc| {
                     let point = pdm_matrix::vec::IVec(sc.idx.clone());

@@ -47,8 +47,15 @@
 //!   through seeked range cursors — no group table materialization.
 //! * [`Verdict::Rejected`] — intra-group touch order disagrees with
 //!   program order, conflicting touch ranges overlap, or the direction
-//!   graph has a cycle. The caller falls back to
-//!   [`crate::exec::run_sequential`].
+//!   graph has a cycle. The valuation runs in original order on the
+//!   compiled walker ([`CompiledPlan::run_original_order`]), reusing
+//!   the instance's lowered program.
+//!
+//! Every verdict therefore executes on the one compiled walker
+//! ([`PreparedVerdict::execute`]); the reference interpreter
+//! ([`crate::exec::run_sequential`]) is only the fallback a server
+//! degrades to when a compiled run fails, and the oracle the tests
+//! hold every executor to.
 //!
 //! The cross-group certifier is [`crate::checked`]'s conflict detector
 //! (`detect_conflicts`), fed one `(cell, wrote)` summary per touched
@@ -66,20 +73,22 @@
 //! that cell.
 //!
 //! Verdicts are cached per `(structural_hash, valuation)` in
-//! [`crate::sharded::VerdictCache`], so a service audits each valuation
-//! once and every later request dispatches straight to the certified
-//! executor. When the planner's template can additionally certify a
-//! whole valuation *interval* (`PlanTemplate::stability_box` in
-//! `pdm-core`), the cache stores the interval ahead of point entries
-//! and every in-interval valuation skips the audit entirely.
+//! [`crate::sharded::VerdictCache`] as [`PreparedVerdict`]s, so a
+//! service audits each valuation once, a refined verdict's stages are
+//! sorted and chunked once, and every later request only walks. When
+//! the planner's template can additionally certify a whole valuation
+//! *interval* (`PlanTemplate::stability_box` in `pdm-core`), the cache
+//! stores the interval ahead of point entries and every in-interval
+//! valuation skips the audit entirely.
 
 use crate::checked::detect_conflicts;
-use crate::compile::{CompiledBounds, CompiledPlan};
+use crate::compile::{CompiledBounds, CompiledPlan, TaskState};
 use crate::memory::{self, array_boxes, box_len, index_ranges, CellIds, Memory};
 use crate::schedule::{self, RangeTask, Schedule};
 use crate::{Result, RuntimeError};
 use pdm_core::plan::ParallelPlan;
 use pdm_loopir::nest::LoopNest;
+use std::sync::OnceLock;
 
 /// The inspector's decision for one `(shape, valuation)` pair.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -253,16 +262,17 @@ struct AuditLocal {
     disorder: Option<String>,
 }
 
-/// Walk one contiguous group range and summarize its touches. The
-/// intra-group order check is complete here: a group lies wholly within
-/// one range, so a `(cell, group)` summary never needs cross-task
-/// merging.
-fn audit_range(
+/// Walk one contiguous group range with a worker's reused walk state
+/// and slot map, and summarize its touches. The intra-group order check
+/// is complete here: a group lies wholly within one range, so a
+/// `(cell, group)` summary never needs cross-task merging.
+fn audit_range<'a>(
     nest: &LoopNest,
-    cp: &CompiledPlan,
+    cp: &'a CompiledPlan,
     ids: &CellIds,
     lex: &LexRank,
-    task: &RangeTask<'_, CompiledBounds>,
+    task: &RangeTask<'a, CompiledBounds>,
+    (state, slots): &mut (TaskState<'a>, SlotMap),
 ) -> Result<AuditLocal> {
     let (walker, program) = (cp.walker(), cp.program());
     let mut local = AuditLocal {
@@ -270,13 +280,12 @@ fn audit_range(
         groups: Vec::new(),
         disorder: None,
     };
-    let mut slots = SlotMap::new();
-    let mut s = cp.new_scratch();
-    task.for_each(|gid, prefix, o| {
+    let TaskState { cursor, scratch } = state;
+    task.for_each(cursor, |gid, prefix, o| {
         let group = local.groups.len();
         local.groups.push(gid);
         slots.clear();
-        walker.walk(prefix, o, &mut s, |sc| {
+        walker.walk(prefix, o, scratch, |sc| {
             let rank = lex.rank(&sc.idx);
             program.for_each_access(nest, sc, |array, flat, write| {
                 let cell = ids.id(array, flat);
@@ -350,7 +359,8 @@ pub fn audit(nest: &LoopNest, plan: &ParallelPlan) -> Result<Verdict> {
     let mut locals = Vec::new();
     schedule::run_stages(
         std::slice::from_ref(&tasks),
-        |task| audit_range(nest, &cp, &ids, &lex, task),
+        || (cp.new_task_state(), SlotMap::new()),
+        |state, task| audit_range(nest, &cp, &ids, &lex, task, state),
         |_, results| {
             locals = results;
             Ok(())
@@ -521,37 +531,118 @@ fn stage_chunk_target(sched: &Schedule) -> usize {
     rayon::current_num_threads().max(1) * sched.chunks_per_thread.max(1)
 }
 
+/// A refined staging laid out for execution: every stage's chunks
+/// ([`stage_chunks`]) for one chunk target. Building it sorts and
+/// splits every stage, so a served verdict builds it once
+/// ([`PreparedVerdict`]) and each later run only walks.
+#[derive(Debug)]
+struct StageLayout {
+    target: usize,
+    chunks: Vec<Vec<(u64, u64)>>,
+}
+
+impl StageLayout {
+    fn new(stages: &[Vec<u64>], target: usize) -> StageLayout {
+        StageLayout {
+            target,
+            chunks: stages
+                .iter()
+                .map(|stage| stage_chunks(stage, target))
+                .collect(),
+        }
+    }
+
+    /// Run the stages in order, a barrier between them, each stage's
+    /// chunks as compiled range tasks on the stage driver (each worker
+    /// seeks its one cursor to every chunk it claims). Returns the
+    /// iterations executed.
+    fn run(&self, plan: &CompiledPlan, mem: &Memory) -> Result<u64> {
+        let mut total = 0u64;
+        schedule::run_stages(
+            &self.chunks,
+            || plan.new_task_state(),
+            |state, &(start, end)| plan.run_task(mem, &plan.walker().range(start, end), state),
+            |_, counts| {
+                total += counts.iter().sum::<u64>();
+                Ok(())
+            },
+        )?;
+        Ok(total)
+    }
+}
+
 /// Execute a [`Verdict::Refined`] staging through a [`CompiledPlan`]:
-/// each stage's contiguous group runs become compiled range tasks (one
-/// scratch per chunk, positioned by a seek inside the task), run by the
-/// stage driver with a barrier between stages. Returns the iterations
-/// executed.
+/// each stage's contiguous group runs become compiled range tasks,
+/// run by the stage driver with a barrier between stages. Lays the
+/// stages out on every call; a server that runs one verdict many times
+/// holds a [`PreparedVerdict`] instead. Returns the iterations executed.
 pub fn run_refined_compiled(
     plan: &CompiledPlan,
     mem: &Memory,
     stages: &[Vec<u64>],
     sched: Schedule,
 ) -> Result<u64> {
-    let target = stage_chunk_target(&sched);
-    let chunks: Vec<Vec<(u64, u64)>> = stages
-        .iter()
-        .map(|stage| stage_chunks(stage, target))
-        .collect();
-    let mut total = 0u64;
-    schedule::run_stages(
-        &chunks,
-        |&(start, end)| plan.run_task(mem, &plan.walker().range(start, end)?),
-        |_, counts| {
-            total += counts.iter().sum::<u64>();
-            Ok(())
-        },
-    )?;
-    Ok(total)
+    StageLayout::new(stages, stage_chunk_target(&sched)).run(plan, mem)
 }
 
-/// Dispatch execution on a verdict: certified → the compiled parallel
-/// engine, refined → the compiled staged executor, rejected → the
-/// sequential reference order. Returns the iterations executed.
+/// A verdict ready to serve: the [`Verdict`] and, once a refined one
+/// has run, its stage layout, kept for every later run at the same
+/// chunk target (pool width × [`Schedule::chunks_per_thread`]). This is
+/// what [`crate::sharded::VerdictCache`] holds, so a hot refined
+/// valuation pays for its iterations only.
+#[derive(Debug)]
+pub struct PreparedVerdict {
+    verdict: Verdict,
+    layout: OnceLock<StageLayout>,
+}
+
+impl PreparedVerdict {
+    /// Wrap `verdict`; the layout is built on the first refined run.
+    pub fn new(verdict: Verdict) -> PreparedVerdict {
+        PreparedVerdict {
+            verdict,
+            layout: OnceLock::new(),
+        }
+    }
+
+    /// The verdict.
+    pub fn verdict(&self) -> &Verdict {
+        &self.verdict
+    }
+
+    /// Execute `plan` (compiled from `nest` against `mem`) as the
+    /// verdict allows: certified → the compiled parallel engine,
+    /// refined → the staged range tasks, rejected → the compiled walker
+    /// in original order. All three are the one compiled walker. A
+    /// refined run under a pool width the kept layout was not built for
+    /// lays its stages out afresh. Returns the iterations executed.
+    pub fn execute(
+        &self,
+        plan: &CompiledPlan,
+        nest: &LoopNest,
+        mem: &Memory,
+        sched: Schedule,
+    ) -> Result<u64> {
+        match &self.verdict {
+            Verdict::Certified => plan.run_parallel_scheduled(mem, sched),
+            Verdict::Refined { stages } => {
+                let target = stage_chunk_target(&sched);
+                let kept = self.layout.get_or_init(|| StageLayout::new(stages, target));
+                if kept.target == target {
+                    kept.run(plan, mem)
+                } else {
+                    StageLayout::new(stages, target).run(plan, mem)
+                }
+            }
+            Verdict::Rejected { .. } => plan.run_original_order(nest, mem),
+        }
+    }
+}
+
+/// Dispatch execution on a verdict ([`PreparedVerdict::execute`]):
+/// certified → the compiled parallel engine, refined → the compiled
+/// staged executor, rejected → the compiled walker in original order.
+/// Returns the iterations executed.
 pub fn run_with_verdict(
     nest: &LoopNest,
     plan: &ParallelPlan,
@@ -559,18 +650,12 @@ pub fn run_with_verdict(
     verdict: &Verdict,
 ) -> Result<u64> {
     let schedule = crate::config::RuntimeConfig::global().schedule();
-    match verdict {
-        Verdict::Certified => {
-            CompiledPlan::compile(nest, plan, mem)?.run_parallel_scheduled(mem, schedule)
-        }
-        Verdict::Refined { stages } => run_refined_compiled(
-            &CompiledPlan::compile(nest, plan, mem)?,
-            mem,
-            stages,
-            schedule,
-        ),
-        Verdict::Rejected { .. } => crate::exec::run_sequential(nest, mem),
-    }
+    PreparedVerdict::new(verdict.clone()).execute(
+        &CompiledPlan::compile(nest, plan, mem)?,
+        nest,
+        mem,
+        schedule,
+    )
 }
 
 #[cfg(test)]
@@ -699,6 +784,20 @@ mod tests {
         let n_comp = run_refined_compiled(&cp, &m_comp, &stages, sched).unwrap();
         assert_eq!(n_comp, 64);
         assert_eq!(m_comp.snapshot(), m_ref.snapshot());
+
+        // A prepared verdict keeps the layout of its first run's pool
+        // width and lays out afresh under another: every run matches.
+        let prepared = PreparedVerdict::new(v);
+        for width in [2, 1, 2, 3] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(width)
+                .build()
+                .unwrap();
+            let m = Memory::for_nest(&nest).unwrap();
+            let n = pool.install(|| prepared.execute(&cp, &nest, &m, sched).unwrap());
+            assert_eq!(n, 64);
+            assert_eq!(m.snapshot(), m_ref.snapshot(), "width {width}");
+        }
     }
 
     #[test]

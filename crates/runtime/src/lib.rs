@@ -77,8 +77,9 @@
 //!   *subscripts* read symbolic parameters: the plan is computed on the
 //!   parameter-free hull, and once per valuation [`inspector::audit`]
 //!   walks the concrete access lattice to certify the parallel plan,
-//!   refine it into stages, or reject it back to sequential order, with
-//!   verdicts cached in [`sharded::VerdictCache`];
+//!   refine it into stages, or reject it back to original order on the
+//!   compiled walker, with verdicts (and refined stage layouts) cached
+//!   in [`sharded::VerdictCache`];
 //! * [`equivalence`] — the soundness harness: the reference against the
 //!   compiled walker in original order and under the parallel plan, and
 //!   the program analogue, used all over the test suite and benches.
@@ -106,7 +107,7 @@ pub mod template;
 pub use compile::{CompiledNest, CompiledPlan, Walker};
 pub use config::RuntimeConfig;
 pub use exec::run_sequential;
-pub use inspector::{audit, run_refined_compiled, run_with_verdict, Verdict};
+pub use inspector::{audit, run_refined_compiled, run_with_verdict, PreparedVerdict, Verdict};
 pub use memory::Memory;
 pub use schedule::{GroupCursor, Schedule};
 pub use sharded::{CacheStats, ShardedPlanCache};

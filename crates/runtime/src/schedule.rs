@@ -66,10 +66,11 @@
 //! steal. Rectangular nests keep the coarse split. Override the coarse
 //! factor with the `PDM_CHUNKS_PER_THREAD` environment variable (any
 //! positive integer; larger values smooth imbalanced group costs at the
-//! price of more per-range cursor positioning). Each range is walked by
-//! one task with one cursor and one reused scratch, so peak
-//! simultaneously-live group state stays `O(threads × chunks_per_thread)`
-//! (or the steal variant on skewed spaces) instead of `O(#groups)`.
+//! price of more per-range cursor positioning). A range task is just its
+//! bounds: each worker walks every range it claims with one cursor and
+//! one scratch of its own, positioned in place per range, so
+//! simultaneously-live group state is `O(threads × depth)` instead of
+//! `O(#groups)`, and a range allocates nothing before its first group.
 //!
 //! # Stages
 //!
@@ -77,13 +78,15 @@
 //! each a list of independent tasks (a kernel's group range), run on the
 //! work-stealing pool with a barrier between stages. Plain plans are one
 //! stage; staged multi-kernel programs and refined inspector verdicts
-//! are several. No executor materializes its group list — each task
-//! walks its range with one cursor.
+//! are several. No executor materializes its group list, and worker
+//! state (cursor and scratch) is built once per thread and carried from
+//! stage to stage.
 
 use crate::{Result, RuntimeError};
 use pdm_matrix::MatrixError;
 use pdm_poly::bounds::LoopBounds;
 use rayon::prelude::*;
+use std::sync::{Mutex, PoisonError};
 
 fn overflow() -> RuntimeError {
     RuntimeError::Matrix(MatrixError::Overflow)
@@ -203,6 +206,22 @@ impl<'a, B: PrefixBounds> Clone for GroupCursor<'a, B> {
             exhausted: self.exhausted,
         }
     }
+
+    /// Copy `src`'s walk state into this cursor's buffers: no
+    /// allocation once the buffers have the space's depth, which is how
+    /// a worker's reused cursor takes a clone-positioned task's start.
+    fn clone_from(&mut self, src: &Self) {
+        self.bounds = src.bounds;
+        self.z = src.z;
+        self.num_offsets = src.num_offsets;
+        self.x.clone_from(&src.x);
+        self.lo.clone_from(&src.lo);
+        self.hi.clone_from(&src.hi);
+        self.offset = src.offset;
+        self.pos = src.pos;
+        self.indep_from = src.indep_from;
+        self.exhausted = src.exhausted;
+    }
 }
 
 impl<'a, B: PrefixBounds> GroupCursor<'a, B> {
@@ -216,13 +235,28 @@ impl<'a, B: PrefixBounds> GroupCursor<'a, B> {
                 "group cursor needs a non-empty offset table".into(),
             ));
         }
+        let mut cur = GroupCursor::unpositioned(bounds, z, num_offsets);
+        cur.exhausted = !cur.first_from(0)?;
+        Ok(cur)
+    }
+
+    /// A cursor over the same space as [`GroupCursor::new`], positioned
+    /// nowhere (exhausted) until a [`RangeTask`] positions it: the
+    /// reusable per-worker cursor that every task a worker claims seeks
+    /// (or copies its start into) in place. `num_offsets` must be at
+    /// least 1.
+    pub fn unpositioned(bounds: &'a B, z: usize, num_offsets: usize) -> Self {
+        debug_assert!(
+            num_offsets > 0,
+            "group cursor needs a non-empty offset table"
+        );
         let n = bounds.dim();
         debug_assert!(z <= n, "doall prefix exceeds nest depth");
         let mut indep_from = z;
         while indep_from > 0 && !bounds.prefix_dependent(indep_from - 1) {
             indep_from -= 1;
         }
-        let mut cur = GroupCursor {
+        GroupCursor {
             bounds,
             z,
             num_offsets,
@@ -232,12 +266,8 @@ impl<'a, B: PrefixBounds> GroupCursor<'a, B> {
             offset: 0,
             pos: 0,
             indep_from,
-            exhausted: false,
-        };
-        if !cur.first_from(0)? {
-            cur.exhausted = true;
+            exhausted: true,
         }
-        Ok(cur)
     }
 
     /// The current `(prefix, offset_index)` pair, or `None` once every
@@ -455,48 +485,40 @@ impl<'a, B: PrefixBounds> GroupCursor<'a, B> {
     }
 }
 
-/// One schedulable unit of a group space: a contiguous linear range with
-/// a [`GroupCursor`] already positioned at its start. Tasks are
-/// [`Clone`] (an `O(depth)` copy), so a parallel region can execute a
-/// task from a shared reference by cloning the embedded cursor.
+/// One schedulable unit of a group space: the contiguous linear range
+/// `start..end`. A task owns no walk state; a worker runs every task it
+/// claims with one reused cursor ([`GroupCursor::unpositioned`]), which
+/// the task positions in place: not at all when the worker's previous
+/// range ended where this one starts, else by one [`GroupCursor::seek`]
+/// or, for ranges split over prefix-dependent levels
+/// ([`plan_range_tasks`]), by copying the start the splitting walk
+/// recorded.
 #[derive(Debug)]
 pub struct RangeTask<'a, B: PrefixBounds> {
-    cursor: GroupCursor<'a, B>,
+    bounds: &'a B,
+    start: u64,
     end: u64,
-}
-
-// Manual impl for the same reason as [`GroupCursor`]'s: no `B: Clone`
-// bound — the task shares the bounds borrow and copies cursor state.
-impl<'a, B: PrefixBounds> Clone for RangeTask<'a, B> {
-    fn clone(&self) -> Self {
-        RangeTask {
-            cursor: self.cursor.clone(),
-            end: self.end,
-        }
-    }
+    /// The splitting walk's cursor at `start`, when a seek there would
+    /// have to count prefix-dependent subtrees.
+    at: Option<GroupCursor<'a, B>>,
 }
 
 impl<'a, B: PrefixBounds> RangeTask<'a, B> {
-    /// A task over groups `start..end`, its cursor positioned by one
-    /// [`GroupCursor::seek`] (an `end` past the space just stops at its
-    /// last group).
-    pub(crate) fn new(
-        bounds: &'a B,
-        z: usize,
-        num_offsets: usize,
-        start: u64,
-        end: u64,
-    ) -> Result<Self> {
-        let mut cursor = GroupCursor::new(bounds, z, num_offsets)?;
-        if start > 0 {
-            cursor.seek(start)?;
+    /// A task over groups `start..end` of the space `bounds` spans,
+    /// positioned by a seek when it runs (an `end` past the space just
+    /// stops at its last group).
+    pub(crate) fn new(bounds: &'a B, start: u64, end: u64) -> Self {
+        RangeTask {
+            bounds,
+            start,
+            end,
+            at: None,
         }
-        Ok(RangeTask { cursor, end })
     }
 
     /// First linear index of the range.
     pub fn start(&self) -> u64 {
-        self.cursor.position()
+        self.start
     }
 
     /// One-past-last linear index of the range.
@@ -504,21 +526,35 @@ impl<'a, B: PrefixBounds> RangeTask<'a, B> {
         self.end
     }
 
-    /// Run `f(position, prefix, offset_index)` over every group in the
-    /// range. The pre-positioned cursor is cloned, so a task can be
-    /// executed repeatedly (and from `&self` inside a parallel region).
-    pub fn for_each<F>(&self, mut f: F) -> Result<()>
+    /// Position `cursor` at the range's start and run `f(position,
+    /// prefix, offset_index)` over every group in the range. `cursor`
+    /// must walk the space the task was planned over; it is left past
+    /// the range, ready for the worker's next task.
+    pub fn for_each<F>(&self, cursor: &mut GroupCursor<'a, B>, mut f: F) -> Result<()>
     where
         F: FnMut(u64, &[i64], usize) -> Result<()>,
     {
-        let mut cur = self.cursor.clone();
-        while cur.position() < self.end {
-            let pos = cur.position();
-            match cur.current() {
+        if !std::ptr::eq(cursor.bounds, self.bounds) {
+            return Err(RuntimeError::Core(
+                "cursor walks a different group space than the task".into(),
+            ));
+        }
+        match &self.at {
+            Some(at) => cursor.clone_from(at),
+            // A worker claiming ranges in order finds its cursor where
+            // the last range ended, already at this start.
+            None if !cursor.is_exhausted() && cursor.position() == self.start => {}
+            None => {
+                cursor.seek(self.start)?;
+            }
+        }
+        while cursor.position() < self.end {
+            let pos = cursor.position();
+            match cursor.current() {
                 Some((prefix, o)) => f(pos, prefix, o)?,
                 None => break,
             }
-            if !cur.advance()? {
+            if !cursor.advance()? {
                 break;
             }
         }
@@ -537,22 +573,74 @@ impl<'a, B: PrefixBounds> RangeTask<'a, B> {
 /// once the stage outlives [`rayon::SPAWN_AFTER`], so a stage cheaper
 /// than a thread spawn never starts one while a long stage still goes
 /// wide. Empty stages open no pool region.
-pub(crate) fn run_stages<T, R, W, F>(stages: &[Vec<T>], work: W, mut barrier: F) -> Result<()>
+///
+/// Every thread that claims a task works with one state built by
+/// `init` (its cursor and scratch), reused for every task it claims. A
+/// state outlives its region: when a thread leaves a stage its state is
+/// kept, and the next stage's threads take kept states before building
+/// new ones, so a run of many short stages on the caller builds one.
+pub(crate) fn run_stages<T, S, R, I, W, F>(
+    stages: &[Vec<T>],
+    init: I,
+    work: W,
+    mut barrier: F,
+) -> Result<()>
 where
     T: Sync,
+    S: Send,
     R: Send,
-    W: Fn(&T) -> Result<R> + Sync,
+    I: Fn() -> S + Sync,
+    W: Fn(&mut S, &T) -> Result<R> + Sync,
     F: FnMut(usize, Vec<R>) -> Result<()>,
 {
+    let kept = Mutex::new(Vec::new());
     for (si, stage) in stages.iter().enumerate() {
         let results = if stage.is_empty() {
             Vec::new()
         } else {
-            stage.par_iter().map(&work).collect::<Result<Vec<R>>>()?
+            stage
+                .par_iter()
+                .map_init(
+                    || Kept::take(&kept, &init),
+                    |state, task| work(state.get(), task),
+                )
+                .collect::<Result<Vec<R>>>()?
         };
         barrier(si, results)?;
     }
     Ok(())
+}
+
+/// A worker state borrowed from [`run_stages`]' keep, returned on drop
+/// (when its thread leaves the region).
+struct Kept<'k, S> {
+    state: Option<S>,
+    keep: &'k Mutex<Vec<S>>,
+}
+
+impl<'k, S> Kept<'k, S> {
+    fn take(keep: &'k Mutex<Vec<S>>, init: impl Fn() -> S) -> Self {
+        let kept = keep.lock().unwrap_or_else(PoisonError::into_inner).pop();
+        Kept {
+            state: Some(kept.unwrap_or_else(init)),
+            keep,
+        }
+    }
+
+    fn get(&mut self) -> &mut S {
+        self.state.as_mut().expect("present until drop")
+    }
+}
+
+impl<S> Drop for Kept<'_, S> {
+    fn drop(&mut self) {
+        if let Some(state) = self.state.take() {
+            self.keep
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(state);
+        }
+    }
 }
 
 /// Per-group cost varies across the group space exactly when some
@@ -590,16 +678,16 @@ pub fn plan_range_tasks<'a, B: PrefixBounds>(
         for &(start, end) in &ranges {
             walker.advance_to(start)?;
             tasks.push(RangeTask {
-                cursor: walker.clone(),
-                end,
+                at: Some(walker.clone()),
+                ..RangeTask::new(bounds, start, end)
             });
         }
     } else {
-        for &(start, end) in &ranges {
-            let mut cursor = GroupCursor::new(bounds, z, num_offsets)?;
-            cursor.seek(start)?;
-            tasks.push(RangeTask { cursor, end });
-        }
+        tasks.extend(
+            ranges
+                .iter()
+                .map(|&(start, end)| RangeTask::new(bounds, start, end)),
+        );
     }
     Ok(tasks)
 }
@@ -949,9 +1037,11 @@ mod tests {
             let total = group_count(&bounds, z, noff).unwrap();
             let tasks = plan_range_tasks(&bounds, z, noff, &sched, 3).unwrap();
             let mut seen = Vec::new();
+            // One cursor for every task, as a worker runs them.
+            let mut worker = GroupCursor::unpositioned(&bounds, z, noff);
             for t in &tasks {
                 assert!(t.start() <= t.end());
-                t.for_each(|pos, prefix, o| {
+                t.for_each(&mut worker, |pos, prefix, o| {
                     // Every group matches what a seek to that position
                     // observes (pins clone-split against seek).
                     let mut c = GroupCursor::new(&bounds, z, noff).unwrap();

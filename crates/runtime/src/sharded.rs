@@ -51,8 +51,10 @@
 //! inspector verdicts keyed by `(structural_hash, valuation)` — the
 //! per-size companion of the per-shape template cache, so a service
 //! audits each `(shape, size)` pair once (see [`crate::inspector`]).
+//! It holds each verdict as a shared [`PreparedVerdict`], so a refined
+//! verdict's stage layout is built once and reused by every hit.
 
-use crate::inspector::Verdict;
+use crate::inspector::{PreparedVerdict, Verdict};
 use crate::template::PlanCache;
 use crate::{Result, RuntimeError};
 use pdm_core::template::{plan_template, PlanTemplate};
@@ -493,7 +495,7 @@ pub struct VerdictCacheStats {
 struct IntervalEntry {
     lo: Vec<i64>,
     hi: Vec<i64>,
-    verdict: Verdict,
+    verdict: Arc<PreparedVerdict>,
 }
 
 impl IntervalEntry {
@@ -513,7 +515,7 @@ impl IntervalEntry {
 /// the shard-local LRU clock.
 #[derive(Default)]
 struct PointShard {
-    map: HashMap<u64, HashMap<Vec<i64>, (Verdict, u64)>>,
+    map: HashMap<u64, HashMap<Vec<i64>, (Arc<PreparedVerdict>, u64)>>,
     len: usize,
     tick: u64,
 }
@@ -628,6 +630,18 @@ impl VerdictCache {
         hash: u64,
         valuation: &[i64],
     ) -> Option<(Verdict, VerdictSource)> {
+        self.lookup(hash, valuation)
+            .map(|(v, source)| (v.verdict().clone(), source))
+    }
+
+    /// [`VerdictCache::get_with_source`] without copying the verdict:
+    /// the shared entry itself, whose refined stage layout every hit
+    /// reuses ([`PreparedVerdict::execute`]).
+    pub fn lookup(
+        &self,
+        hash: u64,
+        valuation: &[i64],
+    ) -> Option<(Arc<PreparedVerdict>, VerdictSource)> {
         {
             let shard = read_recovering(self.interval_shard_for(hash));
             if let Some(entries) = shard.get(&hash) {
@@ -687,7 +701,7 @@ impl VerdictCache {
             .map
             .entry(hash)
             .or_default()
-            .insert(valuation, (verdict, tick))
+            .insert(valuation, (Arc::new(PreparedVerdict::new(verdict)), tick))
             .is_none()
         {
             shard.len += 1;
@@ -708,7 +722,11 @@ impl VerdictCache {
         if entries.iter().any(|e| e.lo == lo && e.hi == hi) {
             return;
         }
-        entries.push(IntervalEntry { lo, hi, verdict });
+        entries.push(IntervalEntry {
+            lo,
+            hi,
+            verdict: Arc::new(PreparedVerdict::new(verdict)),
+        });
         if entries.len() > MAX_INTERVALS_PER_SHAPE {
             entries.remove(0);
             self.evictions.fetch_add(1, Ordering::Relaxed);

@@ -27,7 +27,7 @@
 //! harness and validated at runtime by
 //! [`crate::checked::run_program_parallel_checked`].
 
-use crate::compile::{CompiledBounds, CompiledPlan};
+use crate::compile::{CompiledBounds, CompiledPlan, TaskState};
 use crate::exec;
 use crate::memory::Memory;
 use crate::schedule::{self, RangeTask, Schedule};
@@ -149,17 +149,38 @@ impl CompiledProgram {
             .collect()
     }
 
+    /// One worker's task states, one slot per kernel, each built the
+    /// first time the worker runs a task of that kernel
+    /// ([`CompiledProgram::task_state`]).
+    pub(crate) fn new_task_states(&self) -> Vec<Option<TaskState<'_>>> {
+        self.kernels.iter().map(|_| None).collect()
+    }
+
+    /// Kernel `k`'s slot of a worker's `states`, built on first use.
+    pub(crate) fn task_state<'s, 'a>(
+        &'a self,
+        states: &'s mut [Option<TaskState<'a>>],
+        k: usize,
+    ) -> &'s mut TaskState<'a> {
+        states[k].get_or_insert_with(|| self.kernels[k].new_task_state())
+    }
+
     /// Execute the whole program with staged compiled parallelism:
     /// within a stage, every kernel's group ranges share one rayon
-    /// region (one compiled scratch per task); barriers exist only at
-    /// stage boundaries. Returns the summed kernel iteration count.
+    /// region (each worker reuses one compiled state per kernel);
+    /// barriers exist only at stage boundaries. Returns the summed
+    /// kernel iteration count.
     pub fn run_parallel(&self, mem: &Memory) -> Result<u64> {
         let sched = crate::config::RuntimeConfig::global().schedule();
         let stages = self.stage_tasks(&sched, rayon::current_num_threads())?;
         let mut total = 0u64;
         schedule::run_stages(
             &stages,
-            |(k, task)| self.kernels[*k].run_task(mem, task),
+            || self.new_task_states(),
+            |states, (k, task)| {
+                let state = self.task_state(states, *k);
+                self.kernels[*k].run_task(mem, task, state)
+            },
             |_, counts| {
                 total += counts.iter().sum::<u64>();
                 Ok(())

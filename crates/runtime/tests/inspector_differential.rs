@@ -37,10 +37,9 @@ fn oracle_has_cross_group_conflict(nest: &LoopNest, plan: &ParallelPlan) -> bool
     // cell -> (first touching group, seen a second group, seen a write)
     let mut seen: HashMap<(usize, Vec<i64>), (u64, bool, bool)> = HashMap::new();
     let walker = Walker::for_plan(plan);
-    let mut s = walker.new_scratch();
-    let all = walker.range(0, u64::MAX).unwrap();
+    let mut state = walker.new_task_state();
     walker
-        .walk_task(&all, &mut s, |gid, sc| {
+        .walk_task(&walker.range(0, u64::MAX), &mut state, |gid, sc| {
             let idx = sc.idx.as_slice();
             for stmt in nest.body() {
                 if !stmt.guards_hold(idx) {
@@ -83,8 +82,8 @@ fn reference_audit(nest: &LoopNest, plan: &ParallelPlan) -> Verdict {
     let mut disorder = false;
     let walker = Walker::for_plan(plan);
     let mut s = walker.new_scratch();
-    let all = walker.range(0, u64::MAX).unwrap();
-    all.for_each(|gid, prefix, o| {
+    let all = walker.range(0, u64::MAX);
+    all.for_each(&mut walker.cursor(), |gid, prefix, o| {
         groups.push(gid);
         walker.walk(prefix, o, &mut s, |sc| {
             let idx = sc.idx.as_slice();

@@ -30,14 +30,16 @@ use pdm_core::program::ProgramPlan;
 use pdm_core::template::{plan_template, PlanTemplate};
 use pdm_loopir::imperfect::ImperfectNest;
 use pdm_loopir::nest::LoopNest;
-use pdm_runtime::inspector::{self, Verdict};
+use pdm_runtime::inspector::{self, PreparedVerdict, Verdict};
 use pdm_runtime::sharded::{
     CacheStats, ShardedPlanCache, VerdictCache, VerdictSource, DEFAULT_VERDICT_CAPACITY,
 };
 use pdm_runtime::template::{instantiate_compiled, CompiledInstance};
 use pdm_runtime::{RuntimeConfig, RuntimeError, Schedule};
+use std::collections::HashMap;
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// A cooperative per-request budget: stages check it between (never
@@ -154,6 +156,7 @@ impl SessionBuilder {
         let schedule = config.schedule();
         Session {
             cache: Arc::new(ShardedPlanCache::new(self.shards, self.capacity_per_shard)),
+            sources: SourceMemo::new(self.shards.max(1) * self.capacity_per_shard.max(1)),
             verdicts: Arc::new(VerdictCache::with_capacity(
                 self.shards,
                 self.verdict_capacity,
@@ -204,6 +207,7 @@ pub struct RunOutcome {
 /// session's `Arc`s — concurrent requests for one shape plan once.
 pub struct Session {
     cache: Arc<ShardedPlanCache>,
+    sources: SourceMemo,
     verdicts: Arc<VerdictCache>,
     pool: Option<rayon::ThreadPool>,
     schedule: Schedule,
@@ -250,6 +254,35 @@ impl Session {
     /// Parse an imperfect nest (statements between loop levels).
     pub fn parse_imperfect(&self, source: &str) -> Result<ImperfectNest, PdmError> {
         Ok(pdm_loopir::parse::parse_imperfect(source)?)
+    }
+
+    /// The shape a by-source request names: [`Session::parse_symbolic`]
+    /// (or [`Session::parse`] when `params` is empty), answered from the
+    /// session's source memo when these exact source bytes and
+    /// parameter names were parsed before. The memo holds as many
+    /// sources as the template cache holds templates, least recently
+    /// used out first; parse errors are not kept.
+    pub(crate) fn parse_source(
+        &self,
+        source: &str,
+        params: &[&str],
+    ) -> Result<Arc<LoopNest>, PdmError> {
+        if let Some(nest) = self.sources.get(source, params) {
+            return Ok(nest);
+        }
+        let nest = Arc::new(if params.is_empty() {
+            self.parse(source)?
+        } else {
+            self.parse_symbolic(source, params)?
+        });
+        self.sources.insert(source, params, nest.clone());
+        Ok(nest)
+    }
+
+    /// Sources the memo currently holds.
+    #[cfg(test)]
+    pub(crate) fn memoized_sources(&self) -> usize {
+        self.sources.lock().len
     }
 
     // --- analysis & planning ----------------------------------------
@@ -365,18 +398,23 @@ impl Session {
     /// budget is checked between pipeline stages (after instantiate,
     /// after the inspector audit, after execute) — an expired budget
     /// abandons the request with [`PdmError::DeadlineExceeded`] at the
-    /// next boundary. A failed parallel execution degrades to the
-    /// sequential reference interpreter, counted in `fallback_runs` /
-    /// `fallback_successes`.
+    /// next boundary.
     ///
     /// Templates planned **speculatively** (parametric subscripts —
     /// [`PlanTemplate::requires_inspection`]) pass through the
     /// inspector first: the verdict for this `(shape, valuation)` pair
     /// — cached in the session's [`VerdictCache`] — picks the executor.
     /// Certified verdicts run the compiled parallel engine unchanged,
-    /// refined verdicts run the staged group schedule, and rejected
-    /// verdicts run the sequential reference order. The outcome's
-    /// `verdict` field reports which path ran.
+    /// refined verdicts run the staged group schedule (laid out once
+    /// per cached verdict), and rejected verdicts run the compiled
+    /// walker in original order, on the instance's lowered program. The
+    /// outcome's `verdict` field reports which path ran.
+    ///
+    /// Every path is the compiled walker. A failed compiled run, on any
+    /// path, degrades to the sequential reference interpreter
+    /// ([`pdm_runtime::run_sequential`]), counted in `fallback_runs` /
+    /// `fallback_successes`; the interpreter serves only as that
+    /// fallback and as the test oracle.
     pub fn run_template_within(
         &self,
         template: &PlanTemplate,
@@ -395,36 +433,15 @@ impl Session {
         };
         Deadline::check(deadline)?;
         instance.memory.init_deterministic(seed);
-        let iterations = match &verdict {
-            // Refined: the plan's groups are safe only in dependence
-            // stages — run the compiled engine's range tasks stage by
-            // stage (a barrier between stages, the groups of one stage
-            // concurrent).
-            Some(Verdict::Refined { stages }) => self.on_pool(|| {
-                inspector::run_refined_compiled(
-                    &instance.compiled,
-                    &instance.memory,
-                    stages,
-                    self.schedule,
-                )
-            })?,
-            // Rejected: this valuation's dependences defeat the hull
-            // plan entirely — sequential reference order.
-            Some(Verdict::Rejected { .. }) => {
-                pdm_runtime::run_sequential(&instance.nest, &instance.memory)?
-            }
-            // Uninspected or certified: the compiled parallel engine.
-            None | Some(Verdict::Certified) => {
-                self.execute_or_degrade(&mut instance, seed, deadline)?
-            }
-        };
+        let iterations =
+            self.execute_or_degrade(&mut instance, verdict.as_deref(), seed, deadline)?;
         Deadline::check(deadline)?;
         let checksum = checksum(&instance.memory);
         Ok(RunOutcome {
             instance,
             iterations,
             checksum,
-            verdict,
+            verdict: verdict.map(|v| v.verdict().clone()),
             interval_hit,
         })
     }
@@ -444,7 +461,7 @@ impl Session {
         template: &PlanTemplate,
         params: &[(&str, i64)],
         instance: &CompiledInstance,
-    ) -> Result<(Verdict, bool), PdmError> {
+    ) -> Result<(Arc<PreparedVerdict>, bool), PdmError> {
         // The cache key orders values by the template's parameter list,
         // so `[("M",1),("N",2)]` and `[("N",2),("M",1)]` share an entry.
         let valuation: Vec<i64> = template
@@ -459,7 +476,7 @@ impl Session {
             })
             .collect();
         let hash = template.nest().structural_hash();
-        let (verdict, interval_hit) = match self.verdicts.get_with_source(hash, &valuation) {
+        let (verdict, interval_hit) = match self.verdicts.lookup(hash, &valuation) {
             Some((v, source)) => {
                 let interval = source == VerdictSource::Interval;
                 if interval {
@@ -481,10 +498,10 @@ impl Session {
                     Ok(Some(bounds)) => self.verdicts.insert_interval(hash, &bounds, v.clone()),
                     _ => self.verdicts.insert(hash, valuation, v.clone()),
                 }
-                (v, false)
+                (Arc::new(PreparedVerdict::new(v)), false)
             }
         };
-        let counter = match &verdict {
+        let counter = match verdict.verdict() {
             Verdict::Certified => &self.metrics.inspector_certified,
             Verdict::Refined { .. } => &self.metrics.inspector_refined,
             Verdict::Rejected { .. } => &self.metrics.inspector_rejected,
@@ -512,8 +529,10 @@ impl Session {
         }
     }
 
-    /// [`Session::execute`] with graceful degradation: when the compiled
-    /// parallel run fails, re-seed the memory and re-run the instance on
+    /// Execute a seeded instance on the compiled walker as `verdict`
+    /// allows ([`PreparedVerdict::execute`]; uninspected templates run
+    /// the parallel engine), with graceful degradation: when the
+    /// compiled run fails, re-seed the memory and re-run the instance on
     /// the sequential reference interpreter
     /// ([`pdm_runtime::run_sequential`]), which shares no code with the
     /// compiled walker, so a deterministic failure of the compiled path
@@ -523,12 +542,17 @@ impl Session {
     fn execute_or_degrade(
         &self,
         instance: &mut CompiledInstance,
+        verdict: Option<&PreparedVerdict>,
         seed: u64,
         deadline: Option<Deadline>,
     ) -> Result<u64, PdmError> {
-        let primary = match self.execute(instance) {
+        let (compiled, memory) = (&instance.compiled, &instance.memory);
+        let primary = match self.on_pool(|| match verdict {
+            Some(v) => v.execute(compiled, &instance.nest, memory, self.schedule),
+            None => compiled.run_parallel_scheduled(memory, self.schedule),
+        }) {
             Ok(n) => return Ok(n),
-            Err(e) => e,
+            Err(e) => PdmError::from(e),
         };
         self.metrics.fallback_runs.fetch_add(1, Ordering::Relaxed);
         Deadline::check(deadline)?;
@@ -583,6 +607,112 @@ impl Session {
     /// The execution thread count (`None` = machine default).
     pub fn threads(&self) -> Option<usize> {
         self.pool.as_ref().map(|p| p.current_num_threads())
+    }
+}
+
+/// The session's source memo: parsed shapes keyed by exact source
+/// bytes and parameter names, so a by-source request for a shape seen
+/// before skips the parse. Bounded by the template cache's capacity;
+/// at capacity the least recently used source goes. Entries are
+/// bucketed by a hash of the key and compared in full, so a hit
+/// allocates nothing and colliding keys never alias.
+struct SourceMemo {
+    capacity: usize,
+    table: Mutex<MemoTable>,
+}
+
+#[derive(Default)]
+struct MemoTable {
+    buckets: HashMap<u64, Vec<MemoEntry>>,
+    len: usize,
+    tick: u64,
+}
+
+struct MemoEntry {
+    params: Vec<String>,
+    source: String,
+    nest: Arc<LoopNest>,
+    used: u64,
+}
+
+impl MemoEntry {
+    fn is(&self, source: &str, params: &[&str]) -> bool {
+        self.source == source
+            && self
+                .params
+                .iter()
+                .map(String::as_str)
+                .eq(params.iter().copied())
+    }
+}
+
+impl SourceMemo {
+    fn new(capacity: usize) -> SourceMemo {
+        SourceMemo {
+            capacity,
+            table: Mutex::new(MemoTable::default()),
+        }
+    }
+
+    fn key(source: &str, params: &[&str]) -> u64 {
+        let mut h = DefaultHasher::new();
+        params.hash(&mut h);
+        source.hash(&mut h);
+        h.finish()
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, MemoTable> {
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn get(&self, source: &str, params: &[&str]) -> Option<Arc<LoopNest>> {
+        let key = SourceMemo::key(source, params);
+        let mut table = self.lock();
+        table.tick += 1;
+        let tick = table.tick;
+        let entry = table
+            .buckets
+            .get_mut(&key)?
+            .iter_mut()
+            .find(|e| e.is(source, params))?;
+        entry.used = tick;
+        Some(entry.nest.clone())
+    }
+
+    fn insert(&self, source: &str, params: &[&str], nest: Arc<LoopNest>) {
+        let key = SourceMemo::key(source, params);
+        let mut table = self.lock();
+        let table = &mut *table;
+        if table
+            .buckets
+            .get(&key)
+            .is_some_and(|b| b.iter().any(|e| e.is(source, params)))
+        {
+            return; // a concurrent miss on the same source got here first
+        }
+        if table.len >= self.capacity {
+            let oldest = table
+                .buckets
+                .iter()
+                .flat_map(|(&k, b)| b.iter().enumerate().map(move |(i, e)| (e.used, k, i)))
+                .min();
+            if let Some((_, k, i)) = oldest {
+                let bucket = table.buckets.get_mut(&k).expect("victim bucket present");
+                bucket.swap_remove(i);
+                if bucket.is_empty() {
+                    table.buckets.remove(&k);
+                }
+                table.len -= 1;
+            }
+        }
+        table.tick += 1;
+        table.buckets.entry(key).or_default().push(MemoEntry {
+            params: params.iter().map(|p| p.to_string()).collect(),
+            source: source.to_string(),
+            nest,
+            used: table.tick,
+        });
+        table.len += 1;
     }
 }
 
@@ -858,7 +988,9 @@ mod tests {
             session.execute(&inst),
             Err(PdmError::Runtime(RuntimeError::OutOfBounds { .. }))
         ));
-        let n = session.execute_or_degrade(&mut inst, 5, None).unwrap();
+        let n = session
+            .execute_or_degrade(&mut inst, None, 5, None)
+            .unwrap();
         assert_eq!(n, expected.iterations);
         assert_eq!(checksum(&inst.memory), expected.checksum);
         let m = session.metrics();
@@ -868,11 +1000,142 @@ mod tests {
         // When the reference fails as well, the primary error surfaces.
         inst.nest = big.nest;
         assert!(matches!(
-            session.execute_or_degrade(&mut inst, 5, None),
+            session.execute_or_degrade(&mut inst, None, 5, None),
             Err(PdmError::Runtime(RuntimeError::OutOfBounds { .. }))
         ));
         assert_eq!(m.fallback_runs.load(Ordering::Relaxed), 2);
         assert_eq!(m.fallback_successes.load(Ordering::Relaxed), 1);
+    }
+
+    /// The parity shape: odd `K` makes the even and odd chains of the
+    /// hull plan feed each other, interleaved — a rejected verdict.
+    const PARITY: &str = "for i = 0..=999 { A[i + K] = A[i - 2] + 1; }";
+
+    /// Checksum of `src` at `K = k` run by the reference interpreter.
+    fn reference_checksum(src: &str, k: i64, seed: u64) -> i64 {
+        let nest = pdm_loopir::parse::parse_loop_with(src, &[("K", k)]).unwrap();
+        let mut memory = pdm_runtime::Memory::for_nest(&nest).unwrap();
+        memory.init_deterministic(seed);
+        pdm_runtime::run_sequential(&nest, &memory).unwrap();
+        checksum(&memory)
+    }
+
+    #[test]
+    fn rejected_runs_walk_compiled_and_match_the_reference() {
+        for threads in [1, 2] {
+            let session = Session::builder().threads(threads).build();
+            let shape = session.parse_symbolic(PARITY, &["K"]).unwrap();
+            for k in [1, 3, 7] {
+                let out = session.run(&shape, &[("K", k)], 3).unwrap();
+                assert_eq!(out.verdict.as_ref().map(Verdict::kind), Some("rejected"));
+                assert_eq!(out.iterations, 1000);
+                assert_eq!(
+                    out.checksum,
+                    reference_checksum(PARITY, k, 3),
+                    "K={k} at width {threads}"
+                );
+            }
+            // The compiled walk served every run: nothing degraded.
+            let m = session.metrics();
+            assert_eq!(m.fallback_runs.load(Ordering::Relaxed), 0);
+            assert_eq!(m.inspector_rejected.load(Ordering::Relaxed), 3);
+        }
+    }
+
+    #[test]
+    fn failed_rejected_run_degrades_to_the_reference_interpreter() {
+        let session = Session::builder().threads(2).build();
+        let shape = session.parse_symbolic(PARITY, &["K"]).unwrap();
+        let template = session.plan(&shape).unwrap();
+        let expected = session.run(&shape, &[("K", 1)], 5).unwrap();
+        let rejected = PreparedVerdict::new(expected.verdict.clone().unwrap());
+        assert_eq!(rejected.verdict().kind(), "rejected");
+
+        // The K = 3 program writes two cells past the K = 1 arrays, so
+        // the compiled original-order walk fails deterministically.
+        let big = session
+            .instantiate_template(&template, &[("K", 3)])
+            .unwrap();
+        let mut inst = session
+            .instantiate_template(&template, &[("K", 1)])
+            .unwrap();
+        inst.compiled = big.compiled;
+        inst.memory.init_deterministic(5);
+        let n = session
+            .execute_or_degrade(&mut inst, Some(&rejected), 5, None)
+            .unwrap();
+        assert_eq!(n, 1000);
+        assert_eq!(checksum(&inst.memory), expected.checksum);
+        let m = session.metrics();
+        assert_eq!(m.fallback_runs.load(Ordering::Relaxed), 1);
+        assert_eq!(m.fallback_successes.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn refined_layout_is_kept_with_the_cached_verdict() {
+        // Row shift at K = 1: four stages of 64 groups. The second run
+        // is a verdict-cache hit served from the kept layout; both
+        // match the reference.
+        let src = "for i1 = 0..=3 { for i2 = 0..=63 { A[i1 + K, i2] = A[i1, i2] + 1; } }";
+        let session = Session::builder().threads(2).build();
+        let shape = session.parse_symbolic(src, &["K"]).unwrap();
+        let expect = reference_checksum(src, 1, 9);
+        for _ in 0..3 {
+            let out = session.run(&shape, &[("K", 1)], 9).unwrap();
+            assert_eq!(out.verdict.as_ref().map(Verdict::kind), Some("refined"));
+            assert_eq!((out.iterations, out.checksum), (256, expect));
+        }
+        assert_eq!(session.verdicts().stats().hits, 2);
+    }
+
+    const MEMO_SRC: &str = "for i = 1..=N { A[i + 3] = A[i] + 1; }";
+
+    #[test]
+    fn source_memo_hits_share_the_parse_and_the_template() {
+        let session = Session::builder().cache_capacity(2, 4).build();
+        let first = session.parse_source(MEMO_SRC, &["N"]).unwrap();
+        let again = session.parse_source(MEMO_SRC, &["N"]).unwrap();
+        assert!(Arc::ptr_eq(&first, &again), "a hit reuses the parse");
+        // The template a hit acquires is the one a fresh parse acquires.
+        let fresh = session.parse_symbolic(MEMO_SRC, &["N"]).unwrap();
+        let planned = session.plan(&fresh).unwrap();
+        assert!(Arc::ptr_eq(&session.plan(&again).unwrap(), &planned));
+
+        // A whitespace variant is its own memo entry, the same shape.
+        let spaced = MEMO_SRC.replace("= A", "=  A");
+        let variant = session.parse_source(&spaced, &["N"]).unwrap();
+        assert!(!Arc::ptr_eq(&variant, &first));
+        assert!(Arc::ptr_eq(&session.plan(&variant).unwrap(), &planned));
+        assert_eq!(session.memoized_sources(), 2);
+        // So are other parameter names for the same bytes.
+        assert!(session.parse_source(MEMO_SRC, &["N", "M"]).is_ok());
+        assert_eq!(session.memoized_sources(), 3);
+
+        // Parse errors are returned, not kept.
+        for _ in 0..2 {
+            assert!(matches!(
+                session.parse_source("for broken {", &[]),
+                Err(PdmError::Parse(_))
+            ));
+        }
+        assert_eq!(session.memoized_sources(), 3);
+        assert_eq!(session.cache_stats().planned, 1);
+    }
+
+    #[test]
+    fn source_memo_is_bounded_by_the_template_capacity() {
+        let session = Session::builder().cache_capacity(2, 4).build();
+        for d in 0..1000 {
+            let src = format!("for i = 1..=N {{ A[i + {d}] = A[i] + 1; }}");
+            session.parse_source(&src, &["N"]).unwrap();
+            assert!(session.memoized_sources() <= 8, "after {d} sources");
+        }
+        assert_eq!(session.memoized_sources(), 8);
+        // The most recent source is still a hit.
+        let last = "for i = 1..=N { A[i + 999] = A[i] + 1; }";
+        let a = session.parse_source(last, &["N"]).unwrap();
+        let b = session.parse_source(last, &["N"]).unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
     }
 
     #[test]

@@ -298,7 +298,8 @@ fn handle(
 }
 
 /// Resolve the template a request refers to: by `source` (+ optional
-/// `params` name list), or by `shape_hash` for shapes planned earlier.
+/// `params` name list, parsed through the session's source memo), or by
+/// `shape_hash` for shapes planned earlier.
 fn resolve_template(
     session: &Session,
     req: &Json,
@@ -306,12 +307,9 @@ fn resolve_template(
     if let Some(source) = req.get_str("source") {
         let params = param_names(req)?;
         let refs: Vec<&str> = params.iter().map(|s| s.as_str()).collect();
-        let nest = if refs.is_empty() {
-            session.parse(source)?
-        } else {
-            session.parse_symbolic(source, &refs)?
-        };
-        session.plan(&nest)
+        // A memo hit skips the parse but still acquires through the
+        // template cache (single flight, recency, hit counts, equality).
+        session.plan(&*session.parse_source(source, &refs)?)
     } else if let Some(hex) = req.get_str("shape_hash") {
         let hash = hex_to_hash(hex)
             .ok_or_else(|| PdmError::Protocol(format!("bad shape_hash {hex:?}")))?;
@@ -413,6 +411,7 @@ fn op_instantiate(
 }
 
 fn op_run(session: &Session, req: &Json, deadline: Option<Deadline>) -> Result<Fields, PdmError> {
+    Deadline::check(deadline)?;
     let template = resolve_template(session, req)?;
     let values = param_values(req)?;
     let refs: Vec<(&str, i64)> = values.iter().map(|(k, v)| (k.as_str(), *v)).collect();
@@ -631,7 +630,8 @@ mod tests {
     fn every_op_honors_deadline_ms() {
         let session = Session::builder().cache_capacity(2, 8).threads(1).build();
         // Regression: plan and instantiate used to ignore the budget
-        // entirely — only run checked it.
+        // entirely — only run checked it — and run checked it only after
+        // resolving (planning) the template.
         for op in ["plan", "instantiate", "run"] {
             let resp = dispatch(
                 &session,
@@ -647,6 +647,8 @@ mod tests {
             session.metrics().deadline_exceeded.load(Ordering::Relaxed),
             3
         );
+        // Every op failed on entry: the never-seen shape was not planned.
+        assert_eq!(session.cache_stats().planned, 0);
     }
 
     #[test]
@@ -720,6 +722,78 @@ mod tests {
         let again = run(chain, 1);
         assert_eq!(again.get_num("observed_threads"), Some(1.0));
         assert_eq!(again.get_num("observed_steals"), Some(0.0));
+    }
+
+    #[test]
+    fn long_stages_go_wide_and_match_the_reference() {
+        // Four rows of 16384 groups: at K = 1 each row is one refined
+        // stage, at K = 0 the plan certifies as one region, and either
+        // way a region runs far past rayon::SPAWN_AFTER, so helper
+        // threads join and run tasks with worker state of their own
+        // (or kept from an earlier stage). The second request of each
+        // valuation is a cached verdict, so its observed width is the
+        // execution's alone.
+        let session = Session::builder().cache_capacity(2, 8).threads(2).build();
+        let src = "for i1 = 0..=3 { for i2 = 0..=16383 { A[i1 + K, i2] = A[i1, i2] + 1; } }";
+        for (k, kind) in [(1, "refined"), (0, "certified")] {
+            let nest = pdm_loopir::parse::parse_loop_with(src, &[("K", k)]).unwrap();
+            let mut reference = pdm_runtime::Memory::for_nest(&nest).unwrap();
+            reference.init_deterministic(4);
+            pdm_runtime::run_sequential(&nest, &reference).unwrap();
+            let expect = reference
+                .snapshot()
+                .iter()
+                .flatten()
+                .fold(0i64, |acc, &v| acc.wrapping_add(v));
+            for _ in 0..2 {
+                let resp = dispatch(
+                    &session,
+                    &format!(
+                        r#"{{"op":"run","source":"{src}","params":["K"],"values":{{"K":{k}}},"seed":4}}"#
+                    ),
+                );
+                assert!(resp.ok, "{}", resp.body);
+                let body = crate::json::parse(&resp.body).unwrap();
+                assert_eq!(body.get_str("verdict"), Some(kind));
+                assert_eq!(body.get_num("iterations"), Some(65536.0));
+                assert_eq!(body.get_num("checksum"), Some(expect as f64), "K={k}");
+                assert_eq!(body.get_num("observed_threads"), Some(2.0), "K={k}");
+            }
+        }
+        assert_eq!(session.verdicts().stats().hits, 2);
+    }
+
+    #[test]
+    fn memo_hit_of_an_evicted_template_plans_again() {
+        // Two shards of one template each: find a second shape on the
+        // first one's shard, so planning it evicts the first template
+        // while the source memo (capacity 2) still holds both sources.
+        let session = Session::builder().cache_capacity(2, 1).threads(1).build();
+        let source = |d: u64| format!("for i = 1..=N {{ A[i + {d}] = A[i] + 1; }}");
+        let shard = |d: u64| {
+            pdm_loopir::parse::parse_loop_symbolic(&source(d), &["N"])
+                .unwrap()
+                .structural_hash()
+                % 2
+        };
+        let other = (3..).find(|&d| shard(d) == shard(2)).unwrap();
+        let plan = |d: u64| {
+            let resp = dispatch(
+                &session,
+                &format!(r#"{{"op":"plan","source":"{}","params":["N"]}}"#, source(d)),
+            );
+            assert!(resp.ok, "{}", resp.body);
+        };
+        plan(2);
+        plan(other);
+        assert_eq!(session.cache_stats().evictions, 1);
+        // A memo hit whose template is gone goes through the cache by
+        // nest, not by hash: it plans again instead of failing with
+        // unknown_shape.
+        plan(2);
+        assert_eq!(session.memoized_sources(), 2);
+        assert_eq!(session.cache_stats().planned, 3);
+        assert_eq!(session.cache_stats().hits, 0);
     }
 
     #[test]

@@ -91,8 +91,8 @@
 //! * **certified** — the hull plan is exact here; run fully parallel;
 //! * **refined** — cross-group conflicts admit a stage order; run the
 //!   hull groups in audited stages through the compiled stage driver;
-//! * **rejected** — no stage order exists; fall back to the sequential
-//!   reference. Never wrong, at worst not parallel.
+//! * **rejected** — no stage order exists; run the compiled walker in
+//!   original (sequential) order. Never wrong, at worst not parallel.
 //!
 //! ```
 //! use vardep_loops::Session;

@@ -154,6 +154,8 @@ proptest! {
 
         let mut walked: Vec<(u64, Vec<i64>, usize)> = Vec::new();
         let mut next_start = 0u64;
+        // One reused cursor runs every task, as a pool worker does.
+        let mut worker = GroupCursor::unpositioned(plan.bounds(), z, num_offsets);
         for task in &tasks {
             // Contiguous, non-empty partition of 0..total.
             prop_assert_eq!(task.start(), next_start);
@@ -168,7 +170,7 @@ proptest! {
                 all[task.start() as usize].clone(),
                 "seek({}) oracle mismatch", task.start()
             );
-            task.for_each(|gid, prefix, off| {
+            task.for_each(&mut worker, |gid, prefix, off| {
                 walked.push((gid, prefix.to_vec(), off));
                 Ok(())
             }).unwrap();

@@ -167,13 +167,11 @@ fn group_sequence(plan: &ParallelPlan, nonempty_only: bool) -> Vec<(Vec<i64>, Ve
     let mut out = Vec::new();
     walker
         .range(0, u64::MAX)
-        .and_then(|all| {
-            all.for_each(|_, prefix, o| {
-                if !nonempty_only || walker.walk(prefix, o, &mut s, |_| Ok(()))? > 0 {
-                    out.push((prefix.to_vec(), walker.offsets()[o].clone()));
-                }
-                Ok(())
-            })
+        .for_each(&mut walker.cursor(), |_, prefix, o| {
+            if !nonempty_only || walker.walk(prefix, o, &mut s, |_| Ok(()))? > 0 {
+                out.push((prefix.to_vec(), walker.offsets()[o].clone()));
+            }
+            Ok(())
         })
         .expect("walk");
     out
