@@ -70,7 +70,7 @@ fn log_task<'a>(
 /// Execute the plan in parallel while logging accesses per group; after
 /// the run, detect cross-group conflicts. Groups are streamed in
 /// contiguous, steal-aware index ranges
-/// ([`crate::schedule::plan_range_tasks`]) on the work-stealing pool —
+/// ([`crate::schedule::plan_range_tasks`]) on the vendored pool —
 /// the group list is never materialized, only the access logs are.
 /// Run an untrusted plan under a one-thread pool (see the module docs).
 ///

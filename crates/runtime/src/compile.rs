@@ -641,7 +641,7 @@ impl CompiledPlan {
     /// (`PDM_CHUNKS_PER_THREAD`): the
     /// group index space is split into contiguous ranges — finer when
     /// per-group cost is skewed ([`crate::schedule::cost_skewed`]), so
-    /// the work-stealing executor always finds chunks to steal — with a
+    /// the pool's helper threads always find chunks to take — with a
     /// pre-positioned cursor per range
     /// ([`crate::schedule::plan_range_tasks`]) and one reused scratch
     /// per task; zero up-front group materialization. Returns the total

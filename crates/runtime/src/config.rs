@@ -10,7 +10,6 @@
 //! |----------|-------|---------|----------|
 //! | `PDM_CHUNKS_PER_THREAD` | [`chunks_per_thread`](RuntimeConfig::chunks_per_thread) | 4 | range splitter (balanced group spaces) |
 //! | `PDM_PROPTEST_SEED` | [`proptest_seed`](RuntimeConfig::proptest_seed) | unset | vendored proptest seed mixing (tests only) |
-//! | `PDM_MAX_CONNECTIONS` | [`max_connections`](RuntimeConfig::max_connections) | 64 | `pdm-service` load-shedding gate (connections above the cap get an in-band `overloaded` response) |
 //! | `PDM_CLIENT_READ_TIMEOUT_MS` | [`client_read_timeout_ms`](RuntimeConfig::client_read_timeout_ms) | 10000 | `pdm-service` `ServiceClient` default read deadline (builder-overridable) |
 //! | `PDM_FAULTS` | [`faults`](RuntimeConfig::faults) | unset | `pdm-service` fault-injection probe spec (`probe:prob[:limit],...`) |
 //!
@@ -48,12 +47,6 @@ pub struct RuntimeConfig {
     /// hash of the raw string — the same rule the vendored proptest
     /// applies when mixing test-name-derived seeds.
     pub proptest_seed: Option<u64>,
-    /// Concurrent-connection cap for `pdm-service`'s `PlanServer`
-    /// (`PDM_MAX_CONNECTIONS`, default
-    /// [`DEFAULT_MAX_CONNECTIONS`]). Connections accepted above the cap
-    /// are shed with an in-band `{"ok":false,"kind":"overloaded"}`
-    /// response instead of queuing unboundedly.
-    pub max_connections: usize,
     /// Default read deadline for `pdm-service`'s `ServiceClient`, in
     /// milliseconds (`PDM_CLIENT_READ_TIMEOUT_MS`, default
     /// [`DEFAULT_CLIENT_READ_TIMEOUT_MS`]) — a stalled server turns
@@ -70,8 +63,6 @@ pub struct RuntimeConfig {
     pub faults: Option<String>,
 }
 
-/// Default [`RuntimeConfig::max_connections`].
-pub const DEFAULT_MAX_CONNECTIONS: usize = 64;
 /// Default [`RuntimeConfig::client_read_timeout_ms`].
 pub const DEFAULT_CLIENT_READ_TIMEOUT_MS: u64 = 10_000;
 
@@ -80,7 +71,6 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             chunks_per_thread: crate::schedule::DEFAULT_CHUNKS_PER_THREAD,
             proptest_seed: None,
-            max_connections: DEFAULT_MAX_CONNECTIONS,
             client_read_timeout_ms: DEFAULT_CLIENT_READ_TIMEOUT_MS,
             faults: None,
         }
@@ -93,7 +83,6 @@ impl RuntimeConfig {
         Self::from_env_values(
             std::env::var("PDM_CHUNKS_PER_THREAD").ok().as_deref(),
             std::env::var("PDM_PROPTEST_SEED").ok().as_deref(),
-            std::env::var("PDM_MAX_CONNECTIONS").ok().as_deref(),
             std::env::var("PDM_CLIENT_READ_TIMEOUT_MS").ok().as_deref(),
             std::env::var("PDM_FAULTS").ok().as_deref(),
         )
@@ -104,7 +93,6 @@ impl RuntimeConfig {
     pub fn from_env_values(
         raw_chunks: Option<&str>,
         raw_seed: Option<&str>,
-        raw_max_conns: Option<&str>,
         raw_client_timeout: Option<&str>,
         raw_faults: Option<&str>,
     ) -> RuntimeConfig {
@@ -115,10 +103,6 @@ impl RuntimeConfig {
                 .unwrap_or(crate::schedule::DEFAULT_CHUNKS_PER_THREAD),
             proptest_seed: raw_seed
                 .map(|v| v.trim().parse::<u64>().unwrap_or_else(|_| fnv1a(v.trim()))),
-            max_connections: raw_max_conns
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or(DEFAULT_MAX_CONNECTIONS),
             client_read_timeout_ms: raw_client_timeout
                 .and_then(|v| v.trim().parse::<u64>().ok())
                 .filter(|&n| n > 0)
@@ -162,11 +146,10 @@ mod tests {
 
     #[test]
     fn defaults_match_schedule_defaults() {
-        let c = RuntimeConfig::from_env_values(None, None, None, None, None);
+        let c = RuntimeConfig::from_env_values(None, None, None, None);
         assert_eq!(c, RuntimeConfig::default());
         assert_eq!(c.chunks_per_thread, DEFAULT_CHUNKS_PER_THREAD);
         assert_eq!(c.proptest_seed, None);
-        assert_eq!(c.max_connections, DEFAULT_MAX_CONNECTIONS);
         assert_eq!(c.client_read_timeout_ms, DEFAULT_CLIENT_READ_TIMEOUT_MS);
         assert_eq!(c.faults, None);
         assert_eq!(c.schedule(), Schedule::default());
@@ -177,34 +160,31 @@ mod tests {
         let c = RuntimeConfig::from_env_values(
             Some(" 2 "),
             Some("7"),
-            Some("128"),
             Some("2500"),
             Some("server.handler:0.5"),
         );
         assert_eq!(c.chunks_per_thread, 2);
         assert_eq!(c.proptest_seed, Some(7));
-        assert_eq!(c.max_connections, 128);
         assert_eq!(c.client_read_timeout_ms, 2500);
         assert_eq!(c.faults.as_deref(), Some("server.handler:0.5"));
 
-        let c = RuntimeConfig::from_env_values(Some("0"), None, Some("0"), Some("-3"), Some("   "));
+        let c = RuntimeConfig::from_env_values(Some("0"), None, Some("-3"), Some("   "));
         assert_eq!(c.chunks_per_thread, DEFAULT_CHUNKS_PER_THREAD);
-        assert_eq!(c.max_connections, DEFAULT_MAX_CONNECTIONS);
         assert_eq!(c.client_read_timeout_ms, DEFAULT_CLIENT_READ_TIMEOUT_MS);
         assert_eq!(c.faults, None, "a blank spec disarms every probe");
 
-        let c = RuntimeConfig::from_env_values(Some("8"), None, None, None, None);
+        let c = RuntimeConfig::from_env_values(Some("8"), None, None, None);
         assert_eq!(c.chunks_per_thread, 8);
-        let c = RuntimeConfig::from_env_values(Some("many"), None, None, None, None);
+        let c = RuntimeConfig::from_env_values(Some("many"), None, None, None);
         assert_eq!(c.chunks_per_thread, DEFAULT_CHUNKS_PER_THREAD);
     }
 
     #[test]
     fn seed_strings_hash_like_proptest() {
         // Mirrors vendor/proptest's rule: non-integer seeds hash FNV-1a.
-        let c = RuntimeConfig::from_env_values(None, Some("tuesday"), None, None, None);
+        let c = RuntimeConfig::from_env_values(None, Some("tuesday"), None, None);
         assert_eq!(c.proptest_seed, Some(fnv1a("tuesday")));
-        let c = RuntimeConfig::from_env_values(None, Some(" 42 "), None, None, None);
+        let c = RuntimeConfig::from_env_values(None, Some(" 42 "), None, None);
         assert_eq!(c.proptest_seed, Some(42));
     }
 

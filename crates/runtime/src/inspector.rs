@@ -83,7 +83,7 @@
 
 use crate::checked::detect_conflicts;
 use crate::compile::{CompiledBounds, CompiledPlan, TaskState};
-use crate::memory::{self, array_boxes, box_len, index_ranges, CellIds, Memory};
+use crate::memory::{self, array_boxes, box_len, CellIds, Memory};
 use crate::schedule::{self, RangeTask, Schedule};
 use crate::{Result, RuntimeError};
 use pdm_core::plan::ParallelPlan;
@@ -343,7 +343,7 @@ fn audit_range<'a>(
 /// schedule or pool width.
 pub fn audit(nest: &LoopNest, plan: &ParallelPlan) -> Result<Verdict> {
     // Lower once against the array boxes: no cells are allocated.
-    let ranges = index_ranges(nest)?;
+    let ranges = nest.index_ranges()?;
     let lex = LexRank::new(&ranges)?;
     let boxes = array_boxes(nest, &ranges)?;
     let lens = boxes

@@ -25,8 +25,8 @@
 //!    values × Theorem-2 partition offsets) is counted arithmetically
 //!    ([`schedule::group_count`]) and split into contiguous ranges with
 //!    steal-aware sizing ([`schedule::plan_range_tasks`] — finer chunks
-//!    when per-group cost is skewed, so the work-stealing pool's idle
-//!    threads always find something to take); each range task arrives
+//!    when per-group cost is skewed, so the pool's helper threads
+//!    always find something to take); each range task arrives
 //!    with a pre-positioned streaming [`schedule::GroupCursor`] with
 //!    `O(depth)` state and one reused scratch — the group list is never
 //!    materialized.
@@ -112,7 +112,7 @@ pub use memory::Memory;
 pub use schedule::{GroupCursor, Schedule};
 pub use sharded::{CacheStats, ShardedPlanCache};
 pub use staged::{run_imperfect_sequential, run_program_sequential, CompiledProgram};
-pub use template::{CompiledInstance, InstantiateCompiled, PlanCache};
+pub use template::{CompiledInstance, PlanCache};
 
 /// Errors from execution.
 #[derive(Debug, Clone, PartialEq, Eq)]

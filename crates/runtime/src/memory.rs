@@ -73,7 +73,7 @@ impl Memory {
     /// An array the allocator refuses is a
     /// [`RuntimeError::AllocationFailed`].
     pub fn for_nest(nest: &LoopNest) -> Result<Memory> {
-        let boxes = array_boxes(nest, &index_ranges(nest)?)?;
+        let boxes = array_boxes(nest, &nest.index_ranges()?)?;
         let mut arrays = Vec::with_capacity(boxes.len());
         for (decl, dims) in nest.arrays().iter().zip(boxes) {
             let len = box_len(&dims)?;
@@ -188,18 +188,11 @@ impl Memory {
     }
 }
 
-/// Global inclusive range of every loop variable, by FM projection.
-/// (Thin wrapper over [`LoopNest::index_ranges`], kept for API
-/// stability of this crate.)
-pub fn index_ranges(nest: &LoopNest) -> Result<Vec<(i64, i64)>> {
-    Ok(nest.index_ranges()?)
-}
-
 /// The row-major box of every array of `nest`, in array order:
 /// inclusive `(lo, hi)` per dimension, from interval arithmetic
 /// (`coeff · [lo, hi]` summed, plus the offset) of every access over
-/// the loop variables' global `ranges` ([`index_ranges`]). An array no
-/// access touches gets an empty box. This is the geometry
+/// the loop variables' global `ranges` ([`LoopNest::index_ranges`]). An
+/// array no access touches gets an empty box. This is the geometry
 /// [`Memory::for_nest`] allocates and the compiled lowering
 /// ([`crate::program`]) linearizes against; the inspector lowers
 /// against it without allocating any cells.
@@ -357,7 +350,7 @@ mod tests {
     #[test]
     fn index_ranges_triangular() {
         let nest = parse_loop("for i = 0..=6 { for j = 0..=i { A[i, j] = 1; } }").unwrap();
-        let r = index_ranges(&nest).unwrap();
+        let r = nest.index_ranges().unwrap();
         assert_eq!(r[0], (0, 6));
         assert_eq!(r[1], (0, 6)); // conservative: j's global range
     }

@@ -55,8 +55,8 @@
 //! # Scheduling
 //!
 //! [`Schedule::ranges_for`] splits `0..group_count` into contiguous
-//! sub-ranges, several per worker so the work-stealing executor always
-//! has spare chunks to steal: `threads × chunks_per_thread` target
+//! sub-ranges, several per worker so the pool's helper threads always
+//! have spare chunks to take: `threads × chunks_per_thread` target
 //! chunks (default [`DEFAULT_CHUNKS_PER_THREAD`] = 4). Chunk sizing is
 //! **steal-aware**: when the group space is cost-skewed — some trailing
 //! (sequential) level's bounds read a doall prefix variable, so
@@ -76,7 +76,7 @@
 //!
 //! `run_stages` is the crate's one parallel driver: a list of stages,
 //! each a list of independent tasks (a kernel's group range), run on the
-//! work-stealing pool with a barrier between stages. Plain plans are one
+//! vendored pool's work-first `par_iter` with a barrier between stages. Plain plans are one
 //! stage; staged multi-kernel programs and refined inspector verdicts
 //! are several. No executor materializes its group list, and worker
 //! state (cursor and scratch) is built once per thread and carried from
@@ -649,7 +649,7 @@ impl<S> Drop for Kept<'_, S> {
 /// function of which prefix the group carries. Levels reading only
 /// other trailing variables contribute the same trailing volume to
 /// every group and do not skew. [`Schedule::ranges_for`] splits skewed
-/// spaces finer so work stealing has something to take.
+/// spaces finer so helper threads have something to take.
 pub fn cost_skewed<B: PrefixBounds>(bounds: &B, z: usize) -> bool {
     (z..bounds.dim()).any(|level| bounds.reads_prefix(level, z))
 }
@@ -748,8 +748,8 @@ pub const STEAL_CHUNKS_PER_THREAD: usize = 16;
 /// `chunks_per_thread` controls how many contiguous group ranges each
 /// worker receives on *uniform-cost* (rectangular) group spaces;
 /// [`STEAL_CHUNKS_PER_THREAD`] applies instead when the space is
-/// [`cost_skewed`], splitting finer so the work-stealing executor's
-/// idle threads always find a chunk to take. More chunks smooth
+/// [`cost_skewed`], splitting finer so the pool's helper threads
+/// always find a chunk to take. More chunks smooth
 /// imbalanced group costs at the price of extra per-range cursor
 /// positioning. The default is [`DEFAULT_CHUNKS_PER_THREAD`]; the
 /// `PDM_CHUNKS_PER_THREAD` environment variable overrides it, read once

@@ -616,15 +616,10 @@ impl VerdictCache {
         &self.intervals[(hash % self.intervals.len() as u64) as usize]
     }
 
-    /// The cached verdict for a `(shape, valuation)` pair, counting a
-    /// point hit, an interval hit, or a miss.
-    pub fn get(&self, hash: u64, valuation: &[i64]) -> Option<Verdict> {
-        self.get_with_source(hash, valuation).map(|(v, _)| v)
-    }
-
-    /// [`VerdictCache::get`] plus which tier answered. Intervals are
-    /// probed first: a certified box answers every valuation inside it,
-    /// audited or not.
+    /// The cached verdict for a `(shape, valuation)` pair and which tier
+    /// answered, counting a point hit, an interval hit, or a miss.
+    /// Intervals are probed first: a certified box answers every
+    /// valuation inside it, audited or not.
     pub fn get_with_source(
         &self,
         hash: u64,
@@ -766,6 +761,11 @@ mod tests {
     use super::*;
     use pdm_loopir::parse::parse_loop_symbolic;
     use std::sync::Barrier;
+
+    /// The cached verdict alone, as the runtime's own probes read it.
+    fn verdict(vc: &VerdictCache, hash: u64, valuation: &[i64]) -> Option<Verdict> {
+        vc.get_with_source(hash, valuation).map(|(v, _)| v)
+    }
 
     /// M distinct plannable shapes: constant dependence distance `c`
     /// varies, so each renders to a different structural hash.
@@ -995,11 +995,11 @@ mod tests {
         use crate::inspector::Verdict;
         let vc = VerdictCache::new(4);
         assert!(vc.is_empty());
-        assert_eq!(vc.get(7, &[1, 2]), None);
+        assert_eq!(verdict(&vc, 7, &[1, 2]), None);
         vc.insert(7, vec![1, 2], Verdict::Certified);
-        assert_eq!(vc.get(7, &[1, 2]), Some(Verdict::Certified));
+        assert_eq!(verdict(&vc, 7, &[1, 2]), Some(Verdict::Certified));
         // Distinct valuations of one shape are distinct entries.
-        assert_eq!(vc.get(7, &[1, 3]), None);
+        assert_eq!(verdict(&vc, 7, &[1, 3]), None);
         vc.insert(
             7,
             vec![1, 3],
@@ -1007,7 +1007,7 @@ mod tests {
                 reason: "test".into(),
             },
         );
-        assert_eq!(vc.get(7, &[1, 3]).map(|v| v.kind()), Some("rejected"));
+        assert_eq!(verdict(&vc, 7, &[1, 3]).map(|v| v.kind()), Some("rejected"));
         assert_eq!(vc.len(), 2);
         let s = vc.stats();
         assert_eq!((s.hits, s.interval_hits, s.misses), (2, 0, 2));
@@ -1022,12 +1022,12 @@ mod tests {
         vc.insert(7, vec![1], Verdict::Certified);
         vc.insert(7, vec![2], Verdict::Certified);
         // Touch [1] so [2] becomes least-recently-used, then overflow.
-        assert!(vc.get(7, &[1]).is_some());
+        assert!(verdict(&vc, 7, &[1]).is_some());
         vc.insert(7, vec![3], Verdict::Certified);
         assert_eq!(vc.len(), 2, "capacity bound holds");
-        assert!(vc.get(7, &[1]).is_some(), "recently used survives");
-        assert!(vc.get(7, &[3]).is_some(), "new entry present");
-        assert!(vc.get(7, &[2]).is_none(), "LRU victim evicted");
+        assert!(verdict(&vc, 7, &[1]).is_some(), "recently used survives");
+        assert!(verdict(&vc, 7, &[3]).is_some(), "new entry present");
+        assert!(verdict(&vc, 7, &[2]).is_none(), "LRU victim evicted");
         let s = vc.stats();
         assert_eq!(s.evictions, 1);
         assert_eq!(s.entries, 2);
@@ -1043,13 +1043,13 @@ mod tests {
         let vc = VerdictCache::new(4);
         vc.insert_interval(9, &[(20, i64::MAX)], Verdict::Certified);
         // In-interval valuations hit without any point entry.
-        assert_eq!(vc.get(9, &[20]), Some(Verdict::Certified));
+        assert_eq!(verdict(&vc, 9, &[20]), Some(Verdict::Certified));
         assert_eq!(
             vc.get_with_source(9, &[1_000_000]),
             Some((Verdict::Certified, VerdictSource::Interval))
         );
         // Outside the box falls through to the point tier.
-        assert_eq!(vc.get(9, &[19]), None);
+        assert_eq!(verdict(&vc, 9, &[19]), None);
         vc.insert(9, vec![19], Verdict::Rejected { reason: "t".into() });
         assert_eq!(
             vc.get_with_source(9, &[19]).map(|(v, s)| (v.kind(), s)),
@@ -1094,7 +1094,7 @@ mod tests {
                         let hash = if r % 3 == 0 { 1 } else { 2 };
                         let val = if r % 5 == 0 { k + 1_000 } else { k };
                         probes.fetch_add(1, Ordering::Relaxed);
-                        if let Some(v) = vc.get(hash, &[val]) {
+                        if let Some(v) = verdict(&vc, hash, &[val]) {
                             assert_eq!(v, Verdict::Certified);
                             continue;
                         }
@@ -1125,7 +1125,7 @@ mod tests {
         assert!(s.evictions > 0, "tiny capacity must have evicted: {s:?}");
         // The cache is not wedged: a clean probe still round-trips.
         vc.insert(3, vec![0], Verdict::Certified);
-        assert_eq!(vc.get(3, &[0]), Some(Verdict::Certified));
+        assert_eq!(verdict(&vc, 3, &[0]), Some(Verdict::Certified));
     }
 
     #[test]

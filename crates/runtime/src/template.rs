@@ -2,12 +2,11 @@
 //!
 //! `pdm-core`'s [`PlanTemplate`] carries everything planning ever
 //! derives from a nest *shape*; this module finishes the job for the
-//! executors. [`instantiate_compiled`] (also reachable as the
-//! [`InstantiateCompiled::instantiate_compiled`] method on the template)
-//! lowers a valuation straight to a ready-to-run [`CompiledInstance`]:
-//! concrete nest, concrete [`ParallelPlan`], a [`Memory`] sized for that
-//! size's footprint, and the [`CompiledPlan`] engine program — with the
-//! only per-size analysis work being affine bound evaluation.
+//! executors. [`instantiate_compiled`] lowers a valuation straight to a
+//! ready-to-run [`CompiledInstance`]: concrete nest, concrete
+//! [`ParallelPlan`], a [`Memory`] sized for that size's footprint, and
+//! the [`CompiledPlan`] engine program — with the only per-size analysis
+//! work being affine bound evaluation.
 //!
 //! [`PlanCache`] closes the loop for a service answering heavy traffic
 //! over many kernels: an LRU keyed by the nest's
@@ -17,14 +16,14 @@
 //!
 //! ```
 //! use pdm_loopir::parse::parse_loop_symbolic;
-//! use pdm_runtime::template::{InstantiateCompiled, PlanCache};
+//! use pdm_runtime::template::{instantiate_compiled, PlanCache};
 //!
 //! let shape = parse_loop_symbolic(
 //!     "for i = 1..=N { A[i] = A[i - 1] + 1; }", &["N"]).unwrap();
 //! let mut cache = PlanCache::new(16);
 //! for n in [10i64, 1000, 10] {
 //!     let template = cache.get_or_plan(&shape).unwrap(); // plans once
-//!     let inst = template.instantiate_compiled(&[("N", n)]).unwrap();
+//!     let inst = instantiate_compiled(&template, &[("N", n)]).unwrap();
 //!     inst.compiled.run_parallel(&inst.memory).unwrap();
 //! }
 //! assert_eq!((cache.hits(), cache.misses()), (2, 1));
@@ -70,20 +69,6 @@ pub fn instantiate_compiled(
         memory,
         compiled,
     })
-}
-
-/// Method-call sugar for [`instantiate_compiled`] on the core
-/// [`PlanTemplate`] (an extension trait because the type lives in
-/// `pdm-core`, which cannot depend on the runtime).
-pub trait InstantiateCompiled {
-    /// See [`instantiate_compiled`].
-    fn instantiate_compiled(&self, params: &[(&str, i64)]) -> Result<CompiledInstance>;
-}
-
-impl InstantiateCompiled for PlanTemplate {
-    fn instantiate_compiled(&self, params: &[(&str, i64)]) -> Result<CompiledInstance> {
-        instantiate_compiled(self, params)
-    }
 }
 
 struct CacheEntry {
@@ -243,7 +228,7 @@ mod tests {
         let shape = parse_loop_symbolic(CHAIN, &["N"]).unwrap();
         let template = plan_template(&shape).unwrap();
         for n in [1i64, 17, 40] {
-            let mut inst = template.instantiate_compiled(&[("N", n)]).unwrap();
+            let mut inst = instantiate_compiled(&template, &[("N", n)]).unwrap();
             inst.memory.init_deterministic(3);
             let ran = inst.compiled.run_parallel(&inst.memory).unwrap();
             assert_eq!(ran, n as u64);

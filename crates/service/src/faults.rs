@@ -34,7 +34,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// panics mid-plan, exercising the tri-state flight recovery).
 pub const PLAN_LEADER: &str = "plan.leader";
 /// Probe: the connection handler, after a request frame is read
-/// (fires = handler job panics, exercising pool panic isolation).
+/// (fires = the handler panics, exercising per-connection panic
+/// isolation).
 pub const SERVER_HANDLER: &str = "server.handler";
 /// Probe: the response writer (fires = the frame is torn — header
 /// promises more bytes than are sent — and the socket closes).

@@ -78,7 +78,7 @@
 //! |------|---------|--------|
 //! | `parse`, `plan`, `runtime`, `protocol` | the request itself is at fault | no — fix the request |
 //! | `unknown_shape` | hash never planned here, or evicted | no — resubmit the `source` |
-//! | `overloaded` | connection shed at the [`RuntimeConfig`](pdm_runtime::RuntimeConfig) `max_connections` cap | yes, after backoff |
+//! | `overloaded` | connection shed at the server's cap of `workers − 1` live connections, or because the OS refused a thread | yes, after backoff |
 //! | `deadline_exceeded` | the request's `deadline_ms` budget ran out | yes, with a larger budget |
 //! | `planning_failed` | the planning run for this shape panicked; the flight is cleared | yes — the retry re-plans |
 //! | `timeout`, `io` | transport-level failure (client-side kinds) | yes, usually on a fresh connection |
@@ -102,10 +102,15 @@
 //!
 //! ## Concurrency model
 //!
-//! The server runs entirely inside one work-stealing region of the
-//! vendored pool ([`rayon::scope_with`]): the accept loop is a spawned
-//! job, and each connection becomes another job that idle workers
-//! steal. Template planning is deduplicated by the session's
+//! [`PlanServer::serve`] runs one `std::thread::scope` in which every
+//! connection has a thread of its own: the thread that accepts a
+//! connection serves it, and a fresh scoped thread takes over
+//! accepting, so no thread start delays a connection's first request.
+//! No connection waits behind another, and an idle connection costs a
+//! blocked thread, not a spinning one. A request's
+//! own parallel regions run on the vendored pool's work-first
+//! `par_iter`, at the session's pool width. Template planning is
+//! deduplicated by the session's
 //! [`ShardedPlanCache`](pdm_runtime::ShardedPlanCache): when several
 //! connections request an unplanned shape at once, exactly one plans
 //! and the rest block on a condvar and share the leader's `Arc`.
@@ -114,15 +119,18 @@
 //!
 //! The serving path is built to degrade, not die:
 //!
-//! * **Panic isolation** — every connection job and planning run is
-//!   unwind-caught; a panic kills one request, increments
+//! * **Panic isolation** — every connection handler and planning run
+//!   is unwind-caught; a panic kills one request, increments
 //!   `pdm_panics_total`, and poisons nothing. A panicked single-flight
 //!   leader wakes its followers with `planning_failed` and clears the
 //!   flight so the next request re-plans.
-//! * **Backpressure** — beyond `max_connections`
-//!   (`PDM_MAX_CONNECTIONS`, default 64) new connections are shed with
-//!   one in-band `overloaded` frame (counted in `pdm_shed_total`)
-//!   instead of queueing without bound.
+//! * **Backpressure** — [`PlanServer::bind`]'s `workers` counts the
+//!   acceptor plus the handlers, so at most `workers − 1` connections
+//!   are served at once. The next one is shed with one in-band
+//!   `overloaded` frame (counted in `pdm_shed_total`) instead of
+//!   queueing. A connection's slot is released before its socket
+//!   closes, so a client that reconnects on EOF is never shed for the
+//!   slot it just gave up.
 //! * **Timeouts** — clients never hang: reads time out
 //!   (`PDM_CLIENT_READ_TIMEOUT_MS`, default 10 000, overridable per
 //!   client via [`ClientBuilder`]), and both sides abandon peers that

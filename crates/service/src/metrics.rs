@@ -150,11 +150,11 @@ pub struct ServiceMetrics {
     pub template_acquire: LatencyHistogram,
     /// Connections accepted by the server.
     pub connections: AtomicU64,
-    /// Connection-handler (and other pool-job) panics caught by the
-    /// region sink instead of tearing down the server.
+    /// Connection-handler panics caught on the handler's own thread
+    /// instead of tearing down the server.
     pub panics: AtomicU64,
-    /// Connections shed at the max-connections gate (answered with an
-    /// in-band `overloaded` error, then closed).
+    /// Connections shed at the connection cap (answered with an in-band
+    /// `overloaded` error, then closed).
     pub shed: AtomicU64,
     /// Requests abandoned mid-pipeline because their `deadline_ms`
     /// budget expired.
@@ -180,8 +180,8 @@ pub struct ServiceMetrics {
     /// Fatal acceptor errors (each one shuts the server down — this is
     /// effectively 0 or 1, kept as a counter for scrapers).
     pub accept_errors: AtomicU64,
-    /// Connections being served right now (gauge; the max-connections
-    /// gate compares against this).
+    /// Connections being served right now (gauge; the connection cap
+    /// compares against this).
     pub active_connections: AtomicU64,
 }
 
@@ -316,13 +316,13 @@ pub fn render_metrics(
     push_counter(
         &mut out,
         "pdm_panics_total",
-        "pool-job panics caught by the region sink",
+        "connection-handler panics caught on their own thread",
         metrics.panics.load(Ordering::Relaxed),
     );
     push_counter(
         &mut out,
         "pdm_shed_total",
-        "connections shed at the max-connections gate",
+        "connections shed at the connection cap",
         metrics.shed.load(Ordering::Relaxed),
     );
     push_counter(
@@ -480,8 +480,8 @@ mod tests {
         let verdicts = pdm_runtime::sharded::VerdictCache::with_capacity(1, 2);
         use pdm_runtime::Verdict;
         verdicts.insert_interval(9, &[(10, i64::MAX)], Verdict::Certified);
-        verdicts.get(9, &[50]);
-        verdicts.get(9, &[0]);
+        verdicts.get_with_source(9, &[50]);
+        verdicts.get_with_source(9, &[0]);
         verdicts.insert(9, vec![0], Verdict::Certified);
         verdicts.insert(9, vec![1], Verdict::Certified);
         verdicts.insert(9, vec![2], Verdict::Certified);

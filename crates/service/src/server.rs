@@ -3,12 +3,13 @@
 //!
 //! The server owns a [`Session`] (so every connection shares one
 //! sharded template cache and one metrics sink) and a bound
-//! `TcpListener`. [`PlanServer::serve`] runs the whole thing inside one
-//! work-stealing region from the vendored pool: the accept loop is a
-//! spawned job, and each accepted connection becomes another spawned
-//! job that idle workers steal. No threads are created beyond the
-//! region's workers, and a `shutdown` request (or
-//! [`PlanServer::shutdown_handle`]) drains the region cleanly: the
+//! `TcpListener`. [`PlanServer::serve`] runs one `std::thread::scope`
+//! in which every connection has a thread of its own, so no connection
+//! ever waits behind another: the thread that accepts a connection
+//! serves it, and a fresh scoped thread takes over accepting. At most
+//! `workers − 1` connections are served at once; the next one is shed
+//! with one in-band `overloaded` frame. A `shutdown` request (or
+//! [`PlanServer::shutdown_handle`]) drains the scope cleanly: the
 //! acceptor stops accepting and every handler notices the flag at its
 //! next read timeout.
 
@@ -18,22 +19,32 @@ use crate::metrics::ServiceMetrics;
 use crate::session::Session;
 use crate::wire::{self, Frame, ShutdownFlag};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 /// How long a blocked read waits before re-checking the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
-/// Decrement-on-drop guard for the live-connection gauge: the count
-/// stays honest even when a handler panics (the drop runs during the
-/// unwind, before the region sink swallows the payload).
+/// One slot of the live-connection gauge, released on drop — on any
+/// handler exit, panic included.
 struct ActiveGuard<'a>(&'a ServiceMetrics);
 
 impl Drop for ActiveGuard<'_> {
     fn drop(&mut self) {
         self.0.active_connections.fetch_sub(1, Ordering::Relaxed);
     }
+}
+
+/// An admitted connection: its slot under the cap and its socket.
+/// Fields drop in declaration order, so the slot is free before the
+/// socket closes: a client that sees EOF and reconnects at once is
+/// never shed for the slot it just gave up.
+struct Connection<'a> {
+    _slot: ActiveGuard<'a>,
+    stream: TcpStream,
 }
 
 /// A plan-serving endpoint: one shared [`Session`] behind a TCP
@@ -43,17 +54,14 @@ pub struct PlanServer {
     session: Arc<Session>,
     workers: usize,
     shutdown: Arc<ShutdownFlag>,
-    max_connections: usize,
-    /// A fatal acceptor error, parked here by the accept loop for
-    /// [`PlanServer::serve`] to surface after the region drains.
-    accept_error: Mutex<Option<std::io::Error>>,
 }
 
 impl PlanServer {
     /// Bind to `addr` (use port 0 for an OS-assigned port) serving
-    /// `session`, handling connections on `workers` pool workers (at
-    /// least 2: one accepts, the rest handle). The connection cap
-    /// defaults to the session's `PDM_MAX_CONNECTIONS` knob.
+    /// `session` on `workers` threads (at least 2): one accepts, the
+    /// rest handle, so at most `workers − 1` connections are served at
+    /// once. Connections past that cap are answered with an in-band
+    /// `overloaded` error and closed instead of queueing.
     pub fn bind(
         addr: impl ToSocketAddrs,
         session: Arc<Session>,
@@ -62,23 +70,12 @@ impl PlanServer {
         let listener = TcpListener::bind(addr)?;
         // Nonblocking so the acceptor can poll the shutdown flag.
         listener.set_nonblocking(true)?;
-        let max_connections = session.config().max_connections.max(1);
         Ok(PlanServer {
             listener,
             session,
             workers: workers.max(2),
             shutdown: Arc::new(ShutdownFlag::new()),
-            max_connections,
-            accept_error: Mutex::new(None),
         })
-    }
-
-    /// Override the connection cap (the backpressure gate: connections
-    /// past this are answered with an in-band `overloaded` error and
-    /// closed instead of queuing unboundedly).
-    pub fn with_max_connections(mut self, max: usize) -> PlanServer {
-        self.max_connections = max.max(1);
-        self
     }
 
     /// The bound address (ask after binding port 0).
@@ -97,61 +94,38 @@ impl PlanServer {
     }
 
     /// Accept and serve until a `shutdown` request arrives or the
-    /// [`PlanServer::shutdown_handle`] flag is set. Blocks the calling
-    /// thread (it becomes one of the region's workers).
+    /// [`PlanServer::shutdown_handle`] flag is set. The calling thread
+    /// starts accepting; each admitted connection is served on the
+    /// thread that accepted it while a fresh scoped thread takes over
+    /// accepting, and the call returns once every handler has finished.
     ///
-    /// Handler jobs run under a panic **sink**: a panicking handler
-    /// increments `pdm_panics_total` and dies alone — the region, the
-    /// other connections, and the acceptor keep going. A fatal
-    /// listener error stops the acceptor, sets the shutdown flag (so
-    /// handlers drain), and is returned from here instead of being
+    /// A panicking handler increments `pdm_panics_total` and takes down
+    /// only its connection — the acceptor and the other connections
+    /// keep going. A fatal listener error sets the shutdown flag (so
+    /// handlers drain) and is returned from here instead of being
     /// swallowed.
     pub fn serve(&self) -> std::io::Result<()> {
-        let metrics = self.session.metrics();
-        rayon::scope_with_sink(
-            self.workers,
-            |payload| {
-                metrics.panics.fetch_add(1, Ordering::Relaxed);
-                // The payload is intentionally dropped: the panic is
-                // already isolated to its connection, whose socket
-                // closed when the handler's stack unwound.
-                let _ = rayon::panic_message(&*payload);
-            },
-            |sc| {
-                sc.spawn(|sc| self.accept_loop(sc));
-            },
-        );
-        match lock_recovering(&self.accept_error).take() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        let failure = OnceLock::new();
+        std::thread::scope(|sc| self.accept_loop(sc, &failure));
+        failure.into_inner().map_or(Ok(()), Err)
     }
 
-    /// The acceptor job: poll-accept, spawn a handler job per
-    /// connection (or shed it at the cap), stop when the flag goes up.
-    fn accept_loop<'env>(&'env self, sc: &rayon::Scope<'env>) {
+    /// Poll-accept until the flag goes up, shedding connections past the
+    /// cap. An admitted connection is served on this thread, which is
+    /// already running, after a fresh thread has taken over accepting:
+    /// a thread start never delays a connection's first request.
+    fn accept_loop<'scope>(
+        &'scope self,
+        sc: &'scope Scope<'scope, '_>,
+        failure: &'scope OnceLock<std::io::Error>,
+    ) {
         let metrics = self.session.metrics();
         while !self.shutdown.is_set() {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
-                    // Backpressure gate: past the cap, answer with an
-                    // in-band `overloaded` error and close, instead of
-                    // queuing the connection behind busy workers.
-                    let active = metrics.active_connections.load(Ordering::Relaxed);
-                    if active >= self.max_connections as u64 {
-                        metrics.shed.fetch_add(1, Ordering::Relaxed);
-                        let mut s = stream;
-                        let _ =
-                            wire::write_frame(&mut s, &wire::error_body("", &PdmError::Overloaded));
-                        continue;
+                    if let Some(conn) = self.admit(sc, failure, stream) {
+                        return self.serve_connection(conn);
                     }
-                    // Count the connection as live *here*, before the
-                    // handler job is stolen, so a burst of accepts
-                    // cannot overshoot the cap; the handler's guard
-                    // decrements on any exit, panic included.
-                    metrics.active_connections.fetch_add(1, Ordering::Relaxed);
-                    metrics.connections.fetch_add(1, Ordering::Relaxed);
-                    sc.spawn(move |_| self.handle_connection(stream));
                 }
                 Err(e)
                     if matches!(
@@ -167,31 +141,71 @@ impl PlanServer {
                 // let serve() surface it — never die silently.
                 Err(e) => {
                     metrics.accept_errors.fetch_add(1, Ordering::Relaxed);
-                    *lock_recovering(&self.accept_error) = Some(e);
+                    let _ = failure.set(e);
                     self.shutdown.set();
-                    break;
+                    return;
                 }
             }
         }
     }
 
+    /// Take a slot for `stream` and hand accepting to a fresh thread, or
+    /// shed `stream` in band when the cap is reached or the OS refuses
+    /// the thread.
+    fn admit<'scope>(
+        &'scope self,
+        sc: &'scope Scope<'scope, '_>,
+        failure: &'scope OnceLock<std::io::Error>,
+        stream: TcpStream,
+    ) -> Option<Connection<'scope>> {
+        let metrics = self.session.metrics();
+        // Backpressure gate: past the cap, answer with an in-band
+        // `overloaded` error and close instead of queueing.
+        if metrics.active_connections.load(Ordering::Relaxed) >= (self.workers - 1) as u64 {
+            shed(metrics, stream);
+            return None;
+        }
+        // Take the slot before the next acceptor starts, so a burst of
+        // accepts cannot overshoot the cap.
+        metrics.active_connections.fetch_add(1, Ordering::Relaxed);
+        let slot = ActiveGuard(metrics);
+        // `Builder::spawn_scoped` rather than `Scope::spawn`, which
+        // panics when the OS refuses a thread — and a panicking acceptor
+        // would wait forever on the open handlers.
+        let successor =
+            std::thread::Builder::new().spawn_scoped(sc, move || self.accept_loop(sc, failure));
+        if successor.is_err() {
+            drop(slot);
+            shed(metrics, stream);
+            return None;
+        }
+        Some(Connection {
+            _slot: slot,
+            stream,
+        })
+    }
+
+    /// Serve one admitted connection, catching a handler panic.
+    fn serve_connection(&self, conn: Connection<'_>) {
+        let metrics = self.session.metrics();
+        metrics.connections.fetch_add(1, Ordering::Relaxed);
+        if catch_unwind(AssertUnwindSafe(|| self.handle_connection(conn))).is_err() {
+            metrics.panics.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     /// One connection: frames in, responses out, until EOF, shutdown,
     /// or a socket error.
-    fn handle_connection(&self, stream: TcpStream) {
+    fn handle_connection(&self, mut conn: Connection<'_>) {
         let metrics = self.session.metrics();
-        let _active = ActiveGuard(metrics);
         let fault = self.session.faults();
+        let stream = &mut conn.stream;
         let _ = stream.set_nodelay(true);
         // Timeouts turn blocked reads into Frame::Idle so the handler
         // can poll the shutdown flag.
         let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-        let mut reader = match stream.try_clone() {
-            Ok(r) => r,
-            Err(_) => return,
-        };
-        let mut writer = stream;
         loop {
-            match wire::read_frame(&mut reader) {
+            match wire::read_frame(stream) {
                 Ok(Frame::Message(text)) => {
                     // Fault probes, in arrival order: a stalled read, a
                     // dropped socket, a handler panic — each models a
@@ -213,10 +227,10 @@ impl PlanServer {
                     };
                     op.record(t0.elapsed(), resp.ok);
                     if fault.fire(faults::WIRE_TORN) {
-                        let _ = write_torn_frame(&mut writer, &resp.body);
+                        let _ = write_torn_frame(stream, &resp.body);
                         return;
                     }
-                    if wire::write_frame(&mut writer, &resp.body).is_err() {
+                    if wire::write_frame(stream, &resp.body).is_err() {
                         return;
                     }
                     if resp.shutdown {
@@ -235,10 +249,10 @@ impl PlanServer {
     }
 }
 
-/// Mutex lock with poison recovery: a panicked handler cannot make the
-/// accept-error slot unusable (same policy as the runtime's caches).
-fn lock_recovering<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
+/// Answer `stream` with one in-band `overloaded` error and close it.
+fn shed(metrics: &ServiceMetrics, mut stream: TcpStream) {
+    metrics.shed.fetch_add(1, Ordering::Relaxed);
+    let _ = wire::write_frame(&mut stream, &wire::error_body("", &PdmError::Overloaded));
 }
 
 /// The `wire.torn` fault: a header promising the full payload followed
@@ -513,6 +527,17 @@ mod tests {
         std::thread::JoinHandle<()>,
     ) {
         let session = Arc::new(Session::builder().cache_capacity(4, 16).threads(1).build());
+        serve_session(session, workers)
+    }
+
+    fn serve_session(
+        session: Arc<Session>,
+        workers: usize,
+    ) -> (
+        std::net::SocketAddr,
+        Arc<ShutdownFlag>,
+        std::thread::JoinHandle<()>,
+    ) {
         let server = PlanServer::bind("127.0.0.1:0", session, workers).unwrap();
         let addr = server.local_addr().unwrap();
         let flag = server.shutdown_handle();
@@ -520,6 +545,19 @@ mod tests {
             server.serve().unwrap();
         });
         (addr, flag, handle)
+    }
+
+    /// Read one frame from `s`, failing if none arrives within `limit`.
+    fn read_within(s: &mut TcpStream, limit: Duration) -> crate::json::Json {
+        s.set_read_timeout(Some(Duration::from_millis(20))).unwrap();
+        let deadline = Instant::now() + limit;
+        loop {
+            match wire::read_frame(s).unwrap() {
+                Frame::Message(t) => return crate::json::parse(&t).unwrap(),
+                Frame::Idle => assert!(Instant::now() < deadline, "no frame within {limit:?}"),
+                Frame::Eof => panic!("connection closed without a frame"),
+            }
+        }
     }
 
     #[test]
@@ -586,40 +624,56 @@ mod tests {
     #[test]
     fn overloaded_connections_are_shed_in_band() {
         let session = Arc::new(Session::builder().cache_capacity(2, 8).threads(1).build());
-        let server = PlanServer::bind("127.0.0.1:0", session, 3)
-            .unwrap()
-            .with_max_connections(1);
-        let addr = server.local_addr().unwrap();
-        let flag = server.shutdown_handle();
-        let handle = std::thread::spawn(move || {
-            server.serve().unwrap();
-        });
+        // Two workers: one accepts, one handles — a cap of one connection.
+        let (addr, flag, handle) = serve_session(Arc::clone(&session), 2);
 
-        // First connection occupies the only slot (the call guarantees
-        // it was accepted and is being served).
-        let mut c1 = ServiceClient::connect(addr).unwrap();
-        c1.call(r#"{"op":"stats"}"#).unwrap();
+        // A occupies the only slot (the call proves it is being served)
+        // and then stays idle.
+        let mut a = ServiceClient::connect(addr).unwrap();
+        a.call(r#"{"op":"stats"}"#).unwrap();
 
-        // Second connection: shed at accept with an in-band error
-        // before any request is even sent.
-        let mut c2 = TcpStream::connect(addr).unwrap();
-        c2.set_read_timeout(Some(Duration::from_millis(50)))
-            .unwrap();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let text = loop {
-            match wire::read_frame(&mut c2).unwrap() {
-                Frame::Message(t) => break t,
-                Frame::Idle => assert!(Instant::now() < deadline, "no shed frame arrived"),
-                Frame::Eof => panic!("connection closed without a shed frame"),
-            }
-        };
-        let body = crate::json::parse(&text).unwrap();
+        // B is shed at accept with an in-band error before it sends
+        // anything: within an accept poll, not whenever A leaves.
+        let mut b = TcpStream::connect(addr).unwrap();
+        let body = read_within(&mut b, Duration::from_secs(1));
         assert_eq!(body.get_str("kind"), Some("overloaded"));
 
-        // The surviving connection still serves, and the shed shows up
-        // on the metrics page.
-        let metrics = c1.metrics_text().unwrap();
+        // Once A leaves, its slot is free again and B is served.
+        drop(a);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while session.metrics().active_connections.load(Ordering::Relaxed) > 0 {
+            assert!(Instant::now() < deadline, "A's slot was never released");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let mut b = ServiceClient::connect(addr).unwrap();
+        let body = b.call_retrying(r#"{"op":"stats"}"#).unwrap();
+        assert_eq!(body.get("ok"), Some(&crate::json::Json::Bool(true)));
+        let metrics = b.metrics_text().unwrap();
         assert!(metrics.contains("pdm_shed_total 1"), "{metrics}");
+        flag.set();
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn reconnect_after_a_dropped_socket_is_served_at_the_cap() {
+        // The only slot's handler drops its socket mid-request. Its slot
+        // is free before the socket closes, so a client that reconnects
+        // the moment it sees EOF is served, never shed.
+        let session = Arc::new(
+            Session::builder()
+                .cache_capacity(2, 8)
+                .threads(1)
+                .faults(crate::faults::Faults::parse("net.drop:1:1", 0).unwrap())
+                .build(),
+        );
+        let (addr, flag, handle) = serve_session(session, 2);
+        let mut client = ServiceClient::connect(addr).unwrap();
+        assert!(client.call(r#"{"op":"stats"}"#).is_err());
+        client.reconnect().unwrap();
+        let body = client.call(r#"{"op":"stats"}"#).unwrap();
+        assert_eq!(body.get("ok"), Some(&crate::json::Json::Bool(true)));
+        let metrics = client.metrics_text().unwrap();
+        assert!(metrics.contains("pdm_shed_total 0"), "{metrics}");
         flag.set();
         handle.join().unwrap();
     }

@@ -177,7 +177,7 @@
 //! (Fourier–Motzkin), [`loopir`] (nest IR + DSL, perfect and
 //! imperfect), [`core`] (the paper's analysis and transformations),
 //! [`runtime`] (the compiled walker and its stage driver on a
-//! work-stealing pool, sharded plan + verdict caches, the speculative
+//! work-first thread pool, sharded plan + verdict caches, the speculative
 //! inspector, staged multi-kernel programs),
 //! [`service`] (the `Session` facade, TCP plan
 //! server, wire protocol, metrics), [`isdg`] (ground-truth dependence
@@ -219,6 +219,6 @@ pub mod prelude {
     pub use pdm_runtime::exec::run_sequential;
     pub use pdm_runtime::memory::Memory;
     pub use pdm_runtime::staged::{run_imperfect_sequential, CompiledProgram};
-    pub use pdm_runtime::template::{InstantiateCompiled, PlanCache};
+    pub use pdm_runtime::template::{instantiate_compiled, PlanCache};
     pub use pdm_runtime::{audit, run_with_verdict, RuntimeConfig, ShardedPlanCache, Verdict};
 }

@@ -7,7 +7,7 @@
 //! are the paper's examples plus > 100 generator-produced random nests
 //! spanning depths 1–3, multi-statement bodies, and plans with and
 //! without doall prefixes and Theorem-2 partitions. A thread-matrix leg
-//! repeats the comparison on dedicated work-stealing pools of 1, 2, and
+//! repeats the comparison on dedicated pools of 1, 2, and
 //! `max(4, machine)` workers, so scheduler changes cannot hide behind
 //! the default pool width.
 
