@@ -67,8 +67,8 @@ pub fn measure_speedup(nest: &LoopNest, plan: &ParallelPlan, reps: usize) -> (f6
     for _ in 0..reps {
         let mut m = Memory::for_nest(nest).expect("alloc");
         m.init_deterministic(1);
-        let seq = pdm_runtime::CompiledNest::compile(nest, &m).expect("compile nest");
-        let (_, t) = time(|| seq.run(&m).expect("seq"));
+        let seq = pdm_runtime::CompiledPlan::compile(nest, plan, &m).expect("compile plan");
+        let (_, t) = time(|| seq.run_original_order(nest, &m).expect("seq"));
         best_seq = best_seq.min(t);
 
         let mut m = Memory::for_nest(nest).expect("alloc");

@@ -14,7 +14,7 @@
 //!   where a DAG edge forces one — never between independent kernels.
 //!
 //! Identical kernels (same [`structural hash`], verified by equality)
-//! are planned once and share the plan — the `PlanCache` idea applied
+//! are planned once and share the plan — the template cache's idea applied
 //! within one program, which pays off when fission emits several
 //! same-shaped statement kernels.
 //!
@@ -60,8 +60,8 @@ pub fn parallelize_program(imp: &ImperfectNest) -> Result<ProgramPlan> {
 }
 
 /// Plan an already-normalized program. Kernels with identical structure
-/// are planned once (hash-keyed, equality-verified — the in-program
-/// `PlanCache`).
+/// are planned once (hash-keyed, equality-verified — an in-program
+/// template cache).
 pub fn plan_program(normalized: NormalizedProgram) -> Result<ProgramPlan> {
     let NormalizedProgram { kernels, edges } = normalized;
     let mut planned: Vec<(u64, LoopNest, ParallelPlan)> = Vec::new();

@@ -299,7 +299,7 @@ impl LoopNest {
     /// arity and names, bound coefficient rows, array declarations, and
     /// the full body structure. Two nests compare equal iff they hash
     /// equal up to collisions, so caches key on this and verify with
-    /// `==` on hit (see `pdm-runtime`'s `PlanCache`). FNV-1a, stable
+    /// `==` on hit (see `pdm-runtime`'s `ShardedPlanCache`). FNV-1a, stable
     /// across processes and platforms.
     pub fn structural_hash(&self) -> u64 {
         let mut h = Fnv::new();

@@ -209,8 +209,9 @@ pub struct TaskState<'a> {
 /// (and, once [`Program`] accesses are attached, every access's flat
 /// offset) up to date by strength reduction, and hands each iteration
 /// to a visitor. Build one with [`Walker::for_plan`] to walk a plan
-/// without a [`Memory`] (the inspector does); [`CompiledPlan`] and
-/// [`CompiledNest`] carry one with their program's accesses attached.
+/// without a [`Memory`] (the inspector does); [`CompiledPlan`] carries
+/// one with its program's accesses attached, and builds the original
+/// nest's walker for [`CompiledPlan::run_original_order`].
 #[derive(Debug, Clone)]
 pub struct Walker {
     /// Walk-space dimension (== nest depth).
@@ -518,41 +519,6 @@ fn flat_deltas(program: Option<&Program>, dorig: &[Vec<i64>]) -> Vec<Vec<i64>> {
         .collect()
 }
 
-/// A nest compiled for **original-order sequential** execution: the
-/// same walker as [`CompiledPlan`] with the identity transform and one
-/// group.
-#[derive(Debug, Clone)]
-pub struct CompiledNest {
-    program: Program,
-    walker: Walker,
-}
-
-impl CompiledNest {
-    /// Lower the nest against `mem`'s array geometry.
-    pub fn compile(nest: &LoopNest, mem: &Memory) -> Result<CompiledNest> {
-        let program = Program::compile(nest, mem)?;
-        let walker = Walker::for_nest(nest, &program)?;
-        Ok(CompiledNest { program, walker })
-    }
-
-    /// Allocate reusable walk state.
-    pub fn new_scratch(&self) -> PlanScratch {
-        self.walker.scratch_with(self.program.new_scratch())
-    }
-
-    /// Execute the nest in original lexicographic order. Returns the
-    /// iteration count.
-    pub fn run(&self, mem: &Memory) -> Result<u64> {
-        let mut s = self.new_scratch();
-        self.run_with_scratch(mem, &mut s)
-    }
-
-    /// [`CompiledNest::run`] reusing caller-provided state.
-    pub fn run_with_scratch(&self, mem: &Memory, s: &mut PlanScratch) -> Result<u64> {
-        self.walker.walk(&[], 0, s, |sc| self.program.exec(mem, sc))
-    }
-}
-
 /// A `(LoopNest, ParallelPlan)` pair lowered to the compiled engine,
 /// ready for chunked parallel execution.
 #[derive(Debug, Clone)]
@@ -625,9 +591,9 @@ impl CompiledPlan {
     }
 
     /// Execute the plan's nest in **original lexicographic order** on
-    /// this plan's lowered program: the [`CompiledNest`] walk, without
-    /// lowering the body again. `nest` must be the nest the plan was
-    /// compiled from. The executor for valuations whose dependences the
+    /// this plan's lowered program: the identity walker over one group,
+    /// without lowering the body again. `nest` must be the nest the plan
+    /// was compiled from. The executor for valuations whose dependences the
     /// plan cannot honour (a rejected inspector verdict). Returns the
     /// iteration count.
     pub fn run_original_order(&self, nest: &LoopNest, mem: &Memory) -> Result<u64> {
@@ -685,9 +651,9 @@ mod tests {
         m_cseq.init_deterministic(seed);
         m_cpar.init_deterministic(seed);
         let c1 = run_sequential(&nest, &m_seq).unwrap();
-        let cn = CompiledNest::compile(&nest, &m_cseq).unwrap();
-        let c2 = cn.run(&m_cseq).unwrap();
-        let cp = CompiledPlan::compile(&nest, &plan, &m_cpar).unwrap();
+        // Both memories share one geometry, so one lowering serves both.
+        let cp = CompiledPlan::compile(&nest, &plan, &m_cseq).unwrap();
+        let c2 = cp.run_original_order(&nest, &m_cseq).unwrap();
         let c3 = cp.run_parallel(&m_cpar).unwrap();
         assert_eq!(c1, c2, "compiled sequential iteration count");
         assert_eq!(c1, c3, "compiled parallel iteration count");
@@ -801,18 +767,14 @@ mod tests {
         let mem_b = Memory::for_nest(&nest_b).unwrap();
         let plan_a = parallelize(&nest_a).unwrap();
         let cp_a = CompiledPlan::compile(&nest_a, &plan_a, &mem_a).unwrap();
-        let cn_b = CompiledNest::compile(&nest_b, &mem_b).unwrap();
+        let program_b = Program::compile(&nest_b, &mem_b).unwrap();
+        let walker_b = Walker::for_nest(&nest_b, &program_b).unwrap();
+        let run_b = |s: &mut PlanScratch| walker_b.walk(&[], 0, s, |sc| program_b.exec(&mem_b, sc));
         let mut foreign = cp_a.new_scratch();
-        assert!(matches!(
-            cn_b.run_with_scratch(&mem_b, &mut foreign),
-            Err(RuntimeError::Core(_))
-        ));
+        assert!(matches!(run_b(&mut foreign), Err(RuntimeError::Core(_))));
         // A bare geometry scratch carries no flat offsets either.
         let mut bare = cp_a.walker().new_scratch();
-        assert!(matches!(
-            cn_b.run_with_scratch(&mem_b, &mut bare),
-            Err(RuntimeError::Core(_))
-        ));
+        assert!(matches!(run_b(&mut bare), Err(RuntimeError::Core(_))));
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! generated schedule: running it on rayon produces bit-identical array
 //! contents to the original sequential loop, from identical initial data.
 //! [`compare`] pins the compiled walker — in original order
-//! ([`CompiledNest`]) and under the parallel plan ([`CompiledPlan`]) — to
-//! the reference interpreter ([`run_sequential`]); [`compare_program`]
+//! ([`CompiledPlan::run_original_order`]) and under the parallel plan
+//! ([`CompiledPlan::run_parallel`]) — to the reference interpreter
+//! ([`run_sequential`]); [`compare_program`]
 //! does the same for staged multi-kernel programs.
 
-use crate::compile::{CompiledNest, CompiledPlan};
+use crate::compile::CompiledPlan;
 use crate::exec::run_sequential;
 use crate::memory::Memory;
 use crate::Result;
@@ -39,8 +40,10 @@ pub fn compare(nest: &LoopNest, plan: &ParallelPlan, seed: u64) -> Result<Equiva
     m_nest.init_deterministic(seed);
     m_par.init_deterministic(seed);
     let c_ref = run_sequential(nest, &m_ref)?;
-    let c_nest = CompiledNest::compile(nest, &m_nest)?.run(&m_nest)?;
-    let c_par = CompiledPlan::compile(nest, plan, &m_par)?.run_parallel(&m_par)?;
+    // Both memories share one geometry, so one lowering serves both.
+    let compiled = CompiledPlan::compile(nest, plan, &m_nest)?;
+    let c_nest = compiled.run_original_order(nest, &m_nest)?;
+    let c_par = compiled.run_parallel(&m_par)?;
     let reference = m_ref.snapshot();
     Ok(EquivalenceReport {
         iterations: c_ref,

@@ -58,13 +58,15 @@
 //!   (`PDM_CHUNKS_PER_THREAD`), and the stage driver;
 //! * [`template`] — parametric serving: lower a `pdm-core`
 //!   `PlanTemplate` at a size to a ready-to-run
-//!   [`template::CompiledInstance`] (no re-analysis, no FM), with an LRU
-//!   [`template::PlanCache`] keyed by nest structural hash so heavy
-//!   traffic over one kernel shape pays planning once;
-//! * [`sharded`] — the concurrent version of that cache:
-//!   [`sharded::ShardedPlanCache`] shards entries across independent
+//!   [`template::CompiledInstance`] (no re-analysis, no FM);
+//! * [`sharded`] — the template cache that makes heavy traffic over one
+//!   kernel shape pay planning once: [`sharded::ShardedPlanCache`] is
+//!   keyed by nest structural hash, shards entries across independent
 //!   locks and deduplicates concurrent planning runs for the same shape
 //!   through a single-flight layer (`pdm-service`'s template store);
+//! * [`lru`] — [`lru::Lru`], the one bounded least-recently-used map
+//!   behind the template shards, the verdict points and `pdm-service`'s
+//!   source memo;
 //! * [`config`] — [`config::RuntimeConfig`]: every `PDM_*` environment
 //!   knob parsed once per process instead of per executor call;
 //! * [`memory`] — integer array storage sized from the nest's access
@@ -97,6 +99,7 @@ pub mod config;
 pub mod equivalence;
 pub mod exec;
 pub mod inspector;
+pub mod lru;
 pub mod memory;
 pub mod program;
 pub mod schedule;
@@ -104,7 +107,7 @@ pub mod sharded;
 pub mod staged;
 pub mod template;
 
-pub use compile::{CompiledNest, CompiledPlan, Walker};
+pub use compile::{CompiledPlan, Walker};
 pub use config::RuntimeConfig;
 pub use exec::run_sequential;
 pub use inspector::{audit, run_refined_compiled, run_with_verdict, PreparedVerdict, Verdict};
@@ -112,7 +115,7 @@ pub use memory::Memory;
 pub use schedule::{GroupCursor, Schedule};
 pub use sharded::{CacheStats, ShardedPlanCache};
 pub use staged::{run_imperfect_sequential, run_program_sequential, CompiledProgram};
-pub use template::{CompiledInstance, PlanCache};
+pub use template::CompiledInstance;
 
 /// Errors from execution.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,17 +1,16 @@
-//! Concurrent plan caching: a sharded [`PlanCache`] with single-flight
+//! Concurrent plan caching: a sharded template cache with single-flight
 //! deduplication.
 //!
-//! [`PlanCache`] is a `&mut self` structure — correct for one thread,
-//! but a serving layer answers many concurrent requests, and wrapping
-//! the whole cache in one mutex would serialize every lookup *and*
-//! every planning run behind it. [`ShardedPlanCache`] fixes both
-//! problems:
+//! A serving layer answers many concurrent requests, and one mutex
+//! around one cache would serialize every lookup *and* every planning
+//! run behind it. [`ShardedPlanCache`] avoids both:
 //!
 //! * **Sharding.** The cache splits into N independent shards selected
 //!   by the nest's [`structural hash`](LoopNest::structural_hash); each
-//!   shard is its own [`PlanCache`] behind its own lock, so lookups for
-//!   different shapes contend only within their shard. Per-shard
-//!   hit/miss/eviction counters aggregate into [`CacheStats`].
+//!   shard is its own [`Lru`] of `(nest, template)` pairs behind its own
+//!   lock, keyed by that hash and verified by nest equality on hit, so
+//!   lookups for different shapes contend only within their shard.
+//!   Per-shard hit/miss/eviction counters aggregate into [`CacheStats`].
 //!
 //! * **Single-flight planning.** On a miss, planning (dependence
 //!   analysis + Fourier–Motzkin — the milliseconds-scale work the cache
@@ -28,7 +27,8 @@
 //! entries are keyed by hash but carry the full nest, and followers
 //! join a flight only on nest *equality* — a 64-bit hash collision
 //! degrades to two independent planning runs instead of aliasing two
-//! kernels (the same guarantee [`PlanCache`] makes for cached entries).
+//! kernels (the same guarantee the shard's [`Lru`] makes for cached
+//! entries).
 //!
 //! **Fault hardening.** The flight slot is a tri-state
 //! (`Pending`/`Ready`/`Failed`), and the leader's planning run executes
@@ -37,10 +37,10 @@
 //! bug), the guard's `Drop` still clears the in-flight entry and fills
 //! the slot with [`RuntimeError::PlanningFailed`], so every follower
 //! wakes with a typed, retryable error instead of parking forever on a
-//! condvar nobody will signal. Flight locks use the same
-//! poison-recovery policy as the shard cache lock (`lock_cache`):
-//! both structures are consistent between critical sections, so a
-//! panicked thread elsewhere must not cascade into every later request.
+//! condvar nobody will signal. Flight locks and shard cache locks share
+//! one poison-recovery policy (`lock_recovering`): both structures are
+//! consistent between critical sections, so a panicked thread elsewhere
+//! must not cascade into every later request.
 //!
 //! Lock ordering: the flight table's lock may be held while taking the
 //! shard's cache lock (miss re-check), never the reverse — leaders
@@ -55,7 +55,7 @@
 //! verdict's stage layout is built once and reused by every hit.
 
 use crate::inspector::{PreparedVerdict, Verdict};
-use crate::template::PlanCache;
+use crate::lru::Lru;
 use crate::{Result, RuntimeError};
 use pdm_core::template::{plan_template, PlanTemplate};
 use pdm_loopir::nest::LoopNest;
@@ -63,9 +63,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-/// Lock with poison recovery: both flight structures keep their state
-/// consistent between critical sections, so a panic that poisons the
-/// mutex must not wedge later requests (same policy as [`lock_cache`]).
+/// Lock with poison recovery: the flight structures and the shard
+/// caches keep their state consistent between critical sections, so a
+/// panic that poisons the mutex must not wedge later requests.
 fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,
@@ -134,7 +134,8 @@ impl Flight {
 }
 
 struct Shard {
-    cache: Mutex<PlanCache>,
+    /// Templates keyed by structural hash, verified by nest equality.
+    cache: Mutex<Lru<(LoopNest, Arc<PlanTemplate>)>>,
     /// Hash → flights currently planning a shape with that hash. A
     /// `Vec` per hash because distinct shapes may collide; each flight
     /// carries its nest and is matched by equality.
@@ -147,7 +148,7 @@ struct Shard {
 impl Shard {
     fn new(capacity: usize) -> Shard {
         Shard {
-            cache: Mutex::new(PlanCache::new(capacity)),
+            cache: Mutex::new(Lru::new(capacity)),
             inflight: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             planned: AtomicU64::new(0),
@@ -210,12 +211,12 @@ impl CacheStats {
     }
 }
 
-/// A sharded, internally synchronized [`PlanCache`] with single-flight
-/// planning — the concurrent template store behind `pdm-service`'s
-/// sessions.
+/// A sharded, internally synchronized LRU cache of [`PlanTemplate`]s
+/// with single-flight planning — the concurrent template store behind
+/// `pdm-service`'s sessions.
 ///
-/// Unlike [`PlanCache`], every method takes `&self`: the cache is
-/// `Sync` and meant to be shared (`Arc`) across worker threads.
+/// Every method takes `&self`: the cache is `Sync` and meant to be
+/// shared (`Arc`) across worker threads.
 ///
 /// ```
 /// use pdm_loopir::parse::parse_loop_symbolic;
@@ -290,7 +291,7 @@ impl ShardedPlanCache {
         let shard = self.shard_for(hash);
 
         // Fast path: shared-shape traffic takes one short lock.
-        if let Some(t) = lock_cache(shard).probe(nest) {
+        if let Some(t) = probe(shard, hash, nest) {
             shard.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(t);
         }
@@ -301,7 +302,7 @@ impl ShardedPlanCache {
         // missing that window would replan a cached shape.
         let flight = {
             let mut inflight = lock_recovering(&shard.inflight);
-            if let Some(t) = lock_cache(shard).probe(nest) {
+            if let Some(t) = probe(shard, hash, nest) {
                 shard.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(t);
             }
@@ -340,7 +341,11 @@ impl ShardedPlanCache {
     /// hash is not counted as a request (see [`CacheStats`]).
     pub fn get_by_hash(&self, hash: u64) -> Option<Arc<PlanTemplate>> {
         let shard = self.shard_for(hash);
-        let found = lock_cache(shard).probe_hash(hash);
+        // A bucket keeps insertion order, so the first template inserted
+        // with this hash answers.
+        let found = lock_recovering(&shard.cache)
+            .get(hash, |_| true)
+            .map(|(_, t)| t.clone());
         if found.is_some() {
             shard.hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -354,7 +359,10 @@ impl ShardedPlanCache {
 
     /// Templates currently cached across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock_cache(s).len()).sum()
+        self.shards
+            .iter()
+            .map(|s| lock_recovering(&s.cache).len())
+            .sum()
     }
 
     /// Is every shard empty?
@@ -377,7 +385,7 @@ impl ShardedPlanCache {
         self.shards
             .iter()
             .map(|s| {
-                let cache = lock_cache(s);
+                let cache = lock_recovering(&s.cache);
                 CacheStats {
                     hits: s.hits.load(Ordering::Relaxed),
                     planned: s.planned.load(Ordering::Relaxed),
@@ -408,7 +416,11 @@ impl FlightGuard<'_> {
     /// Normal completion: publish `result` (caching it when `Ok`).
     fn complete(mut self, nest: &LoopNest, result: Result<Arc<PlanTemplate>>) {
         if let Ok(template) = &result {
-            lock_cache(self.shard).insert(nest, template.clone());
+            lock_recovering(&self.shard.cache).insert(
+                self.hash,
+                (nest.clone(), template.clone()),
+                |a, b| a.0 == b.0,
+            );
         }
         // Clear the flight *after* the insert: a request that finds
         // neither a cached entry nor a flight must be safe to lead.
@@ -443,14 +455,11 @@ fn clear_flight(shard: &Shard, hash: u64, flight: &Arc<Flight>) {
     }
 }
 
-/// Shard-cache lock with poison recovery: the cache's own state is
-/// always consistent between method calls, so a panic elsewhere must
-/// not wedge the whole service.
-fn lock_cache(shard: &Shard) -> std::sync::MutexGuard<'_, PlanCache> {
-    match shard.cache.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
+/// The cached template for `nest` (hash `hash`) in `shard`, if any.
+fn probe(shard: &Shard, hash: u64, nest: &LoopNest) -> Option<Arc<PlanTemplate>> {
+    lock_recovering(&shard.cache)
+        .get(hash, |(n, _)| n == nest)
+        .map(|(_, t)| t.clone())
 }
 
 /// Default per-shard point-entry capacity. Override per cache with
@@ -508,17 +517,11 @@ impl IntervalEntry {
     }
 }
 
-/// Point-entry shard: shape hash → valuation → (verdict, last-used
-/// tick). Two map levels so the hit path probes the inner map with a
-/// borrowed `&[i64]` (`Vec<i64>: Borrow<[i64]>`) — no allocation per
-/// `get`. `len` tracks total entries across the outer map; `tick` is
-/// the shard-local LRU clock.
-#[derive(Default)]
-struct PointShard {
-    map: HashMap<u64, HashMap<Vec<i64>, (Arc<PreparedVerdict>, u64)>>,
-    len: usize,
-    tick: u64,
-}
+/// A point shard's verdicts: `(shape hash, valuation, verdict)`, keyed
+/// by the FNV mix of the two that also picks the shard
+/// ([`VerdictCache::point_key`]). A hit compares against a borrowed
+/// `&[i64]`, so it allocates nothing.
+type PointLru = Lru<(u64, Vec<i64>, Arc<PreparedVerdict>)>;
 
 /// RwLock with poison recovery, mirroring [`lock_recovering`]: the
 /// interval tier is read-mostly and its state is consistent between
@@ -556,13 +559,14 @@ fn write_recovering<T>(l: &std::sync::RwLock<T>) -> std::sync::RwLockWriteGuard<
 /// twice and insert the same (deterministic) verdict — harmless, and
 /// much simpler than the flight protocol above.
 pub struct VerdictCache {
-    points: Vec<Mutex<PointShard>>,
+    points: Vec<Mutex<PointLru>>,
     intervals: Vec<std::sync::RwLock<HashMap<u64, Vec<IntervalEntry>>>>,
-    capacity: usize,
     hits: AtomicU64,
     interval_hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
+    /// Interval entries dropped by the per-shape cap (point evictions
+    /// are counted by each shard's [`Lru`]).
+    dropped_intervals: AtomicU64,
 }
 
 impl VerdictCache {
@@ -579,34 +583,38 @@ impl VerdictCache {
         let shards = shards.max(1);
         VerdictCache {
             points: (0..shards)
-                .map(|_| Mutex::new(PointShard::default()))
+                .map(|_| Mutex::new(Lru::new(capacity_per_shard)))
                 .collect(),
             intervals: (0..shards)
                 .map(|_| std::sync::RwLock::new(HashMap::new()))
                 .collect(),
-            capacity: capacity_per_shard.max(1),
             hits: AtomicU64::new(0),
             interval_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            dropped_intervals: AtomicU64::new(0),
         }
     }
 
     /// Point-entry capacity per shard.
     pub fn capacity_per_shard(&self) -> usize {
-        self.capacity
+        lock_recovering(&self.points[0]).capacity()
     }
 
-    fn point_shard_for(&self, hash: u64, valuation: &[i64]) -> &Mutex<PointShard> {
-        // FNV-1a over the shape hash and the valuation, so distinct
-        // sizes of one hot shape land on distinct shard mutexes.
+    /// FNV-1a over the shape hash and the valuation: the point entry's
+    /// key, and the pick of its shard, so distinct sizes of one hot
+    /// shape land on distinct shard mutexes.
+    fn point_key(hash: u64, valuation: &[i64]) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64 ^ hash;
         h = h.wrapping_mul(0x0100_0000_01b3);
         for &v in valuation {
             h ^= v as u64;
             h = h.wrapping_mul(0x0100_0000_01b3);
         }
-        &self.points[(h % self.points.len() as u64) as usize]
+        h
+    }
+
+    fn point_shard(&self, key: u64) -> &Mutex<PointLru> {
+        &self.points[(key % self.points.len() as u64) as usize]
     }
 
     fn interval_shard_for(
@@ -646,92 +654,67 @@ impl VerdictCache {
                 }
             }
         }
-        let mut shard = lock_recovering(self.point_shard_for(hash, valuation));
-        let tick = shard.tick;
-        shard.tick += 1;
-        // Borrowed-key probe: no allocation on the hit path.
-        if let Some(entry) = shard.map.get_mut(&hash).and_then(|m| m.get_mut(valuation)) {
-            entry.1 = tick;
-            let v = entry.0.clone();
+        let key = VerdictCache::point_key(hash, valuation);
+        let mut shard = lock_recovering(self.point_shard(key));
+        if let Some((_, _, v)) = shard.get(key, |(h, v, _)| *h == hash && v == valuation) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some((v, VerdictSource::Point));
+            return Some((v.clone(), VerdictSource::Point));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         None
     }
 
-    /// Record the verdict for a `(shape, valuation)` point. At
-    /// capacity the shard's least-recently-used entry is evicted
-    /// first (and counted).
-    pub fn insert(&self, hash: u64, valuation: Vec<i64>, verdict: Verdict) {
-        let mut shard = lock_recovering(self.point_shard_for(hash, &valuation));
-        let tick = shard.tick;
-        shard.tick += 1;
-        let is_new = shard
-            .map
-            .get(&hash)
-            .is_none_or(|m| !m.contains_key(valuation.as_slice()));
-        if is_new && shard.len >= self.capacity {
-            // Exact LRU: an O(entries) scan, paid only at capacity —
-            // shards are small (capacity ≤ a few hundred entries).
-            let victim = shard
-                .map
-                .iter()
-                .flat_map(|(&h, m)| m.iter().map(move |(v, &(_, t))| (t, h, v.clone())))
-                .min_by_key(|e| e.0);
-            if let Some((_, h, v)) = victim {
-                let emptied = {
-                    let m = shard.map.get_mut(&h).expect("victim shape present");
-                    m.remove(&v);
-                    m.is_empty()
-                };
-                if emptied {
-                    shard.map.remove(&h);
-                }
-                shard.len -= 1;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        if shard
-            .map
-            .entry(hash)
-            .or_default()
-            .insert(valuation, (Arc::new(PreparedVerdict::new(verdict)), tick))
-            .is_none()
-        {
-            shard.len += 1;
-        }
+    /// Record the verdict for a `(shape, valuation)` point and return
+    /// the shared entry now cached, which every later hit reuses. At
+    /// capacity the shard's least-recently-used entry is evicted first
+    /// (and counted); re-inserting a cached point replaces its verdict
+    /// and evicts nothing.
+    pub fn insert(&self, hash: u64, valuation: Vec<i64>, verdict: Verdict) -> Arc<PreparedVerdict> {
+        let key = VerdictCache::point_key(hash, &valuation);
+        let entry = (hash, valuation, Arc::new(PreparedVerdict::new(verdict)));
+        lock_recovering(self.point_shard(key))
+            .insert(key, entry, |a, b| a.0 == b.0 && a.1 == b.1)
+            .2
+            .clone()
     }
 
     /// Record a certified valuation interval for a shape: every
     /// valuation inside `bounds` (closed per-parameter ranges, indexed
     /// like the valuation) is answered with `verdict` without an
-    /// audit. Duplicate boxes (e.g. from two concurrent first
-    /// requests) are deduplicated; beyond
+    /// audit. Returns the shared entry cached for the box. Duplicate
+    /// boxes (e.g. from two concurrent first requests) are
+    /// deduplicated: the entry already cached is returned. Beyond
     /// `MAX_INTERVALS_PER_SHAPE` (32) the oldest interval is dropped and
     /// counted as an eviction.
-    pub fn insert_interval(&self, hash: u64, bounds: &[(i64, i64)], verdict: Verdict) {
+    pub fn insert_interval(
+        &self,
+        hash: u64,
+        bounds: &[(i64, i64)],
+        verdict: Verdict,
+    ) -> Arc<PreparedVerdict> {
         let (lo, hi): (Vec<i64>, Vec<i64>) = bounds.iter().copied().unzip();
         let mut shard = write_recovering(self.interval_shard_for(hash));
         let entries = shard.entry(hash).or_default();
-        if entries.iter().any(|e| e.lo == lo && e.hi == hi) {
-            return;
+        if let Some(e) = entries.iter().find(|e| e.lo == lo && e.hi == hi) {
+            return e.verdict.clone();
         }
+        let verdict = Arc::new(PreparedVerdict::new(verdict));
         entries.push(IntervalEntry {
             lo,
             hi,
-            verdict: Arc::new(PreparedVerdict::new(verdict)),
+            verdict: verdict.clone(),
         });
         if entries.len() > MAX_INTERVALS_PER_SHAPE {
             entries.remove(0);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+            self.dropped_intervals.fetch_add(1, Ordering::Relaxed);
         }
+        verdict
     }
 
     /// Point verdicts currently cached (intervals are counted
     /// separately — see [`VerdictCache::stats`]).
     pub fn len(&self) -> usize {
-        self.points.iter().map(|s| lock_recovering(s).len).sum()
+        self.points.iter().map(|s| lock_recovering(s).len()).sum()
     }
 
     /// Is the cache empty of point entries?
@@ -741,11 +724,16 @@ impl VerdictCache {
 
     /// Full counter and occupancy snapshot.
     pub fn stats(&self) -> VerdictCacheStats {
+        let point_evictions: u64 = self
+            .points
+            .iter()
+            .map(|s| lock_recovering(s).evictions())
+            .sum();
         VerdictCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             interval_hits: self.interval_hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            evictions: point_evictions + self.dropped_intervals.load(Ordering::Relaxed),
             entries: self.len() as u64,
             intervals: self
                 .intervals
@@ -1067,6 +1055,22 @@ mod tests {
     }
 
     #[test]
+    fn inserts_return_the_cached_entry() {
+        use crate::inspector::Verdict;
+        let vc = VerdictCache::new(2);
+        let point = vc.insert(5, vec![3], Verdict::Certified);
+        let (hit, _) = vc.lookup(5, &[3]).expect("point cached");
+        assert!(Arc::ptr_eq(&point, &hit));
+        let interval = vc.insert_interval(5, &[(10, 20)], Verdict::Certified);
+        let (hit, source) = vc.lookup(5, &[15]).expect("interval cached");
+        assert_eq!(source, VerdictSource::Interval);
+        assert!(Arc::ptr_eq(&interval, &hit));
+        // A box already cached answers with the entry it holds.
+        let again = vc.insert_interval(5, &[(10, 20)], Verdict::Certified);
+        assert!(Arc::ptr_eq(&interval, &again));
+    }
+
+    #[test]
     fn bounded_verdict_cache_storm_keeps_stats_invariant() {
         use crate::inspector::Verdict;
         use std::sync::atomic::AtomicU64;
@@ -1103,7 +1107,9 @@ mod tests {
                                 0 => panic!("injected auditor panic"),
                                 // An audit error caches nothing.
                                 1 => {}
-                                _ => vc.insert(hash, vec![val], Verdict::Certified),
+                                _ => {
+                                    vc.insert(hash, vec![val], Verdict::Certified);
+                                }
                             }
                         }));
                     }

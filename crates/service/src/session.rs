@@ -31,12 +31,12 @@ use pdm_core::template::{plan_template, PlanTemplate};
 use pdm_loopir::imperfect::ImperfectNest;
 use pdm_loopir::nest::LoopNest;
 use pdm_runtime::inspector::{self, PreparedVerdict, Verdict};
+use pdm_runtime::lru::Lru;
 use pdm_runtime::sharded::{
     CacheStats, ShardedPlanCache, VerdictCache, VerdictSource, DEFAULT_VERDICT_CAPACITY,
 };
 use pdm_runtime::template::{instantiate_compiled, CompiledInstance};
 use pdm_runtime::{RuntimeConfig, RuntimeError, Schedule};
-use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -156,7 +156,9 @@ impl SessionBuilder {
         let schedule = config.schedule();
         Session {
             cache: Arc::new(ShardedPlanCache::new(self.shards, self.capacity_per_shard)),
-            sources: SourceMemo::new(self.shards.max(1) * self.capacity_per_shard.max(1)),
+            sources: Mutex::new(Lru::new(
+                self.shards.max(1) * self.capacity_per_shard.max(1),
+            )),
             verdicts: Arc::new(VerdictCache::with_capacity(
                 self.shards,
                 self.verdict_capacity,
@@ -207,7 +209,7 @@ pub struct RunOutcome {
 /// session's `Arc`s — concurrent requests for one shape plan once.
 pub struct Session {
     cache: Arc<ShardedPlanCache>,
-    sources: SourceMemo,
+    sources: Mutex<Lru<MemoEntry>>,
     verdicts: Arc<VerdictCache>,
     pool: Option<rayon::ThreadPool>,
     schedule: Schedule,
@@ -267,22 +269,36 @@ impl Session {
         source: &str,
         params: &[&str],
     ) -> Result<Arc<LoopNest>, PdmError> {
-        if let Some(nest) = self.sources.get(source, params) {
-            return Ok(nest);
+        let mut h = DefaultHasher::new();
+        (params, source).hash(&mut h);
+        let key = h.finish();
+        if let Some(e) = self.memo().get(key, |e| e.is(source, params)) {
+            return Ok(e.nest.clone());
         }
         let nest = Arc::new(if params.is_empty() {
             self.parse(source)?
         } else {
             self.parse_symbolic(source, params)?
         });
-        self.sources.insert(source, params, nest.clone());
+        let entry = MemoEntry {
+            params: params.iter().map(|p| p.to_string()).collect(),
+            source: source.to_string(),
+            nest: nest.clone(),
+        };
+        self.memo().insert(key, entry, |e, _| e.is(source, params));
         Ok(nest)
+    }
+
+    /// The source memo, with poison recovery: a panic elsewhere leaves
+    /// the map consistent between calls.
+    fn memo(&self) -> std::sync::MutexGuard<'_, Lru<MemoEntry>> {
+        self.sources.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Sources the memo currently holds.
     #[cfg(test)]
     pub(crate) fn memoized_sources(&self) -> usize {
-        self.sources.lock().len
+        self.memo().len()
     }
 
     // --- analysis & planning ----------------------------------------
@@ -493,12 +509,14 @@ impl Session {
                 let v = result?;
                 // Certify a whole valuation interval when the geometry
                 // allows it; a failed derivation (or a genuinely
-                // point-local verdict) degrades to a point entry.
-                match template.stability_box(params) {
-                    Ok(Some(bounds)) => self.verdicts.insert_interval(hash, &bounds, v.clone()),
-                    _ => self.verdicts.insert(hash, valuation, v.clone()),
-                }
-                (Arc::new(PreparedVerdict::new(v)), false)
+                // point-local verdict) degrades to a point entry. The
+                // run uses the cached entry, so a refined layout is
+                // built once, where every later hit finds it.
+                let cached = match template.stability_box(params) {
+                    Ok(Some(bounds)) => self.verdicts.insert_interval(hash, &bounds, v),
+                    _ => self.verdicts.insert(hash, valuation, v),
+                };
+                (cached, false)
             }
         };
         let counter = match verdict.verdict() {
@@ -610,29 +628,12 @@ impl Session {
     }
 }
 
-/// The session's source memo: parsed shapes keyed by exact source
-/// bytes and parameter names, so a by-source request for a shape seen
-/// before skips the parse. Bounded by the template cache's capacity;
-/// at capacity the least recently used source goes. Entries are
-/// bucketed by a hash of the key and compared in full, so a hit
-/// allocates nothing and colliding keys never alias.
-struct SourceMemo {
-    capacity: usize,
-    table: Mutex<MemoTable>,
-}
-
-#[derive(Default)]
-struct MemoTable {
-    buckets: HashMap<u64, Vec<MemoEntry>>,
-    len: usize,
-    tick: u64,
-}
-
+/// One entry of the session's source memo: a parsed shape and the
+/// exact source bytes and parameter names it was parsed from.
 struct MemoEntry {
     params: Vec<String>,
     source: String,
     nest: Arc<LoopNest>,
-    used: u64,
 }
 
 impl MemoEntry {
@@ -643,76 +644,6 @@ impl MemoEntry {
                 .iter()
                 .map(String::as_str)
                 .eq(params.iter().copied())
-    }
-}
-
-impl SourceMemo {
-    fn new(capacity: usize) -> SourceMemo {
-        SourceMemo {
-            capacity,
-            table: Mutex::new(MemoTable::default()),
-        }
-    }
-
-    fn key(source: &str, params: &[&str]) -> u64 {
-        let mut h = DefaultHasher::new();
-        params.hash(&mut h);
-        source.hash(&mut h);
-        h.finish()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, MemoTable> {
-        self.table.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn get(&self, source: &str, params: &[&str]) -> Option<Arc<LoopNest>> {
-        let key = SourceMemo::key(source, params);
-        let mut table = self.lock();
-        table.tick += 1;
-        let tick = table.tick;
-        let entry = table
-            .buckets
-            .get_mut(&key)?
-            .iter_mut()
-            .find(|e| e.is(source, params))?;
-        entry.used = tick;
-        Some(entry.nest.clone())
-    }
-
-    fn insert(&self, source: &str, params: &[&str], nest: Arc<LoopNest>) {
-        let key = SourceMemo::key(source, params);
-        let mut table = self.lock();
-        let table = &mut *table;
-        if table
-            .buckets
-            .get(&key)
-            .is_some_and(|b| b.iter().any(|e| e.is(source, params)))
-        {
-            return; // a concurrent miss on the same source got here first
-        }
-        if table.len >= self.capacity {
-            let oldest = table
-                .buckets
-                .iter()
-                .flat_map(|(&k, b)| b.iter().enumerate().map(move |(i, e)| (e.used, k, i)))
-                .min();
-            if let Some((_, k, i)) = oldest {
-                let bucket = table.buckets.get_mut(&k).expect("victim bucket present");
-                bucket.swap_remove(i);
-                if bucket.is_empty() {
-                    table.buckets.remove(&k);
-                }
-                table.len -= 1;
-            }
-        }
-        table.tick += 1;
-        table.buckets.entry(key).or_default().push(MemoEntry {
-            params: params.iter().map(|p| p.to_string()).collect(),
-            source: source.to_string(),
-            nest,
-            used: table.tick,
-        });
-        table.len += 1;
     }
 }
 
@@ -1086,6 +1017,24 @@ mod tests {
             assert_eq!((out.iterations, out.checksum), (256, expect));
         }
         assert_eq!(session.verdicts().stats().hits, 2);
+    }
+
+    #[test]
+    fn a_fresh_audit_runs_on_the_cached_verdict() {
+        // The refined layout is kept on the entry a fresh audit runs on,
+        // so it must be the entry the cache holds, not a copy.
+        let src = "for i1 = 0..=3 { for i2 = 0..=63 { A[i1 + K, i2] = A[i1, i2] + 1; } }";
+        let (session, params) = (Session::new(), [("K", 1)]);
+        let shape = session.parse_symbolic(src, &["K"]).unwrap();
+        let template = session.plan(&shape).unwrap();
+        let inst = session.instantiate(&shape, &params).unwrap();
+        let (fresh, _) = session.audit_instance(&template, &params, &inst).unwrap();
+        assert_eq!(fresh.verdict().kind(), "refined");
+        let (cached, _) = session
+            .verdicts()
+            .lookup(shape.structural_hash(), &[1])
+            .expect("the audit cached its verdict");
+        assert!(Arc::ptr_eq(&fresh, &cached));
     }
 
     const MEMO_SRC: &str = "for i = 1..=N { A[i + 3] = A[i] + 1; }";

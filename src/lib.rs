@@ -219,6 +219,6 @@ pub mod prelude {
     pub use pdm_runtime::exec::run_sequential;
     pub use pdm_runtime::memory::Memory;
     pub use pdm_runtime::staged::{run_imperfect_sequential, CompiledProgram};
-    pub use pdm_runtime::template::{instantiate_compiled, PlanCache};
+    pub use pdm_runtime::template::instantiate_compiled;
     pub use pdm_runtime::{audit, run_with_verdict, RuntimeConfig, ShardedPlanCache, Verdict};
 }
