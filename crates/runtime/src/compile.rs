@@ -52,6 +52,7 @@ use pdm_loopir::nest::LoopNest;
 use pdm_matrix::num::{ceil_div, floor_div};
 use pdm_matrix::MatrixError;
 use pdm_poly::bounds::{BoundExpr, LoopBounds};
+use pdm_poly::expr::AffineExpr;
 
 fn overflow() -> RuntimeError {
     RuntimeError::Matrix(MatrixError::Overflow)
@@ -97,6 +98,25 @@ pub struct CompiledBounds {
 }
 
 impl CompiledBounds {
+    /// A concrete nest's own loop bounds, one lower and one upper row
+    /// per level. They already bound each level by outer indices only,
+    /// so the original lexicographic walk needs no Fourier–Motzkin: an
+    /// outer value whose inner range is empty is skipped by the walk.
+    fn for_nest(nest: &LoopNest) -> Result<CompiledBounds> {
+        if let Some(name) = nest.param_names().first() {
+            return Err(pdm_loopir::IrError::UnboundParameter { name: name.clone() }.into());
+        }
+        let row = |e: &AffineExpr| CBound {
+            coeffs: e.coeffs.0.clone(),
+            constant: e.constant,
+            den: 1,
+        };
+        let levels = (0..nest.depth())
+            .map(|k| (vec![row(nest.lower(k))], vec![row(nest.upper(k))]))
+            .collect();
+        Ok(CompiledBounds { levels })
+    }
+
     /// Lower every level of `bounds`.
     pub fn compile(bounds: &LoopBounds) -> CompiledBounds {
         let levels = (0..bounds.dim())
@@ -211,7 +231,8 @@ pub struct TaskState<'a> {
 /// to a visitor. Build one with [`Walker::for_plan`] to walk a plan
 /// without a [`Memory`] (the inspector does); [`CompiledPlan`] carries
 /// one with its program's accesses attached, and builds the original
-/// nest's walker for [`CompiledPlan::run_original_order`].
+/// nest's walker, straight from the nest's loop bounds, for
+/// [`CompiledPlan::run_original_order`].
 #[derive(Debug, Clone)]
 pub struct Walker {
     /// Walk-space dimension (== nest depth).
@@ -280,17 +301,17 @@ impl Walker {
     }
 
     /// The original nest in lexicographic order, `program`'s accesses
-    /// attached: identity transform, no doall prefix, one group.
+    /// attached: identity transform, no doall prefix, one group, walked
+    /// within the nest's own loop bounds.
     fn for_nest(nest: &LoopNest, program: &Program) -> Result<Walker> {
         let n = nest.depth();
-        let bounds = LoopBounds::from_system(&nest.iteration_system()?)?;
         let dorig: Vec<Vec<i64>> = (0..n)
             .map(|l| (0..n).map(|i| i64::from(l == i)).collect())
             .collect();
         Ok(Walker {
             n,
             z: 0,
-            bounds: CompiledBounds::compile(&bounds),
+            bounds: CompiledBounds::for_nest(nest)?,
             dflat: flat_deltas(Some(program), &dorig),
             dorig,
             steps: vec![1; n],
@@ -594,7 +615,8 @@ impl CompiledPlan {
     /// this plan's lowered program: the identity walker over one group,
     /// without lowering the body again. `nest` must be the nest the plan
     /// was compiled from. The executor for valuations whose dependences the
-    /// plan cannot honour (a rejected inspector verdict). Returns the
+    /// plan cannot honour (a rejected inspector verdict). The walk reads
+    /// `nest`'s own loop bounds, so no call lowers bounds. Returns the
     /// iteration count.
     pub fn run_original_order(&self, nest: &LoopNest, mem: &Memory) -> Result<u64> {
         let walker = Walker::for_nest(nest, &self.program)?;
@@ -705,6 +727,24 @@ mod tests {
              } } }",
         ] {
             three_way(src, 11);
+        }
+    }
+
+    #[test]
+    fn original_order_skips_empty_rows_of_the_nests_own_bounds() {
+        // The nest's bounds leave rows empty at the start, in the middle
+        // and at the end of outer ranges; Fourier–Motzkin would have
+        // trimmed the outer ranges, the walk skips those rows instead.
+        for src in [
+            "for i = 0..=9 { for j = 3..=i - 2 { A[i, j] = A[i - 1, j] + A[i, j - 1]; } }",
+            "for i = 0..=6 { for j = i..=3 { for k = 1..=j { A[j, k] = A[j, k - 1] + i; } } }",
+        ] {
+            three_way(src, 5);
+            let nest = parse_loop(src).unwrap();
+            let mem = Memory::for_nest(&nest).unwrap();
+            let cp = CompiledPlan::compile(&nest, &parallelize(&nest).unwrap(), &mem).unwrap();
+            let count = cp.run_original_order(&nest, &mem).unwrap();
+            assert_eq!(count, nest.iterations().unwrap().len() as u64, "{src}");
         }
     }
 

@@ -36,7 +36,10 @@
 //! bytes of UTF-8 JSON (max [`wire::MAX_FRAME`] = 16 MiB). A client
 //! sends one request frame and reads one response frame; responses come
 //! back in request order on each connection. Malformed requests produce
-//! `{"ok": false}` responses, never a dropped connection.
+//! `{"ok": false}` responses, never a dropped connection. Both ends
+//! write a frame's header and payload in one write, and read through a
+//! buffer kept for the connection, so a frame that arrives whole costs
+//! one syscall to send and one to receive.
 //!
 //! The frame limit is enforced in **both** directions without tearing
 //! the stream: [`ServiceClient::call`] refuses an oversized request
@@ -106,9 +109,12 @@
 //! connection has a thread of its own: the thread that accepts a
 //! connection serves it, and a fresh scoped thread takes over
 //! accepting, so no thread start delays a connection's first request.
-//! No connection waits behind another, and an idle connection costs a
-//! blocked thread, not a spinning one. A request's
-//! own parallel regions run on the vendored pool's work-first
+//! The handler reads frames through one [`std::io::BufReader`] over the
+//! socket and writes each response straight to it: frames in,
+//! responses out, until EOF, a socket error or shutdown, which it polls
+//! at every idle read timeout. No connection waits behind another, and
+//! an idle connection costs a blocked thread, not a spinning one. A
+//! request's own parallel regions run on the vendored pool's work-first
 //! `par_iter`, at the session's pool width. Template planning is
 //! deduplicated by the session's
 //! [`ShardedPlanCache`](pdm_runtime::ShardedPlanCache): when several

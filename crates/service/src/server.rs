@@ -18,6 +18,7 @@ use crate::faults;
 use crate::metrics::ServiceMetrics;
 use crate::session::Session;
 use crate::wire::{self, Frame, ShutdownFlag};
+use std::io::BufReader;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -195,17 +196,20 @@ impl PlanServer {
     }
 
     /// One connection: frames in, responses out, until EOF, shutdown,
-    /// or a socket error.
-    fn handle_connection(&self, mut conn: Connection<'_>) {
+    /// or a socket error. Frames are read through one buffer kept for
+    /// the connection, so a request that arrived whole costs one read,
+    /// and responses are written straight to the socket, one write each.
+    fn handle_connection(&self, conn: Connection<'_>) {
         let metrics = self.session.metrics();
         let fault = self.session.faults();
-        let stream = &mut conn.stream;
+        let mut stream = &conn.stream;
         let _ = stream.set_nodelay(true);
         // Timeouts turn blocked reads into Frame::Idle so the handler
         // can poll the shutdown flag.
         let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
+        let mut reader = BufReader::new(stream);
         loop {
-            match wire::read_frame(stream) {
+            match wire::read_frame(&mut reader) {
                 Ok(Frame::Message(text)) => {
                     // Fault probes, in arrival order: a stalled read, a
                     // dropped socket, a handler panic — each models a
@@ -227,10 +231,10 @@ impl PlanServer {
                     };
                     op.record(t0.elapsed(), resp.ok);
                     if fault.fire(faults::WIRE_TORN) {
-                        let _ = write_torn_frame(stream, &resp.body);
+                        let _ = write_torn_frame(&mut stream, &resp.body);
                         return;
                     }
-                    if wire::write_frame(stream, &resp.body).is_err() {
+                    if wire::write_frame(&mut stream, &resp.body).is_err() {
                         return;
                     }
                     if resp.shutdown {
@@ -259,9 +263,9 @@ fn shed(metrics: &ServiceMetrics, mut stream: TcpStream) {
 /// by only half of it, then the socket closes — what a crashed or
 /// misbehaving server looks like to a client mid-response.
 fn write_torn_frame(w: &mut impl std::io::Write, payload: &str) -> std::io::Result<()> {
-    let bytes = payload.as_bytes();
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(&bytes[..bytes.len() / 2])?;
+    let mut frame = wire::encode_frame(payload)?;
+    frame.truncate(4 + payload.len() / 2);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -342,7 +346,7 @@ impl ClientBuilder {
                     // loop stays responsive for mid-frame progress.
                     stream.set_read_timeout(Some(POLL_INTERVAL.min(self.read_timeout)))?;
                     return Ok(ServiceClient {
-                        stream,
+                        stream: BufReader::new(stream),
                         addr: candidate,
                         config: self,
                     });
@@ -361,11 +365,12 @@ impl ClientBuilder {
 
 /// A blocking client for the wire protocol: send one request document,
 /// receive one response document, in order, over a persistent
-/// connection. Reads are bounded by the builder's timeout, and
-/// [`ServiceClient::call_retrying`] reconnects with capped exponential
-/// backoff on transient failures.
+/// connection. Requests go out one write each; responses are read
+/// through a buffer kept with the socket. Reads are bounded by the
+/// builder's timeout, and [`ServiceClient::call_retrying`] reconnects
+/// with capped exponential backoff on transient failures.
 pub struct ServiceClient {
-    stream: TcpStream,
+    stream: BufReader<TcpStream>,
     addr: std::net::SocketAddr,
     config: ClientBuilder,
 }
@@ -381,7 +386,8 @@ impl ServiceClient {
         ClientBuilder::default()
     }
 
-    /// Drop the current connection and dial the same endpoint again.
+    /// Drop the current connection, with any bytes still buffered from
+    /// it, and dial the same endpoint again.
     pub fn reconnect(&mut self) -> std::io::Result<()> {
         let fresh = self.config.clone().connect(self.addr)?;
         self.stream = fresh.stream;
@@ -391,10 +397,12 @@ impl ServiceClient {
     /// Send `request` (a JSON document) and block for the response
     /// text, at most the configured read timeout. Responses arrive
     /// strictly in request order. A timeout leaves the connection in an
-    /// indeterminate state (a late response may still be in flight) —
-    /// [`ServiceClient::reconnect`] before reusing it.
+    /// indeterminate state (a late response may still be in flight, or
+    /// partly buffered already) — [`ServiceClient::reconnect`] before
+    /// reusing it: the reconnect discards the old socket together with
+    /// its read buffer, so no late byte can surface in a later response.
     pub fn call_raw(&mut self, request: &str) -> std::io::Result<String> {
-        wire::write_frame(&mut self.stream, request)?;
+        wire::write_frame(self.stream.get_mut(), request)?;
         let start = Instant::now();
         loop {
             match wire::read_frame(&mut self.stream)? {
@@ -674,6 +682,32 @@ mod tests {
         assert_eq!(body.get("ok"), Some(&crate::json::Json::Bool(true)));
         let metrics = client.metrics_text().unwrap();
         assert!(metrics.contains("pdm_shed_total 0"), "{metrics}");
+        flag.set();
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn the_torn_probe_still_tears_a_response() {
+        // The response goes out as one frame buffer cut after half its
+        // payload, then the socket closes: the client sees a header
+        // promising more than ever arrives.
+        let session = Arc::new(
+            Session::builder()
+                .cache_capacity(2, 8)
+                .threads(1)
+                .faults(crate::faults::Faults::parse("wire.torn:1:1", 0).unwrap())
+                .build(),
+        );
+        let (addr, flag, handle) = serve_session(Arc::clone(&session), 2);
+        let mut client = ServiceClient::connect(addr).unwrap();
+        let err = client.call_raw(r#"{"op":"stats"}"#).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
+        assert_eq!(session.faults().fired(crate::faults::WIRE_TORN), 1);
+        // The torn connection's slot was freed before its socket
+        // closed, so a fresh connection is served at once, not shed.
+        let mut fresh = ServiceClient::connect(addr).unwrap();
+        let body = fresh.call(r#"{"op":"stats"}"#).unwrap();
+        assert_eq!(body.get("ok"), Some(&crate::json::Json::Bool(true)));
         flag.set();
         handle.join().unwrap();
     }

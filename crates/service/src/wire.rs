@@ -6,10 +6,16 @@
 //!
 //! * **Framing** — [`write_frame`] / [`read_frame`]: a 4-byte
 //!   big-endian length followed by that many bytes of UTF-8 JSON, with
-//!   frames capped at [`MAX_FRAME`] bytes. Reads distinguish clean EOF
-//!   (peer closed between frames) from idleness (read timeout with no
-//!   header byte yet) so server workers can poll a shutdown flag
-//!   without dropping half-received frames.
+//!   frames capped at [`MAX_FRAME`] bytes. A frame is written with one
+//!   `write_all` of header and payload together, so on a `TCP_NODELAY`
+//!   socket it leaves as one syscall and one segment. The server and
+//!   [`crate::ServiceClient`] read through a per-connection
+//!   [`std::io::BufReader`], so a frame that arrived whole is read with
+//!   one syscall, and a second frame already buffered with none. Reads
+//!   distinguish clean EOF (peer closed between frames) from idleness
+//!   (read timeout with no header byte yet) so server workers can poll
+//!   a shutdown flag without dropping half-received frames; once a
+//!   header byte has arrived, timeouts retry, and EOF is a torn frame.
 //! * **Dispatch** — [`dispatch`]: one request JSON in, one response
 //!   JSON out, every [`PdmError`] mapped to an `{"ok": false, ...}`
 //!   response rather than a torn connection.
@@ -37,8 +43,16 @@ pub enum Frame {
     Idle,
 }
 
-/// Write one frame: `u32` big-endian payload length, then the payload.
+/// Write one frame: `u32` big-endian payload length, then the payload,
+/// handed to `w` in one `write_all`.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> std::io::Result<()> {
+    w.write_all(&encode_frame(payload)?)?;
+    w.flush()
+}
+
+/// One frame's bytes, header and payload in one buffer. Refuses a
+/// payload over [`MAX_FRAME`].
+pub(crate) fn encode_frame(payload: &str) -> std::io::Result<Vec<u8>> {
     let bytes = payload.as_bytes();
     if bytes.len() > MAX_FRAME {
         return Err(std::io::Error::new(
@@ -46,14 +60,17 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> std::io::Result<()> {
             format!("frame of {} bytes exceeds MAX_FRAME", bytes.len()),
         ));
     }
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(bytes)?;
-    w.flush()
+    let mut frame = Vec::with_capacity(4 + bytes.len());
+    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    frame.extend_from_slice(bytes);
+    Ok(frame)
 }
 
 /// Read one frame. Timeouts before the first header byte return
 /// [`Frame::Idle`]; timeouts *mid-frame* keep retrying (the peer is
-/// mid-send), so a returned `Message` is always complete.
+/// mid-send), so a returned `Message` is always complete. Reads as the
+/// reader delivers: wrap a socket in a [`std::io::BufReader`] kept for
+/// the connection's life, or each frame costs two reads or more.
 pub fn read_frame(r: &mut impl Read) -> std::io::Result<Frame> {
     let mut header = [0u8; 4];
     match read_exact_retrying(r, &mut header, true)? {
@@ -524,6 +541,118 @@ mod tests {
         write_frame(&mut torn, "hello").unwrap();
         torn.truncate(torn.len() - 2);
         assert!(read_frame(&mut torn.as_slice()).is_err());
+    }
+
+    /// A sink that accepts every byte and counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        for payload in [String::new(), "x".repeat(64 << 10)] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(w.writes, 1, "{}-byte payload", payload.len());
+            assert_eq!(w.bytes[..4], (payload.len() as u32).to_be_bytes());
+            assert_eq!(&w.bytes[4..], payload.as_bytes());
+        }
+    }
+
+    /// A reader that plays back a script, one step per `read` call: a
+    /// chunk of bytes (split when the caller's buffer is shorter) or a
+    /// `TimedOut` error; EOF once the script runs out.
+    struct Script {
+        steps: std::collections::VecDeque<Option<Vec<u8>>>,
+        reads: usize,
+    }
+
+    /// `steps` played back through the buffered reader the server and
+    /// the client keep per connection.
+    fn scripted(steps: impl IntoIterator<Item = Option<Vec<u8>>>) -> std::io::BufReader<Script> {
+        std::io::BufReader::new(Script {
+            steps: steps.into_iter().collect(),
+            reads: 0,
+        })
+    }
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            match self.steps.pop_front() {
+                None => Ok(0),
+                Some(None) => Err(std::io::ErrorKind::TimedOut.into()),
+                Some(Some(mut chunk)) => {
+                    let n = chunk.len().min(buf.len());
+                    buf[..n].copy_from_slice(&chunk[..n]);
+                    if n < chunk.len() {
+                        self.steps.push_front(Some(chunk.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    fn frame(payload: &str) -> Vec<u8> {
+        encode_frame(payload).unwrap()
+    }
+
+    #[test]
+    fn buffered_reads_keep_the_idle_and_stall_rules() {
+        // One byte per read, with timeouts before the header, inside
+        // the header and inside the payload: only the first is Idle.
+        let bytes = frame("hello");
+        let mut steps = vec![None];
+        for (at, b) in bytes.iter().enumerate() {
+            if at == 2 || at == 6 {
+                steps.push(None);
+            }
+            steps.push(Some(vec![*b]));
+        }
+        let mut r = scripted(steps);
+        assert_eq!(read_frame(&mut r).unwrap(), Frame::Idle);
+        assert_eq!(read_frame(&mut r).unwrap(), Frame::Message("hello".into()));
+        assert_eq!(read_frame(&mut r).unwrap(), Frame::Eof);
+    }
+
+    #[test]
+    fn frames_delivered_together_take_one_read() {
+        let mut both = frame(r#"{"op":"stats"}"#);
+        both.extend(frame("second"));
+        let mut r = scripted([Some(both)]);
+        assert_eq!(
+            read_frame(&mut r).unwrap(),
+            Frame::Message(r#"{"op":"stats"}"#.into())
+        );
+        assert_eq!(r.get_ref().reads, 1);
+        assert_eq!(read_frame(&mut r).unwrap(), Frame::Message("second".into()));
+        assert_eq!(r.get_ref().reads, 1, "the second frame was buffered");
+        assert_eq!(read_frame(&mut r).unwrap(), Frame::Eof);
+    }
+
+    #[test]
+    fn a_buffered_stream_ending_mid_payload_is_torn() {
+        let mut torn = frame("hello, world");
+        torn.truncate(7);
+        for steps in [vec![Some(torn.clone())], vec![Some(torn[..4].to_vec())]] {
+            let err = read_frame(&mut scripted(steps)).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        }
     }
 
     #[test]
