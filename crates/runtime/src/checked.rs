@@ -13,11 +13,11 @@
 //!
 //! Both checkers run each stage's tasks concurrently on the current
 //! pool, exactly as the unchecked executors do, and scan the logs at the
-//! stage barrier. A wrong plan's racing writes therefore really race
-//! before they are reported: check a plan you do not trust inside a
-//! one-thread pool (`rayon::ThreadPoolBuilder::new().num_threads(1)`),
-//! which runs the same tasks one after another and reports the same
-//! conflicts.
+//! stage barrier. A wrong plan's racing writes really race before they
+//! are reported, on [`Memory`]'s atomic cells: they leave wrong values,
+//! never undefined behaviour. The logged cells follow from the indices
+//! alone and guards read only indices, so the reported conflicts do not
+//! depend on the thread schedule or the pool width.
 
 use crate::compile::{CompiledBounds, CompiledPlan, TaskState};
 use crate::memory::{self, CellIds, Memory};
@@ -72,7 +72,6 @@ fn log_task<'a>(
 /// contiguous, steal-aware index ranges
 /// ([`crate::schedule::plan_range_tasks`]) on the vendored pool —
 /// the group list is never materialized, only the access logs are.
-/// Run an untrusted plan under a one-thread pool (see the module docs).
 ///
 /// Returns the number of iterations executed, or
 /// [`RuntimeError::RaceDetected`].
@@ -176,8 +175,7 @@ where
 /// Race reports name the kernel index **alongside** the global group id
 /// (`kernel 1 group 3 and kernel 2 group 0 in stage 1`): with
 /// multi-kernel plans a bare group id is ambiguous — every kernel has a
-/// group 0. Run an untrusted plan under a one-thread pool (see the
-/// module docs).
+/// group 0.
 ///
 /// Returns the summed kernel iteration count, or
 /// [`RuntimeError::RaceDetected`] for the first racing stage.
@@ -232,16 +230,6 @@ mod tests {
     use pdm_core::parallelize;
     use pdm_loopir::parse::parse_loop;
 
-    /// Wrong plans are checked one task at a time, so their racing
-    /// writes never actually overlap.
-    fn one_thread<R: Send>(f: impl FnOnce() -> R + Send) -> R {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap()
-            .install(f)
-    }
-
     #[test]
     fn correct_plans_pass_the_checker() {
         for src in [
@@ -270,11 +258,44 @@ mod tests {
         let independent = parse_loop("for i = 1..=20 { A[i] = i; }").unwrap();
         let wrong = parallelize(&independent).unwrap();
         let mem = Memory::for_nest(&dependent).unwrap();
-        let err = one_thread(|| run_parallel_checked(&dependent, &wrong, &mem));
+        let err = run_parallel_checked(&dependent, &wrong, &mem);
         assert!(
             matches!(err, Err(RuntimeError::RaceDetected { .. })),
             "expected race, got {err:?}"
         );
+    }
+
+    #[test]
+    fn wrong_plan_on_a_wide_pool_races_without_undefined_behaviour() {
+        // The nest and plan of `injected_wrong_plan_is_caught`, sized so
+        // the region outlives `rayon::SPAWN_AFTER` and goes wide: the
+        // wrong plan's writes really race on two threads. The checker
+        // reports the race; the unchecked executor finishes every
+        // iteration, with whatever values the race left in the cells.
+        const N: u64 = 1 << 17;
+        let dependent = parse_loop(&format!("for i = 1..={N} {{ A[i] = A[i - 1] + 1; }}")).unwrap();
+        let independent = parse_loop(&format!("for i = 1..={N} {{ A[i] = i; }}")).unwrap();
+        let wrong = parallelize(&independent).unwrap();
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .unwrap();
+        pool.install(|| {
+            let mem = Memory::for_nest(&dependent).unwrap();
+            let (err, tally) =
+                rayon::tally_regions(|| run_parallel_checked(&dependent, &wrong, &mem));
+            assert!(
+                matches!(err, Err(RuntimeError::RaceDetected { .. })),
+                "expected race, got {err:?}"
+            );
+            assert_eq!(tally.threads, 2, "the checked region went wide");
+
+            let mem = Memory::for_nest(&dependent).unwrap();
+            let cp = CompiledPlan::compile(&dependent, &wrong, &mem).unwrap();
+            let (ran, tally) = rayon::tally_regions(|| cp.run_parallel(&mem));
+            assert_eq!(ran.unwrap(), N);
+            assert_eq!(tally.threads, 2, "the unchecked region went wide");
+        });
     }
 
     #[test]
@@ -304,7 +325,7 @@ mod tests {
 
         let holds = chain(0);
         let mem = Memory::for_nest(&holds).unwrap();
-        let err = one_thread(|| run_parallel_checked(&holds, &plan, &mem));
+        let err = run_parallel_checked(&holds, &plan, &mem);
         assert!(
             matches!(err, Err(RuntimeError::RaceDetected { .. })),
             "expected race, got {err:?}"
@@ -353,7 +374,7 @@ mod tests {
         let wrong = pdm_core::program::plan_program(normalized).unwrap();
         assert_eq!(wrong.stages().len(), 1);
         let mem = Memory::for_imperfect(&imp).unwrap();
-        match one_thread(|| run_program_parallel_checked(&wrong, &mem)) {
+        match run_program_parallel_checked(&wrong, &mem) {
             Err(RuntimeError::RaceDetected { sample, .. }) => {
                 assert!(
                     sample.contains("kernel 0") && sample.contains("kernel 1"),
@@ -378,7 +399,7 @@ mod tests {
         assert!(wrong.is_fully_parallel());
         let mem = Memory::for_nest(&dependent).unwrap();
         assert!(matches!(
-            one_thread(|| run_parallel_checked(&dependent, &wrong, &mem)),
+            run_parallel_checked(&dependent, &wrong, &mem),
             Err(RuntimeError::RaceDetected { .. })
         ));
     }

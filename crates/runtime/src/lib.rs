@@ -71,8 +71,8 @@
 //!   knob parsed once per process instead of per executor call;
 //! * [`memory`] — integer array storage sized from the nest's access
 //!   footprint (conservative interval arithmetic over the iteration
-//!   polyhedron, checked against overflow), with a `Sync` shared view
-//!   for `doall` execution;
+//!   polyhedron, checked against overflow), with atomic cells shared
+//!   by `doall` groups through relaxed loads and stores;
 //! * [`checked`] — a group-conflict race checker: every access is logged
 //!   per group and cross-group conflicts (≥ 1 write) are reported;
 //! * [`inspector`] — inspector/executor speculation for nests whose
@@ -86,9 +86,11 @@
 //!   compiled walker in original order and under the parallel plan, and
 //!   the program analogue, used all over the test suite and benches.
 //!
-//! The parallel executors' memory accesses are unsynchronized by design:
-//! the dependence analysis *proves* cross-group independence, and that
-//! proof is what the checker and the equivalence harness validate.
+//! The parallel executors' memory accesses are relaxed atomics, so the
+//! crate holds no `unsafe` code: the dependence analysis *proves*
+//! cross-group independence, the checker and the equivalence harness
+//! validate that proof, and a plan that breaks it computes wrong values
+//! rather than undefined behaviour.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -6,15 +6,22 @@
 //! extent follows by interval evaluation. The box over-approximates the
 //! true footprint (extra cells are simply never touched).
 //!
-//! Cells live in [`std::cell::UnsafeCell`] so a **shared** memory view can
-//! be handed to rayon workers: the dependence analysis proves that
-//! concurrent groups never conflict, and the [`crate::checked`] module
-//! verifies exactly that claim at runtime.
+//! Cells are [`AtomicI64`]s, so a **shared** memory view can be handed
+//! to rayon workers in safe code. Every shared access is a relaxed load
+//! or store (the same plain `mov`/`ldr`/`str` as a non-atomic access on
+//! x86-64 and aarch64); the passes that own the memory exclusively,
+//! seeding and the run checksum, go through `&mut` instead. `Relaxed`
+//! suffices because no cell publishes another: every order a correct
+//! plan needs between groups is a stage barrier, and the pool region's
+//! join at that barrier orders all cells at once. The dependence
+//! analysis proves that concurrent groups never conflict and the
+//! [`crate::checked`] module verifies that claim at runtime; a wrong
+//! plan yields wrong values, never undefined behaviour.
 
 use crate::{Result, RuntimeError};
 use pdm_loopir::access::ArrayId;
 use pdm_loopir::nest::LoopNest;
-use std::cell::UnsafeCell;
+use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
 
 /// One array's storage: inclusive per-dimension index ranges plus a dense
 /// backing vector.
@@ -23,7 +30,7 @@ pub struct ArrayStorage {
     pub name: String,
     /// Inclusive `(lo, hi)` per dimension.
     pub dims: Vec<(i64, i64)>,
-    data: Vec<UnsafeCell<i64>>,
+    data: Vec<AtomicI64>,
 }
 
 impl ArrayStorage {
@@ -56,17 +63,15 @@ impl ArrayStorage {
 
 /// A set of arrays for one nest.
 ///
-/// `Memory` is `Sync`: parallel groups access disjoint cells (proven by
-/// the analysis, validated by the race checker), so the interior
-/// mutability is sound in exactly the way a `doall` loop is.
+/// `Memory` is `Sync` because its cells are atomics: `&self` accesses
+/// are relaxed loads and stores, and `&mut self` passes read and write
+/// the cells directly. Parallel groups of a correct plan touch disjoint
+/// cells (proven by the analysis, validated by the race checker); the
+/// groups of a wrong plan race on defined atomics and leave wrong
+/// values behind.
 pub struct Memory {
     arrays: Vec<ArrayStorage>,
 }
-
-// SAFETY: concurrent access is restricted by construction to provably
-// disjoint cells (independent doall groups); the checked executor
-// additionally validates this dynamically in tests.
-unsafe impl Sync for Memory {}
 
 impl Memory {
     /// Allocate arrays sized for every access of the nest, zero-filled.
@@ -85,7 +90,7 @@ impl Memory {
                     array: decl.name.clone(),
                     cells: len,
                 })?;
-            data.extend((0..len).map(|_| UnsafeCell::new(0)));
+            data.extend((0..len).map(|_| AtomicI64::new(0)));
             arrays.push(ArrayStorage {
                 name: decl.name.clone(),
                 dims,
@@ -125,8 +130,7 @@ impl Memory {
     pub fn read(&self, a: ArrayId, sub: &[i64]) -> Result<i64> {
         let arr = &self.arrays[a.0];
         match arr.flat_index(sub) {
-            // SAFETY: see the `Sync` impl — groups touch disjoint cells.
-            Some(i) => Ok(unsafe { *arr.data[i].get() }),
+            Some(i) => Ok(arr.data[i].load(Relaxed)),
             None => Err(RuntimeError::OutOfBounds {
                 array: arr.name.clone(),
                 subscript: sub.to_vec(),
@@ -139,9 +143,8 @@ impl Memory {
     pub fn write(&self, a: ArrayId, sub: &[i64], v: i64) -> Result<()> {
         let arr = &self.arrays[a.0];
         match arr.flat_index(sub) {
-            // SAFETY: see the `Sync` impl.
             Some(i) => {
-                unsafe { *arr.data[i].get() = v };
+                arr.data[i].store(v, Relaxed);
                 Ok(())
             }
             None => Err(RuntimeError::OutOfBounds {
@@ -155,17 +158,13 @@ impl Memory {
     /// engine ([`crate::program`]). `None` when out of range.
     #[inline]
     pub fn read_flat(&self, a: usize, i: usize) -> Option<i64> {
-        // SAFETY: see the `Sync` impl — groups touch disjoint cells.
-        self.arrays[a].data.get(i).map(|c| unsafe { *c.get() })
+        self.arrays[a].data.get(i).map(|c| c.load(Relaxed))
     }
 
     /// Write a cell by its flat index. `None` when out of range.
     #[inline]
     pub fn write_flat(&self, a: usize, i: usize, v: i64) -> Option<()> {
-        // SAFETY: see the `Sync` impl.
-        self.arrays[a].data.get(i).map(|c| {
-            unsafe { *c.get() = v };
-        })
+        self.arrays[a].data.get(i).map(|c| c.store(v, Relaxed))
     }
 
     /// The arrays.
@@ -177,8 +176,18 @@ impl Memory {
     pub fn snapshot(&self) -> Vec<Vec<i64>> {
         self.arrays
             .iter()
-            .map(|a| a.data.iter().map(|c| unsafe { *c.get() }).collect())
+            .map(|a| a.data.iter().map(|c| c.load(Relaxed)).collect())
             .collect()
+    }
+
+    /// Wrapping sum over every cell — the run checksum. Exclusive
+    /// access reads the cells in place, with no copy and no atomic
+    /// loads.
+    pub fn checksum(&mut self) -> i64 {
+        self.arrays
+            .iter_mut()
+            .flat_map(|a| a.data.iter_mut())
+            .fold(0i64, |acc, c| acc.wrapping_add(*c.get_mut()))
     }
 
     /// Flat index of a subscript in array `a` (for the race checker's
@@ -233,7 +242,7 @@ pub fn box_len(dims: &[(i64, i64)]) -> Result<usize> {
             usize::try_from((hi as i128 - lo as i128 + 1).max(0)).map_err(|_| overflow())?;
         len = len.checked_mul(width).ok_or_else(overflow)?;
     }
-    match len.checked_mul(std::mem::size_of::<UnsafeCell<i64>>()) {
+    match len.checked_mul(std::mem::size_of::<AtomicI64>()) {
         Some(b) if b <= isize::MAX as usize => Ok(len),
         _ => Err(overflow()),
     }

@@ -74,6 +74,11 @@
 //! remaining work with a `deadline_exceeded` failure once it has
 //! passed.
 //!
+//! Integer fields (`values`, `seed`, `deadline_ms`) must be exact: an
+//! integral JSON number of magnitude below 2⁵³ that fits the field
+//! (`i64` values, `u64` seed and budget). Anything else is a
+//! `protocol` error, never a rounded or saturated stand-in.
+//!
 //! Every response carries `"ok"` (bool) and `"op"` (echo); failures add
 //! `"kind"` and `"error"` (message). The kinds:
 //!

@@ -452,7 +452,7 @@ impl Session {
         let iterations =
             self.execute_or_degrade(&mut instance, verdict.as_deref(), seed, deadline)?;
         Deadline::check(deadline)?;
-        let checksum = checksum(&instance.memory);
+        let checksum = instance.memory.checksum();
         Ok(RunOutcome {
             instance,
             iterations,
@@ -645,17 +645,6 @@ impl MemoEntry {
                 .map(String::as_str)
                 .eq(params.iter().copied())
     }
-}
-
-/// Wrapping sum over every array cell — the run checksum, read in place
-/// (no copy of the arrays).
-fn checksum(memory: &pdm_runtime::Memory) -> i64 {
-    memory
-        .arrays()
-        .iter()
-        .enumerate()
-        .flat_map(|(a, arr)| (0..arr.len()).filter_map(move |i| memory.read_flat(a, i)))
-        .fold(0i64, i64::wrapping_add)
 }
 
 #[cfg(test)]
@@ -923,7 +912,7 @@ mod tests {
             .execute_or_degrade(&mut inst, None, 5, None)
             .unwrap();
         assert_eq!(n, expected.iterations);
-        assert_eq!(checksum(&inst.memory), expected.checksum);
+        assert_eq!(inst.memory.checksum(), expected.checksum);
         let m = session.metrics();
         assert_eq!(m.fallback_runs.load(Ordering::Relaxed), 1);
         assert_eq!(m.fallback_successes.load(Ordering::Relaxed), 1);
@@ -948,7 +937,7 @@ mod tests {
         let mut memory = pdm_runtime::Memory::for_nest(&nest).unwrap();
         memory.init_deterministic(seed);
         pdm_runtime::run_sequential(&nest, &memory).unwrap();
-        checksum(&memory)
+        memory.checksum()
     }
 
     #[test]
@@ -996,7 +985,7 @@ mod tests {
             .execute_or_degrade(&mut inst, Some(&rejected), 5, None)
             .unwrap();
         assert_eq!(n, 1000);
-        assert_eq!(checksum(&inst.memory), expected.checksum);
+        assert_eq!(inst.memory.checksum(), expected.checksum);
         let m = session.metrics();
         assert_eq!(m.fallback_runs.load(Ordering::Relaxed), 1);
         assert_eq!(m.fallback_successes.load(Ordering::Relaxed), 1);

@@ -277,15 +277,25 @@ pub fn error_body(op: &str, e: &PdmError) -> String {
 
 type Fields = Vec<(String, Json)>;
 
+/// The integer a JSON number stands for, when it is one exactly: an
+/// integral value below 2⁵³ in magnitude (so no nearby integer parses
+/// to the same `f64`) that fits `T`. Anything else is a `protocol`
+/// error naming the field `what`, never a saturated or rounded value.
+fn exact_int<T: TryFrom<i64>>(v: &Json, what: std::fmt::Arguments<'_>) -> Result<T, PdmError> {
+    const EXACT: f64 = (1u64 << 53) as f64;
+    match v {
+        Json::Num(n) if n.fract() == 0.0 && n.abs() < EXACT => T::try_from(*n as i64).ok(),
+        _ => None,
+    }
+    .ok_or_else(|| PdmError::Protocol(format!("{what} must be an integer in range, got {v:?}")))
+}
+
 /// Parse the optional `deadline_ms` field into a cooperative budget
 /// starting now (the budget covers dispatch, not network transit).
 fn request_deadline(req: &Json) -> Result<Option<Deadline>, PdmError> {
     match req.get("deadline_ms") {
         None | Some(Json::Null) => Ok(None),
-        Some(Json::Num(n)) if n.fract() == 0.0 && *n >= 0.0 => Ok(Some(Deadline::in_ms(*n as u64))),
-        Some(other) => Err(PdmError::Protocol(format!(
-            "deadline_ms must be a non-negative integer, got {other:?}"
-        ))),
+        Some(v) => exact_int(v, format_args!("deadline_ms")).map(|ms| Some(Deadline::in_ms(ms))),
     }
 }
 
@@ -362,12 +372,7 @@ fn param_values(req: &Json) -> Result<Vec<(String, i64)>, PdmError> {
         None | Some(Json::Null) => Ok(Vec::new()),
         Some(Json::Obj(fields)) => fields
             .iter()
-            .map(|(k, v)| match v {
-                Json::Num(n) if n.fract() == 0.0 => Ok((k.clone(), *n as i64)),
-                other => Err(PdmError::Protocol(format!(
-                    "value for {k:?} must be an integer, got {other:?}"
-                ))),
-            })
+            .map(|(k, v)| Ok((k.clone(), exact_int(v, format_args!("value for {k:?}"))?)))
             .collect(),
         Some(other) => Err(PdmError::Protocol(format!(
             "values must be an object, got {other:?}"
@@ -434,12 +439,7 @@ fn op_run(session: &Session, req: &Json, deadline: Option<Deadline>) -> Result<F
     let refs: Vec<(&str, i64)> = values.iter().map(|(k, v)| (k.as_str(), *v)).collect();
     let seed = match req.get("seed") {
         None | Some(Json::Null) => 1u64,
-        Some(Json::Num(n)) if n.fract() == 0.0 && *n >= 0.0 => *n as u64,
-        Some(other) => {
-            return Err(PdmError::Protocol(format!(
-                "seed must be a non-negative integer, got {other:?}"
-            )))
-        }
+        Some(v) => exact_int(v, format_args!("seed"))?,
     };
     // Gauge every pool region this request opens (audit, stages), not
     // whatever region this handler thread ran last.
@@ -732,6 +732,47 @@ mod tests {
                 .load(std::sync::atomic::Ordering::Relaxed),
             1
         );
+    }
+
+    #[test]
+    fn out_of_range_integers_are_protocol_errors() {
+        let session = Session::builder().cache_capacity(2, 8).threads(1).build();
+        let run = |extra: &str| {
+            let resp = dispatch(
+                &session,
+                &format!(
+                    r#"{{"op":"run","source":"for i = 1..=N {{ A[i] = A[i - 1] + 1; }}","params":["N"],{extra}}}"#
+                ),
+            );
+            (resp.ok, crate::json::parse(&resp.body).unwrap())
+        };
+        // Saturating casts used to serve these as other numbers: seed
+        // 1e300 as u64::MAX, N = 1e300 as i64::MAX (then a runtime
+        // overflow), N = 2⁵³ + 1 as the 2⁵³ it parses to.
+        for extra in [
+            r#""values":{"N":10},"seed":1e300"#,
+            r#""values":{"N":10},"seed":18446744073709551615"#,
+            r#""values":{"N":10},"seed":-1"#,
+            r#""values":{"N":1e300}"#,
+            r#""values":{"N":-1e300}"#,
+            r#""values":{"N":9007199254740993}"#,
+            r#""values":{"N":9007199254740992}"#,
+            r#""values":{"N":10.5}"#,
+            r#""values":{"N":10},"deadline_ms":1e300"#,
+            r#""values":{"N":10},"deadline_ms":9007199254740992"#,
+        ] {
+            let (ok, body) = run(extra);
+            assert!(!ok, "{extra}");
+            assert_eq!(body.get_str("kind"), Some("protocol"), "{extra}");
+            let error = body.get_str("error").unwrap();
+            assert!(error.contains("must be"), "{extra}: {error}");
+        }
+        // The largest exact integers still pass through unchanged.
+        let (ok, body) = run(r#""values":{"N":10},"seed":9007199254740991"#);
+        assert!(ok, "{body:?}");
+        assert_eq!(body.get_num("iterations"), Some(10.0));
+        let (ok, body) = run(r#""values":{"N":10},"deadline_ms":9007199254740991"#);
+        assert!(ok, "{body:?}");
     }
 
     #[test]

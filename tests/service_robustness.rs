@@ -102,11 +102,12 @@ fn wire_edge_cases_never_kill_the_server() {
     // Case 5: a run whose size needs more memory than any address
     // space maps (10^17 cells, 8·10^17 bytes > 2^57), yet stays under
     // the `isize::MAX`-byte limit, so the allocator itself refuses it
-    // whatever the host's overcommit mode. A typed in-band runtime
-    // error, and the same connection keeps serving.
+    // whatever the host's overcommit mode. The stride keeps `N` an
+    // exact wire integer (below 2^53). A typed in-band runtime error,
+    // and the same connection keeps serving.
     let mut client = patient_client(addr);
     let body = client
-        .call(r#"{"op":"run","source":"for i = 1..N { A[i] = A[i - 1] + 1; }","params":["N"],"values":{"N":1e17}}"#)
+        .call(r#"{"op":"run","source":"for i = 1..N { A[100 * i] = A[100 * i - 100] + 1; }","params":["N"],"values":{"N":1000000000000000}}"#)
         .unwrap();
     assert_eq!(body.get_str("kind"), Some("runtime"), "{body:?}");
     assert!(
