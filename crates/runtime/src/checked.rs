@@ -19,9 +19,9 @@
 //! alone and guards read only indices, so the reported conflicts do not
 //! depend on the thread schedule or the pool width.
 
-use crate::compile::{CompiledBounds, CompiledPlan, TaskState};
+use crate::compile::{CompiledPlan, TaskState};
 use crate::memory::{self, CellIds, Memory};
-use crate::schedule::{self, RangeTask};
+use crate::schedule::{self, RangeTask, Schedule};
 use crate::staged::CompiledProgram;
 use crate::{Result, RuntimeError};
 use pdm_core::plan::ParallelPlan;
@@ -48,7 +48,7 @@ fn log_task<'a>(
     cp: &'a CompiledPlan,
     mem: &Memory,
     ids: &CellIds,
-    task: &RangeTask<'a, CompiledBounds>,
+    task: &RangeTask<'a>,
     state: &mut TaskState<'a>,
 ) -> Result<(u64, GroupLogs)> {
     let mut logs: GroupLogs = Vec::new();
@@ -69,7 +69,7 @@ fn log_task<'a>(
 
 /// Execute the plan in parallel while logging accesses per group; after
 /// the run, detect cross-group conflicts. Groups are streamed in
-/// contiguous, steal-aware index ranges
+/// contiguous index ranges
 /// ([`crate::schedule::plan_range_tasks`]) on the vendored pool —
 /// the group list is never materialized, only the access logs are.
 ///
@@ -78,7 +78,7 @@ fn log_task<'a>(
 pub fn run_parallel_checked(nest: &LoopNest, plan: &ParallelPlan, mem: &Memory) -> Result<u64> {
     let cp = CompiledPlan::compile(nest, plan, mem)?;
     let ids = CellIds::of(mem)?;
-    let sched = crate::config::RuntimeConfig::global().schedule();
+    let sched = Schedule::default();
     let tasks = cp.walker().tasks(&sched, rayon::current_num_threads())?;
     let mut total = 0u64;
     let mut logs: GroupLogs = Vec::new();
@@ -185,7 +185,7 @@ pub fn run_program_parallel_checked(
 ) -> Result<u64> {
     let program = CompiledProgram::compile(pp, mem)?;
     let ids = CellIds::of(mem)?;
-    let sched = crate::config::RuntimeConfig::global().schedule();
+    let sched = Schedule::default();
     let stages = program.stage_tasks(&sched, rayon::current_num_threads())?;
     let mut total = 0u64;
     schedule::run_stages(

@@ -34,9 +34,9 @@
 //!
 //! Scheduling: [`CompiledPlan::run_parallel`] splits the group *index
 //! space* (doall-prefix values × partition offsets) into contiguous
-//! ranges with steal-aware sizing
-//! ([`crate::schedule::plan_range_tasks`] — finer chunks when per-group
-//! cost is skewed) and hands them to the crate's one stage driver. Each
+//! ranges ([`crate::schedule::plan_range_tasks`] — finer ranges when
+//! per-group cost is skewed, so helper threads have ranges left to
+//! claim) and hands them to the crate's one stage driver. Each
 //! worker keeps one [`TaskState`] — a streaming
 //! [`crate::schedule::GroupCursor`] and a [`PlanScratch`] — and every
 //! range it claims positions that cursor in place and walks forward:
@@ -44,7 +44,7 @@
 
 use crate::memory::Memory;
 use crate::program::{Program, Scratch};
-use crate::schedule::{self, GroupCursor, PrefixBounds, RangeTask, Schedule};
+use crate::schedule::{self, GroupCursor, RangeTask, Schedule};
 use crate::{Result, RuntimeError};
 use pdm_core::partition::Partitioning;
 use pdm_core::plan::ParallelPlan;
@@ -181,24 +181,6 @@ impl CompiledBounds {
     }
 }
 
-impl PrefixBounds for CompiledBounds {
-    fn dim(&self) -> usize {
-        CompiledBounds::dim(self)
-    }
-
-    fn level_range(&self, level: usize, x: &[i64]) -> Result<(i64, i64)> {
-        self.range(level, x)
-    }
-
-    fn prefix_dependent(&self, level: usize) -> bool {
-        CompiledBounds::prefix_dependent(self, level)
-    }
-
-    fn reads_prefix(&self, level: usize, z: usize) -> bool {
-        CompiledBounds::reads_prefix(self, level, z)
-    }
-}
-
 /// Reusable walk state: transformed point, lattice coordinates, level
 /// uppers, and the visited [`Scratch`] (original indices, flat offsets,
 /// operand stack).
@@ -217,7 +199,7 @@ pub struct PlanScratch {
 /// before its first iteration.
 #[derive(Debug)]
 pub struct TaskState<'a> {
-    pub(crate) cursor: GroupCursor<'a, CompiledBounds>,
+    pub(crate) cursor: GroupCursor<'a>,
     pub(crate) scratch: PlanScratch,
 }
 
@@ -333,25 +315,21 @@ impl Walker {
         &self.offsets
     }
 
-    /// Split the group space into steal-aware range tasks for `threads`
-    /// workers ([`crate::schedule::plan_range_tasks`]).
-    pub(crate) fn tasks(
-        &self,
-        sched: &Schedule,
-        threads: usize,
-    ) -> Result<Vec<RangeTask<'_, CompiledBounds>>> {
+    /// Split the group space into range tasks for `threads` workers
+    /// ([`crate::schedule::plan_range_tasks`]).
+    pub(crate) fn tasks(&self, sched: &Schedule, threads: usize) -> Result<Vec<RangeTask<'_>>> {
         schedule::plan_range_tasks(&self.bounds, self.z, self.offsets.len(), sched, threads)
     }
 
     /// One range task over groups `start..end`, positioned by a seek
     /// when it runs.
-    pub fn range(&self, start: u64, end: u64) -> RangeTask<'_, CompiledBounds> {
+    pub fn range(&self, start: u64, end: u64) -> RangeTask<'_> {
         RangeTask::new(&self.bounds, start, end)
     }
 
     /// A cursor over this walker's group space for running
     /// [`RangeTask`]s ([`RangeTask::for_each`] positions it).
-    pub fn cursor(&self) -> GroupCursor<'_, CompiledBounds> {
+    pub fn cursor(&self) -> GroupCursor<'_> {
         GroupCursor::unpositioned(&self.bounds, self.z, self.offsets.len())
     }
 
@@ -502,7 +480,7 @@ impl Walker {
     /// the iteration count.
     pub fn walk_task<'a, V>(
         &'a self,
-        task: &RangeTask<'a, CompiledBounds>,
+        task: &RangeTask<'a>,
         state: &mut TaskState<'a>,
         mut visit: V,
     ) -> Result<u64>
@@ -604,7 +582,7 @@ impl CompiledPlan {
     pub(crate) fn run_task<'a>(
         &'a self,
         mem: &Memory,
-        task: &RangeTask<'a, CompiledBounds>,
+        task: &RangeTask<'a>,
         state: &mut TaskState<'a>,
     ) -> Result<u64> {
         self.walker
@@ -625,17 +603,15 @@ impl CompiledPlan {
     }
 
     /// Execute all groups **in parallel** with streaming range
-    /// scheduling and the environment-configured [`Schedule`]
-    /// (`PDM_CHUNKS_PER_THREAD`): the
-    /// group index space is split into contiguous ranges — finer when
-    /// per-group cost is skewed ([`crate::schedule::cost_skewed`]), so
-    /// the pool's helper threads always find chunks to take — with a
-    /// pre-positioned cursor per range
-    /// ([`crate::schedule::plan_range_tasks`]) and one reused scratch
-    /// per task; zero up-front group materialization. Returns the total
-    /// iteration count.
+    /// scheduling and the default [`Schedule`]: the group index space is
+    /// split into contiguous ranges — finer when per-group cost is
+    /// skewed ([`crate::schedule::cost_skewed`]), so the pool's helper
+    /// threads always find ranges to claim — with a pre-positioned
+    /// cursor per range ([`crate::schedule::plan_range_tasks`]) and one
+    /// reused scratch per task; zero up-front group materialization.
+    /// Returns the total iteration count.
     pub fn run_parallel(&self, mem: &Memory) -> Result<u64> {
-        self.run_parallel_scheduled(mem, crate::config::RuntimeConfig::global().schedule())
+        self.run_parallel_scheduled(mem, Schedule::default())
     }
 
     /// [`CompiledPlan::run_parallel`] with an explicit [`Schedule`]: one

@@ -8,25 +8,22 @@
 //!
 //! | variable | field | default | consumer |
 //! |----------|-------|---------|----------|
-//! | `PDM_CHUNKS_PER_THREAD` | [`chunks_per_thread`](RuntimeConfig::chunks_per_thread) | 4 | range splitter (balanced group spaces) |
 //! | `PDM_PROPTEST_SEED` | [`proptest_seed`](RuntimeConfig::proptest_seed) | unset | vendored proptest seed mixing (tests only) |
 //! | `PDM_CLIENT_READ_TIMEOUT_MS` | [`client_read_timeout_ms`](RuntimeConfig::client_read_timeout_ms) | 10000 | `pdm-service` `ServiceClient` default read deadline (builder-overridable) |
 //! | `PDM_FAULTS` | [`faults`](RuntimeConfig::faults) | unset | `pdm-service` fault-injection probe spec (`probe:prob[:limit],...`) |
 //!
 //! [`RuntimeConfig::global`] is the cached process-wide instance: the
 //! environment is read on first use and never again, so per-request
-//! paths pay an atomic load instead of three env lookups. Executors and
-//! services should take their [`Schedule`] from
-//! [`RuntimeConfig::global().schedule()`](RuntimeConfig::schedule) (or
-//! accept an explicit `Schedule`/`RuntimeConfig` at construction for
-//! per-instance overrides, as `pdm-service`'s session builder does).
+//! paths pay an atomic load instead of env lookups. No knob tunes
+//! execution: every executor runs the default
+//! [`Schedule`](crate::schedule::Schedule), whose finer split on
+//! cost-skewed group spaces is picked from the input.
 //!
 //! `PDM_PROPTEST_SEED` is *consumed* by the vendored proptest stand-in
 //! (which cannot depend on this crate); the field here mirrors its
 //! parsing rule — integer value, or an FNV-1a hash of the raw string —
 //! so diagnostics can report the effective seed perturbation.
 
-use crate::schedule::Schedule;
 use std::sync::OnceLock;
 
 /// Every runtime environment knob, parsed once.
@@ -38,10 +35,6 @@ use std::sync::OnceLock;
 /// to the documented defaults.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuntimeConfig {
-    /// Contiguous group ranges per worker on balanced group spaces
-    /// (`PDM_CHUNKS_PER_THREAD`, default
-    /// [`crate::schedule::DEFAULT_CHUNKS_PER_THREAD`]).
-    pub chunks_per_thread: usize,
     /// Effective proptest seed perturbation (`PDM_PROPTEST_SEED`):
     /// `None` when unset, otherwise the integer value or the FNV-1a
     /// hash of the raw string — the same rule the vendored proptest
@@ -69,7 +62,6 @@ pub const DEFAULT_CLIENT_READ_TIMEOUT_MS: u64 = 10_000;
 impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
-            chunks_per_thread: crate::schedule::DEFAULT_CHUNKS_PER_THREAD,
             proptest_seed: None,
             client_read_timeout_ms: DEFAULT_CLIENT_READ_TIMEOUT_MS,
             faults: None,
@@ -81,7 +73,6 @@ impl RuntimeConfig {
     /// Parse every knob from the process environment.
     pub fn from_env() -> RuntimeConfig {
         Self::from_env_values(
-            std::env::var("PDM_CHUNKS_PER_THREAD").ok().as_deref(),
             std::env::var("PDM_PROPTEST_SEED").ok().as_deref(),
             std::env::var("PDM_CLIENT_READ_TIMEOUT_MS").ok().as_deref(),
             std::env::var("PDM_FAULTS").ok().as_deref(),
@@ -91,16 +82,11 @@ impl RuntimeConfig {
     /// [`RuntimeConfig::from_env`] with the raw variable values
     /// injected — deterministic regardless of the ambient environment.
     pub fn from_env_values(
-        raw_chunks: Option<&str>,
         raw_seed: Option<&str>,
         raw_client_timeout: Option<&str>,
         raw_faults: Option<&str>,
     ) -> RuntimeConfig {
         RuntimeConfig {
-            chunks_per_thread: raw_chunks
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or(crate::schedule::DEFAULT_CHUNKS_PER_THREAD),
             proptest_seed: raw_seed
                 .map(|v| v.trim().parse::<u64>().unwrap_or_else(|_| fnv1a(v.trim()))),
             client_read_timeout_ms: raw_client_timeout
@@ -119,13 +105,6 @@ impl RuntimeConfig {
         static GLOBAL: OnceLock<RuntimeConfig> = OnceLock::new();
         GLOBAL.get_or_init(RuntimeConfig::from_env)
     }
-
-    /// The range-splitting [`Schedule`] this configuration describes.
-    pub fn schedule(&self) -> Schedule {
-        Schedule {
-            chunks_per_thread: self.chunks_per_thread,
-        }
-    }
 }
 
 /// FNV-1a, matching both `LoopNest::structural_hash`'s constants and the
@@ -142,49 +121,36 @@ fn fnv1a(s: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::DEFAULT_CHUNKS_PER_THREAD;
 
     #[test]
     fn defaults_match_schedule_defaults() {
-        let c = RuntimeConfig::from_env_values(None, None, None, None);
+        let c = RuntimeConfig::from_env_values(None, None, None);
         assert_eq!(c, RuntimeConfig::default());
-        assert_eq!(c.chunks_per_thread, DEFAULT_CHUNKS_PER_THREAD);
         assert_eq!(c.proptest_seed, None);
         assert_eq!(c.client_read_timeout_ms, DEFAULT_CLIENT_READ_TIMEOUT_MS);
         assert_eq!(c.faults, None);
-        assert_eq!(c.schedule(), Schedule::default());
     }
 
     #[test]
     fn parses_and_falls_back_like_schedule() {
-        let c = RuntimeConfig::from_env_values(
-            Some(" 2 "),
-            Some("7"),
-            Some("2500"),
-            Some("server.handler:0.5"),
-        );
-        assert_eq!(c.chunks_per_thread, 2);
+        let c = RuntimeConfig::from_env_values(Some("7"), Some("2500"), Some("server.handler:0.5"));
         assert_eq!(c.proptest_seed, Some(7));
         assert_eq!(c.client_read_timeout_ms, 2500);
         assert_eq!(c.faults.as_deref(), Some("server.handler:0.5"));
 
-        let c = RuntimeConfig::from_env_values(Some("0"), None, Some("-3"), Some("   "));
-        assert_eq!(c.chunks_per_thread, DEFAULT_CHUNKS_PER_THREAD);
+        let c = RuntimeConfig::from_env_values(None, Some("-3"), Some("   "));
         assert_eq!(c.client_read_timeout_ms, DEFAULT_CLIENT_READ_TIMEOUT_MS);
         assert_eq!(c.faults, None, "a blank spec disarms every probe");
-
-        let c = RuntimeConfig::from_env_values(Some("8"), None, None, None);
-        assert_eq!(c.chunks_per_thread, 8);
-        let c = RuntimeConfig::from_env_values(Some("many"), None, None, None);
-        assert_eq!(c.chunks_per_thread, DEFAULT_CHUNKS_PER_THREAD);
+        let c = RuntimeConfig::from_env_values(None, Some("soon"), None);
+        assert_eq!(c.client_read_timeout_ms, DEFAULT_CLIENT_READ_TIMEOUT_MS);
     }
 
     #[test]
     fn seed_strings_hash_like_proptest() {
         // Mirrors vendor/proptest's rule: non-integer seeds hash FNV-1a.
-        let c = RuntimeConfig::from_env_values(None, Some("tuesday"), None, None);
+        let c = RuntimeConfig::from_env_values(Some("tuesday"), None, None);
         assert_eq!(c.proptest_seed, Some(fnv1a("tuesday")));
-        let c = RuntimeConfig::from_env_values(None, Some(" 42 "), None, None);
+        let c = RuntimeConfig::from_env_values(Some(" 42 "), None, None);
         assert_eq!(c.proptest_seed, Some(42));
     }
 
@@ -193,6 +159,5 @@ mod tests {
         let a = RuntimeConfig::global();
         let b = RuntimeConfig::global();
         assert!(std::ptr::eq(a, b));
-        assert_eq!(a.schedule().chunks_per_thread, a.chunks_per_thread);
     }
 }

@@ -18,6 +18,7 @@
 //! **checked**: a silent wrap there would produce an incorrect but
 //! plausible-looking transformation, so it must fail loudly instead.
 
+use crate::compile::CompiledBounds;
 use crate::memory::Memory;
 use crate::schedule;
 use crate::Result;
@@ -130,13 +131,14 @@ pub fn eval_expr(e: &Expr, mem: &Memory, idx: &[i64]) -> Result<i64> {
 }
 
 /// Exact number of independent groups (doall-prefix values × partition
-/// offsets), computed arithmetically where bounds are prefix-independent
-/// and by a cursor walk otherwise — never by materializing the groups
-/// (or the offset table: `partition_count` is `det(H)`, computed in
+/// offsets), counted on the plan's lowered bounds as every executor
+/// walks them: arithmetically where bounds are prefix-independent and
+/// by a cursor walk otherwise — never by materializing the groups (or
+/// the offset table: `partition_count` is `det(H)`, computed in
 /// O(depth)).
 pub fn group_count(plan: &ParallelPlan) -> Result<u64> {
     schedule::group_count(
-        plan.bounds(),
+        &CompiledBounds::compile(plan.bounds()),
         plan.doall_count(),
         plan.partition_count() as usize,
     )

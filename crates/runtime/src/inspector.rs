@@ -35,9 +35,7 @@
 //! and the layering runs over dense group positions.
 //!
 //! * [`Verdict::Certified`] — no two groups touch a common cell with a
-//!   write, and within every group the touch order of every written
-//!   cell is consistent with original program order. The parallel
-//!   executors run unchanged.
+//!   write. The parallel executors run unchanged.
 //! * [`Verdict::Refined`] — groups conflict, but every conflict is
 //!   *directed*: for each shared cell one group's touches all precede
 //!   the other's in original order. The conflict graph is a DAG and
@@ -45,32 +43,38 @@
 //!   [`run_refined_compiled`] runs stages sequentially with the
 //!   groups of one stage in parallel as compiled range tasks, reached
 //!   through seeked range cursors — no group table materialization.
-//! * [`Verdict::Rejected`] — intra-group touch order disagrees with
-//!   program order, conflicting touch ranges overlap, or the direction
-//!   graph has a cycle. The valuation runs in original order on the
-//!   compiled walker ([`CompiledPlan::run_original_order`]), reusing
-//!   the instance's lowered program.
+//! * [`Verdict::Rejected`] — conflicting touch ranges overlap, or the
+//!   direction graph has a cycle. The valuation runs in original order
+//!   on the compiled walker ([`CompiledPlan::run_original_order`]),
+//!   reusing the instance's lowered program.
 //!
 //! Every verdict therefore executes on the one compiled walker
 //! ([`PreparedVerdict::execute`]); the reference interpreter
-//! ([`crate::exec::run_sequential`]) is only the fallback a server
-//! degrades to when a compiled run fails, and the oracle the tests
-//! hold every executor to.
+//! ([`crate::exec::run_sequential`]) is the oracle the tests hold every
+//! executor to, not a path any verdict runs.
 //!
 //! The cross-group certifier is [`crate::checked`]'s conflict detector
 //! (`detect_conflicts`), fed one `(cell, wrote)` summary per touched
 //! cell of each group — the same first-owner/wrote-flag merge rule the
 //! race checker trusts.
 //!
-//! Soundness: cross-group conflict freedom alone is **not** enough. The
-//! hull plan also fixes a *within-group* walk order (transformed lex
-//! order), and a parametric offset can redirect a dependence between
-//! two iterations of one group. [`audit`] therefore checks, per
-//! `(cell, group)`, that every write is walked after every earlier
-//! touch of that cell in original-lex terms and every read is walked
-//! after every original-lex-earlier write — the exact pairwise
-//! condition for the group walk to reproduce sequential semantics on
-//! that cell.
+//! Soundness within a group: the hull plan also fixes a *within-group*
+//! walk order (transformed lex order), and a parametric offset can make
+//! two iterations of one group touch a common cell. That needs no check,
+//! because every group walk is lex-monotone in the original indices.
+//! Two iterations of one group differ by a `δ` whose first `n − ρ`
+//! transformed coordinates are zero, `δ·T = (0, r)`. Since `H·T = [0 |
+//! U]` with `U` upper triangular and positive on the diagonal, `δ = c·H`
+//! with `r = c·U`. The rows of the HNF PDM `H` have strictly increasing
+//! levels and positive leading entries, so the lex sign of `δ` is the
+//! sign of the first nonzero `c_j`, and so is the lex sign of `r`. The
+//! walk runs `r` ascending, hence `δ` ascending: an iteration's rank
+//! never falls within a group, so every group touches each cell in
+//! original program order. That holds for any nest audited under any
+//! plan Algorithm 1 builds (`parallelize`, `plan_from_analysis` or
+//! template instantiation, the only constructors of a `ParallelPlan`).
+//! The audit walk `debug_assert!`s it, and a release-mode test walks
+//! the groups of random plans to pin it.
 //!
 //! Verdicts are cached per `(structural_hash, valuation)` in
 //! [`crate::sharded::VerdictCache`] as [`PreparedVerdict`]s, so a
@@ -82,7 +86,7 @@
 //! valuation skips the audit entirely.
 
 use crate::checked::detect_conflicts;
-use crate::compile::{CompiledBounds, CompiledPlan, TaskState};
+use crate::compile::{CompiledPlan, TaskState};
 use crate::memory::{self, array_boxes, box_len, CellIds, Memory};
 use crate::schedule::{self, RangeTask, Schedule};
 use crate::{Result, RuntimeError};
@@ -163,7 +167,9 @@ impl LexRank {
 }
 
 /// Per-`(cell, group)` touch summary, updated in walk order; positions
-/// in original order are [`LexRank`] ranks.
+/// in original order are [`LexRank`] ranks. A group walks in original
+/// order (module docs), so the first touch has the least rank and the
+/// latest touch the greatest.
 #[derive(Debug, Clone, Copy)]
 struct Touches {
     /// Dense global cell id ([`CellIds`]).
@@ -172,14 +178,10 @@ struct Touches {
     /// rebases it).
     group: usize,
     wrote: bool,
-    /// Minimum rank over all touches.
+    /// Rank of the first touch.
     min: i64,
-    /// Maximum rank over all touches (doubles as the running "latest
-    /// touch so far" during the walk — its final value is the same
-    /// either way).
+    /// Rank of the latest touch.
     max: i64,
-    /// Maximum rank over writes walked so far; −1 before the first.
-    max_write: i64,
 }
 
 /// Cell → touch-slot map for the group being walked: linear probing over
@@ -254,70 +256,55 @@ impl SlotMap {
 }
 
 /// One range task's worth of audit state, merged at the barrier: the
-/// touch summaries (each group's contiguous, groups in walk order), the
-/// groups walked, and the first intra-group order violation.
+/// touch summaries (each group's contiguous, groups in walk order) and
+/// the groups walked.
 struct AuditLocal {
     touches: Vec<Touches>,
     groups: Vec<u64>,
-    disorder: Option<String>,
 }
 
 /// Walk one contiguous group range with a worker's reused walk state
-/// and slot map, and summarize its touches. The intra-group order check
-/// is complete here: a group lies wholly within one range, so a
-/// `(cell, group)` summary never needs cross-task merging.
+/// and slot map, and summarize its touches. A group lies wholly within
+/// one range, so a `(cell, group)` summary never needs cross-task
+/// merging.
 fn audit_range<'a>(
     nest: &LoopNest,
     cp: &'a CompiledPlan,
     ids: &CellIds,
     lex: &LexRank,
-    task: &RangeTask<'a, CompiledBounds>,
+    task: &RangeTask<'a>,
     (state, slots): &mut (TaskState<'a>, SlotMap),
 ) -> Result<AuditLocal> {
     let (walker, program) = (cp.walker(), cp.program());
     let mut local = AuditLocal {
         touches: Vec::new(),
         groups: Vec::new(),
-        disorder: None,
     };
     let TaskState { cursor, scratch } = state;
     task.for_each(cursor, |gid, prefix, o| {
         let group = local.groups.len();
         local.groups.push(gid);
         slots.clear();
+        let mut last = -1;
         walker.walk(prefix, o, scratch, |sc| {
             let rank = lex.rank(&sc.idx);
+            debug_assert!(rank > last, "group {gid} walks against original order");
+            last = rank;
             program.for_each_access(nest, sc, |array, flat, write| {
                 let cell = ids.id(array, flat);
-                let Some(i) = slots.get_or_insert(cell, local.touches.len()) else {
-                    local.touches.push(Touches {
+                match slots.get_or_insert(cell, local.touches.len()) {
+                    Some(i) => {
+                        let t = &mut local.touches[i];
+                        t.wrote |= write;
+                        t.max = rank;
+                    }
+                    None => local.touches.push(Touches {
                         cell,
                         group,
                         wrote: write,
                         min: rank,
                         max: rank,
-                        max_write: if write { rank } else { -1 },
-                    });
-                    return;
-                };
-                let t = &mut local.touches[i];
-                // Pairwise order check against everything already
-                // walked in this group: a write must be lex-after every
-                // prior touch, a read lex-after every prior write.
-                let bad = rank < if write { t.max } else { t.max_write };
-                if bad && local.disorder.is_none() {
-                    local.disorder = Some(format!(
-                        "group {gid} walks cell {flat} of array {} against program \
-                         order at iteration {:?}",
-                        nest.arrays()[array].name,
-                        sc.idx
-                    ));
-                }
-                t.wrote |= write;
-                t.min = t.min.min(rank);
-                t.max = t.max.max(rank);
-                if write {
-                    t.max_write = t.max_write.max(rank);
+                    }),
                 }
             })
         })?;
@@ -332,9 +319,8 @@ fn audit_range<'a>(
 /// and classify the result. See the [module docs](self) for the
 /// decision rules. Cost is one extra pass over the iteration space
 /// (servebench's `inspect_mixed` ledger times it as
-/// `inspector.audit_us`), and the walk fans out over the same
-/// steal-aware group ranges the executors use, so first-contact audits
-/// scale with cores.
+/// `inspector.audit_us`), and the walk fans out over the same group
+/// ranges the executors use, so first-contact audits scale with cores.
 ///
 /// Determinism: tasks cover disjoint ascending ranges and are merged in
 /// task order, and every later pass runs over dense cell ids and group
@@ -352,10 +338,9 @@ pub fn audit(nest: &LoopNest, plan: &ParallelPlan) -> Result<Verdict> {
         .collect::<Result<Vec<usize>>>()?;
     let ids = CellIds::new(lens.iter().copied())?;
     let cp = CompiledPlan::for_boxes(nest, plan, &boxes, &lens)?;
-    let sched = crate::config::RuntimeConfig::global().schedule();
     let tasks = cp
         .walker()
-        .tasks(&sched, rayon::current_num_threads().max(1))?;
+        .tasks(&Schedule::default(), rayon::current_num_threads().max(1))?;
     let mut locals = Vec::new();
     schedule::run_stages(
         std::slice::from_ref(&tasks),
@@ -372,7 +357,6 @@ pub fn audit(nest: &LoopNest, plan: &ParallelPlan) -> Result<Verdict> {
     let mut touches: Vec<Touches> =
         Vec::with_capacity(locals.iter().map(|l| l.touches.len()).sum());
     let mut groups: Vec<u64> = Vec::new();
-    let mut disorder: Option<String> = None;
     for local in locals {
         let base = groups.len();
         touches.extend(local.touches.into_iter().map(|t| Touches {
@@ -380,14 +364,6 @@ pub fn audit(nest: &LoopNest, plan: &ParallelPlan) -> Result<Verdict> {
             ..t
         }));
         groups.extend(local.groups);
-        if disorder.is_none() {
-            disorder = local.disorder;
-        }
-    }
-    if let Some(reason) = disorder {
-        // Intra-group misordering cannot be repaired by staging whole
-        // groups — only sequential execution preserves semantics.
-        return Ok(Verdict::Rejected { reason });
     }
 
     // Certify cross-group independence with the race checker's scan,
@@ -587,9 +563,9 @@ pub fn run_refined_compiled(
 
 /// A verdict ready to serve: the [`Verdict`] and, once a refined one
 /// has run, its stage layout, kept for every later run at the same
-/// chunk target (pool width × [`Schedule::chunks_per_thread`]). This is
-/// what [`crate::sharded::VerdictCache`] holds, so a hot refined
-/// valuation pays for its iterations only.
+/// chunk target (pool width × the default [`Schedule`]'s
+/// `chunks_per_thread`). This is what [`crate::sharded::VerdictCache`]
+/// holds, so a hot refined valuation pays for its iterations only.
 #[derive(Debug)]
 pub struct PreparedVerdict {
     verdict: Verdict,
@@ -616,17 +592,11 @@ impl PreparedVerdict {
     /// in original order. All three are the one compiled walker. A
     /// refined run under a pool width the kept layout was not built for
     /// lays its stages out afresh. Returns the iterations executed.
-    pub fn execute(
-        &self,
-        plan: &CompiledPlan,
-        nest: &LoopNest,
-        mem: &Memory,
-        sched: Schedule,
-    ) -> Result<u64> {
+    pub fn execute(&self, plan: &CompiledPlan, nest: &LoopNest, mem: &Memory) -> Result<u64> {
         match &self.verdict {
-            Verdict::Certified => plan.run_parallel_scheduled(mem, sched),
+            Verdict::Certified => plan.run_parallel(mem),
             Verdict::Refined { stages } => {
-                let target = stage_chunk_target(&sched);
+                let target = stage_chunk_target(&Schedule::default());
                 let kept = self.layout.get_or_init(|| StageLayout::new(stages, target));
                 if kept.target == target {
                     kept.run(plan, mem)
@@ -649,12 +619,10 @@ pub fn run_with_verdict(
     mem: &Memory,
     verdict: &Verdict,
 ) -> Result<u64> {
-    let schedule = crate::config::RuntimeConfig::global().schedule();
     PreparedVerdict::new(verdict.clone()).execute(
         &CompiledPlan::compile(nest, plan, mem)?,
         nest,
         mem,
-        schedule,
     )
 }
 
@@ -780,8 +748,7 @@ mod tests {
 
         let cp = CompiledPlan::compile(&nest, &plan, &m_ref).unwrap();
         let m_comp = Memory::for_nest(&nest).unwrap();
-        let sched = crate::config::RuntimeConfig::global().schedule();
-        let n_comp = run_refined_compiled(&cp, &m_comp, &stages, sched).unwrap();
+        let n_comp = run_refined_compiled(&cp, &m_comp, &stages, Schedule::default()).unwrap();
         assert_eq!(n_comp, 64);
         assert_eq!(m_comp.snapshot(), m_ref.snapshot());
 
@@ -794,7 +761,7 @@ mod tests {
                 .build()
                 .unwrap();
             let m = Memory::for_nest(&nest).unwrap();
-            let n = pool.install(|| prepared.execute(&cp, &nest, &m, sched).unwrap());
+            let n = pool.install(|| prepared.execute(&cp, &nest, &m).unwrap());
             assert_eq!(n, 64);
             assert_eq!(m.snapshot(), m_ref.snapshot(), "width {width}");
         }

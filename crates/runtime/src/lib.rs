@@ -23,11 +23,11 @@
 //!    raw coefficient rows ([`compile::CompiledBounds`]).
 //! 2. *Schedule* — the independent-group index space (doall-prefix
 //!    values × Theorem-2 partition offsets) is counted arithmetically
-//!    ([`schedule::group_count`]) and split into contiguous ranges with
-//!    steal-aware sizing ([`schedule::plan_range_tasks`] — finer chunks
+//!    ([`schedule::group_count`]) on those rows and split into
+//!    contiguous ranges ([`schedule::plan_range_tasks`] — finer ranges
 //!    when per-group cost is skewed, so the pool's helper threads
-//!    always find something to take); each range task arrives
-//!    with a pre-positioned streaming [`schedule::GroupCursor`] with
+//!    always find a range to claim); each range task arrives with a
+//!    pre-positioned streaming [`schedule::GroupCursor`] with
 //!    `O(depth)` state and one reused scratch — the group list is never
 //!    materialized.
 //! 3. *Execute* — an iterative (non-recursive) walker
@@ -54,8 +54,8 @@
 //!
 //! * [`schedule`] — the streaming group enumerator: prefix cursors,
 //!   arithmetic group counting, `k`-th-group seeking, cursor-clone
-//!   range planning, steal-aware range splitting
-//!   (`PDM_CHUNKS_PER_THREAD`), and the stage driver;
+//!   range planning, range splitting (finer on cost-skewed spaces,
+//!   picked from the input; no tuning knob), and the stage driver;
 //! * [`template`] — parametric serving: lower a `pdm-core`
 //!   `PlanTemplate` at a size to a ready-to-run
 //!   [`template::CompiledInstance`] (no re-analysis, no FM);
@@ -68,7 +68,8 @@
 //!   behind the template shards, the verdict points and `pdm-service`'s
 //!   source memo;
 //! * [`config`] — [`config::RuntimeConfig`]: every `PDM_*` environment
-//!   knob parsed once per process instead of per executor call;
+//!   variable (test seeds, client timeout, fault probes) parsed once
+//!   per process; none of them tunes execution;
 //! * [`memory`] — integer array storage sized from the nest's access
 //!   footprint (conservative interval arithmetic over the iteration
 //!   polyhedron, checked against overflow), with atomic cells shared

@@ -8,7 +8,9 @@
 //! extent 18 has 104 976 groups). This module replaces that with a
 //! **streaming enumerator**: schedulers hand workers contiguous *ranges*
 //! of the group index space, and each worker walks its range with a
-//! [`GroupCursor`] holding `O(depth)` state.
+//! [`GroupCursor`] holding `O(depth)` state. Cursors, counts and splits
+//! all read the plan's lowered [`CompiledBounds`], the bounds every
+//! executor walks.
 //!
 //! # Cursor state
 //!
@@ -56,21 +58,19 @@
 //!
 //! [`Schedule::ranges_for`] splits `0..group_count` into contiguous
 //! sub-ranges, several per worker so the pool's helper threads always
-//! have spare chunks to take: `threads × chunks_per_thread` target
-//! chunks (default [`DEFAULT_CHUNKS_PER_THREAD`] = 4). Chunk sizing is
-//! **steal-aware**: when the group space is cost-skewed — some trailing
-//! (sequential) level's bounds read a doall prefix variable, so
-//! per-group cost varies across the space ([`cost_skewed`]) — the split
-//! targets `threads × STEAL_CHUNKS_PER_THREAD` (16) finer chunks so
-//! workers stuck behind fat groups leave plenty for idle threads to
-//! steal. Rectangular nests keep the coarse split. Override the coarse
-//! factor with the `PDM_CHUNKS_PER_THREAD` environment variable (any
-//! positive integer; larger values smooth imbalanced group costs at the
-//! price of more per-range cursor positioning). A range task is just its
-//! bounds: each worker walks every range it claims with one cursor and
-//! one scratch of its own, positioned in place per range, so
-//! simultaneously-live group state is `O(threads × depth)` instead of
-//! `O(#groups)`, and a range allocates nothing before its first group.
+//! have spare ranges to claim: `threads × chunks_per_thread` target
+//! ranges (default [`DEFAULT_CHUNKS_PER_THREAD`] = 4). When the group
+//! space is cost-skewed — some trailing (sequential) level's bounds read
+//! a doall prefix variable, so per-group cost varies across the space
+//! ([`cost_skewed`]) — the split targets `threads ×
+//! SKEWED_CHUNKS_PER_THREAD` (16) finer ranges, so a worker stuck behind
+//! fat groups leaves plenty for the others to claim. Rectangular nests
+//! keep the coarse split. The split is picked from the input alone;
+//! there is no tuning knob. A range task is just its bounds: each worker
+//! walks every range it claims with one cursor and one scratch of its
+//! own, positioned in place per range, so simultaneously-live group
+//! state is `O(threads × depth)` instead of `O(#groups)`, and a range
+//! allocates nothing before its first group.
 //!
 //! # Stages
 //!
@@ -82,9 +82,9 @@
 //! state (cursor and scratch) is built once per thread and carried from
 //! stage to stage.
 
+use crate::compile::CompiledBounds;
 use crate::{Result, RuntimeError};
 use pdm_matrix::MatrixError;
-use pdm_poly::bounds::LoopBounds;
 use rayon::prelude::*;
 use std::sync::{Mutex, PoisonError};
 
@@ -100,66 +100,6 @@ fn width(lo: i64, hi: i64) -> Result<u64> {
     u64::try_from(hi as i128 - lo as i128 + 1).map_err(|_| overflow())
 }
 
-/// Per-level bounds a cursor can walk: evaluate a level's `(lo, hi)`
-/// range at a point and report whether the range depends on outer levels.
-///
-/// Implemented by [`pdm_poly::bounds::LoopBounds`] (interpreter paths)
-/// and [`crate::compile::CompiledBounds`] (compiled engine), so one
-/// cursor serves both executors.
-pub trait PrefixBounds {
-    /// Number of loop levels.
-    fn dim(&self) -> usize;
-
-    /// Effective `(lo, hi)` of level `level` at point `x`. `x` must be
-    /// padded to full dimension; only `x[..level]` is read through
-    /// nonzero coefficients.
-    fn level_range(&self, level: usize, x: &[i64]) -> Result<(i64, i64)>;
-
-    /// Does level `level`'s range read any outer loop variable? `false`
-    /// means the level's extent is one fixed interval, enabling the
-    /// arithmetic counting and O(1)-per-level seek fast paths.
-    fn prefix_dependent(&self, level: usize) -> bool;
-
-    /// Does level `level`'s range read any of the first `z` (doall
-    /// prefix) variables specifically? Distinct from
-    /// [`PrefixBounds::prefix_dependent`]: a trailing sequential level
-    /// whose bounds read only *other trailing* variables has the same
-    /// extent under every prefix, so it does not skew per-group cost.
-    /// The default conservatively falls back to `prefix_dependent`;
-    /// implementations with access to bound coefficients answer
-    /// precisely.
-    fn reads_prefix(&self, level: usize, _z: usize) -> bool {
-        self.prefix_dependent(level)
-    }
-}
-
-impl PrefixBounds for LoopBounds {
-    fn dim(&self) -> usize {
-        LoopBounds::dim(self)
-    }
-
-    fn level_range(&self, level: usize, x: &[i64]) -> Result<(i64, i64)> {
-        let lb = self.level(level);
-        Ok((lb.lower(x)?, lb.upper(x)?))
-    }
-
-    fn prefix_dependent(&self, level: usize) -> bool {
-        let lb = self.level(level);
-        lb.lowers
-            .iter()
-            .chain(&lb.uppers)
-            .any(|b| b.num.coeffs.iter().any(|&c| c != 0))
-    }
-
-    fn reads_prefix(&self, level: usize, z: usize) -> bool {
-        let lb = self.level(level);
-        lb.lowers
-            .iter()
-            .chain(&lb.uppers)
-            .any(|b| b.num.coeffs.iter().take(z).any(|&c| c != 0))
-    }
-}
-
 /// Streaming enumerator over a plan's independent groups.
 ///
 /// Walks doall-prefix values in lexicographic order crossed with offset
@@ -167,8 +107,8 @@ impl PrefixBounds for LoopBounds {
 /// never more than one group. See the [module docs](self) for the state,
 /// ordering, and seek semantics.
 #[derive(Debug)]
-pub struct GroupCursor<'a, B: PrefixBounds> {
-    bounds: &'a B,
+pub struct GroupCursor<'a> {
+    bounds: &'a CompiledBounds,
     /// Number of leading (doall) levels enumerated.
     z: usize,
     num_offsets: usize,
@@ -187,11 +127,11 @@ pub struct GroupCursor<'a, B: PrefixBounds> {
     exhausted: bool,
 }
 
-// Manual impl: the derive would demand `B: Clone`, but the cursor only
-// holds `&'a B` — cloning copies the `O(depth)` walk state and shares
-// the borrow. Cheap clones are what make cursor-clone range splitting
-// ([`plan_range_tasks`]) an `O(#groups)` single pass.
-impl<'a, B: PrefixBounds> Clone for GroupCursor<'a, B> {
+// Manual impl, for a `clone_from` that reuses the buffers. Cloning
+// copies the `O(depth)` walk state and shares the borrow; cheap clones
+// are what make cursor-clone range splitting ([`plan_range_tasks`]) an
+// `O(#groups)` single pass.
+impl Clone for GroupCursor<'_> {
     fn clone(&self) -> Self {
         GroupCursor {
             bounds: self.bounds,
@@ -224,12 +164,12 @@ impl<'a, B: PrefixBounds> Clone for GroupCursor<'a, B> {
     }
 }
 
-impl<'a, B: PrefixBounds> GroupCursor<'a, B> {
+impl<'a> GroupCursor<'a> {
     /// Open a cursor over the first `z` levels of `bounds` crossed with
     /// `num_offsets` partition offsets, positioned at group 0 (or already
     /// exhausted when the prefix space is empty). `num_offsets` must be
     /// at least 1 — unpartitioned plans pass a single empty offset.
-    pub fn new(bounds: &'a B, z: usize, num_offsets: usize) -> Result<Self> {
+    pub fn new(bounds: &'a CompiledBounds, z: usize, num_offsets: usize) -> Result<Self> {
         if num_offsets == 0 {
             return Err(RuntimeError::Core(
                 "group cursor needs a non-empty offset table".into(),
@@ -245,7 +185,7 @@ impl<'a, B: PrefixBounds> GroupCursor<'a, B> {
     /// reusable per-worker cursor that every task a worker claims seeks
     /// (or copies its start into) in place. `num_offsets` must be at
     /// least 1.
-    pub fn unpositioned(bounds: &'a B, z: usize, num_offsets: usize) -> Self {
+    pub fn unpositioned(bounds: &'a CompiledBounds, z: usize, num_offsets: usize) -> Self {
         debug_assert!(
             num_offsets > 0,
             "group cursor needs a non-empty offset table"
@@ -320,7 +260,7 @@ impl<'a, B: PrefixBounds> GroupCursor<'a, B> {
             if j == self.z {
                 return Ok(true);
             }
-            let (lo, hi) = self.bounds.level_range(j, &self.x)?;
+            let (lo, hi) = self.bounds.range(j, &self.x)?;
             if lo <= hi {
                 self.lo[j] = lo;
                 self.hi[j] = hi;
@@ -370,7 +310,7 @@ impl<'a, B: PrefixBounds> GroupCursor<'a, B> {
         debug_assert!(self.indep_below(j));
         let mut t: u64 = 1;
         for k in j..self.z {
-            let (lo, hi) = self.bounds.level_range(k, &self.x)?;
+            let (lo, hi) = self.bounds.range(k, &self.x)?;
             t = t.checked_mul(width(lo, hi)?).ok_or_else(overflow)?;
             if t == 0 {
                 return Ok(0);
@@ -386,7 +326,7 @@ impl<'a, B: PrefixBounds> GroupCursor<'a, B> {
         if self.indep_below(j) {
             return self.tail_product(j);
         }
-        let (lo, hi) = self.bounds.level_range(j, &self.x)?;
+        let (lo, hi) = self.bounds.range(j, &self.x)?;
         let mut total: u64 = 0;
         let mut v = lo;
         while v <= hi {
@@ -413,7 +353,7 @@ impl<'a, B: PrefixBounds> GroupCursor<'a, B> {
         self.offset = (target % self.num_offsets as u64) as usize;
         let mut p = target / self.num_offsets as u64;
         for j in 0..self.z {
-            let (lo, hi) = self.bounds.level_range(j, &self.x)?;
+            let (lo, hi) = self.bounds.range(j, &self.x)?;
             self.lo[j] = lo;
             self.hi[j] = hi;
             if lo > hi {
@@ -494,20 +434,20 @@ impl<'a, B: PrefixBounds> GroupCursor<'a, B> {
 /// ([`plan_range_tasks`]), by copying the start the splitting walk
 /// recorded.
 #[derive(Debug)]
-pub struct RangeTask<'a, B: PrefixBounds> {
-    bounds: &'a B,
+pub struct RangeTask<'a> {
+    bounds: &'a CompiledBounds,
     start: u64,
     end: u64,
     /// The splitting walk's cursor at `start`, when a seek there would
     /// have to count prefix-dependent subtrees.
-    at: Option<GroupCursor<'a, B>>,
+    at: Option<GroupCursor<'a>>,
 }
 
-impl<'a, B: PrefixBounds> RangeTask<'a, B> {
+impl<'a> RangeTask<'a> {
     /// A task over groups `start..end` of the space `bounds` spans,
     /// positioned by a seek when it runs (an `end` past the space just
     /// stops at its last group).
-    pub(crate) fn new(bounds: &'a B, start: u64, end: u64) -> Self {
+    pub(crate) fn new(bounds: &'a CompiledBounds, start: u64, end: u64) -> Self {
         RangeTask {
             bounds,
             start,
@@ -530,7 +470,7 @@ impl<'a, B: PrefixBounds> RangeTask<'a, B> {
     /// prefix, offset_index)` over every group in the range. `cursor`
     /// must walk the space the task was planned over; it is left past
     /// the range, ready for the worker's next task.
-    pub fn for_each<F>(&self, cursor: &mut GroupCursor<'a, B>, mut f: F) -> Result<()>
+    pub fn for_each<F>(&self, cursor: &mut GroupCursor<'a>, mut f: F) -> Result<()>
     where
         F: FnMut(u64, &[i64], usize) -> Result<()>,
     {
@@ -649,24 +589,24 @@ impl<S> Drop for Kept<'_, S> {
 /// function of which prefix the group carries. Levels reading only
 /// other trailing variables contribute the same trailing volume to
 /// every group and do not skew. [`Schedule::ranges_for`] splits skewed
-/// spaces finer so helper threads have something to take.
-pub fn cost_skewed<B: PrefixBounds>(bounds: &B, z: usize) -> bool {
+/// spaces finer so helper threads have ranges left to claim.
+pub fn cost_skewed(bounds: &CompiledBounds, z: usize) -> bool {
     (z..bounds.dim()).any(|level| bounds.reads_prefix(level, z))
 }
 
-/// Split a group space into steal-aware [`RangeTask`]s: range sizing by
+/// Split a group space into [`RangeTask`]s: range sizing by
 /// [`Schedule::ranges_for`] (finer when [`cost_skewed`]), cursor
 /// positioning by per-range `O(depth)` [`GroupCursor::seek`] when every
 /// prefix level is independent, and by the cursor-clone walk
 /// ([`GroupCursor::advance_to`] + clone at each boundary) when seeks
 /// would have to count prefix-dependent subtrees.
-pub fn plan_range_tasks<'a, B: PrefixBounds>(
-    bounds: &'a B,
+pub fn plan_range_tasks<'a>(
+    bounds: &'a CompiledBounds,
     z: usize,
     num_offsets: usize,
     sched: &Schedule,
     threads: usize,
-) -> Result<Vec<RangeTask<'a, B>>> {
+) -> Result<Vec<RangeTask<'a>>> {
     let total = group_count(bounds, z, num_offsets)?;
     let ranges = sched.ranges_for(bounds, z, total, threads);
     let mut tasks = Vec::with_capacity(ranges.len());
@@ -696,7 +636,7 @@ pub fn plan_range_tasks<'a, B: PrefixBounds>(
 /// `bounds`, without enumerating the prefix-independent suffix: constant
 /// extents multiply arithmetically and only the dependent head levels are
 /// walked. Pure arithmetic on rectangular nests.
-pub fn prefix_count<B: PrefixBounds>(bounds: &B, z: usize) -> Result<u64> {
+pub fn prefix_count(bounds: &CompiledBounds, z: usize) -> Result<u64> {
     let mut j_star = z;
     while j_star > 0 && !bounds.prefix_dependent(j_star - 1) {
         j_star -= 1;
@@ -704,7 +644,7 @@ pub fn prefix_count<B: PrefixBounds>(bounds: &B, z: usize) -> Result<u64> {
     let x = vec![0i64; bounds.dim()];
     let mut tail: u64 = 1;
     for k in j_star..z {
-        let (lo, hi) = bounds.level_range(k, &x)?;
+        let (lo, hi) = bounds.range(k, &x)?;
         tail = tail.checked_mul(width(lo, hi)?).ok_or_else(overflow)?;
         if tail == 0 {
             return Ok(0);
@@ -728,7 +668,7 @@ pub fn prefix_count<B: PrefixBounds>(bounds: &B, z: usize) -> Result<u64> {
 /// Total group count: [`prefix_count`] × `num_offsets`. This is the
 /// length of the sequence a [`GroupCursor`] yields and the exclusive
 /// upper bound of the index space [`Schedule::ranges_for`] splits.
-pub fn group_count<B: PrefixBounds>(bounds: &B, z: usize, num_offsets: usize) -> Result<u64> {
+pub fn group_count(bounds: &CompiledBounds, z: usize, num_offsets: usize) -> Result<u64> {
     prefix_count(bounds, z)?
         .checked_mul(num_offsets as u64)
         .ok_or_else(overflow)
@@ -740,20 +680,19 @@ pub const DEFAULT_CHUNKS_PER_THREAD: usize = 4;
 
 /// Ranges per worker on [`cost_skewed`] group spaces: fine enough that
 /// a worker stuck behind the fat end of a triangular nest leaves most
-/// of its share stealable.
-pub const STEAL_CHUNKS_PER_THREAD: usize = 16;
+/// of its share for other threads to claim.
+pub const SKEWED_CHUNKS_PER_THREAD: usize = 16;
 
-/// Range-splitting knob for the streaming schedulers.
+/// Range splitting for the streaming schedulers.
 ///
 /// `chunks_per_thread` controls how many contiguous group ranges each
 /// worker receives on *uniform-cost* (rectangular) group spaces;
-/// [`STEAL_CHUNKS_PER_THREAD`] applies instead when the space is
+/// [`SKEWED_CHUNKS_PER_THREAD`] applies instead when the space is
 /// [`cost_skewed`], splitting finer so the pool's helper threads
-/// always find a chunk to take. More chunks smooth
-/// imbalanced group costs at the price of extra per-range cursor
-/// positioning. The default is [`DEFAULT_CHUNKS_PER_THREAD`]; the
-/// `PDM_CHUNKS_PER_THREAD` environment variable overrides it, read once
-/// per process by [`crate::config::RuntimeConfig`].
+/// always find a range to claim. Every executor runs
+/// [`Schedule::default`] ([`DEFAULT_CHUNKS_PER_THREAD`]); tests sweep
+/// other values through [`plan_range_tasks`] and
+/// `CompiledPlan::run_parallel_scheduled`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Schedule {
     /// Target contiguous group ranges per worker thread (≥ 1) on
@@ -774,17 +713,17 @@ impl Schedule {
     /// cover the space exactly once, in order (`total == 0` yields no
     /// ranges). Uniform spaces target `threads × chunks_per_thread`
     /// chunks; on a [`cost_skewed`] group space the split targets
-    /// `threads × STEAL_CHUNKS_PER_THREAD` (never fewer than the coarse
-    /// split) so stealing has something to take.
-    pub fn ranges_for<B: PrefixBounds>(
+    /// `threads × SKEWED_CHUNKS_PER_THREAD` (never fewer than the coarse
+    /// split) so helper threads have ranges left to claim.
+    pub fn ranges_for(
         &self,
-        bounds: &B,
+        bounds: &CompiledBounds,
         z: usize,
         total: u64,
         threads: usize,
     ) -> Vec<(u64, u64)> {
         let chunks = if cost_skewed(bounds, z) {
-            STEAL_CHUNKS_PER_THREAD.max(self.chunks_per_thread)
+            SKEWED_CHUNKS_PER_THREAD.max(self.chunks_per_thread)
         } else {
             self.chunks_per_thread
         };
@@ -815,18 +754,23 @@ mod tests {
     use pdm_poly::expr::AffineExpr;
     use pdm_poly::system::System;
 
+    /// The compiled per-level bounds of `s`.
+    fn compiled(s: &System) -> CompiledBounds {
+        CompiledBounds::compile(&LoopBounds::from_system(s).unwrap())
+    }
+
     /// Bounds of a rectangular box `lo_k ≤ x_k ≤ hi_k`.
-    fn box_bounds(ranges: &[(i64, i64)]) -> LoopBounds {
+    fn box_bounds(ranges: &[(i64, i64)]) -> CompiledBounds {
         let n = ranges.len();
         let mut s = System::universe(n);
         for (k, &(lo, hi)) in ranges.iter().enumerate() {
             s.add_range(k, lo, hi).unwrap();
         }
-        LoopBounds::from_system(&s).unwrap()
+        compiled(&s)
     }
 
     /// Bounds of the triangle `0 ≤ x_0 ≤ n`, `0 ≤ x_1 ≤ x_0`.
-    fn triangle_bounds(n: i64) -> LoopBounds {
+    fn triangle_bounds(n: i64) -> CompiledBounds {
         let mut s = System::universe(2);
         s.add_range(0, 0, n).unwrap();
         let mut c = vec![0i64; 2];
@@ -836,10 +780,10 @@ mod tests {
         // x_0 - x_1 >= 0
         s.add_ge0(AffineExpr::new(pdm_matrix::vec::IVec(vec![1, -1]), 0))
             .unwrap();
-        LoopBounds::from_system(&s).unwrap()
+        compiled(&s)
     }
 
-    fn collect(bounds: &LoopBounds, z: usize, noff: usize) -> Vec<(Vec<i64>, usize)> {
+    fn collect(bounds: &CompiledBounds, z: usize, noff: usize) -> Vec<(Vec<i64>, usize)> {
         let mut cur = GroupCursor::new(bounds, z, noff).unwrap();
         let mut out = Vec::new();
         while let Some((p, o)) = cur.current() {
@@ -947,7 +891,7 @@ mod tests {
     /// Bounds of `0 ≤ x_0 ≤ n` with trailing `0 ≤ x_1 ≤ x_0`: treated
     /// with `z = 1`, the sequential level's extent grows with the doall
     /// prefix — the canonical cost-skewed shape.
-    fn skewed_tail_bounds(n: i64) -> LoopBounds {
+    fn skewed_tail_bounds(n: i64) -> CompiledBounds {
         triangle_bounds(n)
     }
 
@@ -975,7 +919,7 @@ mod tests {
             .unwrap();
         s.add_ge0(AffineExpr::new(pdm_matrix::vec::IVec(vec![0, 1, -1]), 0))
             .unwrap();
-        let b = LoopBounds::from_system(&s).unwrap();
+        let b = compiled(&s);
         assert!(b.prefix_dependent(2), "x_2 does read an outer variable");
         assert!(!b.reads_prefix(2, 1), "but not a doall-prefix one");
         assert!(!cost_skewed(&b, 1));
@@ -986,13 +930,13 @@ mod tests {
         let sched = Schedule::default();
         let threads = 4;
         let total = 4096u64;
-        // Skewed: the split targets STEAL_CHUNKS_PER_THREAD per worker.
+        // Skewed: the split targets SKEWED_CHUNKS_PER_THREAD per worker.
         let tri = skewed_tail_bounds(7);
         let fine = sched.ranges_for(&tri, 1, total, threads);
         assert_eq!(
             fine.len(),
-            threads * STEAL_CHUNKS_PER_THREAD,
-            "skewed spaces must split into steal-sized chunks"
+            threads * SKEWED_CHUNKS_PER_THREAD,
+            "skewed spaces must split finer"
         );
         // Rectangular: the coarse split is unchanged.
         let b = box_bounds(&[(0, 9), (0, 9)]);

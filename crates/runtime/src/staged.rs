@@ -12,9 +12,9 @@
 //! * [`run_program_sequential`] — the fissioned baseline: kernels in
 //!   source order, each interpreted in original lexicographic order.
 //! * [`CompiledProgram`] — staged parallel execution: kernels grouped by
-//!   DAG **stage**; within a stage, every kernel's steal-aware group
-//!   ranges ([`crate::schedule::plan_range_tasks`] — skewed kernels
-//!   split finer so idle workers can steal) form one task list for the
+//!   DAG **stage**; within a stage, every kernel's group ranges
+//!   ([`crate::schedule::plan_range_tasks`] — skewed kernels split
+//!   finer so idle workers find ranges to claim) form one task list for the
 //!   crate's stage driver (`schedule::run_stages`), so
 //!   independent kernels' groups interleave freely across workers. A
 //!   barrier exists **only between stages** — i.e. only where a DAG
@@ -27,7 +27,7 @@
 //! harness and validated at runtime by
 //! [`crate::checked::run_program_parallel_checked`].
 
-use crate::compile::{CompiledBounds, CompiledPlan, TaskState};
+use crate::compile::{CompiledPlan, TaskState};
 use crate::exec;
 use crate::memory::Memory;
 use crate::schedule::{self, RangeTask, Schedule};
@@ -129,13 +129,13 @@ impl CompiledProgram {
     }
 
     /// Per stage, the flattened `(kernel, range task)` list of every
-    /// kernel in the stage, each kernel split by its own steal-aware
-    /// schedule.
+    /// kernel in the stage, each kernel's group space split on its
+    /// own.
     pub(crate) fn stage_tasks(
         &self,
         sched: &Schedule,
         threads: usize,
-    ) -> Result<Vec<Vec<(usize, RangeTask<'_, CompiledBounds>)>>> {
+    ) -> Result<Vec<Vec<(usize, RangeTask<'_>)>>> {
         self.stages
             .iter()
             .map(|stage| {
@@ -171,7 +171,7 @@ impl CompiledProgram {
     /// barriers exist only at stage boundaries. Returns the summed
     /// kernel iteration count.
     pub fn run_parallel(&self, mem: &Memory) -> Result<u64> {
-        let sched = crate::config::RuntimeConfig::global().schedule();
+        let sched = Schedule::default();
         let stages = self.stage_tasks(&sched, rayon::current_num_threads())?;
         let mut total = 0u64;
         schedule::run_stages(

@@ -145,12 +145,11 @@
 //! * **Timeouts** — clients never hang: reads time out
 //!   (`PDM_CLIENT_READ_TIMEOUT_MS`, default 10 000, overridable per
 //!   client via [`ClientBuilder`]), and both sides abandon peers that
-//!   stall mid-frame. Every served run — certified, refined, rejected
-//!   (original order) or uninspected — runs on the compiled walker, and
-//!   a failed compiled run falls back to the sequential reference
-//!   interpreter (`pdm_fallback_runs_total` /
-//!   `pdm_fallback_successes_total`). The interpreter serves only as
-//!   that fallback and as the test oracle.
+//!   stall mid-frame.
+//! * **One executor** — every served run (certified, refined, rejected
+//!   in original order, or uninspected) runs on the compiled walker,
+//!   and a failed compiled run is a typed error frame. The sequential
+//!   reference interpreter is the test oracle, not a serving path.
 //! * **Fault injection** — the [`faults`] module plants probes on the
 //!   serving path (leader panics, handler panics, torn frames, delayed
 //!   reads, dropped sockets), armed via `PDM_FAULTS`

@@ -172,11 +172,6 @@ pub struct ServiceMetrics {
     /// Latency of *fresh* inspector audits (verdict-cache hits skip the
     /// walk and are not recorded here).
     pub inspector_audit: LatencyHistogram,
-    /// Parallel executions that fell back to the sequential checked
-    /// path after a primary failure (graceful degradation).
-    pub fallback_runs: AtomicU64,
-    /// Fallback executions that then succeeded.
-    pub fallback_successes: AtomicU64,
     /// Fatal acceptor errors (each one shuts the server down — this is
     /// effectively 0 or 1, kept as a counter for scrapers).
     pub accept_errors: AtomicU64,
@@ -358,18 +353,6 @@ pub fn render_metrics(
     push_histogram(&mut out, "pdm_inspector_audit_us", &metrics.inspector_audit);
     push_counter(
         &mut out,
-        "pdm_fallback_runs_total",
-        "parallel runs degraded to the sequential checked path",
-        metrics.fallback_runs.load(Ordering::Relaxed),
-    );
-    push_counter(
-        &mut out,
-        "pdm_fallback_successes_total",
-        "degraded runs that then succeeded",
-        metrics.fallback_successes.load(Ordering::Relaxed),
-    );
-    push_counter(
-        &mut out,
         "pdm_accept_errors_total",
         "fatal acceptor errors (shut the server down)",
         metrics.accept_errors.load(Ordering::Relaxed),
@@ -469,7 +452,6 @@ mod tests {
         m.panics.store(3, Ordering::Relaxed);
         m.shed.store(2, Ordering::Relaxed);
         m.deadline_exceeded.store(1, Ordering::Relaxed);
-        m.fallback_runs.store(4, Ordering::Relaxed);
         m.active_connections.store(5, Ordering::Relaxed);
         m.inspector_certified.store(7, Ordering::Relaxed);
         m.inspector_refined.store(2, Ordering::Relaxed);
@@ -499,7 +481,6 @@ mod tests {
         assert!(text.contains("pdm_panics_total 3"));
         assert!(text.contains("pdm_shed_total 2"));
         assert!(text.contains("pdm_deadline_exceeded_total 1"));
-        assert!(text.contains("pdm_fallback_runs_total 4"));
         assert!(text.contains("pdm_accept_errors_total 0"));
         assert!(text.contains("pdm_active_connections 5"));
     }

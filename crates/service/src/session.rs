@@ -4,9 +4,8 @@
 //! one object with one error type ([`PdmError`]). It is `Sync` and
 //! meant to be shared: every method takes `&self`, template planning is
 //! deduplicated through the session's [`ShardedPlanCache`], and the
-//! execution schedule plus thread count are fixed at construction (from
-//! [`RuntimeConfig`] unless overridden) instead of re-read from the
-//! environment per call.
+//! thread count is fixed at construction. Every run executes on the
+//! compiled walker with the default [`Schedule`].
 //!
 //! ```
 //! use pdm_service::Session;
@@ -36,7 +35,7 @@ use pdm_runtime::sharded::{
     CacheStats, ShardedPlanCache, VerdictCache, VerdictSource, DEFAULT_VERDICT_CAPACITY,
 };
 use pdm_runtime::template::{instantiate_compiled, CompiledInstance};
-use pdm_runtime::{RuntimeConfig, RuntimeError, Schedule};
+use pdm_runtime::{RuntimeError, Schedule};
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -89,7 +88,6 @@ pub struct SessionBuilder {
     capacity_per_shard: usize,
     verdict_capacity: usize,
     threads: Option<usize>,
-    config: Option<RuntimeConfig>,
     faults: Option<Faults>,
 }
 
@@ -100,7 +98,6 @@ impl Default for SessionBuilder {
             capacity_per_shard: DEFAULT_CAPACITY_PER_SHARD,
             verdict_capacity: DEFAULT_VERDICT_CAPACITY,
             threads: None,
-            config: None,
             faults: None,
         }
     }
@@ -131,14 +128,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Runtime configuration override (default:
-    /// [`RuntimeConfig::global`], the environment read once per
-    /// process).
-    pub fn config(mut self, config: RuntimeConfig) -> Self {
-        self.config = Some(config);
-        self
-    }
-
     /// Fault-injection probes for this session (default: armed from
     /// `PDM_FAULTS` via [`Faults::from_env`], i.e. disabled unless the
     /// environment says otherwise). Tests pass probes here directly so
@@ -150,10 +139,6 @@ impl SessionBuilder {
 
     /// Build the session.
     pub fn build(self) -> Session {
-        let config = self
-            .config
-            .unwrap_or_else(|| RuntimeConfig::global().clone());
-        let schedule = config.schedule();
         Session {
             cache: Arc::new(ShardedPlanCache::new(self.shards, self.capacity_per_shard)),
             sources: Mutex::new(Lru::new(
@@ -169,8 +154,6 @@ impl SessionBuilder {
                     .build()
                     .expect("the vendored pool builder is infallible")
             }),
-            schedule,
-            config,
             metrics: Arc::new(ServiceMetrics::new()),
             faults: Arc::new(self.faults.unwrap_or_else(Faults::from_env)),
         }
@@ -201,19 +184,16 @@ pub struct RunOutcome {
 /// The unified, shareable front end: parse → analyze → template →
 /// cache → execute, one error type, internally synchronized.
 ///
-/// Construction fixes the execution environment: the range-splitting
-/// [`Schedule`] comes from the session's [`RuntimeConfig`] (by default
-/// the process-wide environment read), and parallel runs use the
-/// session's thread count. Templates are cached in a sharded
-/// single-flight [`ShardedPlanCache`] shared by every clone of the
-/// session's `Arc`s — concurrent requests for one shape plan once.
+/// Construction fixes the execution environment: parallel runs use the
+/// session's thread count and the default [`Schedule`]. Templates are
+/// cached in a sharded single-flight [`ShardedPlanCache`] shared by
+/// every clone of the session's `Arc`s — concurrent requests for one
+/// shape plan once.
 pub struct Session {
     cache: Arc<ShardedPlanCache>,
     sources: Mutex<Lru<MemoEntry>>,
     verdicts: Arc<VerdictCache>,
     pool: Option<rayon::ThreadPool>,
-    schedule: Schedule,
-    config: RuntimeConfig,
     metrics: Arc<ServiceMetrics>,
     faults: Arc<Faults>,
 }
@@ -225,8 +205,7 @@ impl Default for Session {
 }
 
 impl Session {
-    /// A session with default cache shape, machine thread count, and
-    /// the process-wide [`RuntimeConfig`].
+    /// A session with default cache shape and machine thread count.
     pub fn new() -> Session {
         Session::builder().build()
     }
@@ -386,9 +365,9 @@ impl Session {
         Ok(instantiate_compiled(template, params)?)
     }
 
-    /// Instantiate and execute in parallel on the session's pool and
-    /// schedule. Memory is seeded deterministically with `seed` before
-    /// the run, so equal requests produce equal checksums.
+    /// Instantiate and execute in parallel on the session's pool.
+    /// Memory is seeded deterministically with `seed` before the run,
+    /// so equal requests produce equal checksums.
     pub fn run(
         &self,
         shape: &LoopNest,
@@ -426,11 +405,10 @@ impl Session {
     /// walker in original order, on the instance's lowered program. The
     /// outcome's `verdict` field reports which path ran.
     ///
-    /// Every path is the compiled walker. A failed compiled run, on any
-    /// path, degrades to the sequential reference interpreter
-    /// ([`pdm_runtime::run_sequential`]), counted in `fallback_runs` /
-    /// `fallback_successes`; the interpreter serves only as that
-    /// fallback and as the test oracle.
+    /// Every path is the compiled walker, and a failed compiled run
+    /// returns its typed error. The sequential reference interpreter
+    /// ([`pdm_runtime::run_sequential`]) is the test oracle, not a
+    /// serving path.
     pub fn run_template_within(
         &self,
         template: &PlanTemplate,
@@ -449,8 +427,10 @@ impl Session {
         };
         Deadline::check(deadline)?;
         instance.memory.init_deterministic(seed);
-        let iterations =
-            self.execute_or_degrade(&mut instance, verdict.as_deref(), seed, deadline)?;
+        let iterations = self.on_pool(|| match &verdict {
+            Some(v) => v.execute(&instance.compiled, &instance.nest, &instance.memory),
+            None => instance.compiled.run_parallel(&instance.memory),
+        })?;
         Deadline::check(deadline)?;
         let checksum = instance.memory.checksum();
         Ok(RunOutcome {
@@ -528,14 +508,10 @@ impl Session {
         Ok((verdict, interval_hit))
     }
 
-    /// Execute an already-prepared instance on the session's pool with
-    /// the session's schedule (memory as-is — initialize it first).
+    /// Execute an already-prepared instance on the session's pool
+    /// (memory as-is — initialize it first).
     pub fn execute(&self, instance: &CompiledInstance) -> Result<u64, PdmError> {
-        Ok(self.on_pool(|| {
-            instance
-                .compiled
-                .run_parallel_scheduled(&instance.memory, self.schedule)
-        })?)
+        Ok(self.on_pool(|| instance.compiled.run_parallel(&instance.memory))?)
     }
 
     /// Run `f` with the session's thread count governing its parallel
@@ -545,42 +521,6 @@ impl Session {
             Some(pool) => pool.install(f),
             None => f(),
         }
-    }
-
-    /// Execute a seeded instance on the compiled walker as `verdict`
-    /// allows ([`PreparedVerdict::execute`]; uninspected templates run
-    /// the parallel engine), with graceful degradation: when the
-    /// compiled run fails, re-seed the memory and re-run the instance on
-    /// the sequential reference interpreter
-    /// ([`pdm_runtime::run_sequential`]), which shares no code with the
-    /// compiled walker, so a deterministic failure of the compiled path
-    /// (a group-count or residue overflow, an out-of-bounds flat offset)
-    /// does not recur. If the reference fails too, the primary error is
-    /// the truth worth surfacing.
-    fn execute_or_degrade(
-        &self,
-        instance: &mut CompiledInstance,
-        verdict: Option<&PreparedVerdict>,
-        seed: u64,
-        deadline: Option<Deadline>,
-    ) -> Result<u64, PdmError> {
-        let (compiled, memory) = (&instance.compiled, &instance.memory);
-        let primary = match self.on_pool(|| match verdict {
-            Some(v) => v.execute(compiled, &instance.nest, memory, self.schedule),
-            None => compiled.run_parallel_scheduled(memory, self.schedule),
-        }) {
-            Ok(n) => return Ok(n),
-            Err(e) => PdmError::from(e),
-        };
-        self.metrics.fallback_runs.fetch_add(1, Ordering::Relaxed);
-        Deadline::check(deadline)?;
-        instance.memory.init_deterministic(seed);
-        let n =
-            pdm_runtime::run_sequential(&instance.nest, &instance.memory).map_err(|_| primary)?;
-        self.metrics
-            .fallback_successes
-            .fetch_add(1, Ordering::Relaxed);
-        Ok(n)
     }
 
     // --- introspection ----------------------------------------------
@@ -612,14 +552,10 @@ impl Session {
         &self.faults
     }
 
-    /// The runtime configuration the session was built with.
-    pub fn config(&self) -> &RuntimeConfig {
-        &self.config
-    }
-
-    /// The range-splitting schedule the session executes with.
+    /// The range-splitting schedule the session executes with: always
+    /// [`Schedule::default`].
     pub fn schedule(&self) -> Schedule {
-        self.schedule
+        Schedule::default()
     }
 
     /// The execution thread count (`None` = machine default).
@@ -888,15 +824,12 @@ mod tests {
     }
 
     #[test]
-    fn failed_execution_degrades_to_the_reference_interpreter() {
+    fn a_failed_compiled_run_is_a_typed_error() {
         let session = Session::builder().threads(2).build();
         let shape = session.parse_symbolic(SYM, &["N"]).unwrap();
         let template = session.plan(&shape).unwrap();
-        let expected = session.run(&shape, &[("N", 8)], 5).unwrap();
-
         // Swap in a program lowered against the N = 16 memory: its flat
-        // offsets overrun the N = 8 arrays, so the compiled run fails
-        // deterministically and would fail again if retried.
+        // offsets overrun the N = 8 arrays, so the compiled run fails.
         let big = session
             .instantiate_template(&template, &[("N", 16)])
             .unwrap();
@@ -908,23 +841,6 @@ mod tests {
             session.execute(&inst),
             Err(PdmError::Runtime(RuntimeError::OutOfBounds { .. }))
         ));
-        let n = session
-            .execute_or_degrade(&mut inst, None, 5, None)
-            .unwrap();
-        assert_eq!(n, expected.iterations);
-        assert_eq!(inst.memory.checksum(), expected.checksum);
-        let m = session.metrics();
-        assert_eq!(m.fallback_runs.load(Ordering::Relaxed), 1);
-        assert_eq!(m.fallback_successes.load(Ordering::Relaxed), 1);
-
-        // When the reference fails as well, the primary error surfaces.
-        inst.nest = big.nest;
-        assert!(matches!(
-            session.execute_or_degrade(&mut inst, None, 5, None),
-            Err(PdmError::Runtime(RuntimeError::OutOfBounds { .. }))
-        ));
-        assert_eq!(m.fallback_runs.load(Ordering::Relaxed), 2);
-        assert_eq!(m.fallback_successes.load(Ordering::Relaxed), 1);
     }
 
     /// The parity shape: odd `K` makes the even and odd chains of the
@@ -955,40 +871,9 @@ mod tests {
                     "K={k} at width {threads}"
                 );
             }
-            // The compiled walk served every run: nothing degraded.
             let m = session.metrics();
-            assert_eq!(m.fallback_runs.load(Ordering::Relaxed), 0);
             assert_eq!(m.inspector_rejected.load(Ordering::Relaxed), 3);
         }
-    }
-
-    #[test]
-    fn failed_rejected_run_degrades_to_the_reference_interpreter() {
-        let session = Session::builder().threads(2).build();
-        let shape = session.parse_symbolic(PARITY, &["K"]).unwrap();
-        let template = session.plan(&shape).unwrap();
-        let expected = session.run(&shape, &[("K", 1)], 5).unwrap();
-        let rejected = PreparedVerdict::new(expected.verdict.clone().unwrap());
-        assert_eq!(rejected.verdict().kind(), "rejected");
-
-        // The K = 3 program writes two cells past the K = 1 arrays, so
-        // the compiled original-order walk fails deterministically.
-        let big = session
-            .instantiate_template(&template, &[("K", 3)])
-            .unwrap();
-        let mut inst = session
-            .instantiate_template(&template, &[("K", 1)])
-            .unwrap();
-        inst.compiled = big.compiled;
-        inst.memory.init_deterministic(5);
-        let n = session
-            .execute_or_degrade(&mut inst, Some(&rejected), 5, None)
-            .unwrap();
-        assert_eq!(n, 1000);
-        assert_eq!(inst.memory.checksum(), expected.checksum);
-        let m = session.metrics();
-        assert_eq!(m.fallback_runs.load(Ordering::Relaxed), 1);
-        assert_eq!(m.fallback_successes.load(Ordering::Relaxed), 1);
     }
 
     #[test]

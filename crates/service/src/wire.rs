@@ -426,7 +426,7 @@ fn op_instantiate(
     let refs: Vec<(&str, i64)> = values.iter().map(|(k, v)| (k.as_str(), *v)).collect();
     let instance = session.instantiate_template(&template, &refs)?;
     Deadline::check(deadline)?;
-    let groups = pdm_runtime::exec::group_count(&instance.plan)?;
+    let groups = instance.compiled.group_count()?;
     let mut fields = template_fields(&template);
     fields.push(("groups".into(), Json::Num(groups as f64)));
     Ok(fields)
@@ -699,6 +699,43 @@ mod tests {
         assert!(!resp.ok);
         let body = crate::json::parse(&resp.body).unwrap();
         assert_eq!(body.get_str("kind"), Some("unknown_shape"));
+    }
+
+    #[test]
+    fn instantiate_reports_the_oracles_group_count() {
+        // Triangular doall prefix (i, j) crossed with the two parity
+        // chains of k: the count comes from the lowered walker.
+        let src = "for i = 0..=N { for j = 0..=i { for k = 0..=9 { A[i, j, k + 2] = A[i, j, k] + 1; } } }";
+        let session = Session::builder().cache_capacity(2, 8).threads(1).build();
+        let shape = session.parse_symbolic(src, &["N"]).unwrap();
+        for n in [0i64, 1, 6] {
+            let plan = session
+                .plan(&shape)
+                .unwrap()
+                .instantiate(&[("N", n)])
+                .unwrap();
+            assert!(plan.partition_count() > 1, "the plan must be partitioned");
+            // Materialized oracle: every doall prefix, level by level.
+            let mut prefixes: Vec<Vec<i64>> = vec![Vec::new()];
+            for level in 0..plan.doall_count() {
+                let mut next = Vec::new();
+                for p in &prefixes {
+                    let (lo, hi) = plan.bounds().range(level, p).unwrap();
+                    next.extend((lo..=hi).map(|v| [&p[..], &[v]].concat()));
+                }
+                prefixes = next;
+            }
+            let resp = dispatch(
+                &session,
+                &format!(
+                    r#"{{"op":"instantiate","source":"{src}","params":["N"],"values":{{"N":{n}}}}}"#
+                ),
+            );
+            assert!(resp.ok, "{}", resp.body);
+            let body = crate::json::parse(&resp.body).unwrap();
+            let oracle = prefixes.len() as i64 * plan.partition_count();
+            assert_eq!(body.get_num("groups"), Some(oracle as f64), "N={n}");
+        }
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! library): on >100 random nests the [`GroupCursor`] must yield exactly
 //! the same sequence — same multiset, same lexicographic prefix-major /
 //! offset-minor order — and `seek(k)` must agree with `k` advances from
-//! the start. `group_count` is pinned to the oracle's length on every
-//! nest, covering both the arithmetic fast path and the cursor-walk
-//! fallback for prefix-dependent bounds.
+//! the start. The cursors walk the plan's lowered [`CompiledBounds`], as
+//! every executor does, while the oracle reads the Fourier–Motzkin
+//! `LoopBounds` directly. `group_count` is pinned to the oracle's length
+//! on every nest, covering both the arithmetic fast path and the
+//! cursor-walk fallback for prefix-dependent bounds.
 
 //! The generator only emits rectangular nests, so the proptests below
 //! exercise `seek(k)`'s prefix-dependent fallback rarely and never at
@@ -22,6 +24,7 @@ use vardep_loops::core::parallelize;
 use vardep_loops::loopir::generator::{random_nest, GenConfig};
 use vardep_loops::loopir::parse::parse_loop_with;
 use vardep_loops::prelude::*;
+use vardep_loops::runtime::compile::CompiledBounds;
 use vardep_loops::runtime::exec;
 use vardep_loops::runtime::schedule::{group_count, plan_range_tasks, GroupCursor, Schedule};
 use vardep_loops::runtime::CompiledPlan;
@@ -65,9 +68,15 @@ fn plan_for_seed(seed: u64) -> ParallelPlan {
     parallelize(&nest).expect("plan")
 }
 
+/// The bounds every executor walks: the plan's, lowered.
+fn lowered(plan: &ParallelPlan) -> CompiledBounds {
+    CompiledBounds::compile(plan.bounds())
+}
+
 fn cursor_sequence(plan: &ParallelPlan) -> Vec<(Vec<i64>, usize)> {
     let num_offsets = plan.partition().map_or(1, |p| p.offsets().len());
-    let mut cur = GroupCursor::new(plan.bounds(), plan.doall_count(), num_offsets).unwrap();
+    let bounds = lowered(plan);
+    let mut cur = GroupCursor::new(&bounds, plan.doall_count(), num_offsets).unwrap();
     let mut out = Vec::new();
     while let Some((prefix, o)) = cur.current() {
         out.push((prefix.to_vec(), o));
@@ -106,6 +115,7 @@ proptest! {
         let plan = plan_for_seed(seed);
         let num_offsets = plan.partition().map_or(1, |p| p.offsets().len());
         let z = plan.doall_count();
+        let bounds = lowered(&plan);
         let all = cursor_sequence(&plan);
         let total = all.len() as u64;
         // A handful of deterministic pseudo-random positions per nest,
@@ -120,7 +130,7 @@ proptest! {
             if k >= total {
                 continue;
             }
-            let mut cur = GroupCursor::new(plan.bounds(), z, num_offsets).unwrap();
+            let mut cur = GroupCursor::new(&bounds, z, num_offsets).unwrap();
             prop_assert!(cur.seek(k).unwrap(), "seek({k}) of {total} failed");
             let (p, o) = cur.current().unwrap();
             prop_assert_eq!((p.to_vec(), o), all[k as usize].clone(), "seek({}) mismatch", k);
@@ -134,7 +144,7 @@ proptest! {
             }
         }
         // Seeking past the end exhausts cleanly.
-        let mut cur = GroupCursor::new(plan.bounds(), z, num_offsets).unwrap();
+        let mut cur = GroupCursor::new(&bounds, z, num_offsets).unwrap();
         prop_assert!(!cur.seek(total).unwrap());
         prop_assert!(cur.current().is_none());
     }
@@ -143,43 +153,49 @@ proptest! {
     /// `seek`: every planned task starts exactly where an independent
     /// seek to its start index lands, and the tasks' walked groups
     /// concatenate to the full cursor sequence — no gap, no overlap.
+    /// Swept over one range per worker, the default split and a fine
+    /// split, so seek boundaries both do and do not coincide with
+    /// worker boundaries.
     #[test]
     fn planned_tasks_agree_with_seek(seed in 0u64..1_000_000, threads in 1usize..5) {
         let plan = plan_for_seed(seed);
         let num_offsets = plan.partition().map_or(1, |p| p.offsets().len());
         let z = plan.doall_count();
+        let bounds = lowered(&plan);
         let all = cursor_sequence(&plan);
-        let sched = Schedule::default();
-        let tasks = plan_range_tasks(plan.bounds(), z, num_offsets, &sched, threads).unwrap();
+        for chunks_per_thread in [1, 4, 16] {
+            let sched = Schedule { chunks_per_thread };
+            let tasks = plan_range_tasks(&bounds, z, num_offsets, &sched, threads).unwrap();
 
-        let mut walked: Vec<(u64, Vec<i64>, usize)> = Vec::new();
-        let mut next_start = 0u64;
-        // One reused cursor runs every task, as a pool worker does.
-        let mut worker = GroupCursor::unpositioned(plan.bounds(), z, num_offsets);
-        for task in &tasks {
-            // Contiguous, non-empty partition of 0..total.
-            prop_assert_eq!(task.start(), next_start);
-            prop_assert!(task.start() < task.end());
-            next_start = task.end();
-            // The planned (clone-positioned) start agrees with seek.
-            let mut cur = GroupCursor::new(plan.bounds(), z, num_offsets).unwrap();
-            prop_assert!(cur.seek(task.start()).unwrap());
-            let (p, o) = cur.current().unwrap();
-            prop_assert_eq!(
-                (p.to_vec(), o),
-                all[task.start() as usize].clone(),
-                "seek({}) oracle mismatch", task.start()
-            );
-            task.for_each(&mut worker, |gid, prefix, off| {
-                walked.push((gid, prefix.to_vec(), off));
-                Ok(())
-            }).unwrap();
-        }
-        prop_assert_eq!(next_start, all.len() as u64, "tasks must cover the space");
-        prop_assert_eq!(walked.len(), all.len());
-        for (i, ((gid, p, o), (ep, eo))) in walked.iter().zip(&all).enumerate() {
-            prop_assert_eq!(*gid, i as u64);
-            prop_assert_eq!((p, *o), (ep, *eo), "group {} diverged", i);
+            let mut walked: Vec<(u64, Vec<i64>, usize)> = Vec::new();
+            let mut next_start = 0u64;
+            // One reused cursor runs every task, as a pool worker does.
+            let mut worker = GroupCursor::unpositioned(&bounds, z, num_offsets);
+            for task in &tasks {
+                // Contiguous, non-empty partition of 0..total.
+                prop_assert_eq!(task.start(), next_start);
+                prop_assert!(task.start() < task.end());
+                next_start = task.end();
+                // The planned (clone-positioned) start agrees with seek.
+                let mut cur = GroupCursor::new(&bounds, z, num_offsets).unwrap();
+                prop_assert!(cur.seek(task.start()).unwrap());
+                let (p, o) = cur.current().unwrap();
+                prop_assert_eq!(
+                    (p.to_vec(), o),
+                    all[task.start() as usize].clone(),
+                    "seek({}) oracle mismatch", task.start()
+                );
+                task.for_each(&mut worker, |gid, prefix, off| {
+                    walked.push((gid, prefix.to_vec(), off));
+                    Ok(())
+                }).unwrap();
+            }
+            prop_assert_eq!(next_start, all.len() as u64, "tasks must cover the space");
+            prop_assert_eq!(walked.len(), all.len());
+            for (i, ((gid, p, o), (ep, eo))) in walked.iter().zip(&all).enumerate() {
+                prop_assert_eq!(*gid, i as u64);
+                prop_assert_eq!((p, *o), (ep, *eo), "group {} diverged at {} chunks", i, chunks_per_thread);
+            }
         }
     }
 }
@@ -204,29 +220,30 @@ fn triangular_plan(n: i64) -> ParallelPlan {
 fn seek_edges_on_triangular_bounds() {
     let plan = triangular_plan(8);
     let z = plan.doall_count();
-    let total = group_count(plan.bounds(), z, 1).unwrap();
+    let bounds = lowered(&plan);
+    let total = group_count(&bounds, z, 1).unwrap();
     assert_eq!(total, 45, "1 + 2 + … + 9 prefixes");
 
     // k = 0: the first group, identical to a fresh cursor.
-    let mut cur = GroupCursor::new(plan.bounds(), z, 1).unwrap();
+    let mut cur = GroupCursor::new(&bounds, z, 1).unwrap();
     assert!(cur.seek(0).unwrap());
     assert_eq!(cur.current().unwrap(), (&[0i64, 0][..], 0));
     assert_eq!(cur.position(), 0);
 
     // k = group_count − 1: the last group; advancing exhausts.
-    let mut cur = GroupCursor::new(plan.bounds(), z, 1).unwrap();
+    let mut cur = GroupCursor::new(&bounds, z, 1).unwrap();
     assert!(cur.seek(total - 1).unwrap());
     assert_eq!(cur.current().unwrap(), (&[8i64, 8][..], 0));
     assert!(!cur.advance().unwrap());
     assert!(cur.is_exhausted());
 
     // k = group_count: one past the end exhausts without panicking.
-    let mut cur = GroupCursor::new(plan.bounds(), z, 1).unwrap();
+    let mut cur = GroupCursor::new(&bounds, z, 1).unwrap();
     assert!(!cur.seek(total).unwrap());
     assert!(cur.current().is_none());
 
     // Far past the end behaves the same.
-    let mut cur = GroupCursor::new(plan.bounds(), z, 1).unwrap();
+    let mut cur = GroupCursor::new(&bounds, z, 1).unwrap();
     assert!(!cur.seek(total + 1_000).unwrap());
     assert!(cur.current().is_none());
 }
@@ -238,19 +255,20 @@ fn seek_edges_on_triangular_bounds_with_offsets() {
     let plan = triangular_plan(6);
     let z = plan.doall_count();
     let noff = 3usize;
-    let total = group_count(plan.bounds(), z, noff).unwrap();
+    let bounds = lowered(&plan);
+    let total = group_count(&bounds, z, noff).unwrap();
     assert_eq!(total, 28 * 3);
 
-    let mut cur = GroupCursor::new(plan.bounds(), z, noff).unwrap();
+    let mut cur = GroupCursor::new(&bounds, z, noff).unwrap();
     assert!(cur.seek(0).unwrap());
     assert_eq!(cur.current().unwrap(), (&[0i64, 0][..], 0));
 
-    let mut cur = GroupCursor::new(plan.bounds(), z, noff).unwrap();
+    let mut cur = GroupCursor::new(&bounds, z, noff).unwrap();
     assert!(cur.seek(total - 1).unwrap());
     assert_eq!(cur.current().unwrap(), (&[6i64, 6][..], noff - 1));
     assert!(!cur.advance().unwrap());
 
-    let mut cur = GroupCursor::new(plan.bounds(), z, noff).unwrap();
+    let mut cur = GroupCursor::new(&bounds, z, noff).unwrap();
     assert!(!cur.seek(total).unwrap());
     assert!(cur.current().is_none());
 }
@@ -270,13 +288,14 @@ fn empty_iteration_space_nests() {
         let plan = parallelize(&nest).unwrap();
         let noff = plan.partition().map_or(1, |p| p.offsets().len());
         let z = plan.doall_count();
-        let total = group_count(plan.bounds(), z, noff).unwrap();
+        let bounds = lowered(&plan);
+        let total = group_count(&bounds, z, noff).unwrap();
         assert_eq!(total, 0, "{src} N={n}");
-        let mut cur = GroupCursor::new(plan.bounds(), z, noff).unwrap();
+        let mut cur = GroupCursor::new(&bounds, z, noff).unwrap();
         assert!(cur.current().is_none(), "{src} N={n}");
         assert!(!cur.advance().unwrap());
         for k in [0u64, 1, 7] {
-            let mut cur = GroupCursor::new(plan.bounds(), z, noff).unwrap();
+            let mut cur = GroupCursor::new(&bounds, z, noff).unwrap();
             assert!(!cur.seek(k).unwrap(), "{src} N={n} seek({k})");
             assert!(cur.is_exhausted());
         }
@@ -297,7 +316,7 @@ fn empty_iteration_space_nests() {
 fn every_executor_streams_a_large_group_space() {
     use vardep_loops::core::{parallelize_program, plan_template};
     use vardep_loops::loopir::parse::{parse_imperfect, parse_loop, parse_loop_symbolic};
-    use vardep_loops::runtime::{checked, inspector, CompiledProgram, RuntimeConfig, Verdict};
+    use vardep_loops::runtime::{checked, inspector, CompiledProgram, Verdict};
 
     // 18^4 = 104 976 groups, every level doall.
     let nest = parse_loop(
@@ -407,9 +426,7 @@ fn every_executor_streams_a_large_group_space() {
     run_sequential(&rnest, &rreference).unwrap();
     let rmem = rfresh();
     let rcp = CompiledPlan::compile(&rnest, &rplan, &rmem).unwrap();
-    let count =
-        inspector::run_refined_compiled(&rcp, &rmem, &stages, RuntimeConfig::global().schedule())
-            .unwrap();
+    let count = inspector::run_refined_compiled(&rcp, &rmem, &stages, Schedule::default()).unwrap();
     assert_eq!(count, 18 * 18);
     assert_eq!(
         rmem.snapshot(),
