@@ -4,10 +4,10 @@
 //! distinct groups never touch conflicting cells. This module *verifies*
 //! the claim at runtime: the compiled walker executes every group with
 //! a logging visitor that records each access the bytecode performs
-//! (the dense global cell id — the array's base plus the flat cell from
-//! the strength-reduced offsets — and the kind; guarded-off statements
-//! touch nothing), then cross-group conflicts with at least one write
-//! are reported, naming the array and its flat cell. Running a
+//! (the cell id of [`Memory`]'s one buffer, read off the
+//! strength-reduced offsets, and the kind; guarded-off statements touch
+//! nothing), then cross-group conflicts with at least one write are
+//! reported, naming the array and its in-array flat cell. Running a
 //! deliberately wrong plan through this checker must — and does, see
 //! the tests — detect the race.
 //!
@@ -20,25 +20,16 @@
 //! depend on the thread schedule or the pool width.
 
 use crate::compile::{CompiledPlan, TaskState};
-use crate::memory::{self, CellIds, Memory};
+use crate::memory::{self, Memory};
 use crate::schedule::{self, RangeTask, Schedule};
 use crate::staged::CompiledProgram;
 use crate::{Result, RuntimeError};
 use pdm_core::plan::ParallelPlan;
 use pdm_loopir::nest::LoopNest;
 
-/// One logged access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LoggedAccess {
-    /// Dense global cell id: the array's base plus the flat cell index
-    /// (see [`crate::memory`]'s cell ids).
-    pub cell: usize,
-    /// Was it a write?
-    pub write: bool,
-}
-
-/// Per-group access logs of one range task, keyed by global group id.
-type GroupLogs = Vec<(u64, Vec<LoggedAccess>)>;
+/// Per-group access logs of one range task, keyed by global group id:
+/// `(cell, write)` per access, as [`detect_conflicts`] scans them.
+type GroupLogs = Vec<(u64, Vec<(usize, bool)>)>;
 
 /// Execute one range task through the compiled walker with a logging
 /// visitor and a worker's reused `state`. Returns the task's iteration
@@ -47,7 +38,6 @@ type GroupLogs = Vec<(u64, Vec<LoggedAccess>)>;
 fn log_task<'a>(
     cp: &'a CompiledPlan,
     mem: &Memory,
-    ids: &CellIds,
     task: &RangeTask<'a>,
     state: &mut TaskState<'a>,
 ) -> Result<(u64, GroupLogs)> {
@@ -57,12 +47,8 @@ fn log_task<'a>(
             logs.push((gid, Vec::new()));
         }
         let log = &mut logs.last_mut().expect("pushed above").1;
-        cp.program().exec_traced(mem, sc, |array, flat, write| {
-            log.push(LoggedAccess {
-                cell: ids.id(array, flat),
-                write,
-            })
-        })
+        cp.program()
+            .exec_traced(mem, sc, |cell, write| log.push((cell, write)))
     })?;
     Ok((count, logs))
 }
@@ -77,7 +63,7 @@ fn log_task<'a>(
 /// [`RuntimeError::RaceDetected`].
 pub fn run_parallel_checked(nest: &LoopNest, plan: &ParallelPlan, mem: &Memory) -> Result<u64> {
     let cp = CompiledPlan::compile(nest, plan, mem)?;
-    let ids = CellIds::of(mem)?;
+    let layout = mem.layout();
     let sched = Schedule::default();
     let tasks = cp.walker().tasks(&sched, rayon::current_num_threads())?;
     let mut total = 0u64;
@@ -85,7 +71,7 @@ pub fn run_parallel_checked(nest: &LoopNest, plan: &ParallelPlan, mem: &Memory) 
     schedule::run_stages(
         std::slice::from_ref(&tasks),
         || cp.new_task_state(),
-        |state, task| log_task(&cp, mem, &ids, task, state),
+        |state, task| log_task(&cp, mem, task, state),
         |_, results| {
             for (count, task_logs) in results {
                 total += count;
@@ -96,8 +82,8 @@ pub fn run_parallel_checked(nest: &LoopNest, plan: &ParallelPlan, mem: &Memory) 
     )?;
 
     // Cross-group conflict detection (keyed by global group index).
-    let (conflicts, sample) = detect_conflicts(ids.total(), unit_logs(&logs), |g0, g1, cell| {
-        let (array, flat) = ids.locate(cell);
+    let (conflicts, sample) = detect_conflicts(layout.cells(), logs, |g0, g1, cell| {
+        let (array, flat) = layout.locate(cell);
         format!("array {array} cell {flat} touched by groups {g0} and {g1}")
     })?;
     if conflicts > 0 {
@@ -106,20 +92,11 @@ pub fn run_parallel_checked(nest: &LoopNest, plan: &ParallelPlan, mem: &Memory) 
     Ok(total)
 }
 
-/// Each unit's log as the `(cell, write)` pairs [`detect_conflicts`]
-/// scans.
-fn unit_logs<K: Copy>(
-    logs: &[(K, Vec<LoggedAccess>)],
-) -> impl Iterator<Item = (K, impl Iterator<Item = (usize, bool)> + '_)> {
-    logs.iter()
-        .map(|(unit, log)| (*unit, log.iter().map(|a| (a.cell, a.write))))
-}
-
 /// First-toucher conflict scan over the access logs of one concurrency
 /// domain: two distinct `unit`s touching a common cell with at least one
-/// write conflict. Cells are dense global ids below `cells` (the array's
-/// base plus its flat index), so the owner of each cell lives in one
-/// zeroed table indexed by id — no hashing. The single implementation
+/// write conflict. Cells are ids of one [`Layout`](crate::memory::Layout)
+/// below `cells`, so the owner of each cell lives in one zeroed table
+/// indexed by id — no hashing. The single implementation
 /// behind both checkers — [`run_parallel_checked`] keys units by global
 /// group id, [`run_program_parallel_checked`] by `(kernel, group)` — so
 /// the subtle first-owner/wrote-flag merge rule lives in exactly one
@@ -138,7 +115,7 @@ where
     L: IntoIterator<Item = (usize, bool)>,
 {
     // owner[cell]: 0 while untouched, else (unit ordinal + 1) << 1 | wrote.
-    let mut owner: Vec<u64> = memory::zeroed(cells, "conflict owner table")?;
+    let mut owner: Vec<u64> = memory::zeroed(cells, || "conflict owner table".into())?;
     let mut units: Vec<K> = Vec::new();
     let mut conflicts = 0usize;
     let mut sample = String::new();
@@ -184,7 +161,7 @@ pub fn run_program_parallel_checked(
     mem: &Memory,
 ) -> Result<u64> {
     let program = CompiledProgram::compile(pp, mem)?;
-    let ids = CellIds::of(mem)?;
+    let layout = mem.layout();
     let sched = Schedule::default();
     let stages = program.stage_tasks(&sched, rayon::current_num_threads())?;
     let mut total = 0u64;
@@ -193,28 +170,22 @@ pub fn run_program_parallel_checked(
         || program.new_task_states(),
         |states, (k, task)| {
             let state = program.task_state(states, *k);
-            Ok((
-                *k,
-                log_task(&program.kernels()[*k], mem, &ids, task, state)?,
-            ))
+            Ok((*k, log_task(&program.kernels()[*k], mem, task, state)?))
         },
         |si, results| {
-            let mut units: Vec<((usize, u64), Vec<LoggedAccess>)> = Vec::new();
+            let mut units: Vec<((usize, u64), Vec<(usize, bool)>)> = Vec::new();
             for (k, (count, logs)) in results {
                 total += count;
                 units.extend(logs.into_iter().map(|(gid, log)| ((k, gid), log)));
             }
-            let (conflicts, sample) = detect_conflicts(
-                ids.total(),
-                unit_logs(&units),
-                |(k0, g0), (k1, g1), cell| {
-                    let (array, flat) = ids.locate(cell);
+            let (conflicts, sample) =
+                detect_conflicts(layout.cells(), units, |(k0, g0), (k1, g1), cell| {
+                    let (array, flat) = layout.locate(cell);
                     format!(
                         "array {array} cell {flat} touched by kernel {k0} group {g0} \
                          and kernel {k1} group {g1} in stage {si}"
                     )
-                },
-            )?;
+                })?;
             if conflicts > 0 {
                 return Err(RuntimeError::RaceDetected { conflicts, sample });
             }

@@ -27,10 +27,10 @@
 //! the offset table — lives in a [`Walker`], which needs neither a
 //! [`Program`] nor a [`Memory`]. [`Walker::walk`] is generic over a
 //! per-iteration visitor (monomorphised, never `dyn`): execution runs
-//! the bytecode, the race checker ([`crate::checked`]) logs the flat
-//! cells the bytecode touches, the inspector ([`crate::inspector`])
-//! summarises the same flat cells per group without a [`Memory`], and
-//! test oracles record the points they see.
+//! the bytecode, the race checker ([`crate::checked`]) logs the cells
+//! the bytecode touches, the inspector ([`crate::inspector`])
+//! summarises the same cells per group without reading a [`Memory`],
+//! and test oracles record the points they see.
 //!
 //! Scheduling: [`CompiledPlan::run_parallel`] splits the group *index
 //! space* (doall-prefix values × partition offsets) into contiguous
@@ -42,7 +42,7 @@
 //! range it claims positions that cursor in place and walks forward:
 //! the group list is never materialized, and a range allocates nothing.
 
-use crate::memory::Memory;
+use crate::memory::{Layout, Memory};
 use crate::program::{Program, Scratch};
 use crate::schedule::{self, GroupCursor, RangeTask, Schedule};
 use crate::{Result, RuntimeError};
@@ -527,25 +527,20 @@ pub struct CompiledPlan {
 }
 
 impl CompiledPlan {
-    /// Lower the pair against `mem`'s array geometry. The plan must have
-    /// been derived from the same nest.
+    /// Lower the pair against `mem`'s layout. The plan must have been
+    /// derived from the same nest.
     pub fn compile(nest: &LoopNest, plan: &ParallelPlan, mem: &Memory) -> Result<CompiledPlan> {
-        let program = Program::compile(nest, mem)?;
-        let walker = Walker::plan_with(plan, Some(&program));
-        Ok(CompiledPlan { program, walker })
+        CompiledPlan::lower(nest, plan, mem.layout())
     }
 
-    /// [`CompiledPlan::compile`] against the array boxes of
-    /// [`crate::memory::array_boxes`] instead of an allocated
-    /// [`Memory`]: the same program and walker, for visitors that never
-    /// touch cells (the inspector's audit).
-    pub(crate) fn for_boxes(
+    /// Lower the pair against `layout`, which needs no cells allocated
+    /// (the inspector's audit of a bare nest).
+    pub(crate) fn lower(
         nest: &LoopNest,
         plan: &ParallelPlan,
-        boxes: &[Vec<(i64, i64)>],
-        lens: &[usize],
+        layout: &Layout,
     ) -> Result<CompiledPlan> {
-        let program = Program::lower(nest, |a| (boxes[a].as_slice(), lens[a]))?;
+        let program = Program::lower(nest, layout)?;
         let walker = Walker::plan_with(plan, Some(&program));
         Ok(CompiledPlan { program, walker })
     }
@@ -783,7 +778,7 @@ mod tests {
         let mem_b = Memory::for_nest(&nest_b).unwrap();
         let plan_a = parallelize(&nest_a).unwrap();
         let cp_a = CompiledPlan::compile(&nest_a, &plan_a, &mem_a).unwrap();
-        let program_b = Program::compile(&nest_b, &mem_b).unwrap();
+        let program_b = Program::lower(&nest_b, mem_b.layout()).unwrap();
         let walker_b = Walker::for_nest(&nest_b, &program_b).unwrap();
         let run_b = |s: &mut PlanScratch| walker_b.walk(&[], 0, s, |sc| program_b.exec(&mem_b, sc));
         let mut foreign = cp_a.new_scratch();

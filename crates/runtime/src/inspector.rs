@@ -14,14 +14,16 @@
 //! under the planned partitioning — every group, every iteration, every
 //! access, **without executing the body** — and returns a [`Verdict`].
 //! The walk is the compiled group walker ([`crate::compile::Walker`])
-//! with the nest's linearized accesses attached, lowered once per audit
-//! against the array boxes ([`crate::memory::array_boxes`]) — no
-//! [`Memory`] is allocated. Its visitor reads each executed access's
-//! strength-reduced flat offset, exactly the cell the executor would
-//! touch:
+//! with the nest's linearized accesses attached. A served run audits
+//! the instance it already lowered ([`audit_compiled`] on the
+//! instance's [`CompiledPlan`] and its memory's [`Layout`]), so the
+//! audit computes no index ranges and lowers nothing; [`audit`] on a
+//! bare nest builds the layout and lowers once, allocating no cells.
+//! Its visitor reads each executed access's strength-reduced offset,
+//! exactly the cell the executor would touch:
 //!
-//! * a cell is a dense global id, the array's base plus its flat offset
-//!   (row-major order is a bijection on the box, so the id names one
+//! * a cell is a [`Layout`] cell id (row-major order is a bijection on
+//!   each box and the boxes lie end to end, so the id names one
 //!   `(array, subscript)` exactly);
 //! * original lexicographic order is one scalar rank over the nest's
 //!   index box (`Σ (i_k − lo_k)·W_k`), so a `(cell, group)` summary is
@@ -87,7 +89,7 @@
 
 use crate::checked::detect_conflicts;
 use crate::compile::{CompiledPlan, TaskState};
-use crate::memory::{self, array_boxes, box_len, CellIds, Memory};
+use crate::memory::{self, Layout, Memory};
 use crate::schedule::{self, RangeTask, Schedule};
 use crate::{Result, RuntimeError};
 use pdm_core::plan::ParallelPlan;
@@ -172,7 +174,7 @@ impl LexRank {
 /// latest touch the greatest.
 #[derive(Debug, Clone, Copy)]
 struct Touches {
-    /// Dense global cell id ([`CellIds`]).
+    /// Cell id of the [`Layout`].
     cell: usize,
     /// Position of the group in walk order (task-local until the merge
     /// rebases it).
@@ -268,9 +270,8 @@ struct AuditLocal {
 /// one range, so a `(cell, group)` summary never needs cross-task
 /// merging.
 fn audit_range<'a>(
-    nest: &LoopNest,
     cp: &'a CompiledPlan,
-    ids: &CellIds,
+    layout: &Layout,
     lex: &LexRank,
     task: &RangeTask<'a>,
     (state, slots): &mut (TaskState<'a>, SlotMap),
@@ -290,8 +291,7 @@ fn audit_range<'a>(
             let rank = lex.rank(&sc.idx);
             debug_assert!(rank > last, "group {gid} walks against original order");
             last = rank;
-            program.for_each_access(nest, sc, |array, flat, write| {
-                let cell = ids.id(array, flat);
+            program.for_each_access(layout, sc, |cell, write| {
                 match slots.get_or_insert(cell, local.touches.len()) {
                     Some(i) => {
                         let t = &mut local.touches[i];
@@ -328,16 +328,23 @@ fn audit_range<'a>(
 /// included — is identical to a sequential walk regardless of thread
 /// schedule or pool width.
 pub fn audit(nest: &LoopNest, plan: &ParallelPlan) -> Result<Verdict> {
-    // Lower once against the array boxes: no cells are allocated.
-    let ranges = nest.index_ranges()?;
-    let lex = LexRank::new(&ranges)?;
-    let boxes = array_boxes(nest, &ranges)?;
-    let lens = boxes
-        .iter()
-        .map(|b| box_len(b))
-        .collect::<Result<Vec<usize>>>()?;
-    let ids = CellIds::new(lens.iter().copied())?;
-    let cp = CompiledPlan::for_boxes(nest, plan, &boxes, &lens)?;
+    // Lower once against the nest's layout: no cells are allocated.
+    let layout = Layout::for_nest(nest)?;
+    audit_compiled(&CompiledPlan::lower(nest, plan, &layout)?, &layout)
+}
+
+/// [`audit`] of a plan already lowered against `layout` — an
+/// instance's [`CompiledPlan`] and its memory's layout — with no
+/// lowering and no index-range projection of its own: lexicographic
+/// ranks come from the layout's index ranges. A plan whose accesses
+/// do not address the layout's array cells is refused.
+pub fn audit_compiled(cp: &CompiledPlan, layout: &Layout) -> Result<Verdict> {
+    if !cp.program().fits(layout) {
+        return Err(RuntimeError::Core(
+            "plan was lowered against a different layout".into(),
+        ));
+    }
+    let lex = LexRank::new(layout.ranges())?;
     let tasks = cp
         .walker()
         .tasks(&Schedule::default(), rayon::current_num_threads().max(1))?;
@@ -345,7 +352,7 @@ pub fn audit(nest: &LoopNest, plan: &ParallelPlan) -> Result<Verdict> {
     schedule::run_stages(
         std::slice::from_ref(&tasks),
         || (cp.new_task_state(), SlotMap::new()),
-        |state, task| audit_range(nest, &cp, &ids, &lex, task, state),
+        |state, task| audit_range(cp, layout, &lex, task, state),
         |_, results| {
             locals = results;
             Ok(())
@@ -369,7 +376,7 @@ pub fn audit(nest: &LoopNest, plan: &ParallelPlan) -> Result<Verdict> {
     // Certify cross-group independence with the race checker's scan,
     // one `(cell, wrote)` entry per touched cell of each group.
     let (conflicts, _) = detect_conflicts(
-        ids.total(),
+        layout.cells(),
         touches
             .chunk_by(|a, b| a.group == b.group)
             .map(|run| (run[0].group, run.iter().map(|t| (t.cell, t.wrote)))),
@@ -378,15 +385,15 @@ pub fn audit(nest: &LoopNest, plan: &ParallelPlan) -> Result<Verdict> {
     if conflicts == 0 {
         return Ok(Verdict::Certified);
     }
-    refine(nest, &ids, &touches, &groups)
+    refine(layout, &touches, &groups)
 }
 
 /// Refinement of a conflicting audit: direct each conflict, reject
 /// overlaps, and layer the group DAG by longest path.
-fn refine(nest: &LoopNest, ids: &CellIds, touches: &[Touches], groups: &[u64]) -> Result<Verdict> {
+fn refine(layout: &Layout, touches: &[Touches], groups: &[u64]) -> Result<Verdict> {
     // Counting sort by cell, stable, so each cell's bucket lists its
     // touches in ascending group position.
-    let mut next: Vec<usize> = memory::zeroed(ids.total(), "audit cell buckets")?;
+    let mut next: Vec<usize> = memory::zeroed(layout.cells(), || "audit cell buckets".into())?;
     for t in touches {
         next[t.cell] += 1;
     }
@@ -415,14 +422,14 @@ fn refine(nest: &LoopNest, ids: &CellIds, touches: &[Touches], groups: &[u64]) -
                 } else if tb.max < ta.min {
                     edges.push((tb.group, ta.group));
                 } else {
-                    let (array, flat) = ids.locate(ta.cell);
+                    let (array, flat) = layout.locate(ta.cell);
                     return Ok(Verdict::Rejected {
                         reason: format!(
                             "groups {} and {} interleave conflicting touches of cell {flat} \
                              of array {}",
                             groups[ta.group],
                             groups[tb.group],
-                            nest.arrays()[array].name
+                            layout.arrays()[array].name
                         ),
                     });
                 }
@@ -673,6 +680,28 @@ mod tests {
         run_with_verdict(&nest, &plan, &mem, &v).unwrap();
         crate::exec::run_sequential(&nest, &m_ref).unwrap();
         assert_eq!(mem.snapshot(), m_ref.snapshot());
+    }
+
+    #[test]
+    fn lowered_instance_audits_like_the_bare_nest() {
+        // An instance's own lowering and its memory's layout give the
+        // verdict a fresh audit of the bare nest gives; a plan lowered
+        // against another nest's layout is refused, not misread.
+        let src = "for i1 = 0..=3 { for i2 = 0..=3 { A[i1 + K, i2] = A[i1, i2] + 1; } }";
+        let shape = parse_loop_symbolic(src, &["K"]).unwrap();
+        let t = plan_template(&shape).unwrap();
+        for k in [0, 1] {
+            let inst = crate::template::instantiate_compiled(&t, &[("K", k)]).unwrap();
+            let lowered = audit_compiled(&inst.compiled, inst.memory.layout()).unwrap();
+            assert_eq!(lowered, audit(&inst.nest, &inst.plan).unwrap(), "K={k}");
+        }
+        let other = parse_loop_with("for i = 0..=3 { B[i] = A[i] + 1; }", &[]).unwrap();
+        let inst = crate::template::instantiate_compiled(&t, &[("K", 1)]).unwrap();
+        let foreign = Layout::for_nest(&other).unwrap();
+        assert!(matches!(
+            audit_compiled(&inst.compiled, &foreign),
+            Err(RuntimeError::Core(_))
+        ));
     }
 
     #[test]

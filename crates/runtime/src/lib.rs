@@ -17,9 +17,11 @@
 //! executing allocation-free:
 //!
 //! 1. *Compile* — body `Expr` trees flatten to postfix bytecode run on a
-//!    reusable scratch stack; each array access composes with the
-//!    row-major layout into a single linear form `base + coeff·i`
-//!    ([`program::LinAccess`]); per-level Fourier–Motzkin bounds become
+//!    reusable scratch stack; each array access composes with its
+//!    array's row-major box and base in the run's one cell space
+//!    ([`memory::Layout`]) into a single linear form `base + coeff·i`
+//!    naming a cell id ([`program::LinAccess`]); per-level
+//!    Fourier–Motzkin bounds become
 //!    raw coefficient rows ([`compile::CompiledBounds`]).
 //! 2. *Schedule* — the independent-group index space (doall-prefix
 //!    values × Theorem-2 partition offsets) is counted arithmetically
@@ -70,16 +72,21 @@
 //! * [`config`] — [`config::RuntimeConfig`]: every `PDM_*` environment
 //!   variable (test seeds, client timeout, fault probes) parsed once
 //!   per process; none of them tunes execution;
-//! * [`memory`] — integer array storage sized from the nest's access
-//!   footprint (conservative interval arithmetic over the iteration
-//!   polyhedron, checked against overflow), with atomic cells shared
-//!   by `doall` groups through relaxed loads and stores;
+//! * [`memory`] — one cell space per run: a [`memory::Layout`] sizes
+//!   every array from the nest's access footprint (conservative
+//!   interval arithmetic over the iteration polyhedron, checked against
+//!   overflow) and lays the arrays end to end, so one cell id names one
+//!   `(array, subscript)` for the lowering, the race checker and the
+//!   audit alike; a [`Memory`] is a layout plus one buffer of atomic
+//!   cells shared by `doall` groups through relaxed loads and stores;
 //! * [`checked`] — a group-conflict race checker: every access is logged
 //!   per group and cross-group conflicts (≥ 1 write) are reported;
 //! * [`inspector`] — inspector/executor speculation for nests whose
 //!   *subscripts* read symbolic parameters: the plan is computed on the
-//!   parameter-free hull, and once per valuation [`inspector::audit`]
-//!   walks the concrete access lattice to certify the parallel plan,
+//!   parameter-free hull, and once per valuation the audit
+//!   ([`inspector::audit`], or [`inspector::audit_compiled`] on an
+//!   instance already lowered) walks the concrete access lattice to
+//!   certify the parallel plan,
 //!   refine it into stages, or reject it back to original order on the
 //!   compiled walker, with verdicts (and refined stage layouts) cached
 //!   in [`sharded::VerdictCache`];

@@ -7,23 +7,27 @@
 //!
 //! * a postfix [`Op`] sequence evaluated on a reusable scratch stack, and
 //! * one [`LinAccess`] per array reference — the access's affine subscript
-//!   map composed with the array's row-major layout, so each reference
-//!   becomes a single **linear form** `flat(i) = base + coeff · i` over
-//!   the original iteration indices.
+//!   map composed with the array's row-major box and its base in the
+//!   [`Layout`], so each reference becomes a single **linear form**
+//!   `cell(i) = base + coeff · i` over the original iteration indices,
+//!   naming a cell id of the run's one buffer.
 //!
 //! Linearization is what makes strength reduction possible: the drivers in
-//! [`crate::compile`] never recompute `flat` from scratch — they keep one
-//! running flat offset per access in [`Scratch::flats`] and nudge it by a
+//! [`crate::compile`] never recompute a cell from scratch — they keep one
+//! running offset per access in [`Scratch::flats`] and nudge it by a
 //! precomputed per-loop-level delta whenever an index advances.
 //!
 //! ## Bounds safety
 //!
-//! `Memory::for_nest` sizes every array by interval arithmetic over the
-//! *global* index ranges, so any access evaluated at an iteration inside
-//! the polyhedron is in its per-dimension box, and therefore its flat
-//! index is in `[0, len)`. The executor still guards the flat range
-//! (defense in depth — an out-of-range flat index means a compiler bug)
-//! and reconstructs the per-dimension subscript only on that cold error
+//! [`Layout::for_nest`] sizes every array by interval arithmetic over
+//! the *global* index ranges, so any access evaluated at an iteration
+//! inside the polyhedron is in its per-dimension box, and therefore its
+//! cell is in its own array's range `[base, base + len)`. Every access
+//! still checks that range, not merely the buffer's (defense in depth —
+//! an offset outside it means a compiler bug): an offset that strays
+//! into a neighbouring array of the one buffer is an `OutOfBounds`
+//! naming the access's own array, never a silent write. The
+//! per-dimension subscript is reconstructed only on that cold error
 //! path.
 //!
 //! ## Arithmetic
@@ -31,11 +35,12 @@
 //! Body arithmetic is **wrapping**, bit-compatible with the interpreter
 //! (see [`crate::exec`] for the wrapping-vs-checked policy).
 
-use crate::memory::Memory;
+use crate::memory::{Layout, Memory};
 use crate::{Result, RuntimeError};
 use pdm_loopir::access::AffineAccess;
 use pdm_loopir::expr::Expr;
 use pdm_loopir::nest::LoopNest;
+use std::ops::Range;
 
 /// One postfix bytecode operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,17 +77,18 @@ pub enum Op {
 }
 
 /// An array reference lowered to a linear form over the iteration vector:
-/// `flat(i) = base + coeff · i`, indexing the array's dense backing store.
+/// `cell(i) = base + coeff · i`, a cell id of the [`Layout`].
 #[derive(Debug, Clone)]
 pub struct LinAccess {
-    /// Index of the array in the nest's [`Memory`].
+    /// Index of the array in the nest's [`Layout`].
     pub array: u32,
-    /// Flat offset at `i = 0`.
+    /// Cell id at `i = 0`: the array's base plus the in-array flat
+    /// offset.
     pub base: i64,
-    /// Per-original-index flat strides (length = loop depth).
+    /// Per-original-index strides (length = loop depth).
     pub coeff: Vec<i64>,
-    /// Backing length of the array (flat guard).
-    pub len: usize,
+    /// The array's cell ids (the guard).
+    pub cells: Range<usize>,
     /// Original affine access, kept for the cold error path only.
     pub origin: AffineAccess,
 }
@@ -91,10 +97,11 @@ impl LinAccess {
     fn lower(
         access: &AffineAccess,
         array: usize,
-        dims: &[(i64, i64)],
-        len: usize,
+        layout: &Layout,
         depth: usize,
     ) -> Result<LinAccess> {
+        let layout = &layout.arrays()[array];
+        let dims = &layout.dims;
         let m = access.dims();
         debug_assert_eq!(m, dims.len());
         // Row-major strides of the (lo, hi)-boxed array.
@@ -104,7 +111,7 @@ impl LinAccess {
             stride[d] = stride[d + 1] * (hi - lo + 1).max(0) as i128;
         }
         let overflow = || RuntimeError::Matrix(pdm_matrix::MatrixError::Overflow);
-        let mut base: i128 = 0;
+        let mut base = layout.base as i128;
         for d in 0..m {
             base += (access.offset[d] as i128 - dims[d].0 as i128) * stride[d];
         }
@@ -120,9 +127,16 @@ impl LinAccess {
             array: array as u32,
             base: i64::try_from(base).map_err(|_| overflow())?,
             coeff,
-            len,
+            cells: layout.cells(),
             origin: access.clone(),
         })
+    }
+
+    /// The cell at running offset `at`, or `None` outside this access's
+    /// own array.
+    #[inline]
+    fn cell(&self, at: i64) -> Option<usize> {
+        usize::try_from(at).ok().filter(|c| self.cells.contains(c))
     }
 }
 
@@ -152,9 +166,9 @@ impl Scratch {
 
 /// A compiled loop body: postfix ops plus the linearized access table.
 ///
-/// A `Program` is tied to the array geometry of the [`Memory`] it was
-/// compiled against; `Memory::for_nest` is deterministic, so any memory
-/// allocated for the same nest shares that geometry.
+/// A `Program` is tied to the [`Layout`] it was lowered against;
+/// `Layout::for_nest` is deterministic, so any memory allocated for the
+/// same nest shares that layout.
 #[derive(Debug, Clone)]
 pub struct Program {
     ops: Vec<Op>,
@@ -167,28 +181,15 @@ pub struct Program {
 }
 
 impl Program {
-    /// Lower the nest's body against `mem`'s array geometry.
-    pub fn compile(nest: &LoopNest, mem: &Memory) -> Result<Program> {
-        Program::lower(nest, |a| {
-            let storage = &mem.arrays()[a];
-            (storage.dims.as_slice(), storage.len())
-        })
-    }
-
-    /// Lower the nest's body against an array geometry given per array
-    /// as `(box, cell count)` — a [`Memory`]'s, or the boxes
-    /// [`crate::memory::array_boxes`] computes without allocating.
-    pub(crate) fn lower<'a>(
-        nest: &LoopNest,
-        geometry: impl Fn(usize) -> (&'a [(i64, i64)], usize),
-    ) -> Result<Program> {
+    /// Lower the nest's body against `layout` — a [`Memory`]'s, or one
+    /// built with no cells allocated.
+    pub fn lower(nest: &LoopNest, layout: &Layout) -> Result<Program> {
         let depth = nest.depth();
         let mut ops = Vec::new();
         let mut accesses = Vec::new();
         let mut guards = Vec::new();
         let mut push_access = |access: &AffineAccess, array: usize| -> Result<u32> {
-            let (dims, len) = geometry(array);
-            accesses.push(LinAccess::lower(access, array, dims, len, depth)?);
+            accesses.push(LinAccess::lower(access, array, layout, depth)?);
             Ok((accesses.len() - 1) as u32)
         };
         for stmt in nest.body() {
@@ -269,16 +270,16 @@ impl Program {
     /// `scratch.idx` / `scratch.flats`.
     #[inline]
     pub fn exec(&self, mem: &Memory, scratch: &mut Scratch) -> Result<()> {
-        self.exec_traced(mem, scratch, |_, _, _| {})
+        self.exec_traced(mem, scratch, |_, _| {})
     }
 
     /// [`Program::exec`], reporting every access it performs as
-    /// `touch(array, flat_cell, is_write)` in execution order. Statements
-    /// whose guards fail are skipped whole, so they touch nothing.
+    /// `touch(cell, is_write)` in execution order. Statements whose
+    /// guards fail are skipped whole, so they touch nothing.
     #[inline]
     pub fn exec_traced<T>(&self, mem: &Memory, scratch: &mut Scratch, mut touch: T) -> Result<()>
     where
-        T: FnMut(usize, usize, bool),
+        T: FnMut(usize, bool),
     {
         let stack = &mut scratch.stack;
         let mut sp = 0usize;
@@ -301,15 +302,14 @@ impl Program {
                     sp += 1;
                 }
                 Op::Load(a) => {
-                    let array = self.accesses[a as usize].array as usize;
-                    let cell = usize::try_from(scratch.flats[a as usize]).ok();
-                    match cell.and_then(|f| Some((f, mem.read_flat(array, f)?))) {
-                        Some((f, v)) => {
-                            touch(array, f, false);
+                    let cell = self.accesses[a as usize].cell(scratch.flats[a as usize]);
+                    match cell.and_then(|c| Some((c, mem.read_cell(c)?))) {
+                        Some((c, v)) => {
+                            touch(c, false);
                             stack[sp] = v;
                             sp += 1;
                         }
-                        None => return Err(self.oob(a, &mem.arrays()[array].name, &scratch.idx)),
+                        None => return Err(self.oob(a, mem.layout(), &scratch.idx)),
                     }
                 }
                 Op::Add => {
@@ -329,11 +329,10 @@ impl Program {
                 }
                 Op::Store(a) => {
                     sp -= 1;
-                    let array = self.accesses[a as usize].array as usize;
-                    let cell = usize::try_from(scratch.flats[a as usize]).ok();
-                    match cell.and_then(|f| mem.write_flat(array, f, stack[sp]).map(|()| f)) {
-                        Some(f) => touch(array, f, true),
-                        None => return Err(self.oob(a, &mem.arrays()[array].name, &scratch.idx)),
+                    let cell = self.accesses[a as usize].cell(scratch.flats[a as usize]);
+                    match cell.and_then(|c| mem.write_cell(c, stack[sp]).map(|()| c)) {
+                        Some(c) => touch(c, true),
+                        None => return Err(self.oob(a, mem.layout(), &scratch.idx)),
                     }
                 }
             }
@@ -357,19 +356,19 @@ impl Program {
     }
 
     /// The accesses [`Program::exec_traced`] would perform at `scratch`'s
-    /// point, as `touch(array, flat_cell, is_write)` in execution order,
-    /// without a [`Memory`] and without evaluating the body: statements
-    /// whose guards fail are skipped whole, and a flat offset outside
-    /// its array's box is an `OutOfBounds` naming the array of `nest`.
+    /// point, as `touch(cell, is_write)` in execution order, without a
+    /// [`Memory`] and without evaluating the body: statements whose
+    /// guards fail are skipped whole, and an offset outside its own
+    /// array is an `OutOfBounds` naming that array of `layout`.
     #[inline]
     pub(crate) fn for_each_access<T>(
         &self,
-        nest: &LoopNest,
+        layout: &Layout,
         scratch: &Scratch,
         mut touch: T,
     ) -> Result<()>
     where
-        T: FnMut(usize, usize, bool),
+        T: FnMut(usize, bool),
     {
         let mut pc = 0usize;
         while pc < self.ops.len() {
@@ -386,13 +385,9 @@ impl Program {
                 Op::Store(a) => (a, true),
                 _ => continue,
             };
-            let acc = &self.accesses[a as usize];
-            match usize::try_from(scratch.flats[a as usize]) {
-                Ok(f) if f < acc.len => touch(acc.array as usize, f, write),
-                _ => {
-                    let name = &nest.arrays()[acc.array as usize].name;
-                    return Err(self.oob(a, name, &scratch.idx));
-                }
+            match self.accesses[a as usize].cell(scratch.flats[a as usize]) {
+                Some(c) => touch(c, write),
+                None => return Err(self.oob(a, layout, &scratch.idx)),
             }
         }
         Ok(())
@@ -403,9 +398,21 @@ impl Program {
         self.guards.len()
     }
 
-    /// Cold path: reconstruct the subscript of a failed access.
+    /// Does every access address exactly its array's cells in
+    /// `layout`? True for the layout the program was lowered against.
+    pub(crate) fn fits(&self, layout: &Layout) -> bool {
+        self.accesses.iter().all(|acc| {
+            layout
+                .arrays()
+                .get(acc.array as usize)
+                .is_some_and(|array| array.cells() == acc.cells)
+        })
+    }
+
+    /// Cold path: reconstruct the subscript of a failed access, naming
+    /// its array in `layout`.
     #[cold]
-    fn oob(&self, a: u32, array: &str, idx: &[i64]) -> RuntimeError {
+    fn oob(&self, a: u32, layout: &Layout, idx: &[i64]) -> RuntimeError {
         let acc = &self.accesses[a as usize];
         let sub = acc
             .origin
@@ -413,7 +420,7 @@ impl Program {
             .map(|s| s.0)
             .unwrap_or_default();
         RuntimeError::OutOfBounds {
-            array: array.to_string(),
+            array: layout.arrays()[acc.array as usize].name.clone(),
             subscript: sub,
         }
     }
@@ -477,7 +484,7 @@ mod tests {
     fn compile(src: &str) -> (LoopNest, Memory, Program) {
         let nest = parse_loop(src).unwrap();
         let mem = Memory::for_nest(&nest).unwrap();
-        let prog = Program::compile(&nest, &mem).unwrap();
+        let prog = Program::lower(&nest, mem.layout()).unwrap();
         (nest, mem, prog)
     }
 
@@ -573,6 +580,39 @@ mod tests {
             0,
             "wrapped guard must not fire"
         );
+    }
+
+    #[test]
+    fn offset_in_a_neighbouring_array_is_out_of_bounds() {
+        // A holds cells 0..4 and B cells 4..8 of the one buffer. Move
+        // each access's running offset onto a cell of the other array:
+        // execution, the checker's walk and the audit's walk must each
+        // refuse it, naming the access's own array, and write nothing.
+        let (_, mem, prog) = compile("for i = 0..=3 { A[i] = B[i] + 1; }");
+        assert_eq!(mem.layout().arrays()[1].cells(), 4..8);
+        // Access 0 is the load of B[i], access 1 the store to A[i].
+        for (access, stray, own) in [(1, 5, "A"), (0, 1, "B")] {
+            let mut scratch = prog.new_scratch();
+            scratch.flats[access] = stray;
+            let own_array = |r: Result<()>| match r {
+                Err(RuntimeError::OutOfBounds { array, .. }) => array == own,
+                _ => false,
+            };
+            assert!(own_array(prog.exec(&mem, &mut scratch)));
+            assert!(own_array(prog.exec_traced(&mem, &mut scratch, |_, _| {})));
+            assert!(own_array(prog.for_each_access(
+                mem.layout(),
+                &scratch,
+                |_, _| {}
+            )));
+        }
+        assert!(mem.snapshot().iter().flatten().all(|&v| v == 0));
+        // In its own range the same walk reports the cells by id.
+        let mut scratch = prog.new_scratch();
+        let mut touched = Vec::new();
+        prog.exec_traced(&mem, &mut scratch, |c, w| touched.push((c, w)))
+            .unwrap();
+        assert_eq!(touched, vec![(4, false), (0, true)]);
     }
 
     #[test]

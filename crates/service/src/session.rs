@@ -445,7 +445,10 @@ impl Session {
     /// The inspector gate for speculatively planned templates: fetch
     /// (or compute and cache) the verdict for this `(shape, valuation)`
     /// pair, reporting whether a certified *interval* answered it.
-    /// Fresh audits record their latency in `inspector_audit` and then
+    /// A fresh audit walks the instance's own lowering over its
+    /// memory's layout ([`inspector::audit_compiled`]), so it neither
+    /// projects index ranges nor lowers the nest again. Fresh audits
+    /// record their latency in `inspector_audit` and then
     /// try [`PlanTemplate::stability_box`]: a certifiable valuation
     /// interval is cached ahead of point entries, so every in-interval
     /// valuation that follows skips the audit entirely (counted in
@@ -484,7 +487,9 @@ impl Session {
             }
             None => {
                 let t0 = Instant::now();
-                let result = self.on_pool(|| inspector::audit(&instance.nest, &instance.plan));
+                let result = self.on_pool(|| {
+                    inspector::audit_compiled(&instance.compiled, instance.memory.layout())
+                });
                 self.metrics.inspector_audit.record(t0.elapsed());
                 let v = result?;
                 // Certify a whole valuation interval when the geometry

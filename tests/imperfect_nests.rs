@@ -89,7 +89,8 @@ proptest! {
     }
 }
 
-/// All cells a kernel touches, guard-aware: `(array, flat cell, wrote)`.
+/// All cells a kernel touches, guard-aware: `(array, cell id)` sets of
+/// reads and writes.
 fn kernel_footprint(
     nest: &LoopNest,
     mem: &Memory,
