@@ -55,6 +55,7 @@ use crate::partition::Partitioning;
 use crate::pdm::{analyze, PdmAnalysis};
 use crate::plan::{derive_structure, ParallelPlan, PlanStructure};
 use crate::{CoreError, Result};
+use pdm_loopir::access::AffineAccess;
 use pdm_loopir::nest::LoopNest;
 use pdm_loopir::IrError;
 use pdm_matrix::mat::IMat;
@@ -63,6 +64,7 @@ use pdm_matrix::vec::IVec;
 use pdm_poly::bounds::LoopBounds;
 use pdm_poly::expr::AffineExpr;
 use pdm_poly::system::System;
+use std::sync::OnceLock;
 
 /// A parallel schedule computed once per nest **shape**: the complete
 /// bounds-independent plan structure plus transformed-space bound rows
@@ -79,6 +81,18 @@ pub struct PlanTemplate {
     partition: Option<Partitioning>,
     /// Parametric transformed-space bounds (`params() == #parameters`).
     bounds: LoopBounds,
+    /// [`PlanTemplate::stability_box`]'s access envelopes, computed on
+    /// its first call (they do not depend on the valuation).
+    envelopes: OnceLock<Vec<Envelope>>,
+}
+
+/// One access occurrence with the exact per-subscript envelope of
+/// `i·A` over its statement's guarded iteration points.
+#[derive(Debug, Clone)]
+struct Envelope {
+    array: usize,
+    access: AffineAccess,
+    ranges: Vec<(i128, i128)>,
 }
 
 /// Plan a (symbolic or concrete) nest once: full analysis,
@@ -107,6 +121,7 @@ pub fn plan_template_from_analysis(nest: &LoopNest, analysis: PdmAnalysis) -> Re
         doall_prefix: structure.doall_prefix,
         partition: structure.partition,
         bounds,
+        envelopes: OnceLock::new(),
     })
 }
 
@@ -263,13 +278,14 @@ impl PlanTemplate {
     ///   `(v·D)_r = (i'·A_b − i·A_a + b_b − b_a)_r` where
     ///   `D = P_a − P_b`. The right side ranges over a box `S_r`
     ///   computed *exactly* from the enumerated (guard-filtered)
-    ///   iteration points. If at the audited valuation some row `r`
-    ///   has `(v·D)_r ∉ S_r`, the pair collides **nowhere**, and the
-    ///   box constrains the parameters to keep that row excluded. A
-    ///   pair with `D = 0` collides identically at every valuation and
-    ///   constrains nothing. If some variable pair (`D ≠ 0`) has *no*
-    ///   excluding row, the equality relation may shift with the
-    ///   valuation — return `None`.
+    ///   iteration points — once per template, since by (a) they are
+    ///   the same at every valuation. If at the audited valuation some
+    ///   row `r` has `(v·D)_r ∉ S_r`, the pair collides **nowhere**,
+    ///   and the box constrains the parameters to keep that row
+    ///   excluded. A pair with `D = 0` collides identically at every
+    ///   valuation and constrains nothing. If some variable pair
+    ///   (`D ≠ 0`) has *no* excluding row, the equality relation may
+    ///   shift with the valuation — return `None`.
     ///
     /// Note read–read pairs are **not** skipped: a read–read collision
     /// changes the audit's touch-class structure (which cells merge),
@@ -288,61 +304,12 @@ impl PlanTemplate {
             return Ok(None);
         }
         let vals = self.param_values(params)?;
-        // Valuation-independent by the reads_params check above; any
-        // valuation would enumerate the same points.
-        let nest_v = self.instantiate_nest(params)?;
-        let pts = nest_v.iterations().map_err(CoreError::Ir)?;
+        let occs = self.envelopes(params)?;
         let mut boxes: Vec<(i64, i64)> = vec![(i64::MIN, i64::MAX); p];
-        if pts.is_empty() {
-            // Empty spaces audit identically (trivially certified)
-            // everywhere.
-            return Ok(Some(boxes));
-        }
-
-        // Access occurrences with exact per-subscript envelopes of
-        // i·A over the statement's guarded iteration points. The
-        // symbolic accesses carry (A, b, P); guards read indices only.
-        struct Occ<'a> {
-            array: usize,
-            access: &'a pdm_loopir::access::AffineAccess,
-            ranges: Vec<(i128, i128)>,
-        }
-        let mut occs: Vec<Occ<'_>> = Vec::new();
-        for stmt in self.nest.body() {
-            let guarded: Vec<&IVec> = pts.iter().filter(|i| stmt.guards_hold(&i.0)).collect();
-            if guarded.is_empty() {
-                continue;
-            }
-            for (_, r) in stmt.accesses() {
-                let a = &r.access;
-                let ranges = (0..a.dims())
-                    .map(|col| {
-                        let mut lo = i128::MAX;
-                        let mut hi = i128::MIN;
-                        for i in &guarded {
-                            let v: i128 = (0..a.depth())
-                                .map(|k| a.matrix.get(k, col) as i128 * i.0[k] as i128)
-                                .sum();
-                            lo = lo.min(v);
-                            hi = hi.max(v);
-                        }
-                        (lo, hi)
-                    })
-                    .collect();
-                occs.push(Occ {
-                    array: r.array.0,
-                    access: a,
-                    ranges,
-                });
-            }
-        }
 
         // Parameter coefficient of q_k in subscript col of (P_a - P_b);
         // canonically-empty params matrices read as zero.
-        let dcoef = |a: &pdm_loopir::access::AffineAccess,
-                     b: &pdm_loopir::access::AffineAccess,
-                     k: usize,
-                     col: usize| {
+        let dcoef = |a: &AffineAccess, b: &AffineAccess, k: usize, col: usize| {
             let pa = if k < a.params.rows() {
                 a.params.get(k, col)
             } else {
@@ -363,7 +330,7 @@ impl PlanTemplate {
                     continue;
                 }
                 let m = oa.access.dims();
-                if (0..p).all(|k| (0..m).all(|col| dcoef(oa.access, ob.access, k, col) == 0)) {
+                if (0..p).all(|k| (0..m).all(|col| dcoef(&oa.access, &ob.access, k, col) == 0)) {
                     continue; // collides identically at every valuation
                 }
                 // Candidate excluding rows at the audited valuation.
@@ -377,7 +344,7 @@ impl PlanTemplate {
                 let mut rows: Vec<Row> = Vec::new();
                 for col in 0..m {
                     let coeffs: Vec<i64> = (0..p)
-                        .map(|k| dcoef(oa.access, ob.access, k, col))
+                        .map(|k| dcoef(&oa.access, &ob.access, k, col))
                         .collect();
                     if coeffs.iter().all(|&c| c == 0) {
                         continue;
@@ -467,6 +434,53 @@ impl PlanTemplate {
             "stability box must contain the audited valuation: {boxes:?} vs {vals:?}"
         );
         Ok(Some(boxes))
+    }
+
+    /// Every access occurrence with its exact per-subscript envelope of
+    /// `i·A` over its statement's guarded iteration points (the
+    /// symbolic accesses carry `(A, b, P)`; guards read indices only).
+    /// Computed at `params` on the first call and kept: the caller has
+    /// checked that the bounds read no parameter, so every valuation
+    /// enumerates the same points. An empty space has no envelopes, and
+    /// audits identically (trivially certified) everywhere.
+    fn envelopes(&self, params: &[(&str, i64)]) -> Result<&[Envelope]> {
+        if let Some(envelopes) = self.envelopes.get() {
+            return Ok(envelopes);
+        }
+        let pts = self
+            .instantiate_nest(params)?
+            .iterations()
+            .map_err(CoreError::Ir)?;
+        let mut envelopes = Vec::new();
+        for stmt in self.nest.body() {
+            let guarded: Vec<&IVec> = pts.iter().filter(|i| stmt.guards_hold(&i.0)).collect();
+            if guarded.is_empty() {
+                continue;
+            }
+            for (_, r) in stmt.accesses() {
+                let a = &r.access;
+                let ranges = (0..a.dims())
+                    .map(|col| {
+                        let mut lo = i128::MAX;
+                        let mut hi = i128::MIN;
+                        for i in &guarded {
+                            let v: i128 = (0..a.depth())
+                                .map(|k| a.matrix.get(k, col) as i128 * i.0[k] as i128)
+                                .sum();
+                            lo = lo.min(v);
+                            hi = hi.max(v);
+                        }
+                        (lo, hi)
+                    })
+                    .collect();
+                envelopes.push(Envelope {
+                    array: r.array.0,
+                    access: a.clone(),
+                    ranges,
+                });
+            }
+        }
+        Ok(self.envelopes.get_or_init(|| envelopes))
     }
 }
 

@@ -25,12 +25,31 @@
 //! analysis proves that concurrent groups never conflict and the
 //! [`crate::checked`] module verifies that claim at runtime; a wrong
 //! plan yields wrong values, never undefined behaviour.
+//!
+//! **Seeding.** Runs and tests start from deterministic, non-trivial
+//! contents: cell `k` of every array seeded with `s` holds
+//! `seed_value(s + k)` (wrapping `u64` addition), a splitmix-style
+//! hash of the index reduced to `[-500, 499]`. The value depends on
+//! `s + k` alone — not on the array, the shape or the valuation — so a
+//! process-wide, append-only table of `seed_value(j)` for
+//! `j <` [`SEED_TABLE_CELLS`] (2^18 `i16`s, 512 KiB) is computed once, grown
+//! by doubling as longer arrays or larger seeds ask for more of it, and
+//! copied from on every later seeding. Cells whose `s + k` lies past
+//! the table (large seeds, or arrays reaching beyond the cap) are
+//! computed by the formula, so every seed yields the same values
+//! either way. [`Memory::seeded`] allocates and seeds in one pass;
+//! [`Memory::init_deterministic`] re-seeds an existing memory in place.
 
 use crate::{Result, RuntimeError};
 use pdm_loopir::access::ArrayId;
 use pdm_loopir::nest::LoopNest;
 use std::ops::Range;
 use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
+use std::sync::{Arc, PoisonError, RwLock};
+
+/// Cap of the shared seed table: indices `0..SEED_TABLE_CELLS` are
+/// copied, later ones computed (2^18 `i16`s, 512 KiB).
+pub const SEED_TABLE_CELLS: usize = 1 << 18;
 
 /// One array's place in a [`Layout`]: its box and its cell-id range.
 #[derive(Debug, Clone)]
@@ -153,6 +172,12 @@ impl Layout {
         &self.arrays
     }
 
+    /// The array names, comma-separated (cold: allocation errors).
+    fn names(&self) -> String {
+        let names: Vec<&str> = self.arrays.iter().map(|a| a.name.as_str()).collect();
+        names.join(", ")
+    }
+
     /// Total cells (one past the largest id).
     pub fn cells(&self) -> usize {
         self.cells
@@ -185,10 +210,24 @@ impl Memory {
     /// [`RuntimeError::AllocationFailed`].
     pub fn for_nest(nest: &LoopNest) -> Result<Memory> {
         let layout = Layout::for_nest(nest)?;
-        let cells = zeroed(layout.cells, || {
-            let names: Vec<&str> = layout.arrays.iter().map(|a| a.name.as_str()).collect();
-            names.join(", ")
-        })?;
+        let cells = zeroed(layout.cells, || layout.names())?;
+        Ok(Memory { layout, cells })
+    }
+
+    /// [`Memory::for_nest`] already seeded with `seed`, in one pass:
+    /// each array is written straight from its seed values, with no
+    /// zero fill. Equal to `for_nest` followed by
+    /// [`Memory::init_deterministic`], with the same errors: `Overflow`
+    /// before any allocation, `AllocationFailed` for a refused buffer.
+    pub fn seeded(nest: &LoopNest, seed: u64) -> Result<Memory> {
+        let layout = Layout::for_nest(nest)?;
+        let mut cells = reserved(layout.cells, || layout.names())?;
+        let table = seed_table(seed, &layout);
+        for a in &layout.arrays {
+            let (copied, computed) = seed_values(table.as_deref(), seed, a.len);
+            cells.extend(copied.iter().map(|&v| AtomicI64::new(v.into())));
+            cells.extend(computed.map(AtomicI64::new));
+        }
         Ok(Memory { layout, cells })
     }
 
@@ -203,17 +242,19 @@ impl Memory {
         Memory::for_nest(&imp.hull()?)
     }
 
-    /// Deterministically initialize every cell from its flat index
-    /// within its array (used so equivalence tests exercise non-trivial
-    /// data).
+    /// Deterministically re-seed every cell in place: cell `k` of each
+    /// array gets `seed_value(seed + k)` (see the module docs), so
+    /// equivalence tests and runs exercise non-trivial data.
     pub fn init_deterministic(&mut self, seed: u64) {
+        let table = seed_table(seed, &self.layout);
         for a in &self.layout.arrays {
-            for (k, cell) in self.cells[a.cells()].iter_mut().enumerate() {
-                let mut x = seed.wrapping_add(k as u64).wrapping_mul(0x9E3779B97F4A7C15);
-                x ^= x >> 29;
-                x = x.wrapping_mul(0xBF58476D1CE4E5B9);
-                x ^= x >> 32;
-                *cell.get_mut() = (x % 1000) as i64 - 500;
+            let (copied, computed) = seed_values(table.as_deref(), seed, a.len);
+            let (head, tail) = self.cells[a.cells()].split_at_mut(copied.len());
+            for (cell, &v) in head.iter_mut().zip(copied) {
+                *cell.get_mut() = v.into();
+            }
+            for (cell, v) in tail.iter_mut().zip(computed) {
+                *cell.get_mut() = v;
             }
         }
     }
@@ -294,11 +335,85 @@ impl Memory {
     }
 }
 
-/// A table of `len` default (zero) entries — a buffer of cells or a
-/// dense per-cell index — allocated fallibly: a table the allocator
-/// refuses is a [`RuntimeError::AllocationFailed`] naming `what()`,
-/// never an abort.
-pub(crate) fn zeroed<T: Default>(len: usize, what: impl FnOnce() -> String) -> Result<Vec<T>> {
+/// The one definition of a seed value: a splitmix-style hash of the
+/// index `j`, reduced to `[-500, 499]`.
+#[inline]
+fn seed_value(j: u64) -> i64 {
+    let mut x = j.wrapping_mul(0x9E3779B97F4A7C15);
+    x ^= x >> 29;
+    x = x.wrapping_mul(0xBF58476D1CE4E5B9);
+    x ^= x >> 32;
+    (x % 1000) as i64 - 500
+}
+
+/// `seed_value(j)` for `j` in `0..len`, shared by every seeding in the
+/// process. Append-only: a longer table keeps the shorter one's prefix.
+/// A grown table replaces the old one in a single assignment, so even a
+/// poisoned lock holds a whole table, and readers take it as it is.
+static SEED_TABLE: RwLock<Option<Arc<[i16]>>> = RwLock::new(None);
+
+/// The seed table, grown to cover `seed + longest array` (capped at
+/// [`SEED_TABLE_CELLS`]); `None` when `seed` lies past the cap, where
+/// no cell can copy from it.
+fn seed_table(seed: u64, layout: &Layout) -> Option<Arc<[i16]>> {
+    let cap = SEED_TABLE_CELLS as u64;
+    if seed >= cap {
+        return None;
+    }
+    let longest = layout.arrays.iter().map(|a| a.len as u64).max()?;
+    // Capped at `SEED_TABLE_CELLS`, so it fits `usize`.
+    let want = seed.saturating_add(longest).min(cap) as usize;
+    let current = SEED_TABLE
+        .read()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clone();
+    if let Some(table) = current.filter(|t| t.len() >= want) {
+        return Some(table);
+    }
+    let mut slot = SEED_TABLE.write().unwrap_or_else(PoisonError::into_inner);
+    let old = slot.as_deref().unwrap_or(&[]);
+    if old.len() < want {
+        *slot = Some(grow_seed_table(old, want));
+    }
+    slot.clone()
+}
+
+/// `old` grown to at least `want` entries (`want ≤ SEED_TABLE_CELLS`):
+/// the length at least doubles, the old prefix is copied and only the
+/// new entries are computed. Values lie in `[-500, 499]`, so `i16`
+/// holds them.
+fn grow_seed_table(old: &[i16], want: usize) -> Arc<[i16]> {
+    let len = want
+        .next_power_of_two()
+        .max(old.len() * 2)
+        .min(SEED_TABLE_CELLS);
+    let mut grown = Vec::with_capacity(len);
+    grown.extend_from_slice(old);
+    grown.extend((old.len()..len).map(|j| seed_value(j as u64) as i16));
+    grown.into()
+}
+
+/// The seed values of an array of `len` cells seeded with `seed`: cell
+/// `k` is `seed_value(seed + k)`, copied from `table` while `seed + k`
+/// lies inside it (the first part), computed by the formula past it
+/// (the second, for the remaining cells in order).
+fn seed_values(
+    table: Option<&[i16]>,
+    seed: u64,
+    len: usize,
+) -> (&[i16], impl Iterator<Item = i64>) {
+    let copied = table
+        .zip(usize::try_from(seed).ok())
+        .and_then(|(t, s)| t.get(s..))
+        .map_or(&[][..], |t| &t[..t.len().min(len)]);
+    let computed = (copied.len()..len).map(move |k| seed_value(seed.wrapping_add(k as u64)));
+    (copied, computed)
+}
+
+/// An empty table with room for `len` entries, reserved fallibly: a
+/// table the allocator refuses is a [`RuntimeError::AllocationFailed`]
+/// naming `what()`, never an abort.
+fn reserved<T>(len: usize, what: impl FnOnce() -> String) -> Result<Vec<T>> {
     let mut table = Vec::new();
     table
         .try_reserve_exact(len)
@@ -306,6 +421,13 @@ pub(crate) fn zeroed<T: Default>(len: usize, what: impl FnOnce() -> String) -> R
             array: what(),
             cells: len,
         })?;
+    Ok(table)
+}
+
+/// A table of `len` default (zero) entries — a buffer of cells or a
+/// dense per-cell index — allocated fallibly ([`reserved`]).
+pub(crate) fn zeroed<T: Default>(len: usize, what: impl FnOnce() -> String) -> Result<Vec<T>> {
+    let mut table = reserved(len, what)?;
     table.resize_with(len, T::default);
     Ok(table)
 }
@@ -384,6 +506,10 @@ mod tests {
             Memory::for_nest(&nest),
             Err(RuntimeError::Matrix(pdm_matrix::MatrixError::Overflow))
         ));
+        assert!(matches!(
+            Memory::seeded(&nest, 1),
+            Err(RuntimeError::Matrix(pdm_matrix::MatrixError::Overflow))
+        ));
     }
 
     #[test]
@@ -411,6 +537,78 @@ mod tests {
             ]
         );
         assert_eq!(m.checksum(), 2929);
+
+        // Golden values at the largest seed, where `seed + k` wraps
+        // past `u64::MAX` (computed at the formula-only seeding).
+        m.init_deterministic(u64::MAX);
+        assert_eq!(
+            m.snapshot(),
+            vec![
+                vec![-105, -500, 61, -422],
+                vec![-105, -500, 61, -422, 115, 59, 50]
+            ]
+        );
+        assert_eq!(m.checksum(), -1708);
+    }
+
+    #[test]
+    fn seed_table_copies_exactly_what_the_formula_computes() {
+        // One array longer than the table and one short one.
+        let nest =
+            parse_loop("for i = 0..=29999 { for j = 0..=9 { A[10*i + j] = B[j] + 1; } }").unwrap();
+        let cap = SEED_TABLE_CELLS as u64;
+        let seeds = [0, 1, 4, cap - 3, cap, (1 << 32) + 1, u64::MAX - 2, u64::MAX];
+        for seed in seeds {
+            let mut m = Memory::seeded(&nest, seed).unwrap();
+            let snap = m.snapshot();
+            assert_eq!(snap[0].len(), 300_000);
+            for array in &snap {
+                for (k, &v) in array.iter().enumerate() {
+                    assert_eq!(
+                        v,
+                        seed_value(seed.wrapping_add(k as u64)),
+                        "seed {seed}, k {k}"
+                    );
+                }
+            }
+            let mut two_pass = Memory::for_nest(&nest).unwrap();
+            two_pass.init_deterministic(seed);
+            assert_eq!(two_pass.snapshot(), snap, "seed {seed}");
+            m.init_deterministic(seed);
+            assert_eq!(m.snapshot(), snap, "re-seeding in place, seed {seed}");
+        }
+    }
+
+    #[test]
+    fn growing_the_seed_table_keeps_its_values() {
+        // A small request, then one that grows the table to its cap:
+        // the grown table holds the formula's values, old prefix
+        // included.
+        let formula =
+            |len: usize| -> Vec<i16> { (0..len as u64).map(|j| seed_value(j) as i16).collect() };
+        let small = grow_seed_table(&[], 10);
+        assert_eq!(small.len(), 16);
+        assert_eq!(&small[..], &formula(16)[..]);
+        let large = grow_seed_table(&small, 200_000);
+        assert_eq!(large.len(), SEED_TABLE_CELLS);
+        assert_eq!(&large[..], &formula(SEED_TABLE_CELLS)[..]);
+        assert_eq!(grow_seed_table(&small, 17).len(), 32);
+
+        // The shared table (which other tests grow concurrently) seeds
+        // short and long arrays alike, before and after it grows.
+        let short = parse_loop("for i = 0..=9 { A[i] = A[i] + 1; }").unwrap();
+        let long = parse_loop("for i = 0..=199999 { A[i] = A[i] + 1; }").unwrap();
+        let expect =
+            |seed: u64, len: u64| -> Vec<i64> { (0..len).map(|k| seed_value(seed + k)).collect() };
+        for seed in [3, 100_000] {
+            let before = Memory::seeded(&short, seed).unwrap().snapshot();
+            assert_eq!(before, vec![expect(seed, 10)]);
+            let grown = Memory::seeded(&long, seed).unwrap().snapshot();
+            assert_eq!(grown, vec![expect(seed, 200_000)]);
+            assert_eq!(Memory::seeded(&short, seed).unwrap().snapshot(), before);
+        }
+        let table = seed_table(100_000, Memory::for_nest(&long).unwrap().layout()).unwrap();
+        assert_eq!(table.len(), SEED_TABLE_CELLS);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! ready-to-run [`CompiledInstance`]: concrete nest, concrete
 //! [`ParallelPlan`], a [`Memory`] sized for that size's footprint, and
 //! the [`CompiledPlan`] engine program — with the only per-size analysis
-//! work being affine bound evaluation.
+//! work being affine bound evaluation. [`instantiate_seeded`] is the
+//! same with the memory seeded in the allocating pass, as a run wants
+//! it.
 //!
 //! Paired with a [`ShardedPlanCache`](crate::sharded::ShardedPlanCache),
 //! keyed by the nest's [`structural hash`](LoopNest::structural_hash)
@@ -45,24 +47,46 @@ pub struct CompiledInstance {
     pub nest: LoopNest,
     /// The concrete plan (identical to what fresh planning would build).
     pub plan: ParallelPlan,
-    /// Arrays sized for this valuation's access footprint (zero-filled;
-    /// call [`Memory::init_deterministic`] for seeded contents).
+    /// Arrays sized for this valuation's access footprint: zero-filled
+    /// by [`instantiate_compiled`], seeded by [`instantiate_seeded`]
+    /// (or later by [`Memory::init_deterministic`]).
     pub memory: Memory,
     /// The compiled engine program for `(nest, plan, memory)`.
     pub compiled: CompiledPlan,
 }
 
-/// Lower `template` at `params` to a ready-to-run [`CompiledInstance`].
-/// The plan assembly is pure bound-row evaluation (no FM, no analysis);
-/// memory allocation and bytecode lowering are the same per-size work
-/// any execution path pays.
+/// Lower `template` at `params` to a ready-to-run [`CompiledInstance`]
+/// with zero-filled memory ([`Memory::for_nest`]). The plan assembly is
+/// pure bound-row evaluation (no FM, no analysis); memory allocation
+/// and bytecode lowering are the same per-size work any execution path
+/// pays.
 pub fn instantiate_compiled(
     template: &PlanTemplate,
     params: &[(&str, i64)],
 ) -> Result<CompiledInstance> {
+    instantiate_with(template, params, Memory::for_nest)
+}
+
+/// [`instantiate_compiled`] with the memory seeded with `seed` as it is
+/// allocated ([`Memory::seeded`]): one pass over the cells instead of a
+/// zero fill and a re-seed.
+pub fn instantiate_seeded(
+    template: &PlanTemplate,
+    params: &[(&str, i64)],
+    seed: u64,
+) -> Result<CompiledInstance> {
+    instantiate_with(template, params, |nest| Memory::seeded(nest, seed))
+}
+
+/// The one instantiation body; `memory` allocates the instance's cells.
+fn instantiate_with(
+    template: &PlanTemplate,
+    params: &[(&str, i64)],
+    memory: impl FnOnce(&LoopNest) -> Result<Memory>,
+) -> Result<CompiledInstance> {
     let nest = template.instantiate_nest(params)?;
     let plan = template.instantiate(params)?;
-    let memory = Memory::for_nest(&nest)?;
+    let memory = memory(&nest)?;
     let compiled = CompiledPlan::compile(&nest, &plan, &memory)?;
     Ok(CompiledInstance {
         nest,
@@ -87,6 +111,8 @@ mod tests {
         for n in [1i64, 17, 40] {
             let mut inst = instantiate_compiled(&template, &[("N", n)]).unwrap();
             inst.memory.init_deterministic(3);
+            let seeded = instantiate_seeded(&template, &[("N", n)], 3).unwrap();
+            assert_eq!(seeded.memory.snapshot(), inst.memory.snapshot(), "N={n}");
             let ran = inst.compiled.run_parallel(&inst.memory).unwrap();
             assert_eq!(ran, n as u64);
 

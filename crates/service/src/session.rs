@@ -34,7 +34,7 @@ use pdm_runtime::lru::Lru;
 use pdm_runtime::sharded::{
     CacheStats, ShardedPlanCache, VerdictCache, VerdictSource, DEFAULT_VERDICT_CAPACITY,
 };
-use pdm_runtime::template::{instantiate_compiled, CompiledInstance};
+use pdm_runtime::template::{instantiate_compiled, instantiate_seeded, CompiledInstance};
 use pdm_runtime::{RuntimeError, Schedule};
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::Ordering;
@@ -366,8 +366,8 @@ impl Session {
     }
 
     /// Instantiate and execute in parallel on the session's pool.
-    /// Memory is seeded deterministically with `seed` before the run,
-    /// so equal requests produce equal checksums.
+    /// Memory is seeded deterministically with `seed` as it is
+    /// allocated, so equal requests produce equal checksums.
     pub fn run(
         &self,
         shape: &LoopNest,
@@ -395,6 +395,10 @@ impl Session {
     /// abandons the request with [`PdmError::DeadlineExceeded`] at the
     /// next boundary.
     ///
+    /// Instantiation seeds the memory in the pass that allocates it
+    /// ([`instantiate_seeded`]); the audit reads only the instance's
+    /// lowering and layout, never cell values.
+    ///
     /// Templates planned **speculatively** (parametric subscripts —
     /// [`PlanTemplate::requires_inspection`]) pass through the
     /// inspector first: the verdict for this `(shape, valuation)` pair
@@ -417,7 +421,7 @@ impl Session {
         deadline: Option<Deadline>,
     ) -> Result<RunOutcome, PdmError> {
         Deadline::check(deadline)?;
-        let mut instance = self.instantiate_template(template, params)?;
+        let mut instance = instantiate_seeded(template, params, seed)?;
         Deadline::check(deadline)?;
         let (verdict, interval_hit) = if template.requires_inspection() {
             let (v, interval_hit) = self.audit_instance(template, params, &instance)?;
@@ -426,7 +430,6 @@ impl Session {
             (None, false)
         };
         Deadline::check(deadline)?;
-        instance.memory.init_deterministic(seed);
         let iterations = self.on_pool(|| match &verdict {
             Some(v) => v.execute(&instance.compiled, &instance.nest, &instance.memory),
             None => instance.compiled.run_parallel(&instance.memory),
@@ -859,6 +862,32 @@ mod tests {
         memory.init_deterministic(seed);
         pdm_runtime::run_sequential(&nest, &memory).unwrap();
         memory.checksum()
+    }
+
+    #[test]
+    fn seeds_past_the_seed_table_match_the_reference() {
+        // 2^40 lies past the shared seed table: every cell is computed
+        // by the formula, and the served checksum must still be the
+        // reference interpreter's, on the certified, refined and
+        // rejected paths alike.
+        let session = Session::builder().threads(2).build();
+        let cases = [
+            (SHIFTED, 0, "certified"),
+            (SHIFTED, 3, "refined"),
+            (PARITY, 3, "rejected"),
+        ];
+        for seed in [1, 1 << 40] {
+            for (src, k, kind) in cases {
+                let shape = session.parse_symbolic(src, &["K"]).unwrap();
+                let out = session.run(&shape, &[("K", k)], seed).unwrap();
+                assert_eq!(out.verdict.as_ref().map(Verdict::kind), Some(kind));
+                assert_eq!(
+                    out.checksum,
+                    reference_checksum(src, k, seed),
+                    "{src} at K={k}, seed {seed}"
+                );
+            }
+        }
     }
 
     #[test]
