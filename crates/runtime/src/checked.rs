@@ -82,13 +82,10 @@ pub fn run_parallel_checked(nest: &LoopNest, plan: &ParallelPlan, mem: &Memory) 
     )?;
 
     // Cross-group conflict detection (keyed by global group index).
-    let (conflicts, sample) = detect_conflicts(layout.cells(), logs, |g0, g1, cell| {
+    race_free(layout.cells(), logs, |g0, g1, cell| {
         let (array, flat) = layout.locate(cell);
         format!("array {array} cell {flat} touched by groups {g0} and {g1}")
     })?;
-    if conflicts > 0 {
-        return Err(RuntimeError::RaceDetected { conflicts, sample });
-    }
     Ok(total)
 }
 
@@ -102,14 +99,16 @@ pub fn run_parallel_checked(nest: &LoopNest, plan: &ParallelPlan, mem: &Memory) 
 /// the subtle first-owner/wrote-flag merge rule lives in exactly one
 /// place. It is also the **certifier** of the speculative inspector
 /// ([`crate::inspector::audit`]), which feeds it one `(cell, wrote)`
-/// summary per touched cell and group instead of execution traces.
-/// `describe(first_owner, unit, cell)` words the first conflict. Returns
-/// the conflict count and that sample (empty when clean).
+/// summary per touched cell and group instead of execution traces, and
+/// refines only the cells it hears of. `conflict(first_owner, unit,
+/// cell)` hears of every conflict in scan order, so every cell two
+/// units touch with a write is named at least once. Returns the
+/// conflict count.
 pub(crate) fn detect_conflicts<K, L>(
     cells: usize,
     logs: impl IntoIterator<Item = (K, L)>,
-    describe: impl Fn(K, K, usize) -> String,
-) -> Result<(usize, String)>
+    mut conflict: impl FnMut(K, K, usize),
+) -> Result<usize>
 where
     K: Copy + PartialEq,
     L: IntoIterator<Item = (usize, bool)>,
@@ -118,7 +117,6 @@ where
     let mut owner: Vec<u64> = memory::zeroed(cells, || "conflict owner table".into())?;
     let mut units: Vec<K> = Vec::new();
     let mut conflicts = 0usize;
-    let mut sample = String::new();
     for (unit, log) in logs {
         units.push(unit);
         let me = (units.len() as u64) << 1;
@@ -131,15 +129,35 @@ where
             let (first, wrote) = (units[(o >> 1) as usize - 1], o & 1 == 1);
             if first != unit && (write || wrote) {
                 conflicts += 1;
-                if sample.is_empty() {
-                    sample = describe(first, unit, cell);
-                }
+                conflict(first, unit, cell);
             } else {
                 owner[cell] = o | u64::from(write);
             }
         }
     }
-    Ok((conflicts, sample))
+    Ok(conflicts)
+}
+
+/// [`detect_conflicts`] as the checkers report it: a conflict is
+/// [`RuntimeError::RaceDetected`], with the count and the first
+/// conflict worded by `describe(first_owner, unit, cell)`.
+fn race_free<K, L>(
+    cells: usize,
+    logs: impl IntoIterator<Item = (K, L)>,
+    describe: impl Fn(K, K, usize) -> String,
+) -> Result<()>
+where
+    K: Copy + PartialEq,
+    L: IntoIterator<Item = (usize, bool)>,
+{
+    let mut sample = None;
+    let conflicts = detect_conflicts(cells, logs, |first, unit, cell| {
+        sample.get_or_insert_with(|| describe(first, unit, cell));
+    })?;
+    match sample {
+        Some(sample) => Err(RuntimeError::RaceDetected { conflicts, sample }),
+        None => Ok(()),
+    }
 }
 
 /// Execute a multi-kernel [`pdm_core::program::ProgramPlan`] stage by
@@ -178,18 +196,13 @@ pub fn run_program_parallel_checked(
                 total += count;
                 units.extend(logs.into_iter().map(|(gid, log)| ((k, gid), log)));
             }
-            let (conflicts, sample) =
-                detect_conflicts(layout.cells(), units, |(k0, g0), (k1, g1), cell| {
-                    let (array, flat) = layout.locate(cell);
-                    format!(
-                        "array {array} cell {flat} touched by kernel {k0} group {g0} \
-                         and kernel {k1} group {g1} in stage {si}"
-                    )
-                })?;
-            if conflicts > 0 {
-                return Err(RuntimeError::RaceDetected { conflicts, sample });
-            }
-            Ok(())
+            race_free(layout.cells(), units, |(k0, g0), (k1, g1), cell| {
+                let (array, flat) = layout.locate(cell);
+                format!(
+                    "array {array} cell {flat} touched by kernel {k0} group {g0} \
+                     and kernel {k1} group {g1} in stage {si}"
+                )
+            })
         },
     )?;
     Ok(total)

@@ -28,13 +28,15 @@
 //! * original lexicographic order is one scalar rank over the nest's
 //!   index box (`Σ (i_k − lo_k)·W_k`), so a `(cell, group)` summary is
 //!   a few plain integers;
-//! * a per-task slot map holds the summaries of the group being walked
-//!   only, so audit scratch grows with one group's touches, never with
-//!   the footprint.
+//! * each task state holds a stamp table indexed by cell id, each entry
+//!   stamped with the generation of the group that wrote it, so a touch
+//!   finds its group's summary in one load and a group starts with one
+//!   increment. Audit scratch is O(cells) per task, allocated fallibly
+//!   and freed when the audit returns.
 //!
-//! The merge is hash-free: certification indexes a dense owner table by
-//! cell id, refinement buckets touches by cell with a counting sort,
-//! and the layering runs over dense group positions.
+//! The merge is hash-free and copies no summary: certification scans the
+//! tasks' summaries in place, and refinement chains only the touches of
+//! the cells certification found conflicting.
 //!
 //! * [`Verdict::Certified`] — no two groups touch a common cell with a
 //!   write. The parallel executors run unchanged.
@@ -94,6 +96,7 @@ use crate::schedule::{self, RangeTask, Schedule};
 use crate::{Result, RuntimeError};
 use pdm_core::plan::ParallelPlan;
 use pdm_loopir::nest::LoopNest;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// The inspector's decision for one `(shape, valuation)` pair.
@@ -171,14 +174,11 @@ impl LexRank {
 /// Per-`(cell, group)` touch summary, updated in walk order; positions
 /// in original order are [`LexRank`] ranks. A group walks in original
 /// order (module docs), so the first touch has the least rank and the
-/// latest touch the greatest.
-#[derive(Debug, Clone, Copy)]
+/// latest touch the greatest. The group is implied ([`AuditLocal`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Touches {
-    /// Cell id of the [`Layout`].
-    cell: usize,
-    /// Position of the group in walk order (task-local until the merge
-    /// rebases it).
-    group: usize,
+    /// [`Layout`] cell id (an audited layout has fewer than 2³² cells).
+    cell: u32,
     wrote: bool,
     /// Rank of the first touch.
     min: i64,
@@ -186,128 +186,101 @@ struct Touches {
     max: i64,
 }
 
-/// Cell → touch-slot map for the group being walked: linear probing over
-/// a power-of-two table whose entries carry the generation of the group
-/// that wrote them, so starting the next group is one increment. Its size
-/// follows the largest group's touch count, never the array footprint.
-struct SlotMap {
-    /// `(cell, generation, slot)`; an entry of another generation is
-    /// empty.
-    table: Vec<(usize, u32, usize)>,
+/// One task's cell → summary table, indexed by [`Layout`] cell id:
+/// `(generation, slot among the group's summaries)`, where an entry of
+/// another generation is empty, so the next group starts with one
+/// increment and the table is cleared only when the generation wraps.
+#[derive(Default)]
+struct Stamps {
+    table: Vec<(u32, u32)>,
     generation: u32,
-    len: usize,
 }
 
-impl SlotMap {
-    fn new() -> SlotMap {
-        SlotMap {
-            table: vec![(0, 0, 0); 16],
-            generation: 1,
-            len: 0,
-        }
-    }
-
-    /// Forget every entry: the walk moves on to the next group.
-    fn clear(&mut self) {
-        self.len = 0;
+impl Stamps {
+    /// Forget every entry: the next group's generation.
+    fn next_group(&mut self) -> u32 {
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
-            self.table.fill((0, 0, 0));
+            self.table.fill((0, 0));
             self.generation = 1;
         }
-    }
-
-    /// Fibonacci hashing: the top bits of `cell · 2⁶⁴/φ`.
-    #[inline]
-    fn home(&self, cell: usize) -> usize {
-        let h = (cell as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h >> (64 - self.table.len().trailing_zeros())) as usize
-    }
-
-    /// The slot of `cell`, or `None` after recording `slot` as its slot.
-    #[inline]
-    fn get_or_insert(&mut self, cell: usize, slot: usize) -> Option<usize> {
-        if (self.len + 1) * 2 > self.table.len() {
-            let live: Vec<(usize, u32, usize)> = self
-                .table
-                .iter()
-                .copied()
-                .filter(|e| e.1 == self.generation)
-                .collect();
-            self.table = vec![(0, 0, 0); self.table.len() * 2];
-            self.len = 0;
-            for (c, _, s) in live {
-                self.get_or_insert(c, s);
-            }
-        }
-        let mask = self.table.len() - 1;
-        let mut p = self.home(cell);
-        loop {
-            let (c, g, s) = self.table[p];
-            if g != self.generation {
-                self.table[p] = (cell, self.generation, slot);
-                self.len += 1;
-                return None;
-            }
-            if c == cell {
-                return Some(s);
-            }
-            p = (p + 1) & mask;
-        }
+        self.generation
     }
 }
 
 /// One range task's worth of audit state, merged at the barrier: the
-/// touch summaries (each group's contiguous, groups in walk order) and
-/// the groups walked.
+/// touch summaries in walk order, and each walked group's id with the
+/// range of its summaries.
+#[derive(Debug, PartialEq)]
 struct AuditLocal {
     touches: Vec<Touches>,
-    groups: Vec<u64>,
+    groups: Vec<(u64, Range<usize>)>,
+}
+
+/// Every walked group's id and summaries, tasks in task order: the
+/// sequential walk's groups, read in place.
+fn walked(locals: &[AuditLocal]) -> impl Iterator<Item = (u64, &[Touches])> {
+    locals.iter().flat_map(|l| {
+        l.groups
+            .iter()
+            .map(|(gid, r)| (*gid, &l.touches[r.clone()]))
+    })
 }
 
 /// Walk one contiguous group range with a worker's reused walk state
-/// and slot map, and summarize its touches. A group lies wholly within
-/// one range, so a `(cell, group)` summary never needs cross-task
-/// merging.
+/// and stamp table, and summarize its touches. A group lies wholly
+/// within one range, so a `(cell, group)` summary never needs
+/// cross-task merging.
 fn audit_range<'a>(
     cp: &'a CompiledPlan,
     layout: &Layout,
     lex: &LexRank,
     task: &RangeTask<'a>,
-    (state, slots): &mut (TaskState<'a>, SlotMap),
+    (state, stamps): &mut (TaskState<'a>, Stamps),
 ) -> Result<AuditLocal> {
     let (walker, program) = (cp.walker(), cp.program());
     let mut local = AuditLocal {
         touches: Vec::new(),
         groups: Vec::new(),
     };
+    // Room for each group of the range with one iteration's accesses, an
+    // estimate (a range may end past the space): a refusal is harmless.
+    let groups = task.end().saturating_sub(task.start()) as usize;
+    let touches = groups.saturating_mul(program.accesses().len());
+    let _ = local.groups.try_reserve(groups);
+    let _ = local.touches.try_reserve(touches);
+    if stamps.table.len() != layout.cells() {
+        stamps.table = memory::zeroed(layout.cells(), || "audit stamp table".into())?;
+    }
     let TaskState { cursor, scratch } = state;
     task.for_each(cursor, |gid, prefix, o| {
-        let group = local.groups.len();
-        local.groups.push(gid);
-        slots.clear();
+        let generation = stamps.next_group();
+        let (table, touches) = (&mut stamps.table, &mut local.touches);
+        let start = touches.len();
         let mut last = -1;
         walker.walk(prefix, o, scratch, |sc| {
             let rank = lex.rank(&sc.idx);
             debug_assert!(rank > last, "group {gid} walks against original order");
             last = rank;
             program.for_each_access(layout, sc, |cell, write| {
-                match slots.get_or_insert(cell, local.touches.len()) {
-                    Some(i) => {
-                        let t = &mut local.touches[i];
-                        t.wrote |= write;
-                        t.max = rank;
-                    }
-                    None => local.touches.push(Touches {
-                        cell,
-                        group,
+                let (stamp, slot) = &mut table[cell];
+                if *stamp == generation {
+                    let t = &mut touches[start + *slot as usize];
+                    t.wrote |= write;
+                    t.max = rank;
+                } else {
+                    // Slots count the group's cells, so fit a `u32`.
+                    (*stamp, *slot) = (generation, (touches.len() - start) as u32);
+                    touches.push(Touches {
+                        cell: cell as u32,
                         wrote: write,
                         min: rank,
                         max: rank,
-                    }),
+                    });
                 }
             })
         })?;
+        local.groups.push((gid, start..touches.len()));
         Ok(())
     })?;
     Ok(local)
@@ -317,10 +290,11 @@ fn audit_range<'a>(
 /// speculative `plan`: walk every group's iterations in plan order,
 /// summarize every access (guards respected, body **not** executed),
 /// and classify the result. See the [module docs](self) for the
-/// decision rules. Cost is one extra pass over the iteration space
-/// (servebench's `inspect_mixed` ledger times it as
-/// `inspector.audit_us`), and the walk fans out over the same group
-/// ranges the executors use, so first-contact audits scale with cores.
+/// decision rules. Cost is the layout, a lowering and about one extra
+/// walk of the iteration space; servebench's traced `inspector.audit_us`
+/// row times this function on the bare nest, layout and lowering
+/// included. The walk fans out over the same group ranges the executors
+/// use, so first-contact audits scale with cores.
 ///
 /// Determinism: tasks cover disjoint ascending ranges and are merged in
 /// task order, and every later pass runs over dense cell ids and group
@@ -336,14 +310,17 @@ pub fn audit(nest: &LoopNest, plan: &ParallelPlan) -> Result<Verdict> {
 /// [`audit`] of a plan already lowered against `layout` — an
 /// instance's [`CompiledPlan`] and its memory's layout — with no
 /// lowering and no index-range projection of its own: lexicographic
-/// ranks come from the layout's index ranges. A plan whose accesses
-/// do not address the layout's array cells is refused.
+/// ranks come from the layout's index ranges. This is the audit the
+/// session serves. A plan whose accesses do not address the layout's
+/// cells is refused; 2³² cells or more are an `Overflow`.
 pub fn audit_compiled(cp: &CompiledPlan, layout: &Layout) -> Result<Verdict> {
     if !cp.program().fits(layout) {
         return Err(RuntimeError::Core(
             "plan was lowered against a different layout".into(),
         ));
     }
+    u32::try_from(layout.cells())
+        .map_err(|_| RuntimeError::Matrix(pdm_matrix::MatrixError::Overflow))?;
     let lex = LexRank::new(layout.ranges())?;
     let tasks = cp
         .walker()
@@ -351,132 +328,122 @@ pub fn audit_compiled(cp: &CompiledPlan, layout: &Layout) -> Result<Verdict> {
     let mut locals = Vec::new();
     schedule::run_stages(
         std::slice::from_ref(&tasks),
-        || (cp.new_task_state(), SlotMap::new()),
+        || (cp.new_task_state(), Stamps::default()),
         |state, task| audit_range(cp, layout, &lex, task, state),
         |_, results| {
             locals = results;
             Ok(())
         },
     )?;
-
-    // Merge in task order, rebasing each task's group positions: the
-    // concatenation is the sequential walk's summary.
-    let mut touches: Vec<Touches> =
-        Vec::with_capacity(locals.iter().map(|l| l.touches.len()).sum());
-    let mut groups: Vec<u64> = Vec::new();
-    for local in locals {
-        let base = groups.len();
-        touches.extend(local.touches.into_iter().map(|t| Touches {
-            group: base + t.group,
-            ..t
-        }));
-        groups.extend(local.groups);
-    }
-
-    // Certify cross-group independence with the race checker's scan,
-    // one `(cell, wrote)` entry per touched cell of each group.
-    let (conflicts, _) = detect_conflicts(
-        layout.cells(),
-        touches
-            .chunk_by(|a, b| a.group == b.group)
-            .map(|run| (run[0].group, run.iter().map(|t| (t.cell, t.wrote)))),
-        |_, _, _| String::new(),
-    )?;
-    if conflicts == 0 {
-        return Ok(Verdict::Certified);
-    }
-    refine(layout, &touches, &groups)
+    decide(layout, &locals)
 }
 
-/// Refinement of a conflicting audit: direct each conflict, reject
-/// overlaps, and layer the group DAG by longest path.
-fn refine(layout: &Layout, touches: &[Touches], groups: &[u64]) -> Result<Verdict> {
-    // Counting sort by cell, stable, so each cell's bucket lists its
-    // touches in ascending group position.
-    let mut next: Vec<usize> = memory::zeroed(layout.cells(), || "audit cell buckets".into())?;
-    for t in touches {
-        next[t.cell] += 1;
+/// Classify a walked audit. Cross-group independence is certified by
+/// the race checker's scan, one `(cell, wrote)` entry per touched cell
+/// of each group, which also names the cells to refine.
+fn decide(layout: &Layout, locals: &[AuditLocal]) -> Result<Verdict> {
+    let mut conflicting: Vec<usize> = Vec::new();
+    detect_conflicts(
+        layout.cells(),
+        walked(locals).map(|(gid, run)| (gid, run.iter().map(|t| (t.cell as usize, t.wrote)))),
+        |_, _, cell| conflicting.push(cell),
+    )?;
+    if conflicting.is_empty() {
+        return Ok(Verdict::Certified);
     }
-    let mut end = 0usize;
-    for n in &mut next {
-        end += *n;
-        *n = end;
-    }
-    let mut by_cell = vec![0usize; touches.len()];
-    for (i, t) in touches.iter().enumerate().rev() {
-        next[t.cell] -= 1;
-        by_cell[next[t.cell]] = i;
-    }
+    refine(layout, locals, &conflicting)
+}
 
-    // Direct every conflicting pair. The first interleave in ascending
-    // (cell, lower group, higher group) order names the rejection.
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    for bucket in by_cell.chunk_by(|&a, &b| touches[a].cell == touches[b].cell) {
-        for (i, ta) in bucket.iter().map(|&a| &touches[a]).enumerate() {
-            for tb in bucket[i + 1..].iter().map(|&b| &touches[b]) {
+/// Refinement of a conflicting audit: direct every conflict on the
+/// `conflicting` cells in one pass over the summaries, reject overlaps,
+/// and layer the group DAG by longest path. Nothing is sorted.
+fn refine(layout: &Layout, locals: &[AuditLocal], conflicting: &[usize]) -> Result<Verdict> {
+    // `last[cell]`: 1 + the latest hit on a conflicting cell (`END` before
+    // its first, 0 elsewhere); each hit links its cell's previous one.
+    const END: usize = usize::MAX;
+    let mut last: Vec<usize> = memory::zeroed(layout.cells(), || "audit conflict chains".into())?;
+    for &cell in conflicting {
+        last[cell] = END;
+    }
+    // Edges go into per-group lists (`head[g]` is 1 + g's latest edge in
+    // `succ`, each edge links the one before). The rejection names the
+    // first interleave in ascending (cell, lower, higher group) order.
+    let n = locals.iter().map(|l| l.groups.len()).sum();
+    let mut gids: Vec<u64> = Vec::with_capacity(n);
+    let (mut head, mut indeg) = (vec![0usize; n], vec![0usize; n]);
+    let mut hits: Vec<(usize, &Touches, usize)> = Vec::with_capacity(2 * conflicting.len());
+    let mut succ: Vec<(usize, usize)> = Vec::with_capacity(conflicting.len());
+    let mut interleave: Option<(u32, usize, usize)> = None;
+    for (gb, (gid, run)) in walked(locals).enumerate() {
+        gids.push(gid);
+        for tb in run {
+            let latest = last[tb.cell as usize];
+            if latest == 0 {
+                continue;
+            }
+            let mut earlier = latest;
+            while earlier != END {
+                let (ga, ta, next) = hits[earlier - 1];
+                earlier = next;
                 if !ta.wrote && !tb.wrote {
                     continue;
                 }
-                if ta.max < tb.min {
-                    edges.push((ta.group, tb.group));
+                let (a, b) = if ta.max < tb.min {
+                    (ga, gb)
                 } else if tb.max < ta.min {
-                    edges.push((tb.group, ta.group));
+                    (gb, ga)
                 } else {
-                    let (array, flat) = layout.locate(ta.cell);
-                    return Ok(Verdict::Rejected {
-                        reason: format!(
-                            "groups {} and {} interleave conflicting touches of cell {flat} \
-                             of array {}",
-                            groups[ta.group],
-                            groups[tb.group],
-                            layout.arrays()[array].name
-                        ),
-                    });
+                    let at = (tb.cell, ga, gb);
+                    interleave = Some(interleave.map_or(at, |first| first.min(at)));
+                    continue;
+                };
+                // Neighbouring cells often repeat a group's latest edge.
+                if head[a] == 0 || succ[head[a] - 1].0 != b {
+                    succ.push((b, head[a]));
+                    head[a] = succ.len();
+                    indeg[b] += 1;
                 }
             }
+            hits.push((gb, tb, latest));
+            last[tb.cell as usize] = hits.len();
         }
     }
-    edges.sort_unstable();
-    edges.dedup();
+    if let Some((cell, ga, gb)) = interleave {
+        let (array, flat) = layout.locate(cell as usize);
+        let (a, b, name) = (gids[ga], gids[gb], &layout.arrays()[array].name);
+        let reason = format!(
+            "groups {a} and {b} interleave conflicting touches of cell {flat} of array {name}"
+        );
+        return Ok(Verdict::Rejected { reason });
+    }
 
     // Kahn longest-path layering over dense group positions (isolated
-    // groups land in stage 0; `edges` sorted by source is the successor
-    // table). A cycle means contradictory directions → reject.
-    let n = groups.len();
-    let mut indeg = vec![0usize; n];
-    let mut first = vec![0usize; n + 1];
-    for &(a, b) in &edges {
-        indeg[b] += 1;
-        first[a + 1] += 1;
-    }
-    for g in 0..n {
-        first[g + 1] += first[g];
-    }
+    // groups land in stage 0); a cycle means contradictory directions.
     let mut layer = vec![0usize; n];
     let mut queue: Vec<usize> = (0..n).filter(|&g| indeg[g] == 0).collect();
     let mut done = 0usize;
     while let Some(g) = queue.pop() {
         done += 1;
-        for &(_, s) in &edges[first[g]..first[g + 1]] {
+        let mut e = head[g];
+        while e != 0 {
+            let (s, next) = succ[e - 1];
             layer[s] = layer[s].max(layer[g] + 1);
             indeg[s] -= 1;
             if indeg[s] == 0 {
                 queue.push(s);
             }
+            e = next;
         }
     }
     if done != n {
-        return Ok(Verdict::Rejected {
-            reason: "group-dependence graph has a cycle".into(),
-        });
+        let reason = "group-dependence graph has a cycle".into();
+        return Ok(Verdict::Rejected { reason });
     }
-    let depth = layer.iter().copied().max().unwrap_or(0) + 1;
-    let mut stages: Vec<Vec<u64>> = vec![Vec::new(); depth];
-    for (&g, &l) in groups.iter().zip(&layer) {
+    // Group ids ascend with position (tasks cover ascending ranges), so
+    // every stage comes out sorted.
+    let mut stages: Vec<Vec<u64>> = vec![Vec::new(); layer.iter().max().map_or(1, |d| d + 1)];
+    for (&g, &l) in gids.iter().zip(&layer) {
         stages[l].push(g);
-    }
-    for s in &mut stages {
-        s.sort_unstable();
     }
     Ok(Verdict::Refined { stages })
 }
@@ -870,6 +837,39 @@ mod tests {
             }
             other => panic!("expected an interleave rejection, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn stamp_generations_wrap_without_losing_touches() {
+        // Rows are the hull's groups, each touching two cells four times;
+        // K = 1 directs row i into row i + 1. A table near u32::MAX wraps
+        // in the second group, and its stale entries carry the generation
+        // the wrap restarts at: a wrap that kept them would see touches.
+        let src = "for i1 = 0..=5 { for i2 = 0..=3 { A[i1 + K, 0] = A[i1, 0] + 1; } }";
+        let t = plan_template(&parse_loop_symbolic(src, &["K"]).unwrap()).unwrap();
+        let inst = crate::template::instantiate_compiled(&t, &[("K", 1)]).unwrap();
+        let (cp, layout) = (&inst.compiled, inst.memory.layout());
+        let lex = LexRank::new(layout.ranges()).unwrap();
+        let all = cp.walker().range(0, u64::MAX);
+        let walk = |stamps: Stamps| {
+            let state = &mut (cp.new_task_state(), stamps);
+            audit_range(cp, layout, &lex, &all, state).unwrap()
+        };
+        let fresh = walk(Stamps::default());
+        let wrapped = walk(Stamps {
+            table: vec![(1, 0); layout.cells()],
+            generation: u32::MAX - 1,
+        });
+        assert_eq!(fresh.groups.len(), 6);
+        assert!(fresh.touches.iter().all(|t| t.max > t.min), "{fresh:?}");
+        assert_eq!(wrapped, fresh);
+        let verdict = decide(layout, &[wrapped]).unwrap();
+        assert_eq!(verdict, decide(layout, &[fresh]).unwrap());
+        assert_eq!(verdict, audit_compiled(cp, layout).unwrap());
+        let Verdict::Refined { stages } = verdict else {
+            panic!("expected refinement, got {verdict:?}")
+        };
+        assert_eq!(stages.len(), 6, "one stage per row: {stages:?}");
     }
 
     #[test]

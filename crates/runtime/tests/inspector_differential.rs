@@ -19,7 +19,7 @@ use pdm_loopir::generator::{random_inspector_nest, random_nest, GenConfig};
 use pdm_loopir::nest::LoopNest;
 use pdm_loopir::stmt::AccessKind;
 use pdm_matrix::vec::IVec;
-use pdm_runtime::inspector::{audit, run_with_verdict};
+use pdm_runtime::inspector::{audit, audit_compiled, run_with_verdict};
 use pdm_runtime::{Memory, RuntimeError, Verdict, Walker};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -503,6 +503,65 @@ fn edge_shapes_audit_like_the_reference() {
         }
         assert!(kinds.len() >= 2, "{src}: only {kinds:?}");
     }
+}
+
+/// The four parametric-subscript shapes servebench's `inspect_mixed`
+/// serves (`servebench/src/workload.rs`), each with the values of `K`
+/// sampled here: shifted paper §4.1, row shift, parity and chain.
+const SERVED_SHAPES: [(&str, &[i64]); 4] = [
+    (
+        "for i1 = 0..=19 { for i2 = 0..=19 {
+           A[5*i1 + i2 + K, 7*i1 + 2*i2] = A[i1 + i2 + 4 + K, i1 + 2*i2 + 6] + 1;
+         } }",
+        &[0, 7],
+    ),
+    (
+        "for i1 = 0..=24 { for i2 = 0..=24 {
+           A[i1 + K, i2] = A[i1, i2] + B[2*i1 + i2, i1] + C[i1 + 2*i2, i2] + D[i1 + i2, 2*i1] + 1;
+         } }",
+        &[-24, -5, -1, 1, 5, 24, 25, 30],
+    ),
+    (
+        "for i = 0..=999 { A[i + K] = A[i - 2] + 1; }",
+        &[4, 5, 100, 101],
+    ),
+    (
+        "for i = 0..=19 { A[i + K] = A[i] + 1; }",
+        &[-19, -1, 1, 19, 20],
+    ),
+];
+
+/// The served audit (an instance's own lowering over its memory's
+/// layout) decides the served shapes as the reference does, and gives
+/// the same full verdict, rejection reason included, on pools of width
+/// 1 and 2.
+#[test]
+fn served_shapes_audit_like_the_reference() {
+    let pools = [1, 2].map(|n| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(n)
+            .build()
+            .unwrap()
+    });
+    let mut kinds = BTreeSet::new();
+    for (src, ks) in SERVED_SHAPES {
+        let shape = pdm_loopir::parse::parse_loop_symbolic(src, &["K"]).unwrap();
+        let t = plan_template(&shape).unwrap();
+        for &k in ks {
+            let inst = pdm_runtime::template::instantiate_compiled(&t, &[("K", k)]).unwrap();
+            let [narrow, wide] = &pools;
+            let served = || audit_compiled(&inst.compiled, inst.memory.layout()).unwrap();
+            let v = narrow.install(served);
+            assert_eq!(wide.install(served), v, "{src} K={k}: pool widths differ");
+            assert_eq!(
+                verdict_shape(&v),
+                verdict_shape(&reference_audit(&inst.nest, &inst.plan)),
+                "{src} K={k}"
+            );
+            kinds.insert(v.kind());
+        }
+    }
+    assert_eq!(kinds.len(), 3, "verdict kinds seen: {kinds:?}");
 }
 
 #[test]

@@ -783,10 +783,10 @@ mod tests {
 
     #[test]
     fn audits_run_at_the_session_thread_count() {
-        // A fresh 32×32 audit walks for milliseconds, far past
-        // rayon::SPAWN_AFTER, so its region goes as wide as the pool it
-        // runs under. The call opens from a 4-wide context: an audit that
-        // ignored the session's own width would run 4 wide there.
+        // A fresh 96×96 audit walks for hundreds of microseconds, far
+        // past rayon::SPAWN_AFTER, so its region goes as wide as the pool
+        // it runs under. The call opens from a 4-wide context: an audit
+        // that ignored the session's own width would run 4 wide there.
         let wide = rayon::ThreadPoolBuilder::new()
             .num_threads(4)
             .build()
@@ -795,7 +795,7 @@ mod tests {
             let session = Session::builder().threads(threads).build();
             let shape = session
                 .parse_symbolic(
-                    "for i1 = 0..=31 { for i2 = 0..=31 {
+                    "for i1 = 0..=95 { for i2 = 0..=95 {
                         A[5*i1 + i2 + K, 7*i1 + 2*i2] = A[i1 + i2 + 4, i1 + 2*i2 + 6] + 1;
                     } }",
                     &["K"],
