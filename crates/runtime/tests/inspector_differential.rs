@@ -564,6 +564,84 @@ fn served_shapes_audit_like_the_reference() {
     assert_eq!(kinds.len(), 3, "verdict kinds seen: {kinds:?}");
 }
 
+/// Generated shapes where three or more groups touch one conflicting
+/// cell (found by a seed sweep): every pair on such a cell that writes
+/// must be directed, not only neighbouring touches, and a read pair
+/// must not be, or the stages come out wrong.
+#[test]
+fn crowded_cells_audit_like_the_reference() {
+    let (a, b) = (&REFERENCE_CFGS[3], &REFERENCE_CFGS[1]);
+    for (seed, cfg, ks) in [
+        (2_494_498, a, &[1, 3, 5, 7][..]),
+        (21_262_528, a, &[1, 3, 5, 7]),
+        (14_452_188, b, &[-3, -1, 1, 3]),
+        (5_852_154, b, &[-5, -2]),
+    ] {
+        let t = plan_template(&random_inspector_nest(seed, cfg, &["K"]).unwrap()).unwrap();
+        for &k in ks {
+            let vals = [("K", k)];
+            let (nest, plan) = (
+                t.instantiate_nest(&vals).unwrap(),
+                t.instantiate(&vals).unwrap(),
+            );
+            let v = audit(&nest, &plan).unwrap();
+            assert_eq!(v.kind(), "refined", "seed {seed} K={k}");
+            assert_eq!(
+                verdict_shape(&v),
+                verdict_shape(&reference_audit(&nest, &plan)),
+                "seed {seed} K={k}"
+            );
+        }
+    }
+}
+
+/// A rejection names the first interleave in ascending (cell, lower
+/// group, higher group) order, whatever order the audit meets
+/// conflicts in. The reasons were recorded from the counting-sort
+/// refinement that preceded the dense kernel.
+#[test]
+fn rejection_reasons_name_the_first_interleave() {
+    let cfg = |depth, coeff, offset, stmts, arrays| GenConfig {
+        depth,
+        extent: if depth == 3 { 3 } else { 4 },
+        coeff,
+        offset,
+        stmts,
+        arrays,
+    };
+    for (seed, cfg, k, reason) in [
+        (
+            981_969,
+            cfg(2, 2, 3, 2, 2),
+            -1,
+            "groups 0 and 1 interleave conflicting touches of cell 74 of array A1",
+        ),
+        (
+            688_966,
+            cfg(2, 1, 1, 1, 1),
+            2,
+            "groups 2 and 4 interleave conflicting touches of cell 16 of array A0",
+        ),
+        (
+            1_172_025,
+            cfg(3, 2, 2, 2, 2),
+            -4,
+            "groups 1 and 3 interleave conflicting touches of cell 5243 of array A1",
+        ),
+    ] {
+        let t = plan_template(&random_inspector_nest(seed, &cfg, &["K"]).unwrap()).unwrap();
+        let vals = [("K", k)];
+        let (nest, plan) = (
+            t.instantiate_nest(&vals).unwrap(),
+            t.instantiate(&vals).unwrap(),
+        );
+        let want = Verdict::Rejected {
+            reason: reason.into(),
+        };
+        assert_eq!(audit(&nest, &plan).unwrap(), want, "seed {seed} K={k}");
+    }
+}
+
 #[test]
 fn index_box_past_i64_ranks_is_a_typed_overflow() {
     // 10⁵ values per level over four levels: 10²⁰ points have no i64
