@@ -21,7 +21,7 @@
 
 use crate::compile::{CompiledPlan, TaskState};
 use crate::memory::{self, Memory};
-use crate::schedule::{self, RangeTask, Schedule};
+use crate::schedule::{self, RangeTask};
 use crate::staged::CompiledProgram;
 use crate::{Result, RuntimeError};
 use pdm_core::plan::ParallelPlan;
@@ -55,17 +55,16 @@ fn log_task<'a>(
 
 /// Execute the plan in parallel while logging accesses per group; after
 /// the run, detect cross-group conflicts. Groups are streamed in
-/// contiguous index ranges
-/// ([`crate::schedule::plan_range_tasks`]) on the vendored pool —
-/// the group list is never materialized, only the access logs are.
+/// contiguous index ranges, one per pool block
+/// ([`crate::compile::Walker::tasks`]), on the vendored pool — the
+/// group list is never materialized, only the access logs are.
 ///
 /// Returns the number of iterations executed, or
 /// [`RuntimeError::RaceDetected`].
 pub fn run_parallel_checked(nest: &LoopNest, plan: &ParallelPlan, mem: &Memory) -> Result<u64> {
     let cp = CompiledPlan::compile(nest, plan, mem)?;
     let layout = mem.layout();
-    let sched = Schedule::default();
-    let tasks = cp.walker().tasks(&sched, rayon::current_num_threads())?;
+    let tasks = cp.walker().tasks(rayon::current_num_threads())?;
     let mut total = 0u64;
     let mut logs: GroupLogs = Vec::new();
     schedule::run_stages(
@@ -180,8 +179,7 @@ pub fn run_program_parallel_checked(
 ) -> Result<u64> {
     let program = CompiledProgram::compile(pp, mem)?;
     let layout = mem.layout();
-    let sched = Schedule::default();
-    let stages = program.stage_tasks(&sched, rayon::current_num_threads())?;
+    let stages = program.stage_tasks(rayon::current_num_threads())?;
     let mut total = 0u64;
     schedule::run_stages(
         &stages,

@@ -33,14 +33,14 @@
 //! and test oracles record the points they see.
 //!
 //! Scheduling: [`CompiledPlan::run_parallel`] splits the group *index
-//! space* (doall-prefix values × partition offsets) into contiguous
-//! ranges ([`crate::schedule::plan_range_tasks`] — finer ranges when
-//! per-group cost is skewed, so helper threads have ranges left to
-//! claim) and hands them to the crate's one stage driver. Each
-//! worker keeps one [`TaskState`] — a streaming
-//! [`crate::schedule::GroupCursor`] and a [`PlanScratch`] — and every
-//! range it claims positions that cursor in place and walks forward:
-//! the group list is never materialized, and a range allocates nothing.
+//! space* (doall-prefix values × partition offsets) into one contiguous
+//! range per pool block ([`Walker::tasks`]) and hands them to the
+//! crate's one stage driver. Each worker keeps one [`TaskState`] — a
+//! streaming [`crate::schedule::GroupCursor`] and a [`PlanScratch`] —
+//! and every range it claims positions that cursor in place (the
+//! region's caller, claiming in order, never moves it; a helper seeks
+//! once) and walks forward: the group list is never materialized, and a
+//! range allocates nothing.
 
 use crate::memory::{Layout, Memory};
 use crate::program::{Program, Scratch};
@@ -145,18 +145,6 @@ impl CompiledBounds {
             .iter()
             .chain(uppers)
             .any(|b| b.coeffs.iter().any(|&c| c != 0))
-    }
-
-    /// Does level `k`'s range read any of the first `z` variables
-    /// specifically? Drives cost-skew detection
-    /// ([`crate::schedule::cost_skewed`]): only trailing levels reading
-    /// a *doall prefix* variable make per-group cost uneven.
-    pub fn reads_prefix(&self, k: usize, z: usize) -> bool {
-        let (lowers, uppers) = &self.levels[k];
-        lowers
-            .iter()
-            .chain(uppers)
-            .any(|b| b.coeffs.iter().take(z).any(|&c| c != 0))
     }
 
     /// Effective `(lo, hi)` of level `k` at the current point `x` (only
@@ -315,10 +303,24 @@ impl Walker {
         &self.offsets
     }
 
-    /// Split the group space into range tasks for `threads` workers
-    /// ([`crate::schedule::plan_range_tasks`]).
-    pub(crate) fn tasks(&self, sched: &Schedule, threads: usize) -> Result<Vec<RangeTask<'_>>> {
-        schedule::plan_range_tasks(&self.bounds, self.z, self.offsets.len(), sched, threads)
+    /// Split the group space into contiguous range tasks for `threads`
+    /// workers, one per block the vendored pool cuts a region into
+    /// (`threads × rayon::BLOCKS_PER_WORKER`, fewer when the space has
+    /// fewer groups). Each task seeks its start when it runs, unless the
+    /// worker's cursor already sits there.
+    pub fn tasks(&self, threads: usize) -> Result<Vec<RangeTask<'_>>> {
+        let total = self.group_count()?;
+        let chunk = total.div_ceil(schedule::task_target(threads) as u64).max(1);
+        Ok((0..total)
+            .step_by(chunk as usize)
+            .map(|start| self.range(start, (start + chunk).min(total)))
+            .collect())
+    }
+
+    /// Exact number of independent groups (prefix values × offsets),
+    /// computed without materializing them ([`crate::schedule::group_count`]).
+    fn group_count(&self) -> Result<u64> {
+        schedule::group_count(&self.bounds, self.z, self.offsets.len())
     }
 
     /// One range task over groups `start..end`, positioned by a seek
@@ -558,8 +560,7 @@ impl CompiledPlan {
     /// Exact number of independent groups (prefix values × offsets),
     /// computed without materializing them ([`crate::schedule::group_count`]).
     pub fn group_count(&self) -> Result<u64> {
-        let w = &self.walker;
-        schedule::group_count(&w.bounds, w.z, w.offsets.len())
+        self.walker.group_count()
     }
 
     /// Allocate reusable walk state.
@@ -597,22 +598,19 @@ impl CompiledPlan {
         walker.walk(&[], 0, &mut s, |sc| self.program.exec(mem, sc))
     }
 
-    /// Execute all groups **in parallel** with streaming range
-    /// scheduling and the default [`Schedule`]: the group index space is
-    /// split into contiguous ranges — finer when per-group cost is
-    /// skewed ([`crate::schedule::cost_skewed`]), so the pool's helper
-    /// threads always find ranges to claim — with a pre-positioned
-    /// cursor per range ([`crate::schedule::plan_range_tasks`]) and one
-    /// reused scratch per task; zero up-front group materialization.
-    /// Returns the total iteration count.
-    pub fn run_parallel(&self, mem: &Memory) -> Result<u64> {
-        self.run_parallel_scheduled(mem, Schedule::default())
+    /// [`CompiledPlan::run_parallel`], taking the replay-only
+    /// [`Schedule`] shim, which it ignores.
+    pub fn run_parallel_scheduled(&self, mem: &Memory, _: Schedule) -> Result<u64> {
+        self.run_parallel(mem)
     }
 
-    /// [`CompiledPlan::run_parallel`] with an explicit [`Schedule`]: one
-    /// stage of range tasks through `schedule::run_stages`.
-    pub fn run_parallel_scheduled(&self, mem: &Memory, sched: Schedule) -> Result<u64> {
-        let tasks = self.walker.tasks(&sched, rayon::current_num_threads())?;
+    /// Execute all groups **in parallel** with streaming range
+    /// scheduling: one stage of range tasks, one per pool block
+    /// ([`Walker::tasks`]), through `schedule::run_stages`, each worker
+    /// reusing one cursor and one scratch; zero up-front group
+    /// materialization. Returns the total iteration count.
+    pub fn run_parallel(&self, mem: &Memory) -> Result<u64> {
+        let tasks = self.walker.tasks(rayon::current_num_threads())?;
         let mut total = 0u64;
         schedule::run_stages(
             std::slice::from_ref(&tasks),
@@ -809,6 +807,34 @@ mod tests {
             .build()
             .unwrap();
         pool.install(|| cp.run_parallel(&m2)).unwrap();
+        assert_eq!(m1.snapshot(), m2.snapshot());
+    }
+
+    #[test]
+    fn helpers_seek_into_a_prefix_dependent_space() {
+        // Level 1 reads level 0 (z = 2, 45,150 one-iteration groups), and
+        // the run outlives `rayon::SPAWN_AFTER`, so a helper joins and
+        // seeks to the start of every block it claims.
+        let nest =
+            parse_loop("for i = 0..=299 { for j = 0..=i { A[i, j] = A[i, j] + j; } }").unwrap();
+        let plan = parallelize(&nest).unwrap();
+        assert_eq!(plan.doall_count(), 2);
+        let mut m1 = Memory::for_nest(&nest).unwrap();
+        let mut m2 = Memory::for_nest(&nest).unwrap();
+        m1.init_deterministic(3);
+        m2.init_deterministic(3);
+        run_sequential(&nest, &m1).unwrap();
+        let cp = CompiledPlan::compile(&nest, &plan, &m2).unwrap();
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .unwrap();
+        let (count, threads) = pool.install(|| {
+            let count = cp.run_parallel(&m2).unwrap();
+            (count, rayon::last_region_threads())
+        });
+        assert_eq!(count, 45_150);
+        assert_eq!(threads, 2, "a helper must have joined the region");
         assert_eq!(m1.snapshot(), m2.snapshot());
     }
 }

@@ -15,9 +15,8 @@
 //! [`RuntimeConfig::global`] is the cached process-wide instance: the
 //! environment is read on first use and never again, so per-request
 //! paths pay an atomic load instead of env lookups. No knob tunes
-//! execution: every executor runs the default
-//! [`Schedule`](crate::schedule::Schedule), whose finer split on
-//! cost-skewed group spaces is picked from the input.
+//! execution: every executor splits its groups into one range per
+//! block of the vendored pool ([`crate::compile::Walker::tasks`]).
 //!
 //! `PDM_PROPTEST_SEED` is *consumed* by the vendored proptest stand-in
 //! (which cannot depend on this crate); the field here mirrors its

@@ -132,10 +132,9 @@ pub fn eval_expr(e: &Expr, mem: &Memory, idx: &[i64]) -> Result<i64> {
 
 /// Exact number of independent groups (doall-prefix values × partition
 /// offsets), counted on the plan's lowered bounds as every executor
-/// walks them: arithmetically where bounds are prefix-independent and
-/// by a cursor walk otherwise — never by materializing the groups (or
-/// the offset table: `partition_count` is `det(H)`, computed in
-/// O(depth)).
+/// walks them ([`schedule::group_count`]) — never by materializing the
+/// groups (or the offset table: `partition_count` is `det(H)`, computed
+/// in O(depth)).
 pub fn group_count(plan: &ParallelPlan) -> Result<u64> {
     schedule::group_count(
         &CompiledBounds::compile(plan.bounds()),

@@ -322,9 +322,7 @@ pub fn audit_compiled(cp: &CompiledPlan, layout: &Layout) -> Result<Verdict> {
     u32::try_from(layout.cells())
         .map_err(|_| RuntimeError::Matrix(pdm_matrix::MatrixError::Overflow))?;
     let lex = LexRank::new(layout.ranges())?;
-    let tasks = cp
-        .walker()
-        .tasks(&Schedule::default(), rayon::current_num_threads().max(1))?;
+    let tasks = cp.walker().tasks(rayon::current_num_threads())?;
     let mut locals = Vec::new();
     schedule::run_stages(
         std::slice::from_ref(&tasks),
@@ -476,9 +474,11 @@ fn stage_chunks(stage: &[u64], target: usize) -> Vec<(u64, u64)> {
     chunks
 }
 
-/// Target chunk count per stage for the current pool and schedule.
-fn stage_chunk_target(sched: &Schedule) -> usize {
-    rayon::current_num_threads().max(1) * sched.chunks_per_thread.max(1)
+/// Target chunk count per stage for the current pool: one chunk per
+/// pool block, the split every group space gets
+/// ([`crate::compile::Walker::tasks`]).
+fn stage_chunk_target() -> usize {
+    schedule::task_target(rayon::current_num_threads())
 }
 
 /// A refined staging laid out for execution: every stage's chunks
@@ -525,21 +525,22 @@ impl StageLayout {
 /// each stage's contiguous group runs become compiled range tasks,
 /// run by the stage driver with a barrier between stages. Lays the
 /// stages out on every call; a server that runs one verdict many times
-/// holds a [`PreparedVerdict`] instead. Returns the iterations executed.
+/// holds a [`PreparedVerdict`] instead. The [`Schedule`] argument is the
+/// replay-only shim and is ignored. Returns the iterations executed.
 pub fn run_refined_compiled(
     plan: &CompiledPlan,
     mem: &Memory,
     stages: &[Vec<u64>],
-    sched: Schedule,
+    _: Schedule,
 ) -> Result<u64> {
-    StageLayout::new(stages, stage_chunk_target(&sched)).run(plan, mem)
+    StageLayout::new(stages, stage_chunk_target()).run(plan, mem)
 }
 
 /// A verdict ready to serve: the [`Verdict`] and, once a refined one
 /// has run, its stage layout, kept for every later run at the same
-/// chunk target (pool width × the default [`Schedule`]'s
-/// `chunks_per_thread`). This is what [`crate::sharded::VerdictCache`]
-/// holds, so a hot refined valuation pays for its iterations only.
+/// chunk target (pool width × `rayon::BLOCKS_PER_WORKER`). This is
+/// what [`crate::sharded::VerdictCache`] holds, so a hot refined
+/// valuation pays for its iterations only.
 #[derive(Debug)]
 pub struct PreparedVerdict {
     verdict: Verdict,
@@ -570,7 +571,7 @@ impl PreparedVerdict {
         match &self.verdict {
             Verdict::Certified => plan.run_parallel(mem),
             Verdict::Refined { stages } => {
-                let target = stage_chunk_target(&Schedule::default());
+                let target = stage_chunk_target();
                 let kept = self.layout.get_or_init(|| StageLayout::new(stages, target));
                 if kept.target == target {
                     kept.run(plan, mem)
@@ -744,7 +745,7 @@ mod tests {
 
         let cp = CompiledPlan::compile(&nest, &plan, &m_ref).unwrap();
         let m_comp = Memory::for_nest(&nest).unwrap();
-        let n_comp = run_refined_compiled(&cp, &m_comp, &stages, Schedule::default()).unwrap();
+        let n_comp = run_refined_compiled(&cp, &m_comp, &stages, Schedule).unwrap();
         assert_eq!(n_comp, 64);
         assert_eq!(m_comp.snapshot(), m_ref.snapshot());
 

@@ -25,12 +25,12 @@
 //!    raw coefficient rows ([`compile::CompiledBounds`]).
 //! 2. *Schedule* — the independent-group index space (doall-prefix
 //!    values × Theorem-2 partition offsets) is counted arithmetically
-//!    ([`schedule::group_count`]) on those rows and split into
-//!    contiguous ranges ([`schedule::plan_range_tasks`] — finer ranges
-//!    when per-group cost is skewed, so the pool's helper threads
-//!    always find a range to claim); each range task arrives with a
-//!    pre-positioned streaming [`schedule::GroupCursor`] with
-//!    `O(depth)` state and one reused scratch — the group list is never
+//!    ([`schedule::group_count`]) on those rows and split into one
+//!    contiguous range per block of the vendored pool
+//!    ([`compile::Walker::tasks`]); each worker walks the ranges it
+//!    claims with one streaming [`schedule::GroupCursor`] of `O(depth)`
+//!    state, seeked only when a range does not start where its last
+//!    one ended, and one reused scratch — the group list is never
 //!    materialized.
 //! 3. *Execute* — an iterative (non-recursive) walker
 //!    ([`compile::Walker`]) advances the transformed point level by
@@ -55,9 +55,8 @@
 //! Supporting modules:
 //!
 //! * [`schedule`] — the streaming group enumerator: prefix cursors,
-//!   arithmetic group counting, `k`-th-group seeking, cursor-clone
-//!   range planning, range splitting (finer on cost-skewed spaces,
-//!   picked from the input; no tuning knob), and the stage driver;
+//!   one counting routine for group counts and `k`-th-group seeks,
+//!   range tasks, and the stage driver;
 //! * [`template`] — parametric serving: lower a `pdm-core`
 //!   `PlanTemplate` at a size to a ready-to-run
 //!   [`template::CompiledInstance`] (no re-analysis, no FM);

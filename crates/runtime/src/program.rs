@@ -393,11 +393,6 @@ impl Program {
         Ok(())
     }
 
-    /// Number of compiled guard checks (for tests/inspection).
-    pub fn guard_count(&self) -> usize {
-        self.guards.len()
-    }
-
     /// Does every access address exactly its array's cells in
     /// `layout`? True for the layout the program was lowered against.
     pub(crate) fn fits(&self, layout: &Layout) -> bool {
@@ -538,7 +533,6 @@ mod tests {
                B[i, 0] = i when j == 0;
              } }",
         );
-        assert_eq!(prog.guard_count(), 1);
         let mem2 = Memory::for_nest(&nest).unwrap();
         let mut scratch = prog.new_scratch();
         for it in nest.iterations().unwrap() {

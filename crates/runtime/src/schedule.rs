@@ -25,52 +25,45 @@
 //! **identical** — same order, same multiset — to the materialized cross
 //! product of prefix values and offsets.
 //!
-//! # Seek semantics
-//!
-//! [`GroupCursor::seek`] positions the cursor at the `k`-th group of that
-//! sequence. Linear index `k` decomposes as `k = prefix_ordinal ×
-//! num_offsets + offset_index`. The prefix ordinal is resolved level by
-//! level: when every level below is **prefix-independent** (its bound
-//! rows read no outer variable), subtree sizes are equal and the level
-//! value is a single division — `O(depth)` total for rectangular bounds.
-//! Otherwise the cursor scans the level's values accumulating exact
-//! subtree counts, recursing over the prefix-dependent levels:
-//! `O(depth × extent)` with one dependent level, and in the worst case
-//! (every level dependent) proportional to the dependent prefix subspace
-//! itself. Range scheduling therefore positions cursors two ways
-//! ([`plan_range_tasks`]): rectangular prefixes pay one `O(depth)` seek
-//! per range, while prefix-dependent prefixes are split by **walking one
-//! cursor and cloning its `O(depth)` state at each range boundary**
-//! ([`GroupCursor::advance_to`]) — one `O(#groups)` walk total instead
-//! of a counting seek per range. `seek(k)` agrees with `k` calls to
-//! [`GroupCursor::advance`] from the start, and cursor-clone splitting
-//! agrees with `seek`, both asserted by the property tests on random
-//! nests.
-//!
 //! # Counting
 //!
-//! [`group_count`] / [`prefix_count`] size the schedule **before** any
-//! enumeration: extents of the longest prefix-independent level suffix
-//! multiply arithmetically, and only the (possibly empty) dependent head
-//! is walked. On a rectangular nest the count is pure arithmetic.
+//! One routine, the cursor's `count_completions`, sizes every group
+//! space and every subtree a seek skips. A level is
+//! **prefix-independent** when its bound rows read no outer variable.
+//! The prefix-independent levels at the bottom of the prefix have
+//! constant extents, so their completions are one product of widths. A
+//! dependent level whose deeper levels are all independent counts as its
+//! width × that product, with no loop over its values: the product reads
+//! no outer variable. Only a dependent level with dependent levels below
+//! it loops over its values. [`group_count`] is that count from level 0
+//! × `num_offsets`: pure arithmetic on rectangular nests, one pass over
+//! the outer level on a triangle.
+//!
+//! # Seek
+//!
+//! [`GroupCursor::seek`] positions the cursor at the `k`-th group of the
+//! sequence. Linear index `k` decomposes as `k = prefix_ordinal ×
+//! num_offsets + offset_index`, and the prefix ordinal is resolved level
+//! by level. When every level below is prefix-independent, subtree sizes
+//! are equal and the level value is one division, so a rectangular seek
+//! is `O(depth)`. Otherwise the cursor scans the level's values,
+//! counting each subtree as above: `O(extent)` for one dependent level.
+//! `seek(k)` agrees with `k` calls to [`GroupCursor::advance`] from the
+//! start, asserted by the property tests on random nests and on fixed
+//! triangles.
 //!
 //! # Scheduling
 //!
-//! [`Schedule::ranges_for`] splits `0..group_count` into contiguous
-//! sub-ranges, several per worker so the pool's helper threads always
-//! have spare ranges to claim: `threads × chunks_per_thread` target
-//! ranges (default [`DEFAULT_CHUNKS_PER_THREAD`] = 4). When the group
-//! space is cost-skewed — some trailing (sequential) level's bounds read
-//! a doall prefix variable, so per-group cost varies across the space
-//! ([`cost_skewed`]) — the split targets `threads ×
-//! SKEWED_CHUNKS_PER_THREAD` (16) finer ranges, so a worker stuck behind
-//! fat groups leaves plenty for the others to claim. Rectangular nests
-//! keep the coarse split. The split is picked from the input alone;
-//! there is no tuning knob. A range task is just its bounds: each worker
-//! walks every range it claims with one cursor and one scratch of its
-//! own, positioned in place per range, so simultaneously-live group
-//! state is `O(threads × depth)` instead of `O(#groups)`, and a range
-//! allocates nothing before its first group.
+//! The vendored pool owns the split. [`crate::compile::Walker::tasks`]
+//! cuts `0..group_count` into `threads × rayon::BLOCKS_PER_WORKER`
+//! contiguous ranges, so each block a pool region hands out is one
+//! [`RangeTask`]. A task is just its bounds: a worker walks every task
+//! it claims with one cursor and one scratch of its own. The region's
+//! caller claims blocks in order, so its cursor already sits at each
+//! next start; a helper's block start is one seek. Simultaneously-live
+//! group state is `O(threads × depth)` instead of `O(#groups)`, and a
+//! range allocates nothing before its first group. The split has no
+//! knob: the block count is the only number that decides it.
 //!
 //! # Stages
 //!
@@ -100,6 +93,84 @@ fn width(lo: i64, hi: i64) -> Result<u64> {
     u64::try_from(hi as i128 - lo as i128 + 1).map_err(|_| overflow())
 }
 
+/// The counting view of a group space: its bounds, the prefix depth,
+/// and where its prefix-independent levels start. It holds no point, so
+/// a count needs nothing but a point buffer to write in.
+#[derive(Debug, Clone, Copy)]
+struct Levels<'a> {
+    bounds: &'a CompiledBounds,
+    /// Number of leading (doall) levels enumerated.
+    z: usize,
+    /// Smallest `j` such that levels `j..z` are all prefix-independent.
+    indep_from: usize,
+}
+
+impl<'a> Levels<'a> {
+    fn new(bounds: &'a CompiledBounds, z: usize) -> Self {
+        debug_assert!(z <= bounds.dim(), "doall prefix exceeds nest depth");
+        let mut indep_from = z;
+        while indep_from > 0 && !bounds.prefix_dependent(indep_from - 1) {
+            indep_from -= 1;
+        }
+        Levels {
+            bounds,
+            z,
+            indep_from,
+        }
+    }
+
+    /// Are levels `j..z` all prefix-independent?
+    #[inline]
+    fn indep_below(&self, j: usize) -> bool {
+        j >= self.indep_from
+    }
+
+    /// Product of the (constant) extents of the prefix-independent levels
+    /// `j..z` — the completions below any value at level `j − 1`.
+    fn tail_product(&self, x: &[i64], j: usize) -> Result<u64> {
+        debug_assert!(self.indep_below(j));
+        let mut t: u64 = 1;
+        for k in j..self.z {
+            let (lo, hi) = self.bounds.range(k, x)?;
+            t = t.checked_mul(width(lo, hi)?).ok_or_else(overflow)?;
+            if t == 0 {
+                return Ok(0);
+            }
+        }
+        Ok(t)
+    }
+
+    /// Exact number of prefix completions of levels `j..z` given the
+    /// values in `x[..j]`; deeper slots of `x` are scribbled on. A
+    /// dependent level whose deeper levels are all prefix-independent
+    /// counts as its width × their product; only a level with dependent
+    /// levels below it loops over its values (see the [module
+    /// docs](self)).
+    fn count_completions(&self, x: &mut [i64], j: usize) -> Result<u64> {
+        if self.indep_below(j) {
+            return self.tail_product(x, j);
+        }
+        let (lo, hi) = self.bounds.range(j, x)?;
+        if self.indep_below(j + 1) {
+            let tail = self.tail_product(x, j + 1)?;
+            return width(lo, hi)?.checked_mul(tail).ok_or_else(overflow);
+        }
+        let mut total: u64 = 0;
+        let mut v = lo;
+        while v <= hi {
+            x[j] = v;
+            total = total
+                .checked_add(self.count_completions(x, j + 1)?)
+                .ok_or_else(overflow)?;
+            if v == hi {
+                break;
+            }
+            v += 1;
+        }
+        Ok(total)
+    }
+}
+
 /// Streaming enumerator over a plan's independent groups.
 ///
 /// Walks doall-prefix values in lexicographic order crossed with offset
@@ -108,9 +179,7 @@ fn width(lo: i64, hi: i64) -> Result<u64> {
 /// ordering, and seek semantics.
 #[derive(Debug)]
 pub struct GroupCursor<'a> {
-    bounds: &'a CompiledBounds,
-    /// Number of leading (doall) levels enumerated.
-    z: usize,
+    levels: Levels<'a>,
     num_offsets: usize,
     /// Full-width point; entries `>= z` stay zero.
     x: Vec<i64>,
@@ -122,46 +191,7 @@ pub struct GroupCursor<'a> {
     offset: usize,
     /// Linear index of the current group.
     pos: u64,
-    /// Smallest `j` such that levels `j..z` are all prefix-independent.
-    indep_from: usize,
     exhausted: bool,
-}
-
-// Manual impl, for a `clone_from` that reuses the buffers. Cloning
-// copies the `O(depth)` walk state and shares the borrow; cheap clones
-// are what make cursor-clone range splitting ([`plan_range_tasks`]) an
-// `O(#groups)` single pass.
-impl Clone for GroupCursor<'_> {
-    fn clone(&self) -> Self {
-        GroupCursor {
-            bounds: self.bounds,
-            z: self.z,
-            num_offsets: self.num_offsets,
-            x: self.x.clone(),
-            lo: self.lo.clone(),
-            hi: self.hi.clone(),
-            offset: self.offset,
-            pos: self.pos,
-            indep_from: self.indep_from,
-            exhausted: self.exhausted,
-        }
-    }
-
-    /// Copy `src`'s walk state into this cursor's buffers: no
-    /// allocation once the buffers have the space's depth, which is how
-    /// a worker's reused cursor takes a clone-positioned task's start.
-    fn clone_from(&mut self, src: &Self) {
-        self.bounds = src.bounds;
-        self.z = src.z;
-        self.num_offsets = src.num_offsets;
-        self.x.clone_from(&src.x);
-        self.lo.clone_from(&src.lo);
-        self.hi.clone_from(&src.hi);
-        self.offset = src.offset;
-        self.pos = src.pos;
-        self.indep_from = src.indep_from;
-        self.exhausted = src.exhausted;
-    }
 }
 
 impl<'a> GroupCursor<'a> {
@@ -183,29 +213,20 @@ impl<'a> GroupCursor<'a> {
     /// A cursor over the same space as [`GroupCursor::new`], positioned
     /// nowhere (exhausted) until a [`RangeTask`] positions it: the
     /// reusable per-worker cursor that every task a worker claims seeks
-    /// (or copies its start into) in place. `num_offsets` must be at
-    /// least 1.
+    /// in place. `num_offsets` must be at least 1.
     pub fn unpositioned(bounds: &'a CompiledBounds, z: usize, num_offsets: usize) -> Self {
         debug_assert!(
             num_offsets > 0,
             "group cursor needs a non-empty offset table"
         );
-        let n = bounds.dim();
-        debug_assert!(z <= n, "doall prefix exceeds nest depth");
-        let mut indep_from = z;
-        while indep_from > 0 && !bounds.prefix_dependent(indep_from - 1) {
-            indep_from -= 1;
-        }
         GroupCursor {
-            bounds,
-            z,
+            levels: Levels::new(bounds, z),
             num_offsets,
-            x: vec![0; n],
+            x: vec![0; bounds.dim()],
             lo: vec![0; z],
             hi: vec![0; z],
             offset: 0,
             pos: 0,
-            indep_from,
             exhausted: true,
         }
     }
@@ -217,7 +238,7 @@ impl<'a> GroupCursor<'a> {
         if self.exhausted {
             None
         } else {
-            Some((&self.x[..self.z], self.offset))
+            Some((&self.x[..self.levels.z], self.offset))
         }
     }
 
@@ -257,10 +278,10 @@ impl<'a> GroupCursor<'a> {
     /// comes up empty. Returns `false` when no feasible prefix remains.
     fn first_from(&mut self, mut j: usize) -> Result<bool> {
         loop {
-            if j == self.z {
+            if j == self.levels.z {
                 return Ok(true);
             }
-            let (lo, hi) = self.bounds.range(j, &self.x)?;
+            let (lo, hi) = self.levels.bounds.range(j, &self.x)?;
             if lo <= hi {
                 self.lo[j] = lo;
                 self.hi[j] = hi;
@@ -284,7 +305,7 @@ impl<'a> GroupCursor<'a> {
 
     /// Odometer-bump to the lexicographically next feasible prefix.
     fn next_prefix(&mut self) -> Result<bool> {
-        let mut j = self.z;
+        let mut j = self.levels.z;
         loop {
             if j == 0 {
                 return Ok(false);
@@ -298,70 +319,26 @@ impl<'a> GroupCursor<'a> {
         self.first_from(j + 1)
     }
 
-    /// Are levels `j..z` all prefix-independent?
-    #[inline]
-    fn indep_below(&self, j: usize) -> bool {
-        j >= self.indep_from
-    }
-
-    /// Product of the (constant) extents of the prefix-independent levels
-    /// `j..z` — the completions below any value at level `j − 1`.
-    fn tail_product(&self, j: usize) -> Result<u64> {
-        debug_assert!(self.indep_below(j));
-        let mut t: u64 = 1;
-        for k in j..self.z {
-            let (lo, hi) = self.bounds.range(k, &self.x)?;
-            t = t.checked_mul(width(lo, hi)?).ok_or_else(overflow)?;
-            if t == 0 {
-                return Ok(0);
-            }
-        }
-        Ok(t)
-    }
-
-    /// Exact number of prefix completions of levels `j..z` given the
-    /// values currently in `x[..j]` (counting recursion over the
-    /// prefix-dependent levels only).
-    fn count_completions(&mut self, j: usize) -> Result<u64> {
-        if self.indep_below(j) {
-            return self.tail_product(j);
-        }
-        let (lo, hi) = self.bounds.range(j, &self.x)?;
-        let mut total: u64 = 0;
-        let mut v = lo;
-        while v <= hi {
-            self.x[j] = v;
-            total = total
-                .checked_add(self.count_completions(j + 1)?)
-                .ok_or_else(overflow)?;
-            if v == hi {
-                break;
-            }
-            v += 1;
-        }
-        Ok(total)
-    }
-
     /// Position the cursor at the group with linear index `target`.
     /// Returns `false` (and exhausts the cursor) when `target` is past
     /// the last group. `O(depth)` when all prefix levels are
     /// independent; with prefix-dependent levels it counts subtrees
-    /// exactly — see the [module docs](self) for the cost model.
+    /// exactly: see the [module docs](self) for the cost model.
     pub fn seek(&mut self, target: u64) -> Result<bool> {
         self.exhausted = false;
         self.pos = target;
         self.offset = (target % self.num_offsets as u64) as usize;
         let mut p = target / self.num_offsets as u64;
-        for j in 0..self.z {
-            let (lo, hi) = self.bounds.range(j, &self.x)?;
+        for j in 0..self.levels.z {
+            let (lo, hi) = self.levels.bounds.range(j, &self.x)?;
             self.lo[j] = lo;
             self.hi[j] = hi;
             if lo > hi {
                 self.exhausted = true;
                 return Ok(false);
             }
-            if self.indep_below(j + 1) {
-                let sub = self.tail_product(j + 1)?;
+            if self.levels.indep_below(j + 1) {
+                let sub = self.levels.tail_product(&self.x, j + 1)?;
                 if sub == 0 {
                     self.exhausted = true;
                     return Ok(false);
@@ -378,7 +355,7 @@ impl<'a> GroupCursor<'a> {
                 let mut found = false;
                 while v <= hi {
                     self.x[j] = v;
-                    let c = self.count_completions(j + 1)?;
+                    let c = self.levels.count_completions(&mut self.x, j + 1)?;
                     // `count_completions` scribbles on deeper `x` slots;
                     // they are rewritten by the deeper loop iterations.
                     self.x[j] = v;
@@ -398,30 +375,11 @@ impl<'a> GroupCursor<'a> {
                 }
             }
         }
-        if self.z == 0 && p > 0 {
+        if self.levels.z == 0 && p > 0 {
             self.exhausted = true;
             return Ok(false);
         }
         Ok(true)
-    }
-
-    /// Advance (never rewind) until the cursor sits at linear index
-    /// `target`, or return `false` once the space is exhausted first.
-    /// Unlike [`GroupCursor::seek`] this never counts subtrees — each
-    /// step is one odometer bump — so walking one cursor across
-    /// ascending range boundaries and cloning its `O(depth)` state at
-    /// each one costs `O(#groups)` in total, independent of how many
-    /// prefix levels are dependent. Requires `target ≥ position()`.
-    pub fn advance_to(&mut self, target: u64) -> Result<bool> {
-        debug_assert!(
-            self.exhausted || target >= self.pos,
-            "advance_to cannot rewind (at {}, asked for {target})",
-            self.pos
-        );
-        while !self.exhausted && self.pos < target {
-            self.advance()?;
-        }
-        Ok(!self.exhausted)
     }
 }
 
@@ -429,18 +387,12 @@ impl<'a> GroupCursor<'a> {
 /// `start..end`. A task owns no walk state; a worker runs every task it
 /// claims with one reused cursor ([`GroupCursor::unpositioned`]), which
 /// the task positions in place: not at all when the worker's previous
-/// range ended where this one starts, else by one [`GroupCursor::seek`]
-/// or, for ranges split over prefix-dependent levels
-/// ([`plan_range_tasks`]), by copying the start the splitting walk
-/// recorded.
+/// range ended where this one starts, else by one [`GroupCursor::seek`].
 #[derive(Debug)]
 pub struct RangeTask<'a> {
     bounds: &'a CompiledBounds,
     start: u64,
     end: u64,
-    /// The splitting walk's cursor at `start`, when a seek there would
-    /// have to count prefix-dependent subtrees.
-    at: Option<GroupCursor<'a>>,
 }
 
 impl<'a> RangeTask<'a> {
@@ -448,12 +400,7 @@ impl<'a> RangeTask<'a> {
     /// positioned by a seek when it runs (an `end` past the space just
     /// stops at its last group).
     pub(crate) fn new(bounds: &'a CompiledBounds, start: u64, end: u64) -> Self {
-        RangeTask {
-            bounds,
-            start,
-            end,
-            at: None,
-        }
+        RangeTask { bounds, start, end }
     }
 
     /// First linear index of the range.
@@ -474,19 +421,15 @@ impl<'a> RangeTask<'a> {
     where
         F: FnMut(u64, &[i64], usize) -> Result<()>,
     {
-        if !std::ptr::eq(cursor.bounds, self.bounds) {
+        if !std::ptr::eq(cursor.levels.bounds, self.bounds) {
             return Err(RuntimeError::Core(
                 "cursor walks a different group space than the task".into(),
             ));
         }
-        match &self.at {
-            Some(at) => cursor.clone_from(at),
-            // A worker claiming ranges in order finds its cursor where
-            // the last range ended, already at this start.
-            None if !cursor.is_exhausted() && cursor.position() == self.start => {}
-            None => {
-                cursor.seek(self.start)?;
-            }
+        // A worker claiming ranges in order finds its cursor where the
+        // last range ended, already at this start.
+        if cursor.is_exhausted() || cursor.position() != self.start {
+            cursor.seek(self.start)?;
         }
         while cursor.position() < self.end {
             let pos = cursor.position();
@@ -583,169 +526,33 @@ impl<S> Drop for Kept<'_, S> {
     }
 }
 
-/// Per-group cost varies across the group space exactly when some
-/// trailing (sequential) level's bounds read a doall prefix variable:
-/// the trailing iteration count — the work one group does — is then a
-/// function of which prefix the group carries. Levels reading only
-/// other trailing variables contribute the same trailing volume to
-/// every group and do not skew. [`Schedule::ranges_for`] splits skewed
-/// spaces finer so helper threads have ranges left to claim.
-pub fn cost_skewed(bounds: &CompiledBounds, z: usize) -> bool {
-    (z..bounds.dim()).any(|level| bounds.reads_prefix(level, z))
+/// Target task count for a group space run on `threads` workers: one
+/// task per block the vendored pool splits a region into, so the pool's
+/// block count is the only number that decides the split.
+pub(crate) fn task_target(threads: usize) -> usize {
+    threads.max(1) * rayon::BLOCKS_PER_WORKER
 }
 
-/// Split a group space into [`RangeTask`]s: range sizing by
-/// [`Schedule::ranges_for`] (finer when [`cost_skewed`]), cursor
-/// positioning by per-range `O(depth)` [`GroupCursor::seek`] when every
-/// prefix level is independent, and by the cursor-clone walk
-/// ([`GroupCursor::advance_to`] + clone at each boundary) when seeks
-/// would have to count prefix-dependent subtrees.
-pub fn plan_range_tasks<'a>(
-    bounds: &'a CompiledBounds,
-    z: usize,
-    num_offsets: usize,
-    sched: &Schedule,
-    threads: usize,
-) -> Result<Vec<RangeTask<'a>>> {
-    let total = group_count(bounds, z, num_offsets)?;
-    let ranges = sched.ranges_for(bounds, z, total, threads);
-    let mut tasks = Vec::with_capacity(ranges.len());
-    if ranges.is_empty() {
-        return Ok(tasks);
-    }
-    if (0..z).any(|level| bounds.prefix_dependent(level)) {
-        let mut walker = GroupCursor::new(bounds, z, num_offsets)?;
-        for &(start, end) in &ranges {
-            walker.advance_to(start)?;
-            tasks.push(RangeTask {
-                at: Some(walker.clone()),
-                ..RangeTask::new(bounds, start, end)
-            });
-        }
-    } else {
-        tasks.extend(
-            ranges
-                .iter()
-                .map(|&(start, end)| RangeTask::new(bounds, start, end)),
-        );
-    }
-    Ok(tasks)
-}
-
-/// Number of doall-prefix value combinations over the first `z` levels of
-/// `bounds`, without enumerating the prefix-independent suffix: constant
-/// extents multiply arithmetically and only the dependent head levels are
-/// walked. Pure arithmetic on rectangular nests.
-pub fn prefix_count(bounds: &CompiledBounds, z: usize) -> Result<u64> {
-    let mut j_star = z;
-    while j_star > 0 && !bounds.prefix_dependent(j_star - 1) {
-        j_star -= 1;
-    }
-    let x = vec![0i64; bounds.dim()];
-    let mut tail: u64 = 1;
-    for k in j_star..z {
-        let (lo, hi) = bounds.range(k, &x)?;
-        tail = tail.checked_mul(width(lo, hi)?).ok_or_else(overflow)?;
-        if tail == 0 {
-            return Ok(0);
-        }
-    }
-    let head = if j_star == 0 {
-        1
-    } else {
-        // Walk only the dependent head levels (offset dimension unused).
-        let mut cur = GroupCursor::new(bounds, j_star, 1)?;
-        let mut c: u64 = 0;
-        while cur.current().is_some() {
-            c = c.checked_add(1).ok_or_else(overflow)?;
-            cur.advance()?;
-        }
-        c
-    };
-    head.checked_mul(tail).ok_or_else(overflow)
-}
-
-/// Total group count: [`prefix_count`] × `num_offsets`. This is the
-/// length of the sequence a [`GroupCursor`] yields and the exclusive
-/// upper bound of the index space [`Schedule::ranges_for`] splits.
+/// Total group count: prefix completions of the first `z` levels of
+/// `bounds` × `num_offsets`, counted by the cursor's one counting
+/// routine without enumerating a group (see the [module docs](self)).
+/// This is the length of the sequence a [`GroupCursor`] yields.
 pub fn group_count(bounds: &CompiledBounds, z: usize, num_offsets: usize) -> Result<u64> {
-    prefix_count(bounds, z)?
+    Levels::new(bounds, z)
+        .count_completions(&mut vec![0; bounds.dim()], 0)?
         .checked_mul(num_offsets as u64)
         .ok_or_else(overflow)
 }
 
-/// Default [`Schedule::chunks_per_thread`]: 4 contiguous ranges per
-/// worker, the factor the pre-streaming chunked scheduler used.
-pub const DEFAULT_CHUNKS_PER_THREAD: usize = 4;
-
-/// Ranges per worker on [`cost_skewed`] group spaces: fine enough that
-/// a worker stuck behind the fat end of a triangular nest leaves most
-/// of its share for other threads to claim.
-pub const SKEWED_CHUNKS_PER_THREAD: usize = 16;
-
-/// Range splitting for the streaming schedulers.
-///
-/// `chunks_per_thread` controls how many contiguous group ranges each
-/// worker receives on *uniform-cost* (rectangular) group spaces;
-/// [`SKEWED_CHUNKS_PER_THREAD`] applies instead when the space is
-/// [`cost_skewed`], splitting finer so the pool's helper threads
-/// always find a range to claim. Every executor runs
-/// [`Schedule::default`] ([`DEFAULT_CHUNKS_PER_THREAD`]); tests sweep
-/// other values through [`plan_range_tasks`] and
-/// `CompiledPlan::run_parallel_scheduled`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Schedule {
-    /// Target contiguous group ranges per worker thread (≥ 1) on
-    /// uniform-cost group spaces.
-    pub chunks_per_thread: usize,
-}
-
-impl Default for Schedule {
-    fn default() -> Self {
-        Schedule {
-            chunks_per_thread: DEFAULT_CHUNKS_PER_THREAD,
-        }
-    }
-}
-
-impl Schedule {
-    /// Split `0..total` into contiguous `(start, end)` sub-ranges that
-    /// cover the space exactly once, in order (`total == 0` yields no
-    /// ranges). Uniform spaces target `threads × chunks_per_thread`
-    /// chunks; on a [`cost_skewed`] group space the split targets
-    /// `threads × SKEWED_CHUNKS_PER_THREAD` (never fewer than the coarse
-    /// split) so helper threads have ranges left to claim.
-    pub fn ranges_for(
-        &self,
-        bounds: &CompiledBounds,
-        z: usize,
-        total: u64,
-        threads: usize,
-    ) -> Vec<(u64, u64)> {
-        let chunks = if cost_skewed(bounds, z) {
-            SKEWED_CHUNKS_PER_THREAD.max(self.chunks_per_thread)
-        } else {
-            self.chunks_per_thread
-        };
-        Self::split(total, threads, chunks)
-    }
-
-    fn split(total: u64, threads: usize, chunks_per_thread: usize) -> Vec<(u64, u64)> {
-        if total == 0 {
-            return Vec::new();
-        }
-        let target = (threads.max(1) as u64).saturating_mul(chunks_per_thread.max(1) as u64);
-        let chunk = total.div_ceil(target).max(1);
-        let mut out = Vec::with_capacity(total.div_ceil(chunk) as usize);
-        let mut start = 0u64;
-        while start < total {
-            let end = start.saturating_add(chunk).min(total);
-            out.push((start, end));
-            start = end;
-        }
-        out
-    }
-}
+/// A replay-only shim: `Schedule` carries no setting, and no production
+/// path reads it. It survives only because servebench's staged replay
+/// passes `pdm_service::Session::schedule`'s value to
+/// [`CompiledPlan::run_parallel_scheduled`](crate::CompiledPlan::run_parallel_scheduled)
+/// and [`run_refined_compiled`](crate::inspector::run_refined_compiled);
+/// it is deleted with that replay. Group work is split by the vendored
+/// pool's block count alone ([`crate::compile::Walker::tasks`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Schedule;
 
 #[cfg(test)]
 mod tests {
@@ -806,7 +613,6 @@ mod tests {
         assert_eq!(got[2], (vec![0, 2], 0));
         assert_eq!(got.last().unwrap(), &(vec![2, 3], 1));
         assert_eq!(group_count(&b, 2, 2).unwrap(), 18);
-        assert_eq!(prefix_count(&b, 2).unwrap(), 9);
     }
 
     #[test]
@@ -815,7 +621,7 @@ mod tests {
         let got = collect(&b, 2, 1);
         // (x0, x1) with 0 <= x1 <= x0 <= 4: 1+2+3+4+5 = 15 prefixes.
         assert_eq!(got.len(), 15);
-        assert_eq!(prefix_count(&b, 2).unwrap(), 15);
+        assert_eq!(group_count(&b, 2, 1).unwrap(), 15);
         for w in got.windows(2) {
             assert!(w[0].0 < w[1].0, "not lexicographic: {w:?}");
         }
@@ -866,142 +672,6 @@ mod tests {
             }
             let mut cur = GroupCursor::new(&b, z, noff).unwrap();
             assert!(!cur.seek(total).unwrap(), "seek past the end");
-        }
-    }
-
-    #[test]
-    fn schedule_ranges_partition_exactly() {
-        let s = Schedule::default();
-        let b = box_bounds(&[(0, 9), (0, 9)]);
-        for (total, threads) in [(0u64, 4usize), (1, 4), (7, 2), (1000, 3), (16, 16)] {
-            let ranges = s.ranges_for(&b, 1, total, threads);
-            let mut expect = 0u64;
-            for &(a, b) in &ranges {
-                assert_eq!(a, expect, "ranges must be contiguous");
-                assert!(b > a, "ranges must be non-empty");
-                expect = b;
-            }
-            assert_eq!(expect, total, "ranges must cover 0..total");
-            if total > 0 {
-                assert!(ranges.len() as u64 <= (threads * s.chunks_per_thread) as u64 + 1);
-            }
-        }
-    }
-
-    /// Bounds of `0 ≤ x_0 ≤ n` with trailing `0 ≤ x_1 ≤ x_0`: treated
-    /// with `z = 1`, the sequential level's extent grows with the doall
-    /// prefix — the canonical cost-skewed shape.
-    fn skewed_tail_bounds(n: i64) -> CompiledBounds {
-        triangle_bounds(n)
-    }
-
-    #[test]
-    fn cost_skew_detection() {
-        // Trailing level reads the doall prefix: skewed.
-        let tri = skewed_tail_bounds(7);
-        assert!(tri.reads_prefix(1, 1));
-        assert!(cost_skewed(&tri, 1));
-        // Fully-parallel triangle: every group is one iteration, so no
-        // trailing level exists to skew, whatever the prefix shape.
-        assert!(!cost_skewed(&tri, 2));
-        // Rectangles are never skewed.
-        let b = box_bounds(&[(0, 9), (0, 9)]);
-        assert!(!cost_skewed(&b, 1));
-        assert!(!cost_skewed(&b, 2));
-        // A trailing level reading only another *trailing* variable
-        // adds the same trailing volume to every group: not skewed,
-        // even though the level is prefix_dependent.
-        let mut s = System::universe(3);
-        s.add_range(0, 0, 9).unwrap();
-        s.add_range(1, 0, 5).unwrap();
-        // 0 <= x_2 <= x_1 (x_1 is sequential when z = 1).
-        s.add_ge0(AffineExpr::new(pdm_matrix::vec::IVec(vec![0, 0, 1]), 0))
-            .unwrap();
-        s.add_ge0(AffineExpr::new(pdm_matrix::vec::IVec(vec![0, 1, -1]), 0))
-            .unwrap();
-        let b = compiled(&s);
-        assert!(b.prefix_dependent(2), "x_2 does read an outer variable");
-        assert!(!b.reads_prefix(2, 1), "but not a doall-prefix one");
-        assert!(!cost_skewed(&b, 1));
-    }
-
-    #[test]
-    fn steal_aware_ranges_split_skewed_spaces_finer() {
-        let sched = Schedule::default();
-        let threads = 4;
-        let total = 4096u64;
-        // Skewed: the split targets SKEWED_CHUNKS_PER_THREAD per worker.
-        let tri = skewed_tail_bounds(7);
-        let fine = sched.ranges_for(&tri, 1, total, threads);
-        assert_eq!(
-            fine.len(),
-            threads * SKEWED_CHUNKS_PER_THREAD,
-            "skewed spaces must split finer"
-        );
-        // Rectangular: the coarse split is unchanged.
-        let b = box_bounds(&[(0, 9), (0, 9)]);
-        let coarse = sched.ranges_for(&b, 1, total, threads);
-        assert_eq!(coarse.len(), threads * DEFAULT_CHUNKS_PER_THREAD);
-        // Both splits still partition the space exactly.
-        for ranges in [&fine, &coarse] {
-            let mut expect = 0u64;
-            for &(a, b) in ranges.iter() {
-                assert_eq!(a, expect);
-                assert!(b > a);
-                expect = b;
-            }
-            assert_eq!(expect, total);
-        }
-    }
-
-    #[test]
-    fn advance_to_agrees_with_seek() {
-        let tri = triangle_bounds(6);
-        let total = group_count(&tri, 2, 2).unwrap();
-        let mut walker = GroupCursor::new(&tri, 2, 2).unwrap();
-        for k in 0..total {
-            let mut seeker = GroupCursor::new(&tri, 2, 2).unwrap();
-            assert!(seeker.seek(k).unwrap());
-            assert!(walker.advance_to(k).unwrap());
-            assert_eq!(walker.current(), seeker.current(), "position {k}");
-            assert_eq!(walker.position(), seeker.position());
-        }
-        assert!(!walker.advance_to(total).unwrap(), "walking past the end");
-    }
-
-    #[test]
-    fn planned_tasks_cover_the_space_exactly() {
-        let sched = Schedule::default();
-        for (bounds, z, noff) in [
-            (box_bounds(&[(0, 5), (1, 4)]), 2usize, 3usize),
-            (triangle_bounds(9), 2, 2),
-            (skewed_tail_bounds(9), 1, 2),
-            (box_bounds(&[(3, 1)]), 1, 1), // empty space
-        ] {
-            let total = group_count(&bounds, z, noff).unwrap();
-            let tasks = plan_range_tasks(&bounds, z, noff, &sched, 3).unwrap();
-            let mut seen = Vec::new();
-            // One cursor for every task, as a worker runs them.
-            let mut worker = GroupCursor::unpositioned(&bounds, z, noff);
-            for t in &tasks {
-                assert!(t.start() <= t.end());
-                t.for_each(&mut worker, |pos, prefix, o| {
-                    // Every group matches what a seek to that position
-                    // observes (pins clone-split against seek).
-                    let mut c = GroupCursor::new(&bounds, z, noff).unwrap();
-                    assert!(c.seek(pos).unwrap());
-                    let (p, oo) = c.current().unwrap();
-                    assert_eq!((p, oo), (prefix, o), "position {pos}");
-                    seen.push(pos);
-                    Ok(())
-                })
-                .unwrap();
-            }
-            assert_eq!(
-                seen,
-                (0..total).collect::<Vec<_>>(),
-                "tasks must cover 0..{total} exactly once, in order"
-            );
         }
     }
 }

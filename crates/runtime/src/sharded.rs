@@ -352,11 +352,6 @@ impl ShardedPlanCache {
         found
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Templates currently cached across all shards.
     pub fn len(&self) -> usize {
         self.shards

@@ -12,10 +12,9 @@
 //! * [`run_program_sequential`] — the fissioned baseline: kernels in
 //!   source order, each interpreted in original lexicographic order.
 //! * [`CompiledProgram`] — staged parallel execution: kernels grouped by
-//!   DAG **stage**; within a stage, every kernel's group ranges
-//!   ([`crate::schedule::plan_range_tasks`] — skewed kernels split
-//!   finer so idle workers find ranges to claim) form one task list for the
-//!   crate's stage driver (`schedule::run_stages`), so
+//!   DAG **stage**; within a stage, every kernel's group ranges (one
+//!   per pool block, [`crate::compile::Walker::tasks`]) form one task
+//!   list for the crate's stage driver (`schedule::run_stages`), so
 //!   independent kernels' groups interleave freely across workers. A
 //!   barrier exists **only between stages** — i.e. only where a DAG
 //!   edge forces one.
@@ -30,7 +29,7 @@
 use crate::compile::{CompiledPlan, TaskState};
 use crate::exec;
 use crate::memory::Memory;
-use crate::schedule::{self, RangeTask, Schedule};
+use crate::schedule::{self, RangeTask};
 use crate::Result;
 use pdm_core::program::ProgramPlan;
 use pdm_loopir::imperfect::ImperfectNest;
@@ -129,19 +128,15 @@ impl CompiledProgram {
     }
 
     /// Per stage, the flattened `(kernel, range task)` list of every
-    /// kernel in the stage, each kernel's group space split on its
-    /// own.
-    pub(crate) fn stage_tasks(
-        &self,
-        sched: &Schedule,
-        threads: usize,
-    ) -> Result<Vec<Vec<(usize, RangeTask<'_>)>>> {
+    /// kernel in the stage, each kernel's group space split on its own
+    /// for `threads` workers.
+    pub(crate) fn stage_tasks(&self, threads: usize) -> Result<Vec<Vec<(usize, RangeTask<'_>)>>> {
         self.stages
             .iter()
             .map(|stage| {
                 let mut tasks = Vec::new();
                 for &k in stage {
-                    let kernel_tasks = self.kernels[k].walker().tasks(sched, threads)?;
+                    let kernel_tasks = self.kernels[k].walker().tasks(threads)?;
                     tasks.extend(kernel_tasks.into_iter().map(|t| (k, t)));
                 }
                 Ok(tasks)
@@ -171,8 +166,7 @@ impl CompiledProgram {
     /// barriers exist only at stage boundaries. Returns the summed
     /// kernel iteration count.
     pub fn run_parallel(&self, mem: &Memory) -> Result<u64> {
-        let sched = Schedule::default();
-        let stages = self.stage_tasks(&sched, rayon::current_num_threads())?;
+        let stages = self.stage_tasks(rayon::current_num_threads())?;
         let mut total = 0u64;
         schedule::run_stages(
             &stages,

@@ -5,7 +5,7 @@
 //! meant to be shared: every method takes `&self`, template planning is
 //! deduplicated through the session's [`ShardedPlanCache`], and the
 //! thread count is fixed at construction. Every run executes on the
-//! compiled walker with the default [`Schedule`].
+//! compiled walker, its groups split by the pool's block count.
 //!
 //! ```
 //! use pdm_service::Session;
@@ -80,7 +80,7 @@ pub const DEFAULT_CAPACITY_PER_SHARD: usize = 64;
 ///     .cache_capacity(4, 16) // 4 shards × 16 templates
 ///     .threads(2)            // execution pool width
 ///     .build();
-/// assert_eq!(session.cache().shard_count(), 4);
+/// assert_eq!(session.cache().shard_stats().len(), 4);
 /// ```
 #[derive(Debug)]
 pub struct SessionBuilder {
@@ -185,7 +185,7 @@ pub struct RunOutcome {
 /// cache → execute, one error type, internally synchronized.
 ///
 /// Construction fixes the execution environment: parallel runs use the
-/// session's thread count and the default [`Schedule`]. Templates are
+/// session's thread count. Templates are
 /// cached in a sharded single-flight [`ShardedPlanCache`] shared by
 /// every clone of the session's `Arc`s — concurrent requests for one
 /// shape plan once.
@@ -560,10 +560,11 @@ impl Session {
         &self.faults
     }
 
-    /// The range-splitting schedule the session executes with: always
-    /// [`Schedule::default`].
+    /// The replay-only [`Schedule`] shim, which carries no setting:
+    /// servebench's staged replay passes it back to the runtime, and it
+    /// is deleted with that replay. No production path reads it.
     pub fn schedule(&self) -> Schedule {
-        Schedule::default()
+        Schedule
     }
 
     /// The execution thread count (`None` = machine default).

@@ -8,26 +8,28 @@
 //! the start. The cursors walk the plan's lowered [`CompiledBounds`], as
 //! every executor does, while the oracle reads the Fourier–Motzkin
 //! `LoopBounds` directly. `group_count` is pinned to the oracle's length
-//! on every nest, covering both the arithmetic fast path and the
-//! cursor-walk fallback for prefix-dependent bounds.
+//! on every nest, and the pool-block split (`Walker::tasks`) is walked
+//! both in claim order and in reverse, a helper's seeking path.
 
 //! The generator only emits rectangular nests, so the proptests below
-//! exercise `seek(k)`'s prefix-dependent fallback rarely and never at
-//! hand-picked positions; the explicit tests at the bottom pin the edge
-//! cases — triangular (prefix-dependent) bounds at `k = 0`,
+//! exercise prefix-dependent counting and seeking rarely; the same
+//! checks also run on fixed 2- and 3-level triangles, whose dependent
+//! levels count as width × tail. The explicit tests at the bottom pin
+//! the edge cases — triangular (prefix-dependent) bounds at `k = 0`,
 //! `k = group_count − 1`, one past the end, and empty iteration spaces.
 //! The last test drives a ≥ 10⁵-group space through every parallel
 //! executor and checks each against its sequential interpreter.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use vardep_loops::core::parallelize;
 use vardep_loops::loopir::generator::{random_nest, GenConfig};
 use vardep_loops::loopir::parse::parse_loop_with;
 use vardep_loops::prelude::*;
 use vardep_loops::runtime::compile::CompiledBounds;
 use vardep_loops::runtime::exec;
-use vardep_loops::runtime::schedule::{group_count, plan_range_tasks, GroupCursor, Schedule};
-use vardep_loops::runtime::CompiledPlan;
+use vardep_loops::runtime::schedule::{group_count, GroupCursor, Schedule};
+use vardep_loops::runtime::{CompiledPlan, Walker};
 
 /// The pre-streaming enumeration, kept as an independent oracle: build
 /// every prefix level by level, then cross with the offset table.
@@ -87,116 +89,198 @@ fn cursor_sequence(plan: &ParallelPlan) -> Vec<(Vec<i64>, usize)> {
     out
 }
 
+/// Cursor sequence == materialized cross product, order included, and
+/// `group_count` agrees with it without enumerating.
+fn check_against_oracle(plan: &ParallelPlan) -> Result<(), TestCaseError> {
+    let oracle = materialized_oracle(plan);
+    let streamed = cursor_sequence(plan);
+    prop_assert_eq!(&streamed, &oracle, "cursor diverged from oracle");
+    // Prefixes must be lexicographically non-decreasing (offset-minor
+    // within equal prefixes).
+    for w in streamed.windows(2) {
+        prop_assert!(
+            w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1),
+            "order violation: {:?} then {:?}",
+            w[0],
+            w[1]
+        );
+    }
+    prop_assert_eq!(exec::group_count(plan).unwrap(), oracle.len() as u64);
+    Ok(())
+}
+
+/// `seek(k)` lands exactly where `k` advances from the start land, at
+/// the boundaries and a few positions `salt` picks.
+fn check_seek(plan: &ParallelPlan, salt: u64) -> Result<(), TestCaseError> {
+    let num_offsets = plan.partition().map_or(1, |p| p.offsets().len());
+    let z = plan.doall_count();
+    let bounds = lowered(plan);
+    let all = cursor_sequence(plan);
+    let total = all.len() as u64;
+    let mut picks = vec![0u64, total / 2, total.saturating_sub(1)];
+    for i in 0..4u64 {
+        if total > 0 {
+            picks.push(
+                (salt
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(i * 1442695040888963407))
+                    % total,
+            );
+        }
+    }
+    for &k in &picks {
+        if k >= total {
+            continue;
+        }
+        let mut cur = GroupCursor::new(&bounds, z, num_offsets).unwrap();
+        prop_assert!(cur.seek(k).unwrap(), "seek({k}) of {total} failed");
+        let (p, o) = cur.current().unwrap();
+        prop_assert_eq!(
+            (p.to_vec(), o),
+            all[k as usize].clone(),
+            "seek({}) mismatch",
+            k
+        );
+        prop_assert_eq!(cur.position(), k);
+        // The cursor must continue correctly after a seek.
+        if cur.advance().unwrap() {
+            let (p, o) = cur.current().unwrap();
+            prop_assert_eq!((p.to_vec(), o), all[k as usize + 1].clone());
+        } else {
+            prop_assert_eq!(k + 1, total, "premature exhaustion after seek({})", k);
+        }
+    }
+    // Seeking past the end exhausts cleanly.
+    let mut cur = GroupCursor::new(&bounds, z, num_offsets).unwrap();
+    prop_assert!(!cur.seek(total).unwrap());
+    prop_assert!(cur.current().is_none());
+    Ok(())
+}
+
+/// The pool-block split at 1..=4 threads: contiguous, non-empty tasks,
+/// at most one per block, covering the space. One reused cursor walks
+/// them in claim order, where it already sits at every next start (no
+/// seek), and in reverse, where every task seeks as a helper does; both
+/// walks concatenate, by position, to the cursor sequence.
+fn check_split(plan: &ParallelPlan) -> Result<(), TestCaseError> {
+    let walker = Walker::for_plan(plan);
+    let all: Vec<(u64, Vec<i64>, usize)> = cursor_sequence(plan)
+        .into_iter()
+        .enumerate()
+        .map(|(i, (p, o))| (i as u64, p, o))
+        .collect();
+    for threads in 1..=4 {
+        let tasks = walker.tasks(threads).unwrap();
+        prop_assert!(tasks.len() <= threads * rayon::BLOCKS_PER_WORKER);
+        let mut next_start = 0u64;
+        for task in &tasks {
+            prop_assert_eq!(task.start(), next_start);
+            prop_assert!(task.start() < task.end());
+            next_start = task.end();
+        }
+        prop_assert_eq!(next_start, all.len() as u64, "tasks must cover the space");
+
+        let mut cursor = walker.cursor();
+        let mut in_order = Vec::new();
+        for (i, task) in tasks.iter().enumerate() {
+            if i > 0 {
+                prop_assert!(
+                    !cursor.is_exhausted() && cursor.position() == task.start(),
+                    "in-order claim at {} would seek",
+                    task.start()
+                );
+            }
+            task.for_each(&mut cursor, |gid, prefix, off| {
+                in_order.push((gid, prefix.to_vec(), off));
+                Ok(())
+            })
+            .unwrap();
+        }
+        prop_assert_eq!(
+            &in_order,
+            &all,
+            "in-order walk diverged at {} threads",
+            threads
+        );
+
+        let mut cursor = walker.cursor();
+        let mut reversed = Vec::new();
+        for task in tasks.iter().rev() {
+            let mut walked = Vec::new();
+            task.for_each(&mut cursor, |gid, prefix, off| {
+                walked.push((gid, prefix.to_vec(), off));
+                Ok(())
+            })
+            .unwrap();
+            reversed.push(walked);
+        }
+        let reversed: Vec<_> = reversed.into_iter().rev().flatten().collect();
+        prop_assert_eq!(
+            &reversed,
+            &all,
+            "seeking walk diverged at {} threads",
+            threads
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(130))]
 
     /// Cursor sequence == materialized cross product, order included.
     #[test]
     fn cursor_matches_materialized_oracle(seed in 0u64..1_000_000) {
-        let plan = plan_for_seed(seed);
-        let oracle = materialized_oracle(&plan);
-        let streamed = cursor_sequence(&plan);
-        prop_assert_eq!(&streamed, &oracle, "cursor diverged from oracle");
-        // Prefixes must be lexicographically non-decreasing
-        // (offset-minor within equal prefixes).
-        for w in streamed.windows(2) {
-            prop_assert!(
-                w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1),
-                "order violation: {:?} then {:?}", w[0], w[1]
-            );
-        }
-        // And the arithmetic/walk count must agree without enumerating.
-        prop_assert_eq!(exec::group_count(&plan).unwrap(), oracle.len() as u64);
+        check_against_oracle(&plan_for_seed(seed))?;
     }
 
     /// `seek(k)` lands exactly where `k` advances from the start land.
     #[test]
     fn seek_agrees_with_nth(seed in 0u64..1_000_000) {
-        let plan = plan_for_seed(seed);
-        let num_offsets = plan.partition().map_or(1, |p| p.offsets().len());
-        let z = plan.doall_count();
-        let bounds = lowered(&plan);
-        let all = cursor_sequence(&plan);
-        let total = all.len() as u64;
-        // A handful of deterministic pseudo-random positions per nest,
-        // plus the boundaries.
-        let mut picks = vec![0u64, total / 2, total.saturating_sub(1)];
-        for i in 0..4u64 {
-            if total > 0 {
-                picks.push((seed.wrapping_mul(6364136223846793005).wrapping_add(i * 1442695040888963407)) % total);
-            }
-        }
-        for &k in &picks {
-            if k >= total {
-                continue;
-            }
-            let mut cur = GroupCursor::new(&bounds, z, num_offsets).unwrap();
-            prop_assert!(cur.seek(k).unwrap(), "seek({k}) of {total} failed");
-            let (p, o) = cur.current().unwrap();
-            prop_assert_eq!((p.to_vec(), o), all[k as usize].clone(), "seek({}) mismatch", k);
-            prop_assert_eq!(cur.position(), k);
-            // The cursor must continue correctly after a seek.
-            if cur.advance().unwrap() {
-                let (p, o) = cur.current().unwrap();
-                prop_assert_eq!((p.to_vec(), o), all[k as usize + 1].clone());
-            } else {
-                prop_assert_eq!(k + 1, total, "premature exhaustion after seek({})", k);
-            }
-        }
-        // Seeking past the end exhausts cleanly.
-        let mut cur = GroupCursor::new(&bounds, z, num_offsets).unwrap();
-        prop_assert!(!cur.seek(total).unwrap());
-        prop_assert!(cur.current().is_none());
+        check_seek(&plan_for_seed(seed), seed)?;
     }
 
-    /// Cursor-clone range splitting ([`plan_range_tasks`]) agrees with
-    /// `seek`: every planned task starts exactly where an independent
-    /// seek to its start index lands, and the tasks' walked groups
-    /// concatenate to the full cursor sequence — no gap, no overlap.
-    /// Swept over one range per worker, the default split and a fine
-    /// split, so seek boundaries both do and do not coincide with
-    /// worker boundaries.
+    /// The pool-block split, claimed in order and in reverse.
     #[test]
-    fn planned_tasks_agree_with_seek(seed in 0u64..1_000_000, threads in 1usize..5) {
-        let plan = plan_for_seed(seed);
-        let num_offsets = plan.partition().map_or(1, |p| p.offsets().len());
-        let z = plan.doall_count();
-        let bounds = lowered(&plan);
-        let all = cursor_sequence(&plan);
-        for chunks_per_thread in [1, 4, 16] {
-            let sched = Schedule { chunks_per_thread };
-            let tasks = plan_range_tasks(&bounds, z, num_offsets, &sched, threads).unwrap();
+    fn planned_tasks_agree_with_seek(seed in 0u64..1_000_000) {
+        check_split(&plan_for_seed(seed))?;
+    }
+}
 
-            let mut walked: Vec<(u64, Vec<i64>, usize)> = Vec::new();
-            let mut next_start = 0u64;
-            // One reused cursor runs every task, as a pool worker does.
-            let mut worker = GroupCursor::unpositioned(&bounds, z, num_offsets);
-            for task in &tasks {
-                // Contiguous, non-empty partition of 0..total.
-                prop_assert_eq!(task.start(), next_start);
-                prop_assert!(task.start() < task.end());
-                next_start = task.end();
-                // The planned (clone-positioned) start agrees with seek.
-                let mut cur = GroupCursor::new(&bounds, z, num_offsets).unwrap();
-                prop_assert!(cur.seek(task.start()).unwrap());
-                let (p, o) = cur.current().unwrap();
-                prop_assert_eq!(
-                    (p.to_vec(), o),
-                    all[task.start() as usize].clone(),
-                    "seek({}) oracle mismatch", task.start()
-                );
-                task.for_each(&mut worker, |gid, prefix, off| {
-                    walked.push((gid, prefix.to_vec(), off));
-                    Ok(())
-                }).unwrap();
-            }
-            prop_assert_eq!(next_start, all.len() as u64, "tasks must cover the space");
-            prop_assert_eq!(walked.len(), all.len());
-            for (i, ((gid, p, o), (ep, eo))) in walked.iter().zip(&all).enumerate() {
-                prop_assert_eq!(*gid, i as u64);
-                prop_assert_eq!((p, *o), (ep, *eo), "group {} diverged at {} chunks", i, chunks_per_thread);
-            }
-        }
+/// All-doall triangles whose inner levels read outer indices: the
+/// 2-level one at 299 (45,150 groups) and the 3-level one at 63
+/// (45,760 groups). Each dependent level has only independent levels
+/// below it, so it counts and seeks as width × tail.
+fn dependent_triangles() -> Vec<ParallelPlan> {
+    [
+        (
+            "for i = 0..=299 { for j = 0..=i { A[i, j] = A[i, j] + j; } }",
+            2,
+            45_150,
+        ),
+        (
+            "for i = 0..=63 { for j = 0..=i { for k = 0..=j { A[i, j, k] = A[i, j, k] + k; } } }",
+            3,
+            45_760,
+        ),
+    ]
+    .into_iter()
+    .map(|(src, z, groups)| {
+        let plan = parallelize(&parse_loop_with(src, &[]).unwrap()).unwrap();
+        assert_eq!(plan.doall_count(), z, "{src}");
+        assert_eq!(exec::group_count(&plan).unwrap(), groups, "{src}");
+        plan
+    })
+    .collect()
+}
+
+/// The oracle, seek and split checks on the dependent triangles.
+#[test]
+fn dependent_triangles_count_seek_and_split() {
+    for (i, plan) in dependent_triangles().iter().enumerate() {
+        check_against_oracle(plan).unwrap();
+        check_seek(plan, 7 + i as u64).unwrap();
+        check_split(plan).unwrap();
     }
 }
 
@@ -426,7 +510,7 @@ fn every_executor_streams_a_large_group_space() {
     run_sequential(&rnest, &rreference).unwrap();
     let rmem = rfresh();
     let rcp = CompiledPlan::compile(&rnest, &rplan, &rmem).unwrap();
-    let count = inspector::run_refined_compiled(&rcp, &rmem, &stages, Schedule::default()).unwrap();
+    let count = inspector::run_refined_compiled(&rcp, &rmem, &stages, Schedule).unwrap();
     assert_eq!(count, 18 * 18);
     assert_eq!(
         rmem.snapshot(),
