@@ -5,7 +5,7 @@
 //! partition counts).
 
 use pdm_baselines::report::Parallelizer;
-use pdm_bench::{claim, measure_speedup, paper41, paper42};
+use pdm_bench::{claim, measure_speedup, measure_warm, paper41, paper42};
 use pdm_isdg::metrics::metrics;
 
 fn main() {
@@ -135,6 +135,19 @@ fn main() {
             "> 1 on multicore",
             format!("seq {:.1} ms, par {:.1} ms, x{sp:.2}", s * 1e3, p * 1e3),
             sp > 1.0,
+        );
+        // What the row means on this host: warm calls on reused memory,
+        // and the planned walk's own cost against the original order on
+        // one thread. Reported, not judged.
+        let (ws, wp, wp1) = measure_warm(&nest, &plan, 5);
+        println!(
+            "    loop {name} warm (best of 5, reused memory): seq {:.2} ms, par {:.2} ms, \
+             x{:.2}; one thread: planned {:.2} ms = x{:.2} the original order",
+            ws * 1e3,
+            wp * 1e3,
+            ws / wp,
+            wp1 * 1e3,
+            wp1 / ws
         );
     }
 

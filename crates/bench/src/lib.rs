@@ -80,6 +80,31 @@ pub fn measure_speedup(nest: &LoopNest, plan: &ParallelPlan, reps: usize) -> (f6
     (best_seq, best_par, best_seq / best_par)
 }
 
+/// Warm timings of a plan on one seeded memory, reused by every call:
+/// the best of `reps` calls of the compiled original-order walk, of the
+/// parallel run on the current pool, and of the parallel run on a
+/// one-thread pool. [`measure_speedup`] times cold calls on fresh
+/// memory instead. Returns `(seq_seconds, par_seconds,
+/// par_one_thread_seconds)`.
+pub fn measure_warm(nest: &LoopNest, plan: &ParallelPlan, reps: usize) -> (f64, f64, f64) {
+    let mut m = Memory::for_nest(nest).expect("alloc");
+    m.init_deterministic(1);
+    let cp = pdm_runtime::CompiledPlan::compile(nest, plan, &m).expect("compile plan");
+    let one = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("one-thread pool");
+    let best = |f: &dyn Fn() -> u64| {
+        (0..reps.max(1))
+            .map(|_| time(f).1)
+            .fold(f64::INFINITY, f64::min)
+    };
+    let seq = best(&|| cp.run_original_order(nest, &m).expect("seq"));
+    let par = best(&|| cp.run_parallel(&m).expect("par"));
+    let par_one = best(&|| one.install(|| cp.run_parallel(&m)).expect("par"));
+    (seq, par, par_one)
+}
+
 /// A `(claimed, measured, pass)` line for the experiment report.
 pub fn claim(
     label: &str,
@@ -120,5 +145,7 @@ mod tests {
         let plan = pdm_core::parallelize(&nest).unwrap();
         let (s, p, sp) = measure_speedup(&nest, &plan, 1);
         assert!(s > 0.0 && p > 0.0 && sp > 0.0);
+        let (s, p, p1) = measure_warm(&nest, &plan, 2);
+        assert!(s > 0.0 && p > 0.0 && p1 > 0.0);
     }
 }

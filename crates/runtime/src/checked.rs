@@ -19,36 +19,39 @@
 //! alone and guards read only indices, so the reported conflicts do not
 //! depend on the thread schedule or the pool width.
 
-use crate::compile::{CompiledPlan, TaskState};
+use crate::compile::{CompiledPlan, PlanScratch, Visit};
 use crate::memory::{self, Memory};
-use crate::schedule::{self, RangeTask};
+use crate::schedule;
 use crate::staged::CompiledProgram;
 use crate::{Result, RuntimeError};
 use pdm_core::plan::ParallelPlan;
 use pdm_loopir::nest::LoopNest;
+use std::ops::Range;
 
-/// Per-group access logs of one range task, keyed by global group id:
+/// Per-group access logs of one group range, keyed by global group id:
 /// `(cell, write)` per access, as [`detect_conflicts`] scans them.
 type GroupLogs = Vec<(u64, Vec<(usize, bool)>)>;
 
-/// Execute one range task through the compiled walker with a logging
-/// visitor and a worker's reused `state`. Returns the task's iteration
-/// count and one log per group that ran at least one iteration, in walk
-/// order.
-fn log_task<'a>(
-    cp: &'a CompiledPlan,
+/// Execute one group range through the compiled walker with a logging
+/// visitor and a worker's reused scratch. Returns the range's iteration
+/// count and one log per group, in walk order.
+fn log_range(
+    cp: &CompiledPlan,
     mem: &Memory,
-    task: &RangeTask<'a>,
-    state: &mut TaskState<'a>,
+    groups: Range<u64>,
+    s: &mut PlanScratch,
 ) -> Result<(u64, GroupLogs)> {
     let mut logs: GroupLogs = Vec::new();
-    let count = cp.walker().walk_task(task, state, |gid, sc| {
-        if logs.last().is_none_or(|(g, _)| *g != gid) {
-            logs.push((gid, Vec::new()));
+    let count = cp.walker().walk_range(groups, s, |step| match step {
+        Visit::Group { id, .. } => {
+            logs.push((id, Vec::new()));
+            Ok(())
         }
-        let log = &mut logs.last_mut().expect("pushed above").1;
-        cp.program()
-            .exec_traced(mem, sc, |cell, write| log.push((cell, write)))
+        Visit::Iteration(sc) => {
+            let log = &mut logs.last_mut().expect("a group was entered").1;
+            cp.program()
+                .exec_traced(mem, sc, |cell, write| log.push((cell, write)))
+        }
     })?;
     Ok((count, logs))
 }
@@ -69,8 +72,8 @@ pub fn run_parallel_checked(nest: &LoopNest, plan: &ParallelPlan, mem: &Memory) 
     let mut logs: GroupLogs = Vec::new();
     schedule::run_stages(
         std::slice::from_ref(&tasks),
-        || cp.new_task_state(),
-        |state, task| log_task(&cp, mem, task, state),
+        || cp.new_scratch(),
+        |s, task| log_range(&cp, mem, task.clone(), s),
         |_, results| {
             for (count, task_logs) in results {
                 total += count;
@@ -183,10 +186,15 @@ pub fn run_program_parallel_checked(
     let mut total = 0u64;
     schedule::run_stages(
         &stages,
-        || program.new_task_states(),
-        |states, (k, task)| {
-            let state = program.task_state(states, *k);
-            Ok((*k, log_task(&program.kernels()[*k], mem, task, state)?))
+        || program.new_scratches(),
+        |scratches, (k, task)| {
+            let logged = log_range(
+                &program.kernels()[*k],
+                mem,
+                task.clone(),
+                &mut scratches[*k],
+            );
+            Ok((*k, logged?))
         },
         |si, results| {
             let mut units: Vec<((usize, u64), Vec<(usize, bool)>)> = Vec::new();

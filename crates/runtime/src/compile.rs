@@ -25,26 +25,33 @@
 //!
 //! The group geometry — compiled bounds, `T⁻¹` deltas, lattice steps and
 //! the offset table — lives in a [`Walker`], which needs neither a
-//! [`Program`] nor a [`Memory`]. [`Walker::walk`] is generic over a
-//! per-iteration visitor (monomorphised, never `dyn`): execution runs
-//! the bytecode, the race checker ([`crate::checked`]) logs the cells
-//! the bytecode touches, the inspector ([`crate::inspector`])
-//! summarises the same cells per group without reading a [`Memory`],
-//! and test oracles record the points they see.
+//! [`Program`] nor a [`Memory`]. [`Walker::walk_range`] walks a
+//! contiguous range of groups as **one** walk: the doall-prefix levels
+//! (step 1, no residue) and the partition offset index are its outer
+//! levels, so the next group of a range is one strength-reduced `shift`
+//! and one bound check away, like the next value of an inner level. It
+//! is generic over one visitor (monomorphised, never `dyn`) that hears
+//! of every group entry, a group that runs no iteration included, and
+//! of every iteration: execution runs the bytecode, the race checker
+//! ([`crate::checked`]) logs the cells the bytecode touches, the
+//! inspector ([`crate::inspector`]) summarises the same cells per group
+//! without reading a [`Memory`], and test oracles record the groups and
+//! points they see.
 //!
-//! Scheduling: [`CompiledPlan::run_parallel`] splits the group *index
-//! space* (doall-prefix values × partition offsets) into one contiguous
-//! range per pool block ([`Walker::tasks`]) and hands them to the
-//! crate's one stage driver. Each worker keeps one [`TaskState`] — a
-//! streaming [`crate::schedule::GroupCursor`] and a [`PlanScratch`] —
-//! and every range it claims positions that cursor in place (the
-//! region's caller, claiming in order, never moves it; a helper seeks
-//! once) and walks forward: the group list is never materialized, and a
-//! range allocates nothing.
+//! # Scheduling
+//!
+//! [`CompiledPlan::run_parallel`] splits the group *index space*
+//! (doall-prefix values × partition offsets) into one contiguous range
+//! per pool block ([`Walker::tasks`]) and hands them to the crate's one
+//! stage driver. Each worker keeps one [`PlanScratch`], which records
+//! the group its last walk stopped at: a range that starts there (the
+//! region's caller claims in order) walks on from it, and any other
+//! range seeks its start once ([`crate::schedule`]). The group list is
+//! never materialized, and a range allocates nothing.
 
 use crate::memory::{Layout, Memory};
 use crate::program::{Program, Scratch};
-use crate::schedule::{self, GroupCursor, RangeTask, Schedule};
+use crate::schedule::{self, Levels, Schedule};
 use crate::{Result, RuntimeError};
 use pdm_core::partition::Partitioning;
 use pdm_core::plan::ParallelPlan;
@@ -53,6 +60,7 @@ use pdm_matrix::num::{ceil_div, floor_div};
 use pdm_matrix::MatrixError;
 use pdm_poly::bounds::{BoundExpr, LoopBounds};
 use pdm_poly::expr::AffineExpr;
+use std::ops::Range;
 
 fn overflow() -> RuntimeError {
     RuntimeError::Matrix(MatrixError::Overflow)
@@ -170,45 +178,70 @@ impl CompiledBounds {
 }
 
 /// Reusable walk state: transformed point, lattice coordinates, level
-/// uppers, and the visited [`Scratch`] (original indices, flat offsets,
-/// operand stack).
+/// uppers, the group the last walk stopped at, and the visited
+/// [`Scratch`] (original indices, flat offsets, operand stack). The
+/// stage driver keeps one per worker thread, so a range allocates
+/// nothing before its first iteration.
 #[derive(Debug, Clone)]
 pub struct PlanScratch {
     y: Vec<i64>,
     q: Vec<i64>,
     hi: Vec<i64>,
+    /// The prefix a seek finds, before the walk shifts to it (`z`
+    /// entries: a prefix level's bounds read the levels above it only).
+    target: Vec<i64>,
+    /// The group the last walk stopped at, entered next: its prefix is
+    /// `y[..z]` and its offset index `o`. `None` before the first walk,
+    /// after the last group, and after a failed walk.
+    at: Option<u64>,
+    o: usize,
     inner: Scratch,
 }
 
-/// One worker's reusable state for the range tasks of one walker: the
-/// group cursor each task positions in place and the walk scratch.
-/// The stage driver builds one per thread of a region
-/// ([`CompiledPlan::new_task_state`]), so a task allocates nothing
-/// before its first iteration.
+impl PlanScratch {
+    /// The group the last [`Walker::walk_range`] stopped at: a range
+    /// starting there walks on without a seek. `None` when the scratch
+    /// sits at no group.
+    pub fn position(&self) -> Option<u64> {
+        self.at
+    }
+}
+
+/// One step of [`Walker::walk_range`], handed to its visitor.
 #[derive(Debug)]
-pub struct TaskState<'a> {
-    pub(crate) cursor: GroupCursor<'a>,
-    pub(crate) scratch: PlanScratch,
+pub enum Visit<'s> {
+    /// Entry to group `id`, before its iterations; a group that runs no
+    /// iteration is entered too.
+    Group {
+        /// Linear index of the group.
+        id: u64,
+        /// Its doall-prefix values.
+        prefix: &'s [i64],
+        /// Its index in [`Walker::offsets`].
+        offset: usize,
+    },
+    /// One iteration of the current group, with the up-to-date scratch.
+    Iteration(&'s mut Scratch),
 }
 
 /// The compiled group walker: the geometry of a (possibly transformed)
 /// iteration space, independent of any body or memory.
 ///
-/// It walks one group — a doall-prefix value plus a Theorem-2 offset —
-/// in transformed lexicographic order, keeping the original indices
-/// (and, once [`Program`] accesses are attached, every access's flat
-/// offset) up to date by strength reduction, and hands each iteration
-/// to a visitor. Build one with [`Walker::for_plan`] to walk a plan
-/// without a [`Memory`] (the inspector does); [`CompiledPlan`] carries
-/// one with its program's accesses attached, and builds the original
-/// nest's walker, straight from the nest's loop bounds, for
-/// [`CompiledPlan::run_original_order`].
+/// It walks a range of groups — doall-prefix values crossed with
+/// Theorem-2 offsets — each in transformed lexicographic order, keeping
+/// the original indices (and, once [`Program`] accesses are attached,
+/// every access's flat offset) up to date by strength reduction, and
+/// hands each group entry and iteration to a visitor. Build one with
+/// [`Walker::for_plan`] to walk a plan without a [`Memory`] (the
+/// inspector does); [`CompiledPlan`] carries one with its program's
+/// accesses attached, and builds the original nest's walker, straight
+/// from the nest's loop bounds, for [`CompiledPlan::run_original_order`].
 #[derive(Debug, Clone)]
 pub struct Walker {
     /// Walk-space dimension (== nest depth).
     n: usize,
     /// Leading walk levels fixed per group (doall prefix; 0 when the
-    /// walker drives the original nest).
+    /// walker drives the original nest, whose one group is the nest).
     z: usize,
     bounds: CompiledBounds,
     /// `dorig[ℓ][i]`: change of original index `i` per unit step of walk
@@ -303,18 +336,14 @@ impl Walker {
         &self.offsets
     }
 
-    /// Split the group space into contiguous range tasks for `threads`
+    /// Split the group space into contiguous ranges for `threads`
     /// workers, one per block the vendored pool cuts a region into
     /// (`threads × rayon::BLOCKS_PER_WORKER`, fewer when the space has
-    /// fewer groups). Each task seeks its start when it runs, unless the
-    /// worker's cursor already sits there.
-    pub fn tasks(&self, threads: usize) -> Result<Vec<RangeTask<'_>>> {
-        let total = self.group_count()?;
-        let chunk = total.div_ceil(schedule::task_target(threads) as u64).max(1);
-        Ok((0..total)
-            .step_by(chunk as usize)
-            .map(|start| self.range(start, (start + chunk).min(total)))
-            .collect())
+    /// fewer groups). A range seeks its start when it runs, unless the
+    /// worker's walk stopped there.
+    pub fn tasks(&self, threads: usize) -> Result<Vec<Range<u64>>> {
+        let target = schedule::task_target(threads) as u64;
+        Ok(schedule::split(self.group_count()?, target).collect())
     }
 
     /// Exact number of independent groups (prefix values × offsets),
@@ -323,32 +352,15 @@ impl Walker {
         schedule::group_count(&self.bounds, self.z, self.offsets.len())
     }
 
-    /// One range task over groups `start..end`, positioned by a seek
-    /// when it runs.
-    pub fn range(&self, start: u64, end: u64) -> RangeTask<'_> {
-        RangeTask::new(&self.bounds, start, end)
-    }
-
-    /// A cursor over this walker's group space for running
-    /// [`RangeTask`]s ([`RangeTask::for_each`] positions it).
-    pub fn cursor(&self) -> GroupCursor<'_> {
-        GroupCursor::unpositioned(&self.bounds, self.z, self.offsets.len())
-    }
-
-    /// Task state around `inner`: a cursor and walk state.
-    fn task_state(&self, inner: Scratch) -> TaskState<'_> {
-        TaskState {
-            cursor: self.cursor(),
-            scratch: self.scratch_with(inner),
-        }
-    }
-
-    /// Walk state around `inner`, positioned at the origin.
+    /// Walk state around `inner`, at the origin and at no group.
     fn scratch_with(&self, inner: Scratch) -> PlanScratch {
         PlanScratch {
             y: vec![0; self.n],
             q: vec![0; self.n - self.z],
             hi: vec![0; self.n],
+            target: vec![0; self.z],
+            at: None,
+            o: 0,
             inner,
         }
     }
@@ -358,15 +370,9 @@ impl Walker {
         self.scratch_with(Scratch::indices_only(self.n))
     }
 
-    /// Range-task state for a bare geometry: a cursor and
-    /// [`Walker::new_scratch`].
-    pub fn new_task_state(&self) -> TaskState<'_> {
-        self.task_state(Scratch::indices_only(self.n))
-    }
-
     /// Advance walk level `ℓ` by `delta`, updating the transformed point,
     /// the original indices, and every flat offset incrementally.
-    #[inline]
+    #[inline(always)]
     fn shift(&self, s: &mut PlanScratch, level: usize, delta: i64) {
         if delta == 0 {
             return;
@@ -391,19 +397,26 @@ impl Walker {
         i64::try_from(r).map_err(|_| overflow())
     }
 
-    /// Walk every iteration of the group `(prefix, offsets[o])` in
-    /// transformed lexicographic order, calling `visit` once per
-    /// iteration with the up-to-date [`Scratch`]. Returns the iteration
-    /// count.
-    pub fn walk<V>(
+    /// Walk the groups `groups` of the space in order as one walk,
+    /// calling `visit` with [`Visit::Group`] on entry to each group and
+    /// with [`Visit::Iteration`] once per iteration, in transformed
+    /// lexicographic order. Returns the iteration count.
+    ///
+    /// The walk has `n + 1` levels: the prefix levels `0..z` (step 1, no
+    /// residue), the offset index, and the trailing levels `z..n`, which
+    /// a Theorem-2 residue seats. The scratch records the group the walk stopped at (the
+    /// first past the range), so a range starting there walks on; any
+    /// other start seeks once ([`crate::schedule`]). A range past the
+    /// last group walks nothing, and a scratch of another walker's shape
+    /// is refused before anything is visited.
+    pub fn walk_range<V>(
         &self,
-        prefix: &[i64],
-        o: usize,
+        groups: Range<u64>,
         s: &mut PlanScratch,
         mut visit: V,
     ) -> Result<u64>
     where
-        V: FnMut(&mut Scratch) -> Result<()>,
+        V: FnMut(Visit<'_>) -> Result<()>,
     {
         // A scratch from a different walker would silently corrupt the
         // strength-reduced offsets; reject it before visiting anything.
@@ -412,28 +425,77 @@ impl Walker {
                 "scratch was allocated for a different compiled walker".into(),
             ));
         }
-        let (n, z) = (self.n, self.z);
-        debug_assert_eq!(prefix.len(), z);
-        for k in 0..n {
-            let target = if k < z { prefix[k] } else { 0 };
-            self.shift(s, k, target - s.y[k]);
+        let (n, z, noff) = (self.n, self.z, self.offsets.len());
+        // Cleared until the walk stops cleanly, so a failed walk leaves a
+        // scratch that seeks.
+        let at = s.at.take();
+        if groups.is_empty() {
+            s.at = at;
+            return Ok(0);
         }
-        if z == n {
-            // Fully parallel: the group is a single iteration.
-            visit(&mut s.inner)?;
-            return Ok(1);
+        let mut pos = groups.start;
+        // Depth `d` walks the `n + 1` levels: prefix level `d` below `z`,
+        // the offset index at `z`, trailing level `d − 1` above it.
+        let mut d = z;
+        if at == Some(pos) {
+            // The last walk stopped at this group: walk on.
+        } else if pos == 0 {
+            d = 0;
+            s.o = 0;
+        } else {
+            let noff = noff as u64;
+            let levels = Levels::new(&self.bounds, z);
+            if !levels.seek(pos / noff, &mut s.target, &mut s.hi)? {
+                return Ok(0);
+            }
+            for k in 0..z {
+                let delta = s.target[k] - s.y[k];
+                self.shift(s, k, delta);
+            }
+            s.o = (pos % noff) as usize;
         }
-        let offset = &self.offsets[o];
         let mut count = 0u64;
-        let mut level = z;
         let mut entering = true;
         loop {
             if entering {
-                let (lo, hi) = self.bounds.range(level, &s.y)?;
+                if d < z {
+                    // A prefix level: step 1, no residue.
+                    let (lo, hi) = self.bounds.range(d, &s.y)?;
+                    if lo <= hi {
+                        s.hi[d] = hi;
+                        self.shift(s, d, lo - s.y[d]);
+                        d += 1;
+                    } else {
+                        entering = false;
+                    }
+                    continue;
+                }
+                if d == z {
+                    if pos == groups.end {
+                        s.at = Some(pos);
+                        return Ok(count);
+                    }
+                    let (prefix, offset) = (&s.y[..z], s.o);
+                    visit(Visit::Group {
+                        id: pos,
+                        prefix,
+                        offset,
+                    })?;
+                    d += 1;
+                    if z == n {
+                        // Fully parallel: the group is a single iteration.
+                        visit(Visit::Iteration(&mut s.inner))?;
+                        count += 1;
+                        entering = false;
+                    }
+                    continue;
+                }
+                let level = d - 1;
                 let kk = level - z;
                 let step = self.steps[kk];
+                let (lo, hi) = self.bounds.range(level, &s.y)?;
                 let start = if self.partitioned {
-                    let r = self.residue(offset, &s.q, kk)?;
+                    let r = self.residue(&self.offsets[s.o], &s.q, kk)?;
                     let v = Partitioning::first_at_least(lo, r, step)?;
                     s.q[kk] = (v - r) / step;
                     v
@@ -443,13 +505,13 @@ impl Walker {
                 if start <= hi {
                     s.hi[level] = hi;
                     self.shift(s, level, start - s.y[level]);
-                    if level + 1 < n {
-                        level += 1;
+                    if d < n {
+                        d += 1;
                         continue;
                     }
                     // Innermost: visit the whole row.
                     loop {
-                        visit(&mut s.inner)?;
+                        visit(Visit::Iteration(&mut s.inner))?;
                         count += 1;
                         if (s.y[level] as i128 + step as i128) > hi as i128 {
                             break;
@@ -460,42 +522,40 @@ impl Walker {
                 }
                 entering = false;
             } else {
-                // Level exhausted: pop, try to bump an outer level.
-                if level == z {
+                // Depth `d` is exhausted: bump the level above it.
+                if d == 0 {
+                    // Past the last group.
                     return Ok(count);
                 }
-                level -= 1;
-                let kk = level - z;
-                let step = self.steps[kk];
-                if (s.y[level] as i128 + step as i128) <= s.hi[level] as i128 {
-                    self.shift(s, level, step);
-                    s.q[kk] += 1;
-                    level += 1;
-                    entering = true;
+                d -= 1;
+                if d < z {
+                    if s.y[d] < s.hi[d] {
+                        self.shift(s, d, 1);
+                        d += 1;
+                        entering = true;
+                    }
+                } else if d == z {
+                    // The group is done: the next offset, or the next prefix.
+                    pos += 1;
+                    if s.o + 1 < noff {
+                        s.o += 1;
+                        entering = true;
+                    } else {
+                        s.o = 0;
+                    }
+                } else {
+                    let level = d - 1;
+                    let kk = level - z;
+                    let step = self.steps[kk];
+                    if (s.y[level] as i128 + step as i128) <= s.hi[level] as i128 {
+                        self.shift(s, level, step);
+                        s.q[kk] += 1;
+                        d += 1;
+                        entering = true;
+                    }
                 }
             }
         }
-    }
-
-    /// Walk every group of `task` with a worker's reused `state`,
-    /// calling `visit(group_id, scratch)` once per iteration. Returns
-    /// the iteration count.
-    pub fn walk_task<'a, V>(
-        &'a self,
-        task: &RangeTask<'a>,
-        state: &mut TaskState<'a>,
-        mut visit: V,
-    ) -> Result<u64>
-    where
-        V: FnMut(u64, &mut Scratch) -> Result<()>,
-    {
-        let TaskState { cursor, scratch } = state;
-        let mut total = 0u64;
-        task.for_each(cursor, |gid, prefix, o| {
-            total += self.walk(prefix, o, scratch, |sc| visit(gid, sc))?;
-            Ok(())
-        })?;
-        Ok(total)
     }
 }
 
@@ -568,34 +628,34 @@ impl CompiledPlan {
         self.walker.scratch_with(self.program.new_scratch())
     }
 
-    /// Allocate one worker's reusable range-task state.
-    pub fn new_task_state(&self) -> TaskState<'_> {
-        self.walker.task_state(self.program.new_scratch())
-    }
-
-    /// Execute every group of one range task with a worker's reused
-    /// state. Returns the iteration count.
-    pub(crate) fn run_task<'a>(
-        &'a self,
+    /// Execute the groups `groups` of the plan with a worker's reused
+    /// scratch. Returns the iteration count.
+    pub(crate) fn run_range(
+        &self,
         mem: &Memory,
-        task: &RangeTask<'a>,
-        state: &mut TaskState<'a>,
+        groups: Range<u64>,
+        s: &mut PlanScratch,
     ) -> Result<u64> {
-        self.walker
-            .walk_task(task, state, |_, sc| self.program.exec(mem, sc))
+        self.walker.walk_range(groups, s, |step| match step {
+            Visit::Group { .. } => Ok(()),
+            Visit::Iteration(sc) => self.program.exec(mem, sc),
+        })
     }
 
     /// Execute the plan's nest in **original lexicographic order** on
-    /// this plan's lowered program: the identity walker over one group,
-    /// without lowering the body again. `nest` must be the nest the plan
-    /// was compiled from. The executor for valuations whose dependences the
-    /// plan cannot honour (a rejected inspector verdict). The walk reads
-    /// `nest`'s own loop bounds, so no call lowers bounds. Returns the
-    /// iteration count.
+    /// this plan's lowered program: the range `0..1` of the identity
+    /// walker, whose one group is the nest, without lowering the body
+    /// again. `nest` must be the nest the plan was compiled from. The
+    /// executor for valuations whose dependences the plan cannot honour
+    /// (a rejected inspector verdict). The walk reads `nest`'s own loop
+    /// bounds, so no call lowers bounds. Returns the iteration count.
     pub fn run_original_order(&self, nest: &LoopNest, mem: &Memory) -> Result<u64> {
         let walker = Walker::for_nest(nest, &self.program)?;
         let mut s = walker.scratch_with(self.program.new_scratch());
-        walker.walk(&[], 0, &mut s, |sc| self.program.exec(mem, sc))
+        walker.walk_range(0..1, &mut s, |step| match step {
+            Visit::Group { .. } => Ok(()),
+            Visit::Iteration(sc) => self.program.exec(mem, sc),
+        })
     }
 
     /// [`CompiledPlan::run_parallel`], taking the replay-only
@@ -605,17 +665,17 @@ impl CompiledPlan {
     }
 
     /// Execute all groups **in parallel** with streaming range
-    /// scheduling: one stage of range tasks, one per pool block
+    /// scheduling: one stage of group ranges, one per pool block
     /// ([`Walker::tasks`]), through `schedule::run_stages`, each worker
-    /// reusing one cursor and one scratch; zero up-front group
-    /// materialization. Returns the total iteration count.
+    /// reusing one scratch; zero up-front group materialization.
+    /// Returns the total iteration count.
     pub fn run_parallel(&self, mem: &Memory) -> Result<u64> {
         let tasks = self.walker.tasks(rayon::current_num_threads())?;
         let mut total = 0u64;
         schedule::run_stages(
             std::slice::from_ref(&tasks),
-            || self.new_task_state(),
-            |state, task| self.run_task(mem, task, state),
+            || self.new_scratch(),
+            |s, task| self.run_range(mem, task.clone(), s),
             |_, counts| {
                 total += counts.iter().sum::<u64>();
                 Ok(())
@@ -738,22 +798,27 @@ mod tests {
             // shares no code with the walker's residue and T⁻¹ deltas.
             let mut seen = Vec::new();
             let mut s = walker.new_scratch();
-            let task = walker.range(0, u64::MAX);
-            let mut total = 0u64;
+            let mut group = (Vec::new(), 0);
             let mut groups = 0u64;
-            task.for_each(&mut walker.cursor(), |_, prefix, o| {
-                groups += 1;
-                total += walker.walk(prefix, o, &mut s, |sc| {
-                    let point = pdm_matrix::vec::IVec(sc.idx.clone());
-                    let (p, off) = plan.group_of(&point).unwrap();
-                    assert_eq!(p.as_slice(), prefix, "{src}: {point:?} prefix");
-                    assert_eq!(off.as_slice(), &walker.offsets()[o][..], "{src}: {point:?}");
-                    seen.push(sc.idx.clone());
+            let total = walker
+                .walk_range(0..u64::MAX, &mut s, |step| {
+                    match step {
+                        Visit::Group { id, prefix, offset } => {
+                            assert_eq!(id, groups, "{src}: group ids run in order");
+                            groups += 1;
+                            group = (prefix.to_vec(), offset);
+                        }
+                        Visit::Iteration(sc) => {
+                            let point = pdm_matrix::vec::IVec(sc.idx.clone());
+                            let (p, off) = plan.group_of(&point).unwrap();
+                            assert_eq!(p.0, group.0, "{src}: {point:?} prefix");
+                            assert_eq!(off.0, walker.offsets()[group.1], "{src}: {point:?}");
+                            seen.push(sc.idx.clone());
+                        }
+                    }
                     Ok(())
-                })?;
-                Ok(())
-            })
-            .unwrap();
+                })
+                .unwrap();
             assert_eq!(groups, crate::exec::group_count(&plan).unwrap());
             let expect: std::collections::HashSet<Vec<i64>> = nest
                 .iterations()
@@ -778,7 +843,12 @@ mod tests {
         let cp_a = CompiledPlan::compile(&nest_a, &plan_a, &mem_a).unwrap();
         let program_b = Program::lower(&nest_b, mem_b.layout()).unwrap();
         let walker_b = Walker::for_nest(&nest_b, &program_b).unwrap();
-        let run_b = |s: &mut PlanScratch| walker_b.walk(&[], 0, s, |sc| program_b.exec(&mem_b, sc));
+        let run_b = |s: &mut PlanScratch| {
+            walker_b.walk_range(0..1, s, |step| match step {
+                Visit::Group { .. } => Ok(()),
+                Visit::Iteration(sc) => program_b.exec(&mem_b, sc),
+            })
+        };
         let mut foreign = cp_a.new_scratch();
         assert!(matches!(run_b(&mut foreign), Err(RuntimeError::Core(_))));
         // A bare geometry scratch carries no flat offsets either.

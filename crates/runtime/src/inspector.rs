@@ -28,11 +28,12 @@
 //! * original lexicographic order is one scalar rank over the nest's
 //!   index box (`Σ (i_k − lo_k)·W_k`), so a `(cell, group)` summary is
 //!   a few plain integers;
-//! * each task state holds a stamp table indexed by cell id, each entry
-//!   stamped with the generation of the group that wrote it, so a touch
-//!   finds its group's summary in one load and a group starts with one
-//!   increment. Audit scratch is O(cells) per task, allocated fallibly
-//!   and freed when the audit returns.
+//! * each worker's state holds a stamp table indexed by cell id, each
+//!   entry stamped with the generation of the group that wrote it, so a
+//!   touch finds its group's summary in one load and a group starts
+//!   with one increment on the walk's group entry. Audit scratch is
+//!   O(cells) per worker, allocated fallibly and freed when the audit
+//!   returns.
 //!
 //! The merge is hash-free and copies no summary: certification scans the
 //! tasks' summaries in place, and refinement chains only the touches of
@@ -45,8 +46,9 @@
 //!   the other's in original order. The conflict graph is a DAG and
 //!   its longest-path layering yields **stages**;
 //!   [`run_refined_compiled`] runs stages sequentially with the
-//!   groups of one stage in parallel as compiled range tasks, reached
-//!   through seeked range cursors — no group table materialization.
+//!   groups of one stage in parallel as compiled group ranges, each
+//!   one range walk that seeks its start at most once — no group table
+//!   materialization.
 //! * [`Verdict::Rejected`] — conflicting touch ranges overlap, or the
 //!   direction graph has a cycle. The valuation runs in original order
 //!   on the compiled walker ([`CompiledPlan::run_original_order`]),
@@ -90,9 +92,9 @@
 //! valuation skips the audit entirely.
 
 use crate::checked::detect_conflicts;
-use crate::compile::{CompiledPlan, TaskState};
+use crate::compile::{CompiledPlan, PlanScratch, Visit};
 use crate::memory::{self, Layout, Memory};
-use crate::schedule::{self, RangeTask, Schedule};
+use crate::schedule::{self, Schedule};
 use crate::{Result, RuntimeError};
 use pdm_core::plan::ParallelPlan;
 use pdm_loopir::nest::LoopNest;
@@ -208,9 +210,9 @@ impl Stamps {
     }
 }
 
-/// One range task's worth of audit state, merged at the barrier: the
+/// One group range's worth of audit state, merged at the barrier: the
 /// touch summaries in walk order, and each walked group's id with the
-/// range of its summaries.
+/// range of its summaries (a group that touches nothing included).
 #[derive(Debug, PartialEq)]
 struct AuditLocal {
     touches: Vec<Touches>,
@@ -227,62 +229,75 @@ fn walked(locals: &[AuditLocal]) -> impl Iterator<Item = (u64, &[Touches])> {
     })
 }
 
-/// Walk one contiguous group range with a worker's reused walk state
+/// Walk one contiguous group range with a worker's reused walk scratch
 /// and stamp table, and summarize its touches. A group lies wholly
 /// within one range, so a `(cell, group)` summary never needs
-/// cross-task merging.
-fn audit_range<'a>(
-    cp: &'a CompiledPlan,
+/// cross-range merging.
+fn audit_range(
+    cp: &CompiledPlan,
     layout: &Layout,
     lex: &LexRank,
-    task: &RangeTask<'a>,
-    (state, stamps): &mut (TaskState<'a>, Stamps),
+    range: Range<u64>,
+    (scratch, stamps): &mut (PlanScratch, Stamps),
 ) -> Result<AuditLocal> {
-    let (walker, program) = (cp.walker(), cp.program());
+    let program = cp.program();
     let mut local = AuditLocal {
         touches: Vec::new(),
         groups: Vec::new(),
     };
     // Room for each group of the range with one iteration's accesses, an
     // estimate (a range may end past the space): a refusal is harmless.
-    let groups = task.end().saturating_sub(task.start()) as usize;
+    let groups = range.end.saturating_sub(range.start) as usize;
     let touches = groups.saturating_mul(program.accesses().len());
     let _ = local.groups.try_reserve(groups);
     let _ = local.touches.try_reserve(touches);
     if stamps.table.len() != layout.cells() {
         stamps.table = memory::zeroed(layout.cells(), || "audit stamp table".into())?;
     }
-    let TaskState { cursor, scratch } = state;
-    task.for_each(cursor, |gid, prefix, o| {
-        let generation = stamps.next_group();
-        let (table, touches) = (&mut stamps.table, &mut local.touches);
-        let start = touches.len();
-        let mut last = -1;
-        walker.walk(prefix, o, scratch, |sc| {
-            let rank = lex.rank(&sc.idx);
-            debug_assert!(rank > last, "group {gid} walks against original order");
-            last = rank;
-            program.for_each_access(layout, sc, |cell, write| {
-                let (stamp, slot) = &mut table[cell];
-                if *stamp == generation {
-                    let t = &mut touches[start + *slot as usize];
-                    t.wrote |= write;
-                    t.max = rank;
-                } else {
-                    // Slots count the group's cells, so fit a `u32`.
-                    (*stamp, *slot) = (generation, (touches.len() - start) as u32);
-                    touches.push(Touches {
-                        cell: cell as u32,
-                        wrote: write,
-                        min: rank,
-                        max: rank,
-                    });
+    let (mut generation, mut start, mut last) = (0, 0, -1);
+    cp.walker().walk_range(range, scratch, |step| {
+        let sc = match step {
+            Visit::Group { id, .. } => {
+                generation = stamps.next_group();
+                start = local.touches.len();
+                last = -1;
+                if let Some((_, run)) = local.groups.last_mut() {
+                    run.end = start;
                 }
-            })
-        })?;
-        local.groups.push((gid, start..touches.len()));
-        Ok(())
+                local.groups.push((id, start..start));
+                return Ok(());
+            }
+            Visit::Iteration(sc) => sc,
+        };
+        let rank = lex.rank(&sc.idx);
+        debug_assert!(
+            rank > last,
+            "group {:?} walks against original order",
+            local.groups.last().map(|g| g.0)
+        );
+        last = rank;
+        let (table, touches) = (&mut stamps.table, &mut local.touches);
+        program.for_each_access(layout, sc, |cell, write| {
+            let (stamp, slot) = &mut table[cell];
+            if *stamp == generation {
+                let t = &mut touches[start + *slot as usize];
+                t.wrote |= write;
+                t.max = rank;
+            } else {
+                // Slots count the group's cells, so fit a `u32`.
+                (*stamp, *slot) = (generation, (touches.len() - start) as u32);
+                touches.push(Touches {
+                    cell: cell as u32,
+                    wrote: write,
+                    min: rank,
+                    max: rank,
+                });
+            }
+        })
     })?;
+    if let Some((_, run)) = local.groups.last_mut() {
+        run.end = local.touches.len();
+    }
     Ok(local)
 }
 
@@ -296,8 +311,8 @@ fn audit_range<'a>(
 /// included. The walk fans out over the same group ranges the executors
 /// use, so first-contact audits scale with cores.
 ///
-/// Determinism: tasks cover disjoint ascending ranges and are merged in
-/// task order, and every later pass runs over dense cell ids and group
+/// Determinism: group ranges are disjoint and ascending and are merged
+/// in range order, and every later pass runs over dense cell ids and group
 /// positions in ascending order, so the verdict — rejection reason
 /// included — is identical to a sequential walk regardless of thread
 /// schedule or pool width.
@@ -326,8 +341,8 @@ pub fn audit_compiled(cp: &CompiledPlan, layout: &Layout) -> Result<Verdict> {
     let mut locals = Vec::new();
     schedule::run_stages(
         std::slice::from_ref(&tasks),
-        || (cp.new_task_state(), Stamps::default()),
-        |state, task| audit_range(cp, layout, &lex, task, state),
+        || (cp.new_scratch(), Stamps::default()),
+        |state, task| audit_range(cp, layout, &lex, task.clone(), state),
         |_, results| {
             locals = results;
             Ok(())
@@ -449,7 +464,7 @@ fn refine(layout: &Layout, locals: &[AuditLocal], conflicting: &[usize]) -> Resu
 /// Coalesce one stage's group ids into contiguous `[start, end)` runs
 /// and split fat runs so the stage yields roughly `target` similarly
 /// sized chunks — the unit of parallelism for the refined executors.
-/// Chunks are cursor ranges, so no group table is ever materialized.
+/// Chunks are group ranges, so no group table is ever materialized.
 fn stage_chunks(stage: &[u64], target: usize) -> Vec<(u64, u64)> {
     let mut gids = stage.to_vec();
     gids.sort_unstable();
@@ -503,15 +518,15 @@ impl StageLayout {
     }
 
     /// Run the stages in order, a barrier between them, each stage's
-    /// chunks as compiled range tasks on the stage driver (each worker
-    /// seeks its one cursor to every chunk it claims). Returns the
-    /// iterations executed.
+    /// chunks as compiled group ranges on the stage driver (a worker's
+    /// walk seeks each chunk that does not start where its last one
+    /// stopped). Returns the iterations executed.
     fn run(&self, plan: &CompiledPlan, mem: &Memory) -> Result<u64> {
         let mut total = 0u64;
         schedule::run_stages(
             &self.chunks,
-            || plan.new_task_state(),
-            |state, &(start, end)| plan.run_task(mem, &plan.walker().range(start, end), state),
+            || plan.new_scratch(),
+            |s, &(start, end)| plan.run_range(mem, start..end, s),
             |_, counts| {
                 total += counts.iter().sum::<u64>();
                 Ok(())
@@ -522,7 +537,7 @@ impl StageLayout {
 }
 
 /// Execute a [`Verdict::Refined`] staging through a [`CompiledPlan`]:
-/// each stage's contiguous group runs become compiled range tasks,
+/// each stage's contiguous group runs become compiled group ranges,
 /// run by the stage driver with a barrier between stages. Lays the
 /// stages out on every call; a server that runs one verdict many times
 /// holds a [`PreparedVerdict`] instead. The [`Schedule`] argument is the
@@ -563,7 +578,7 @@ impl PreparedVerdict {
 
     /// Execute `plan` (compiled from `nest` against `mem`) as the
     /// verdict allows: certified → the compiled parallel engine,
-    /// refined → the staged range tasks, rejected → the compiled walker
+    /// refined → the staged group ranges, rejected → the compiled walker
     /// in original order. All three are the one compiled walker. A
     /// refined run under a pool width the kept layout was not built for
     /// lays its stages out afresh. Returns the iterations executed.
@@ -851,10 +866,9 @@ mod tests {
         let inst = crate::template::instantiate_compiled(&t, &[("K", 1)]).unwrap();
         let (cp, layout) = (&inst.compiled, inst.memory.layout());
         let lex = LexRank::new(layout.ranges()).unwrap();
-        let all = cp.walker().range(0, u64::MAX);
         let walk = |stamps: Stamps| {
-            let state = &mut (cp.new_task_state(), stamps);
-            audit_range(cp, layout, &lex, &all, state).unwrap()
+            let state = &mut (cp.new_scratch(), stamps);
+            audit_range(cp, layout, &lex, 0..u64::MAX, state).unwrap()
         };
         let fresh = walk(Stamps::default());
         let wrapped = walk(Stamps {
@@ -871,6 +885,55 @@ mod tests {
             panic!("expected refinement, got {verdict:?}")
         };
         assert_eq!(stages.len(), 6, "one stage per row: {stages:?}");
+    }
+
+    #[test]
+    fn a_group_with_no_iteration_is_still_a_group() {
+        // The hull A[i] = A[i - 11] + 1 plans one group per residue of i
+        // mod 11, and i = 0..=7 leaves groups 8, 9 and 10 without an
+        // iteration. At K = −15 group i writes the cell group i − 4 read
+        // first, so groups 4..=7 follow 0..=3; the empty groups are
+        // groups all the same and land in the first stage.
+        let src = "for i = 0..=7 { A[i + K] = A[i - 11] + 1; }";
+        let t = plan_template(&parse_loop_symbolic(src, &["K"]).unwrap()).unwrap();
+        let inst = crate::template::instantiate_compiled(&t, &[("K", -15)]).unwrap();
+        assert_eq!(inst.plan.partition_count(), 11);
+        let (mut entered, mut ran) = (Vec::new(), 0);
+        let mut s = inst.compiled.new_scratch();
+        (inst.compiled.walker())
+            .walk_range(0..u64::MAX, &mut s, |step| {
+                match step {
+                    Visit::Group { id, .. } => entered.push(id),
+                    Visit::Iteration(_) => ran += 1,
+                }
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(entered, (0..11).collect::<Vec<u64>>());
+        assert_eq!(ran, 8);
+        let expected = Verdict::Refined {
+            stages: vec![vec![0, 1, 2, 3, 8, 9, 10], vec![4, 5, 6, 7]],
+        };
+        for width in [1, 2] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(width)
+                .build()
+                .unwrap();
+            let audited = pool.install(|| audit_compiled(&inst.compiled, inst.memory.layout()));
+            assert_eq!(audited.unwrap(), expected, "width {width}");
+            assert_eq!(
+                pool.install(|| audit(&inst.nest, &inst.plan)).unwrap(),
+                expected
+            );
+        }
+        let mem = Memory::for_nest(&inst.nest).unwrap();
+        let m_ref = Memory::for_nest(&inst.nest).unwrap();
+        assert_eq!(
+            run_with_verdict(&inst.nest, &inst.plan, &mem, &expected).unwrap(),
+            8
+        );
+        crate::exec::run_sequential(&inst.nest, &m_ref).unwrap();
+        assert_eq!(mem.snapshot(), m_ref.snapshot());
     }
 
     #[test]

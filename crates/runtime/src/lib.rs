@@ -28,19 +28,21 @@
 //!    ([`schedule::group_count`]) on those rows and split into one
 //!    contiguous range per block of the vendored pool
 //!    ([`compile::Walker::tasks`]); each worker walks the ranges it
-//!    claims with one streaming [`schedule::GroupCursor`] of `O(depth)`
-//!    state, seeked only when a range does not start where its last
-//!    one ended, and one reused scratch — the group list is never
-//!    materialized.
+//!    claims with one reused scratch, which records where its last walk
+//!    stopped, so a range seeks only when it does not start there — the
+//!    group list is never materialized.
 //! 3. *Execute* — an iterative (non-recursive) walker
-//!    ([`compile::Walker`]) advances the transformed point level by
-//!    level; the `y·T⁻¹` back-substitution and every access's flat
-//!    offset update by precomputed per-level deltas (strength
-//!    reduction), and partition residues are computed once per level
-//!    entry with lattice coordinates advancing by 1. The walker is
-//!    generic over a per-iteration visitor: executing bytecode, logging
-//!    touched cells ([`checked`]), and summarising touches for the
-//!    inspector ([`inspector`]) are all visitors of the same walk.
+//!    ([`compile::Walker::walk_range`]) walks a range of groups as one
+//!    walk: the prefix levels and the offset index are its outer
+//!    levels, and it advances the transformed point level by level; the
+//!    `y·T⁻¹` back-substitution and every access's flat offset update by
+//!    precomputed per-level deltas (strength reduction), and partition
+//!    residues are computed once per level entry with lattice
+//!    coordinates advancing by 1. The walker is generic over one visitor
+//!    that hears of every group entry and every iteration: executing
+//!    bytecode, logging touched cells ([`checked`]), and summarising
+//!    touches for the inspector ([`inspector`]) are all visitors of the
+//!    same walk.
 //!
 //! **One stage driver** ([`schedule`]). Every parallel run is a list of
 //! stages, each a list of independent `(kernel, group-range)` tasks,
@@ -54,9 +56,9 @@
 //!
 //! Supporting modules:
 //!
-//! * [`schedule`] — the streaming group enumerator: prefix cursors,
-//!   one counting routine for group counts and `k`-th-group seeks,
-//!   range tasks, and the stage driver;
+//! * [`schedule`] — the group index space: one counting routine for
+//!   group counts and `k`-th-group seeks, the pool-block split, and the
+//!   stage driver;
 //! * [`template`] — parametric serving: lower a `pdm-core`
 //!   `PlanTemplate` at a size to a ready-to-run
 //!   [`template::CompiledInstance`] (no re-analysis, no FM);
@@ -116,12 +118,12 @@ pub mod sharded;
 pub mod staged;
 pub mod template;
 
-pub use compile::{CompiledPlan, Walker};
+pub use compile::{CompiledPlan, Visit, Walker};
 pub use config::RuntimeConfig;
 pub use exec::run_sequential;
 pub use inspector::{audit, run_refined_compiled, run_with_verdict, PreparedVerdict, Verdict};
 pub use memory::Memory;
-pub use schedule::{GroupCursor, Schedule};
+pub use schedule::Schedule;
 pub use sharded::{CacheStats, ShardedPlanCache};
 pub use staged::{run_imperfect_sequential, run_program_sequential, CompiledProgram};
 pub use template::CompiledInstance;

@@ -12,9 +12,10 @@
 //! * [`run_program_sequential`] — the fissioned baseline: kernels in
 //!   source order, each interpreted in original lexicographic order.
 //! * [`CompiledProgram`] — staged parallel execution: kernels grouped by
-//!   DAG **stage**; within a stage, every kernel's group ranges (one
-//!   per pool block, [`crate::compile::Walker::tasks`]) form one task
-//!   list for the crate's stage driver (`schedule::run_stages`), so
+//!   DAG **stage**; within a stage, the kernels share one split of one
+//!   range per pool block (`schedule::task_target`), in proportion to
+//!   their group counts, and their ranges form one task list for the
+//!   crate's stage driver (`schedule::run_stages`), so
 //!   independent kernels' groups interleave freely across workers. A
 //!   barrier exists **only between stages** — i.e. only where a DAG
 //!   edge forces one.
@@ -26,13 +27,14 @@
 //! harness and validated at runtime by
 //! [`crate::checked::run_program_parallel_checked`].
 
-use crate::compile::{CompiledPlan, TaskState};
+use crate::compile::{CompiledPlan, PlanScratch};
 use crate::exec;
 use crate::memory::Memory;
-use crate::schedule::{self, RangeTask};
+use crate::schedule;
 use crate::Result;
 use pdm_core::program::ProgramPlan;
 use pdm_loopir::imperfect::ImperfectNest;
+use std::ops::Range;
 
 /// Execute the imperfect nest in its original, fully interleaved source
 /// order: at every iteration of level `k`, run `pre[k]`, then the inner
@@ -127,42 +129,40 @@ impl CompiledProgram {
         &self.kernels
     }
 
-    /// Per stage, the flattened `(kernel, range task)` list of every
-    /// kernel in the stage, each kernel's group space split on its own
-    /// for `threads` workers.
-    pub(crate) fn stage_tasks(&self, threads: usize) -> Result<Vec<Vec<(usize, RangeTask<'_>)>>> {
+    /// Per stage, the `(kernel, group range)` list of every kernel in
+    /// the stage. The stage is split once for `threads` workers: its
+    /// kernels share one range per pool block
+    /// ([`schedule::task_target`]) in proportion to their group counts,
+    /// each non-empty kernel at least one, so a stage of `k` kernels
+    /// yields at most `task_target + k` ranges.
+    pub(crate) fn stage_tasks(&self, threads: usize) -> Result<Vec<Vec<(usize, Range<u64>)>>> {
+        let target = schedule::task_target(threads) as u128;
         self.stages
             .iter()
             .map(|stage| {
+                let counts = stage
+                    .iter()
+                    .map(|&k| self.kernels[k].group_count())
+                    .collect::<Result<Vec<u64>>>()?;
+                let total = counts.iter().map(|&c| u128::from(c)).sum::<u128>().max(1);
                 let mut tasks = Vec::new();
-                for &k in stage {
-                    let kernel_tasks = self.kernels[k].walker().tasks(threads)?;
-                    tasks.extend(kernel_tasks.into_iter().map(|t| (k, t)));
+                for (&k, &c) in stage.iter().zip(&counts) {
+                    let parts = (u128::from(c) * target / total).max(1) as u64;
+                    tasks.extend(schedule::split(c, parts).map(|r| (k, r)));
                 }
                 Ok(tasks)
             })
             .collect()
     }
 
-    /// One worker's task states, one slot per kernel, each built the
-    /// first time the worker runs a task of that kernel
-    /// ([`CompiledProgram::task_state`]).
-    pub(crate) fn new_task_states(&self) -> Vec<Option<TaskState<'_>>> {
-        self.kernels.iter().map(|_| None).collect()
-    }
-
-    /// Kernel `k`'s slot of a worker's `states`, built on first use.
-    pub(crate) fn task_state<'s, 'a>(
-        &'a self,
-        states: &'s mut [Option<TaskState<'a>>],
-        k: usize,
-    ) -> &'s mut TaskState<'a> {
-        states[k].get_or_insert_with(|| self.kernels[k].new_task_state())
+    /// One worker's walk scratches, one per kernel.
+    pub(crate) fn new_scratches(&self) -> Vec<PlanScratch> {
+        self.kernels.iter().map(CompiledPlan::new_scratch).collect()
     }
 
     /// Execute the whole program with staged compiled parallelism:
     /// within a stage, every kernel's group ranges share one rayon
-    /// region (each worker reuses one compiled state per kernel);
+    /// region (each worker reuses one walk scratch per kernel);
     /// barriers exist only at stage boundaries. Returns the summed
     /// kernel iteration count.
     pub fn run_parallel(&self, mem: &Memory) -> Result<u64> {
@@ -170,10 +170,9 @@ impl CompiledProgram {
         let mut total = 0u64;
         schedule::run_stages(
             &stages,
-            || self.new_task_states(),
-            |states, (k, task)| {
-                let state = self.task_state(states, *k);
-                self.kernels[*k].run_task(mem, task, state)
+            || self.new_scratches(),
+            |scratches, (k, task)| {
+                self.kernels[*k].run_range(mem, task.clone(), &mut scratches[*k])
             },
             |_, counts| {
                 total += counts.iter().sum::<u64>();
@@ -206,6 +205,39 @@ mod tests {
         assert_eq!(c_seq, c_comp, "compiled iteration count diverged");
         assert_eq!(m_ref.snapshot(), m_seq.snapshot(), "fissioned-sequential");
         assert_eq!(m_ref.snapshot(), m_comp.snapshot(), "compiled-parallel");
+    }
+
+    #[test]
+    fn a_stage_of_two_kernels_is_split_once() {
+        // Two independent kernels, 64 and 4,096 groups, in one stage: they
+        // share one range per pool block, each at least one range.
+        let imp = parse_imperfect(
+            "for i = 0..=63 {
+               B[i, 0] = i;
+               for j = 0..=63 { C[i, j] = i + j; }
+             }",
+        )
+        .unwrap();
+        let pp = parallelize_program(&imp).unwrap();
+        let mem = Memory::for_imperfect(&imp).unwrap();
+        let program = CompiledProgram::compile(&pp, &mem).unwrap();
+        assert_eq!(program.stages, vec![vec![0, 1]], "one stage of two kernels");
+        for threads in 1..=4 {
+            let stages = program.stage_tasks(threads).unwrap();
+            for (stage, tasks) in program.stages.iter().zip(&stages) {
+                let bound = schedule::task_target(threads) + stage.len();
+                assert!(tasks.len() <= bound, "{} ranges at {threads}", tasks.len());
+                for &k in stage {
+                    let mut next = 0;
+                    for (_, r) in tasks.iter().filter(|(kk, _)| *kk == k) {
+                        assert_eq!(r.start, next, "kernel {k} at {threads} threads");
+                        assert!(r.start < r.end);
+                        next = r.end;
+                    }
+                    assert_eq!(next, program.kernels[k].group_count().unwrap());
+                }
+            }
+        }
     }
 
     #[test]

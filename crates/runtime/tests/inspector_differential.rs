@@ -20,7 +20,7 @@ use pdm_loopir::nest::LoopNest;
 use pdm_loopir::stmt::AccessKind;
 use pdm_matrix::vec::IVec;
 use pdm_runtime::inspector::{audit, audit_compiled, run_with_verdict};
-use pdm_runtime::{Memory, RuntimeError, Verdict, Walker};
+use pdm_runtime::{Memory, RuntimeError, Verdict, Visit, Walker};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 fn base_seed() -> u64 {
@@ -38,9 +38,16 @@ fn oracle_has_cross_group_conflict(nest: &LoopNest, plan: &ParallelPlan) -> bool
     // cell -> (first touching group, seen a second group, seen a write)
     let mut seen: HashMap<(usize, Vec<i64>), (u64, bool, bool)> = HashMap::new();
     let walker = Walker::for_plan(plan);
-    let mut state = walker.new_task_state();
+    let mut gid = 0;
     walker
-        .walk_task(&walker.range(0, u64::MAX), &mut state, |gid, sc| {
+        .walk_range(0..u64::MAX, &mut walker.new_scratch(), |step| {
+            let sc = match step {
+                Visit::Group { id, .. } => {
+                    gid = id;
+                    return Ok(());
+                }
+                Visit::Iteration(sc) => sc,
+            };
             let idx = sc.idx.as_slice();
             for stmt in nest.body() {
                 if !stmt.guards_hold(idx) {
@@ -84,11 +91,16 @@ fn reference_audit(nest: &LoopNest, plan: &ParallelPlan) -> Verdict {
     let mut groups: Vec<u64> = Vec::new();
     let mut disorder = false;
     let walker = Walker::for_plan(plan);
-    let mut s = walker.new_scratch();
-    let all = walker.range(0, u64::MAX);
-    all.for_each(&mut walker.cursor(), |gid, prefix, o| {
-        groups.push(gid);
-        walker.walk(prefix, o, &mut s, |sc| {
+    walker
+        .walk_range(0..u64::MAX, &mut walker.new_scratch(), |step| {
+            let sc = match step {
+                Visit::Group { id, .. } => {
+                    groups.push(id);
+                    return Ok(());
+                }
+                Visit::Iteration(sc) => sc,
+            };
+            let gid = *groups.last().expect("a group was entered");
             let idx = sc.idx.as_slice();
             for stmt in nest.body() {
                 if !stmt.guards_hold(idx) {
@@ -122,10 +134,8 @@ fn reference_audit(nest: &LoopNest, plan: &ParallelPlan) -> Verdict {
                 }
             }
             Ok(())
-        })?;
-        Ok(())
-    })
-    .unwrap();
+        })
+        .unwrap();
     if disorder {
         return Verdict::Rejected {
             reason: "intra-group disorder".into(),
@@ -660,24 +670,24 @@ fn index_box_past_i64_ranks_is_a_typed_overflow() {
 /// Returns how many iterations followed another in their group.
 fn assert_groups_rise(plan: &ParallelPlan, what: &str) -> u64 {
     let walker = Walker::for_plan(plan);
-    let mut s = walker.new_scratch();
     let mut successors = 0u64;
+    let (mut gid, mut last) = (0, None::<Vec<i64>>);
     walker
-        .range(0, u64::MAX)
-        .for_each(&mut walker.cursor(), |gid, prefix, o| {
-            let mut last: Option<Vec<i64>> = None;
-            walker.walk(prefix, o, &mut s, |sc| {
-                if let Some(prev) = &last {
-                    assert!(
-                        prev.as_slice() < sc.idx.as_slice(),
-                        "{what}: group {gid} walks {:?} after {prev:?}",
-                        sc.idx
-                    );
-                    successors += 1;
+        .walk_range(0..u64::MAX, &mut walker.new_scratch(), |step| {
+            match step {
+                Visit::Group { id, .. } => (gid, last) = (id, None),
+                Visit::Iteration(sc) => {
+                    if let Some(prev) = &last {
+                        assert!(
+                            prev.as_slice() < sc.idx.as_slice(),
+                            "{what}: group {gid} walks {:?} after {prev:?}",
+                            sc.idx
+                        );
+                        successors += 1;
+                    }
+                    last = Some(sc.idx.clone());
                 }
-                last = Some(sc.idx.clone());
-                Ok(())
-            })?;
+            }
             Ok(())
         })
         .unwrap();

@@ -1,15 +1,18 @@
-//! Property tests for the streaming group enumerator.
+//! Property tests for the streaming group walk.
 //!
 //! The oracle is the *historical* materializing algorithm (the full
 //! doall-prefix cross product, reimplemented here independently of the
-//! library): on >100 random nests the [`GroupCursor`] must yield exactly
-//! the same sequence — same multiset, same lexicographic prefix-major /
-//! offset-minor order — and `seek(k)` must agree with `k` advances from
-//! the start. The cursors walk the plan's lowered [`CompiledBounds`], as
-//! every executor does, while the oracle reads the Fourier–Motzkin
-//! `LoopBounds` directly. `group_count` is pinned to the oracle's length
-//! on every nest, and the pool-block split (`Walker::tasks`) is walked
-//! both in claim order and in reverse, a helper's seeking path.
+//! library): on >100 random nests the groups a [`Walker::walk_range`]
+//! enters — its group hook fires for every group, empty ones included
+//! — must be exactly that sequence (same multiset, same lexicographic
+//! prefix-major / offset-minor order), and a range that starts at `k`
+//! must seek to where the walk from group 0 arrives after `k` groups.
+//! The walks step the plan's lowered bounds, as every executor does,
+//! while the oracle reads the Fourier–Motzkin `LoopBounds` directly.
+//! `group_count` is pinned to the oracle's length on every nest, and
+//! the pool-block split (`Walker::tasks`) is walked both in claim order,
+//! where no range seeks, and in reverse, where every range seeks as a
+//! helper's does.
 
 //! The generator only emits rectangular nests, so the proptests below
 //! exercise prefix-dependent counting and seeking rarely; the same
@@ -22,14 +25,18 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use std::ops::Range;
 use vardep_loops::core::parallelize;
 use vardep_loops::loopir::generator::{random_nest, GenConfig};
 use vardep_loops::loopir::parse::parse_loop_with;
 use vardep_loops::prelude::*;
-use vardep_loops::runtime::compile::CompiledBounds;
+use vardep_loops::runtime::compile::PlanScratch;
 use vardep_loops::runtime::exec;
-use vardep_loops::runtime::schedule::{group_count, GroupCursor, Schedule};
-use vardep_loops::runtime::{CompiledPlan, Walker};
+use vardep_loops::runtime::schedule::Schedule;
+use vardep_loops::runtime::{CompiledPlan, Visit, Walker};
+
+/// One entered group: its id, prefix and offset index.
+type Group = (u64, Vec<i64>, usize);
 
 /// The pre-streaming enumeration, kept as an independent oracle: build
 /// every prefix level by level, then cross with the offset table.
@@ -70,31 +77,37 @@ fn plan_for_seed(seed: u64) -> ParallelPlan {
     parallelize(&nest).expect("plan")
 }
 
-/// The bounds every executor walks: the plan's, lowered.
-fn lowered(plan: &ParallelPlan) -> CompiledBounds {
-    CompiledBounds::compile(plan.bounds())
-}
-
-fn cursor_sequence(plan: &ParallelPlan) -> Vec<(Vec<i64>, usize)> {
-    let num_offsets = plan.partition().map_or(1, |p| p.offsets().len());
-    let bounds = lowered(plan);
-    let mut cur = GroupCursor::new(&bounds, plan.doall_count(), num_offsets).unwrap();
+/// The groups a walk of `groups` on `s` enters, in order.
+fn entered(walker: &Walker, groups: Range<u64>, s: &mut PlanScratch) -> Vec<Group> {
     let mut out = Vec::new();
-    while let Some((prefix, o)) = cur.current() {
-        out.push((prefix.to_vec(), o));
-        if !cur.advance().unwrap() {
-            break;
-        }
-    }
+    walker
+        .walk_range(groups, s, |step| {
+            if let Visit::Group { id, prefix, offset } = step {
+                out.push((id, prefix.to_vec(), offset));
+            }
+            Ok(())
+        })
+        .unwrap();
     out
 }
 
-/// Cursor sequence == materialized cross product, order included, and
-/// `group_count` agrees with it without enumerating.
+/// Every group of the plan, walked from group 0 on a fresh scratch.
+fn walk_sequence(plan: &ParallelPlan) -> Vec<Group> {
+    let walker = Walker::for_plan(plan);
+    entered(&walker, 0..u64::MAX, &mut walker.new_scratch())
+}
+
+/// Walk sequence == materialized cross product, order included, group
+/// ids running `0, 1, …`, and `group_count` agrees with it without
+/// enumerating.
 fn check_against_oracle(plan: &ParallelPlan) -> Result<(), TestCaseError> {
     let oracle = materialized_oracle(plan);
-    let streamed = cursor_sequence(plan);
-    prop_assert_eq!(&streamed, &oracle, "cursor diverged from oracle");
+    let walked = walk_sequence(plan);
+    for (k, (id, _, _)) in walked.iter().enumerate() {
+        prop_assert_eq!(*id, k as u64, "group ids must run in walk order");
+    }
+    let streamed: Vec<(Vec<i64>, usize)> = walked.into_iter().map(|(_, p, o)| (p, o)).collect();
+    prop_assert_eq!(&streamed, &oracle, "walk diverged from oracle");
     // Prefixes must be lexicographically non-decreasing (offset-minor
     // within equal prefixes).
     for w in streamed.windows(2) {
@@ -109,13 +122,12 @@ fn check_against_oracle(plan: &ParallelPlan) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// `seek(k)` lands exactly where `k` advances from the start land, at
-/// the boundaries and a few positions `salt` picks.
+/// A range starting at `k` seeks to where the walk from group 0 arrives
+/// after `k` groups, and walks on correctly, at the boundaries and a few
+/// positions `salt` picks.
 fn check_seek(plan: &ParallelPlan, salt: u64) -> Result<(), TestCaseError> {
-    let num_offsets = plan.partition().map_or(1, |p| p.offsets().len());
-    let z = plan.doall_count();
-    let bounds = lowered(plan);
-    let all = cursor_sequence(plan);
+    let walker = Walker::for_plan(plan);
+    let all = walk_sequence(plan);
     let total = all.len() as u64;
     let mut picks = vec![0u64, total / 2, total.saturating_sub(1)];
     for i in 0..4u64 {
@@ -132,69 +144,51 @@ fn check_seek(plan: &ParallelPlan, salt: u64) -> Result<(), TestCaseError> {
         if k >= total {
             continue;
         }
-        let mut cur = GroupCursor::new(&bounds, z, num_offsets).unwrap();
-        prop_assert!(cur.seek(k).unwrap(), "seek({k}) of {total} failed");
-        let (p, o) = cur.current().unwrap();
-        prop_assert_eq!(
-            (p.to_vec(), o),
-            all[k as usize].clone(),
-            "seek({}) mismatch",
-            k
-        );
-        prop_assert_eq!(cur.position(), k);
-        // The cursor must continue correctly after a seek.
-        if cur.advance().unwrap() {
-            let (p, o) = cur.current().unwrap();
-            prop_assert_eq!((p.to_vec(), o), all[k as usize + 1].clone());
-        } else {
-            prop_assert_eq!(k + 1, total, "premature exhaustion after seek({})", k);
-        }
+        // The walk must continue correctly after a seek.
+        let got = entered(&walker, k..k + 2, &mut walker.new_scratch());
+        let want = &all[k as usize..(k as usize + 2).min(all.len())];
+        prop_assert_eq!(&got[..], want, "seek({}) mismatch", k);
     }
-    // Seeking past the end exhausts cleanly.
-    let mut cur = GroupCursor::new(&bounds, z, num_offsets).unwrap();
-    prop_assert!(!cur.seek(total).unwrap());
-    prop_assert!(cur.current().is_none());
+    // Seeking past the end enters nothing and leaves the scratch at no
+    // group.
+    let mut s = walker.new_scratch();
+    prop_assert!(entered(&walker, total..total + 1, &mut s).is_empty());
+    prop_assert_eq!(s.position(), None);
     Ok(())
 }
 
-/// The pool-block split at 1..=4 threads: contiguous, non-empty tasks,
-/// at most one per block, covering the space. One reused cursor walks
-/// them in claim order, where it already sits at every next start (no
-/// seek), and in reverse, where every task seeks as a helper does; both
-/// walks concatenate, by position, to the cursor sequence.
+/// The pool-block split at 1..=4 threads: contiguous, non-empty ranges,
+/// at most one per block, covering the space. One reused scratch walks
+/// them in claim order, where its walk already stopped at every next
+/// start (no seek), and in reverse, where every range seeks as a
+/// helper's does; both walks concatenate, by position, to the walk
+/// sequence.
 fn check_split(plan: &ParallelPlan) -> Result<(), TestCaseError> {
     let walker = Walker::for_plan(plan);
-    let all: Vec<(u64, Vec<i64>, usize)> = cursor_sequence(plan)
-        .into_iter()
-        .enumerate()
-        .map(|(i, (p, o))| (i as u64, p, o))
-        .collect();
+    let all = walk_sequence(plan);
     for threads in 1..=4 {
         let tasks = walker.tasks(threads).unwrap();
         prop_assert!(tasks.len() <= threads * rayon::BLOCKS_PER_WORKER);
         let mut next_start = 0u64;
         for task in &tasks {
-            prop_assert_eq!(task.start(), next_start);
-            prop_assert!(task.start() < task.end());
-            next_start = task.end();
+            prop_assert_eq!(task.start, next_start);
+            prop_assert!(task.start < task.end);
+            next_start = task.end;
         }
         prop_assert_eq!(next_start, all.len() as u64, "tasks must cover the space");
 
-        let mut cursor = walker.cursor();
+        let mut s = walker.new_scratch();
         let mut in_order = Vec::new();
         for (i, task) in tasks.iter().enumerate() {
             if i > 0 {
-                prop_assert!(
-                    !cursor.is_exhausted() && cursor.position() == task.start(),
+                prop_assert_eq!(
+                    s.position(),
+                    Some(task.start),
                     "in-order claim at {} would seek",
-                    task.start()
+                    task.start
                 );
             }
-            task.for_each(&mut cursor, |gid, prefix, off| {
-                in_order.push((gid, prefix.to_vec(), off));
-                Ok(())
-            })
-            .unwrap();
+            in_order.extend(entered(&walker, task.clone(), &mut s));
         }
         prop_assert_eq!(
             &in_order,
@@ -203,16 +197,11 @@ fn check_split(plan: &ParallelPlan) -> Result<(), TestCaseError> {
             threads
         );
 
-        let mut cursor = walker.cursor();
+        let mut s = walker.new_scratch();
         let mut reversed = Vec::new();
         for task in tasks.iter().rev() {
-            let mut walked = Vec::new();
-            task.for_each(&mut cursor, |gid, prefix, off| {
-                walked.push((gid, prefix.to_vec(), off));
-                Ok(())
-            })
-            .unwrap();
-            reversed.push(walked);
+            prop_assert_ne!(s.position(), Some(task.start), "a reversed claim must seek");
+            reversed.push(entered(&walker, task.clone(), &mut s));
         }
         let reversed: Vec<_> = reversed.into_iter().rev().flatten().collect();
         prop_assert_eq!(
@@ -228,13 +217,13 @@ fn check_split(plan: &ParallelPlan) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(130))]
 
-    /// Cursor sequence == materialized cross product, order included.
+    /// Walk sequence == materialized cross product, order included.
     #[test]
-    fn cursor_matches_materialized_oracle(seed in 0u64..1_000_000) {
+    fn walk_matches_materialized_oracle(seed in 0u64..1_000_000) {
         check_against_oracle(&plan_for_seed(seed))?;
     }
 
-    /// `seek(k)` lands exactly where `k` advances from the start land.
+    /// A range starting at `k` lands where `k` groups from the start land.
     #[test]
     fn seek_agrees_with_nth(seed in 0u64..1_000_000) {
         check_seek(&plan_for_seed(seed), seed)?;
@@ -297,68 +286,75 @@ fn triangular_plan(n: i64) -> ParallelPlan {
     plan
 }
 
-/// `seek(k)` edge positions on prefix-dependent (triangular) bounds:
-/// first group, last group, one past the end, and far past the end —
-/// the positions the generator-driven proptest never pins by hand.
+/// The groups a fresh scratch enters walking `groups`, and where the
+/// walk stopped.
+fn seek_walk(plan: &ParallelPlan, groups: Range<u64>) -> (Vec<Group>, Option<u64>) {
+    let walker = Walker::for_plan(plan);
+    let mut s = walker.new_scratch();
+    let got = entered(&walker, groups, &mut s);
+    (got, s.position())
+}
+
+/// Seek edge positions on prefix-dependent (triangular) bounds: first
+/// group, last group, one past the end, and far past the end — the
+/// positions the generator-driven proptest never pins by hand.
 #[test]
 fn seek_edges_on_triangular_bounds() {
     let plan = triangular_plan(8);
-    let z = plan.doall_count();
-    let bounds = lowered(&plan);
-    let total = group_count(&bounds, z, 1).unwrap();
+    let total = exec::group_count(&plan).unwrap();
     assert_eq!(total, 45, "1 + 2 + … + 9 prefixes");
 
-    // k = 0: the first group, identical to a fresh cursor.
-    let mut cur = GroupCursor::new(&bounds, z, 1).unwrap();
-    assert!(cur.seek(0).unwrap());
-    assert_eq!(cur.current().unwrap(), (&[0i64, 0][..], 0));
-    assert_eq!(cur.position(), 0);
+    // k = 0: the first group, where a walk from the start begins.
+    let (got, at) = seek_walk(&plan, 0..1);
+    assert_eq!(got, vec![(0, vec![0, 0], 0)]);
+    assert_eq!(at, Some(1));
 
-    // k = group_count − 1: the last group; advancing exhausts.
-    let mut cur = GroupCursor::new(&bounds, z, 1).unwrap();
-    assert!(cur.seek(total - 1).unwrap());
-    assert_eq!(cur.current().unwrap(), (&[8i64, 8][..], 0));
-    assert!(!cur.advance().unwrap());
-    assert!(cur.is_exhausted());
+    // k = group_count − 1: the last group; the walk runs past the end.
+    let (got, at) = seek_walk(&plan, total - 1..total + 5);
+    assert_eq!(got, vec![(total - 1, vec![8, 8], 0)]);
+    assert_eq!(at, None);
 
-    // k = group_count: one past the end exhausts without panicking.
-    let mut cur = GroupCursor::new(&bounds, z, 1).unwrap();
-    assert!(!cur.seek(total).unwrap());
-    assert!(cur.current().is_none());
+    // k = group_count: one past the end enters nothing, without panicking.
+    assert_eq!(seek_walk(&plan, total..total + 1), (vec![], None));
 
     // Far past the end behaves the same.
-    let mut cur = GroupCursor::new(&bounds, z, 1).unwrap();
-    assert!(!cur.seek(total + 1_000).unwrap());
-    assert!(cur.current().is_none());
+    assert_eq!(
+        seek_walk(&plan, total + 1_000..total + 1_001),
+        (vec![], None)
+    );
 }
 
 /// The same edges with a non-trivial offset table crossed in (offset
-/// indices decompose `k` as `prefix_ordinal × num_offsets + offset`).
+/// indices decompose `k` as `prefix_ordinal × num_offsets + offset`):
+/// a doall triangle over a recurrence of distance 3, three offsets.
 #[test]
 fn seek_edges_on_triangular_bounds_with_offsets() {
-    let plan = triangular_plan(6);
-    let z = plan.doall_count();
+    let nest = parse_loop_with(
+        "for i = 0..=6 { for j = 0..=i { for k = 0..=5 {
+           A[i, j, k] = A[i, j, k - 3] + 1;
+         } } }",
+        &[],
+    )
+    .unwrap();
+    let plan = parallelize(&nest).unwrap();
+    assert_eq!(plan.doall_count(), 2);
     let noff = 3usize;
-    let bounds = lowered(&plan);
-    let total = group_count(&bounds, z, noff).unwrap();
+    assert_eq!(plan.partition_count(), noff as i64);
+    let total = exec::group_count(&plan).unwrap();
     assert_eq!(total, 28 * 3);
 
-    let mut cur = GroupCursor::new(&bounds, z, noff).unwrap();
-    assert!(cur.seek(0).unwrap());
-    assert_eq!(cur.current().unwrap(), (&[0i64, 0][..], 0));
+    let (got, _) = seek_walk(&plan, 0..1);
+    assert_eq!(got, vec![(0, vec![0, 0], 0)]);
 
-    let mut cur = GroupCursor::new(&bounds, z, noff).unwrap();
-    assert!(cur.seek(total - 1).unwrap());
-    assert_eq!(cur.current().unwrap(), (&[6i64, 6][..], noff - 1));
-    assert!(!cur.advance().unwrap());
+    let (got, at) = seek_walk(&plan, total - 1..total);
+    assert_eq!(got, vec![(total - 1, vec![6, 6], noff - 1)]);
+    assert_eq!(at, None, "the last group leaves the scratch at no group");
 
-    let mut cur = GroupCursor::new(&bounds, z, noff).unwrap();
-    assert!(!cur.seek(total).unwrap());
-    assert!(cur.current().is_none());
+    assert_eq!(seek_walk(&plan, total..total + 1), (vec![], None));
 }
 
-/// Empty iteration spaces: zero groups, an immediately-exhausted
-/// cursor, and `seek` returning `false` at every position including 0.
+/// Empty iteration spaces: zero groups, a walk that enters none, and a
+/// range at every start, 0 included, that enters none either.
 #[test]
 fn empty_iteration_space_nests() {
     for (src, n) in [
@@ -370,18 +366,15 @@ fn empty_iteration_space_nests() {
     ] {
         let nest = parse_loop_with(src, &[("N", n)]).unwrap();
         let plan = parallelize(&nest).unwrap();
-        let noff = plan.partition().map_or(1, |p| p.offsets().len());
-        let z = plan.doall_count();
-        let bounds = lowered(&plan);
-        let total = group_count(&bounds, z, noff).unwrap();
+        let total = exec::group_count(&plan).unwrap();
         assert_eq!(total, 0, "{src} N={n}");
-        let mut cur = GroupCursor::new(&bounds, z, noff).unwrap();
-        assert!(cur.current().is_none(), "{src} N={n}");
-        assert!(!cur.advance().unwrap());
+        assert!(walk_sequence(&plan).is_empty(), "{src} N={n}");
         for k in [0u64, 1, 7] {
-            let mut cur = GroupCursor::new(&bounds, z, noff).unwrap();
-            assert!(!cur.seek(k).unwrap(), "{src} N={n} seek({k})");
-            assert!(cur.is_exhausted());
+            assert_eq!(
+                seek_walk(&plan, k..k + 1),
+                (vec![], None),
+                "{src} N={n} seek({k})"
+            );
         }
         // And the executor agrees there is nothing to do.
         let mem = Memory::for_nest(&nest).unwrap();

@@ -41,7 +41,7 @@ use vardep_loops::poly::bounds::LoopBounds;
 use vardep_loops::prelude::*;
 use vardep_loops::runtime::equivalence::compare;
 use vardep_loops::runtime::exec;
-use vardep_loops::runtime::Walker;
+use vardep_loops::runtime::{Visit, Walker};
 
 fn shape_for_seed(seed: u64) -> (LoopNest, Vec<&'static str>) {
     let params: Vec<&'static str> = if seed.is_multiple_of(3) {
@@ -163,18 +163,24 @@ fn assert_ranges_equivalent(a: &LoopBounds, b: &LoopBounds, k: usize, prefix: &m
 /// iteration.
 fn group_sequence(plan: &ParallelPlan, nonempty_only: bool) -> Vec<(Vec<i64>, Vec<i64>)> {
     let walker = Walker::for_plan(plan);
-    let mut s = walker.new_scratch();
-    let mut out = Vec::new();
+    // Each entered group, and whether it ran an iteration.
+    let mut out: Vec<((Vec<i64>, Vec<i64>), bool)> = Vec::new();
     walker
-        .range(0, u64::MAX)
-        .for_each(&mut walker.cursor(), |_, prefix, o| {
-            if !nonempty_only || walker.walk(prefix, o, &mut s, |_| Ok(()))? > 0 {
-                out.push((prefix.to_vec(), walker.offsets()[o].clone()));
+        .walk_range(0..u64::MAX, &mut walker.new_scratch(), |step| {
+            match step {
+                Visit::Group { prefix, offset, .. } => {
+                    let group = (prefix.to_vec(), walker.offsets()[offset].clone());
+                    out.push((group, false));
+                }
+                Visit::Iteration(_) => out.last_mut().expect("a group was entered").1 = true,
             }
             Ok(())
         })
         .expect("walk");
-    out
+    out.into_iter()
+        .filter(|(_, ran)| !nonempty_only || *ran)
+        .map(|(group, _)| group)
+        .collect()
 }
 
 fn check_one(seed: u64, round: u64) {
