@@ -900,7 +900,8 @@ mod tests {
         assert_eq!(inst.plan.partition_count(), 11);
         let (mut entered, mut ran) = (Vec::new(), 0);
         let mut s = inst.compiled.new_scratch();
-        (inst.compiled.walker())
+        inst.compiled
+            .walker()
             .walk_range(0..u64::MAX, &mut s, |step| {
                 match step {
                     Visit::Group { id, .. } => entered.push(id),
